@@ -14,6 +14,7 @@ whole sweeps go through the same code path as single points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,43 @@ def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
     acc = -prob.m_minus * (q - prob.center_minus) / np.expand_dims(d_minus**3, -1)
     acc -= prob.m_plus * (q - prob.center_plus) / np.expand_dims(d_plus**3, -1)
     return acc
+
+
+def planar_kernel(prob: Problem):
+    """Plain-float right-hand side of the two-center system, for the integrator.
+
+    Returns ``rhs(y)``, which maps (x, y, z, px, py, pz) to (p, acceleration)
+    as a tuple of Python floats.  It is :func:`acceleration` for one point,
+    with the same finite check and collision guard, without the numpy call
+    overhead that dominates length-3 arrays.
+    """
+    m_minus, m_plus, a = prob.m_minus, prob.m_plus, prob.a
+    isfinite, sqrt = math.isfinite, math.sqrt
+
+    def rhs(state):
+        x, y, z, px, py, pz = state
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            raise InvalidInputError("q must have finite components")
+        x_minus = x + a
+        x_plus = x - a
+        d2_minus = x_minus * x_minus + y * y + z * z
+        d2_plus = x_plus * x_plus + y * y + z * z
+        d_minus = sqrt(d2_minus)
+        d_plus = sqrt(d2_plus)
+        if d_minus < COLLISION_GUARD or d_plus < COLLISION_GUARD:
+            raise NearCollisionError(f"point within {COLLISION_GUARD:g} of an attracting center")
+        k_minus = m_minus / (d2_minus * d_minus)
+        k_plus = m_plus / (d2_plus * d_plus)
+        return (
+            px,
+            py,
+            pz,
+            -k_minus * x_minus - k_plus * x_plus,
+            -k_minus * y - k_plus * y,
+            -k_minus * z - k_plus * z,
+        )
+
+    return rhs
 
 
 def hamiltonian(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:

@@ -2,26 +2,37 @@
 
 Both the planar two-center system and the intrinsic ellipsoid system are
 integrated with the Dormand-Prince 5(4) embedded pair (seven stages, FSAL)
-under PI step-size control.  The output grid is the accepted steps; each
-sample carries the problem's first integrals (planar runs) or the
-ellipsoidal energy and constraint residuals (ellipsoid runs).
+under PI step-size control (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4-II.5).  The output grid is the accepted steps; each sample carries the
+problem's first integrals (planar runs) or the ellipsoidal energy and
+constraint residuals (ellipsoid runs).
+
+The stepper works on Python floats and the ``math`` module, with one
+plain-float right-hand-side kernel per system (``planar_kernel`` and
+``intrinsic_kernel``).  A state has only six or eight components, so the
+per-step work of a numpy version is call overhead, not arithmetic: one
+``acceleration`` call on a 3-vector costs about fifty times the whole
+plain-float right-hand side.  The batched numpy evaluators stay the public
+API for arrays and the reference the kernels are tested against.
 
 Mid-run failures abort cleanly: the partial trajectory up to the last good
 state is returned with ``status`` set to ``"collision"``,
-``"step_underflow"`` or ``"integrity"``.  Invalid initial states raise
+``"step_underflow"``, ``"integrity"`` or ``"step_budget"`` (``_MAX_STEPS``
+step attempts used up before the end time).  Invalid initial states raise
 instead, since there is nothing partial to return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Problem, acceleration, axial_angular_momentum, center_distances, euler_integral, hamiltonian
+from .dynamics import PhasePoint, Problem, axial_angular_momentum, center_distances, euler_integral, hamiltonian, planar_kernel
 from .errors import InvalidInputError, NearCollisionError
 from .geometry import EllipsoidPoint
-from .projective import EllipsoidState, _energy_arrays, _intrinsic_rhs_raw
+from .projective import EllipsoidState, _energy_arrays, intrinsic_kernel
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
 _DP_A = (
@@ -32,9 +43,17 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Unpacked for the unrolled stages; the zero weights of k2 are dropped there.
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _, _A73, _A74, _A75, _A76),
+) = _DP_A
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_ERR
 
 _SAFETY = 0.9
 _ALPHA = 0.17  # 1/5 - 0.75 * beta
@@ -142,19 +161,18 @@ class _AbortRun(Exception):
         self.status = status
 
 
-def _error_norm(err_vec, y_old, y_new, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+def _rms(values) -> float:
+    return math.sqrt(sum(v * v for v in values) / len(values))
 
 
 def _initial_step(f, y0, f0, t_end, cfg):
     """Hairer-style starting step from the scaled sizes of y0, f0 and curvature."""
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    scale = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = f(y0 + h0 * f0)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    f1 = f([v + h0 * d for v, d in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, 1e-3 * h0)
     else:
@@ -163,20 +181,22 @@ def _initial_step(f, y0, f0, t_end, cfg):
 
 
 def _dopri5(f, y0, t_end, cfg, postprocess=None):
-    """Adaptive loop over an autonomous system.
+    """Adaptive loop over an autonomous system whose state is a sequence of floats.
 
-    ``postprocess`` runs on every accepted state and may return an adjusted
-    copy (constraint renormalization) or raise :class:`_AbortRun`.  Returns
+    ``f`` maps a state to its derivative.  ``postprocess`` runs on every
+    accepted state and may return an adjusted copy (constraint
+    renormalization) or raise :class:`_AbortRun`.  Returns
     (times, states, rejected, status).
     """
+    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    n = len(y0)
     t = 0.0
-    y = np.array(y0, dtype=float)
-    times = [0.0]
-    states = [y.copy()]
+    y = list(y0)
+    times = [t]
+    states = [y]
     status = "ok"
     rejected = 0
     errold = 1e-4
-    k = np.empty((7, y.size))
     try:
         k1 = f(y)
         h = _initial_step(f, y, k1, t_end, cfg)
@@ -184,31 +204,42 @@ def _dopri5(f, y0, t_end, cfg, postprocess=None):
         for _ in range(_MAX_STEPS):
             if t >= t_end:
                 break
-            h = min(h, t_end - t, cfg.max_step)
+            h = min(h, t_end - t, max_step)
             if h < 1e-14 * max(1.0, abs(t)):
                 status = "step_underflow"
                 break
-            k[0] = k1
-            for i, row in enumerate(_DP_A):
-                yi = y + h * sum(aij * k[j] for j, aij in enumerate(row))
-                k[i + 1] = f(yi)
-            y_new = yi  # the last coupling row is the 5th-order solution
-            err_vec = h * (_DP_ERR @ k)
-            err = _error_norm(err_vec, y, y_new, cfg)
+            k2 = f([v + h * (_A21 * a) for v, a in zip(y, k1)])
+            k3 = f([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+            k4 = f([v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = f([
+                v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ])
+            k6 = f([
+                v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+            ])
+            # the last coupling row is the 5th-order solution (FSAL)
+            y_new = [
+                v + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * g)
+                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = f(y_new)
+            err = math.sqrt(sum([
+                (h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k) / (atol + rtol * max(abs(v), abs(u)))) ** 2
+                for v, u, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+            ]) / n)
             if err <= 1.0:
                 t += h
-                if postprocess is not None:
-                    adjusted = postprocess(y_new)
-                else:
-                    adjusted = None
+                adjusted = None if postprocess is None else postprocess(y_new)
                 if adjusted is None:
                     y = y_new
-                    k1 = k[6]  # FSAL
+                    k1 = k7  # FSAL
                 else:
                     y = adjusted
                     k1 = f(y)
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
                 facmax = 1.0 if just_rejected else _FACMAX
                 fac = facmax if err == 0.0 else _SAFETY * err**-_ALPHA * errold**_BETA
                 h *= min(facmax, max(_FACMIN, fac))
@@ -219,12 +250,13 @@ def _dopri5(f, y0, t_end, cfg, postprocess=None):
                 just_rejected = True
                 h *= min(1.0, max(_FACMIN, _SAFETY * err**-_ALPHA))
         else:
-            raise RuntimeError("step budget exhausted")
+            if t < t_end:
+                status = "step_budget"
     except NearCollisionError:
         status = "collision"
     except _AbortRun as abort:
         status = abort.status
-    return np.array(times), np.array(states), rejected, status
+    return np.array(times), np.array(states, dtype=float), rejected, status
 
 
 def integrate_planar(
@@ -237,17 +269,18 @@ def integrate_planar(
     d_minus, d_plus = center_distances(start.q, prob)
     if min(d_minus, d_plus) < cfg.min_center_distance:
         raise NearCollisionError("initial state is already inside the collision guard")
+    a = prob.a
 
-    def f(y):
-        return np.concatenate([y[3:], acceleration(y[:3], prob)])
-
-    def check_distance(y):
-        d_minus, d_plus = center_distances(y[:3], prob)
+    def check_distance(state):
+        x, y, z = state[0], state[1], state[2]
+        d_minus = math.sqrt((x + a) * (x + a) + y * y + z * z)
+        d_plus = math.sqrt((x - a) * (x - a) + y * y + z * z)
         if min(d_minus, d_plus) < cfg.min_center_distance:
             raise _AbortRun("collision")
         return None
 
-    times, states, rejected, status = _dopri5(f, np.concatenate([start.q, start.p]), t_end, cfg, check_distance)
+    y0 = [*start.q.tolist(), *start.p.tolist()]
+    times, states, rejected, status = _dopri5(planar_kernel(prob), y0, t_end, cfg, check_distance)
     q, p = states[:, :3], states[:, 3:]
     diagnostics = {
         "J": np.atleast_1d(hamiltonian(q, p, prob)),
@@ -273,30 +306,30 @@ def integrate_ellipsoid(
     metric = start.metric
     if metric.a != prob.a:
         raise InvalidInputError("state metric does not match the problem half-distance")
-    weights = metric.weights
-    y0 = np.concatenate([start.point.vec, start.velocity])
+    wyz = float(metric.weights[1])
 
-    norm_residuals = [abs(float(np.sqrt(np.sum(weights * y0[:4] ** 2))) - 1.0)]
-    tangency_residuals = [abs(float(np.sum(weights * y0[:4] * y0[4:])))]
+    def star(u, v):
+        return u[0] * v[0] + wyz * u[1] * v[1] + wyz * u[2] * v[2] + u[3] * v[3]
 
-    def f(y):
-        return _intrinsic_rhs_raw(y, prob, metric)
+    y0 = [*start.point.vec.tolist(), *start.velocity.tolist()]
+    norm_residuals = [abs(math.sqrt(star(y0[:4], y0[:4])) - 1.0)]
+    tangency_residuals = [abs(star(y0[:4], y0[4:]))]
 
     def cleanup(y):
         big_q, qp = y[:4], y[4:]
-        norm = float(np.sqrt(np.sum(weights * big_q * big_q)))
-        tangency = float(np.sum(weights * big_q * qp))
+        norm = math.sqrt(star(big_q, big_q))
+        tangency = star(big_q, qp)
         if abs(norm - 1.0) > _INTEGRITY_LIMIT or abs(tangency) > _INTEGRITY_LIMIT:
             raise _AbortRun("integrity")
         norm_residuals.append(abs(norm - 1.0))
         tangency_residuals.append(abs(tangency))
         if not cfg.renormalize_constraint:
             return None
-        big_q = big_q / norm
-        qp = qp - np.sum(weights * big_q * qp) * big_q
-        return np.concatenate([big_q, qp])
+        big_q = [v / norm for v in big_q]
+        radial = star(big_q, qp)
+        return big_q + [v - radial * u for v, u in zip(qp, big_q)]
 
-    times, states, rejected, status = _dopri5(f, y0, tau_end, cfg, cleanup)
+    times, states, rejected, status = _dopri5(intrinsic_kernel(prob), y0, tau_end, cfg, cleanup)
     n = len(times)
     diagnostics = {
         "G": np.atleast_1d(_energy_arrays(states[:, :4], states[:, 4:], prob, metric)),

@@ -18,11 +18,13 @@ conservation of G along intrinsic trajectories for several a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
+    COLLISION_GUARD,
     Problem,
     acceleration,
     axial_angular_momentum,
@@ -49,9 +51,6 @@ from .sampling import make_rng, sample_phase_points
 
 # Admission tolerance on the tangency constraint of ellipsoid states.
 TANGENCY_TOL = 1e-10
-
-# Guard on the Euclidean distance between Q and a scaled center.
-_FIELD_GUARD = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +90,6 @@ class IntegralRelation:
     lambda_theta2: float
     lambda_0: float
     max_residual: float
-
-
-def _centers4(prob: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Embedded centers (rows) and matching masses."""
-    a = prob.a
-    centers = np.array([[-a, 0.0, 0.0, 1.0], [a, 0.0, 0.0, 1.0]])
-    masses = np.array([prob.m_minus, prob.m_plus])
-    return centers, masses
 
 
 def _lift_arrays(
@@ -199,24 +190,56 @@ def _require_matching_a(metric: StarMetric, prob: Problem) -> None:
         )
 
 
+def intrinsic_kernel(prob: Problem):
+    """Plain-float right-hand side of the intrinsic ellipsoid system.
+
+    Returns ``rhs(y)``, which maps y = [Q, Q'] (eight Python floats) to
+    [Q', Q''] with
+
+        Q'' = F(Q) - ((Q, F)_* + |Q'|_*^2) / (Q, Q)_* Q,
+        F(Q) = sum_j m_j c_j / |Q - c_j W|^3,
+
+    Euclidean distances and c_j = (+-a, 0, 0, 1).  Stage values of an
+    explicit step are not exactly on the ellipsoid, so the projector and
+    the normal closure divide by (Q, Q)_* instead of assuming it is one.
+    Raises :class:`NearCollisionError` within ``COLLISION_GUARD`` of a
+    scaled center.
+    """
+    a, m_minus, m_plus = prob.a, prob.m_minus, prob.m_plus
+    wyz = 1.0 / (1.0 + a * a)
+    sqrt = math.sqrt
+
+    def rhs(state):
+        x, y, z, w, xp, yp, zp, wp = state
+        x_minus = x + a * w
+        x_plus = x - a * w
+        d2_minus = x_minus * x_minus + y * y + z * z
+        d2_plus = x_plus * x_plus + y * y + z * z
+        d_minus = sqrt(d2_minus)
+        d_plus = sqrt(d2_plus)
+        if d_minus < COLLISION_GUARD or d_plus < COLLISION_GUARD:
+            raise NearCollisionError(f"ellipsoid point within {COLLISION_GUARD:g} of a scaled center")
+        s_minus = m_minus / (d2_minus * d_minus)
+        s_plus = m_plus / (d2_plus * d_plus)
+        f_x = a * s_plus - a * s_minus
+        f_w = s_minus + s_plus
+        qq = x * x + wyz * y * y + wyz * z * z + w * w
+        speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp
+        c = (x * f_x + w * f_w + speed2) / qq
+        return (xp, yp, zp, wp, f_x - c * x, -c * y, -c * z, f_w - c * w)
+
+    return rhs
+
+
 def tangential_field(point: EllipsoidPoint, prob: Problem) -> np.ndarray:
     """Velocity-independent tangential part of the projected acceleration.
 
     Returns P_Q[sum_j m_j c_j / |Q - c_j W|^3] with the star-orthogonal
-    tangent projector P_Q v = v - (Q, v)_* Q and Euclidean distances.
+    tangent projector P_Q v = v - (Q, v)_* Q and Euclidean distances: the
+    intrinsic right-hand side at Q' = 0.
     """
     _require_matching_a(point.metric, prob)
-    centers, masses = _centers4(prob)
-    big_q = point.vec
-    diff = big_q - centers * point.w  # last component vanishes for both rows
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    if np.any(dist < _FIELD_GUARD):
-        raise NearCollisionError(
-            f"ellipsoid point within {_FIELD_GUARD:g} of a scaled center"
-        )
-    raw = np.sum((masses / dist**3)[:, None] * centers, axis=0)
-    radial = star_inner(big_q, raw, point.metric)
-    return raw - radial * big_q
+    return np.array(intrinsic_kernel(prob)((*point.vec.tolist(), 0.0, 0.0, 0.0, 0.0))[4:])
 
 
 def intrinsic_rhs(state: EllipsoidState, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -226,34 +249,9 @@ def intrinsic_rhs(state: EllipsoidState, prob: Problem) -> tuple[np.ndarray, np.
     differentiating the tangency constraint; no other normal term is
     compatible with motion on the ellipsoid.
     """
-    speed2 = float(star_norm(state.velocity, state.metric)) ** 2
-    qpp = tangential_field(state.point, prob) - speed2 * state.point.vec
-    return state.velocity, qpp
-
-
-def _intrinsic_rhs_raw(y: np.ndarray, prob: Problem, metric: StarMetric) -> np.ndarray:
-    """RHS on raw stacked arrays [Q, Q'], robust to slightly off-manifold Q.
-
-    Stage values of an explicit step are not exactly on the ellipsoid, so
-    the projector and the normal closure divide by (Q, Q)_* instead of
-    assuming it equals one.
-    """
-    big_q = y[:4]
-    qp = y[4:]
-    weights = metric.weights
-    qq = float(np.sum(weights * big_q * big_q))
-    centers, masses = _centers4(prob)
-    diff = big_q - centers * big_q[3]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    if np.any(dist < _FIELD_GUARD):
-        raise NearCollisionError(
-            f"ellipsoid point within {_FIELD_GUARD:g} of a scaled center"
-        )
-    raw = np.sum((masses / dist**3)[:, None] * centers, axis=0)
-    radial = float(np.sum(weights * big_q * raw))
-    speed2 = float(np.sum(weights * qp * qp))
-    qpp = raw - ((radial + speed2) / qq) * big_q
-    return np.concatenate([qp, qpp])
+    _require_matching_a(state.metric, prob)
+    y = intrinsic_kernel(prob)((*state.point.vec.tolist(), *state.velocity.tolist()))
+    return state.velocity, np.array(y[4:])
 
 
 def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:

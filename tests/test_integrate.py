@@ -20,6 +20,8 @@ from twocenter import (
     lift_velocity,
     star_norm,
 )
+from twocenter import integrate
+from twocenter.cli import main
 
 EQUAL = Problem(1.0, 1.0, 1.0)
 DEFAULT_START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
@@ -54,6 +56,15 @@ def test_collision_abort_returns_partial_trajectory():
     assert traj.status == "collision"
     assert len(traj) > 1
     assert traj.times[-1] < 10.0
+
+
+def test_step_budget_abort_returns_partial_trajectory(monkeypatch, tmp_path):
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 5)
+    traj = integrate_planar(DEFAULT_START, EQUAL, 10.0)
+    assert traj.status == "step_budget"
+    assert 1 < len(traj) <= 6
+    assert traj.times[-1] < 10.0
+    assert main(["simulate", "--t-end", "10", "--out", str(tmp_path / "orbit.csv")]) == 2
 
 
 def test_invalid_horizons():

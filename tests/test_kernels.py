@@ -1,0 +1,107 @@
+"""Plain-float right-hand-side kernels against their numpy references.
+
+The planar kernel is compared with the batched ``acceleration``; the
+intrinsic kernel with a numpy copy of the array right-hand side it replaced.
+Both sides round differently in the last bit (numpy's ``d**3`` is not libm's
+``pow``), and a component that cancels keeps no relative accuracy in either,
+so the relative tolerance is taken against the sum of the magnitudes of the
+terms that form each component: |kernel - reference| <= ATOL + RTOL * scale.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from twocenter import InvalidInputError, NearCollisionError, Problem, acceleration
+from twocenter.dynamics import COLLISION_GUARD, planar_kernel
+from twocenter.projective import intrinsic_kernel
+
+RTOL = 1e-13
+ATOL = 1e-15
+
+half_distances = st.floats(0.25, 4.0)
+masses = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+coords = st.floats(-5.0, 5.0)
+vectors3 = st.tuples(coords, coords, coords)
+# Offsets of norm below COLLISION_GUARD: each component under guard / 2.
+inside = st.floats(-COLLISION_GUARD / 2, COLLISION_GUARD / 2)
+problems = st.builds(Problem, masses, masses, half_distances)
+
+
+def planar_scale(q, prob):
+    """Per component, sum_j m_j |q - c_j| / |q - c_j|^3 over both centers."""
+    scale = np.zeros(3)
+    for m, cx in ((prob.m_minus, -prob.a), (prob.m_plus, prob.a)):
+        d = q - np.array([cx, 0.0, 0.0])
+        scale += m * np.abs(d) / np.linalg.norm(d) ** 3
+    return scale
+
+
+def reference_intrinsic(y, prob):
+    """numpy arithmetic of the former array right-hand side, plus its term scale."""
+    a = prob.a
+    weights = np.array([1.0, 1.0 / (1.0 + a * a), 1.0 / (1.0 + a * a), 1.0])
+    centers = np.array([[-a, 0.0, 0.0, 1.0], [a, 0.0, 0.0, 1.0]])
+    masses = np.array([prob.m_minus, prob.m_plus])
+    big_q, qp = y[:4], y[4:]
+    qq = float(np.sum(weights * big_q * big_q))
+    diff = big_q - centers * big_q[3]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    raw = np.sum((masses / dist**3)[:, None] * centers, axis=0)
+    radial = float(np.sum(weights * big_q * raw))
+    speed2 = float(np.sum(weights * qp * qp))
+    qpp = raw - ((radial + speed2) / qq) * big_q
+    raw_scale = np.sum((masses / dist**3)[:, None] * np.abs(centers), axis=0)
+    closure_scale = (float(np.sum(weights * np.abs(big_q) * raw_scale)) + speed2) / qq
+    scale = np.concatenate([np.zeros(4), raw_scale + closure_scale * np.abs(big_q)])
+    return np.concatenate([qp, qpp]), scale
+
+
+@given(problems, vectors3, vectors3)
+def test_planar_kernel_matches_acceleration(prob, q, p):
+    assume(min(math.dist(q, (-prob.a, 0.0, 0.0)), math.dist(q, (prob.a, 0.0, 0.0))) >= 1e-3)
+    q = np.array(q)
+    out = planar_kernel(prob)((*q.tolist(), *p))
+    assert out[:3] == p
+    diff = np.abs(np.array(out[3:]) - acceleration(q, prob))
+    assert np.all(diff <= ATOL + RTOL * planar_scale(q, prob))
+
+
+@given(problems, vectors3, st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + 1e-6]), st.tuples(coords, coords, coords, coords))
+def test_intrinsic_kernel_matches_array_reference(prob, q, off_manifold, qp):
+    """Q is a projected slice point scaled off the ellipsoid as stage values are."""
+    a = prob.a
+    weights = np.array([1.0, 1.0 / (1.0 + a * a), 1.0 / (1.0 + a * a), 1.0])
+    assume(min(math.dist(q, (-a, 0.0, 0.0)), math.dist(q, (a, 0.0, 0.0))) >= 1e-3)
+    q4 = np.array([*q, 1.0])
+    big_q = off_manifold * q4 / np.sqrt(np.sum(weights * q4 * q4))
+    y = np.concatenate([big_q, qp])
+    reference, scale = reference_intrinsic(y, prob)
+    out = np.array(intrinsic_kernel(prob)(y.tolist()))
+    assert np.array_equal(out[:4], y[4:])
+    assert np.all(np.abs(out - reference) <= ATOL + RTOL * scale)
+
+
+@given(problems, st.sampled_from([-1.0, 1.0]), st.tuples(inside, inside, inside), vectors3)
+def test_planar_kernel_guard(prob, side, offset, p):
+    q = (side * prob.a + offset[0], offset[1], offset[2])
+    with pytest.raises(NearCollisionError):
+        planar_kernel(prob)((*q, *p))
+    with pytest.raises(NearCollisionError):
+        acceleration(np.array(q), prob)
+
+
+@given(problems, st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.0), st.tuples(inside, inside, inside))
+def test_intrinsic_kernel_guard(prob, side, w, offset):
+    """Q on the projection ray of a center, up to an offset inside the guard."""
+    y = (side * prob.a * w + offset[0], offset[1], offset[2], w, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(NearCollisionError):
+        intrinsic_kernel(prob)(y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_planar_kernel_rejects_nonfinite_position(bad):
+    with pytest.raises(InvalidInputError):
+        planar_kernel(Problem())((0.0, bad, 0.0, 0.0, 0.0, 0.0))

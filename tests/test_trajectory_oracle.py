@@ -1,0 +1,63 @@
+"""Both integrators against scipy's DOP853 at tight tolerance.
+
+The oracle's right-hand sides are written here with numpy and share no code
+with twocenter's kernels or stepper; only the ODEs are the same.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from twocenter import PhasePoint, Problem, integrate_ellipsoid, integrate_planar, lift_velocity
+
+START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
+PROBLEMS = [Problem(1.0, m_plus, a) for a in (1.0, 2.0) for m_plus in (1.0, 0.5)]
+ORACLE_TOL = 1e-13
+MAX_STATE_DIFF = 1e-9
+
+
+def planar_rhs(t, y, prob):
+    q, p = y[:3], y[3:]
+    acc = np.zeros(3)
+    for m, cx in ((prob.m_minus, -prob.a), (prob.m_plus, prob.a)):
+        d = q - np.array([cx, 0.0, 0.0])
+        acc -= m * d / np.linalg.norm(d) ** 3
+    return np.concatenate([p, acc])
+
+
+def intrinsic_rhs(t, y, prob):
+    """Q'' = F(Q) - ((Q, F)_* + |Q'|_*^2)/(Q, Q)_* Q with F = sum_j m_j c_j / |Q - c_j W|^3."""
+    a = prob.a
+    weights = np.array([1.0, 1.0 / (1.0 + a * a), 1.0 / (1.0 + a * a), 1.0])
+    big_q, qp = y[:4], y[4:]
+    field = np.zeros(4)
+    for m, c in ((prob.m_minus, np.array([-a, 0.0, 0.0, 1.0])), (prob.m_plus, np.array([a, 0.0, 0.0, 1.0]))):
+        field += m * c / np.linalg.norm(big_q - c * big_q[3]) ** 3
+    closure = (weights @ (big_q * field) + weights @ (qp * qp)) / (weights @ (big_q * big_q))
+    return np.concatenate([qp, field - closure * big_q])
+
+
+def max_diff_to_oracle(traj, rhs, y0, prob):
+    sol = solve_ivp(
+        rhs, (0.0, traj.times[-1]), y0, method="DOP853",
+        rtol=ORACLE_TOL, atol=ORACLE_TOL, dense_output=True, args=(prob,),
+    )
+    assert sol.success
+    return float(np.max(np.abs(traj.states - sol.sol(traj.times).T)))
+
+
+@pytest.mark.parametrize("prob", PROBLEMS, ids=lambda p: f"a{p.a:g}-m{p.m_plus:g}")
+def test_planar_run_matches_dop853(prob):
+    traj = integrate_planar(START, prob, 10.0)
+    assert traj.status == "ok"
+    y0 = np.concatenate([START.q, START.p])
+    assert max_diff_to_oracle(traj, planar_rhs, y0, prob) <= MAX_STATE_DIFF
+
+
+@pytest.mark.parametrize("prob", PROBLEMS, ids=lambda p: f"a{p.a:g}-m{p.m_plus:g}")
+def test_ellipsoid_run_matches_dop853(prob):
+    state = lift_velocity(START.q, START.p, prob.metric())
+    traj = integrate_ellipsoid(state, prob, 5.0)
+    assert traj.status == "ok"
+    y0 = np.concatenate([state.point.vec, state.velocity])
+    assert max_diff_to_oracle(traj, intrinsic_rhs, y0, prob) <= MAX_STATE_DIFF
