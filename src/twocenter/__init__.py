@@ -14,6 +14,7 @@ from .dynamics import (
     axial_angular_momentum,
     center_distances,
     euler_integral,
+    first_integrals,
     hamiltonian,
     kepler_limit_residual,
     rotate_about_axis,
@@ -35,6 +36,7 @@ from .errors import (
 from .geometry import (
     EllipsoidPoint,
     StarMetric,
+    check_finite,
     duality_residual,
     embed,
     project,
@@ -57,9 +59,11 @@ from .projective import (
     IntegralRelation,
     ellipsoid_potential,
     ellipsoidal_energy,
+    energy_arrays,
     fd_tangential_acceleration,
     fit_integral_relation,
     intrinsic_rhs,
+    lift_arrays,
     lift_velocity,
     lifted_speed_squared,
     relation_residual,
@@ -91,6 +95,7 @@ __all__ = [
     "acceleration",
     "axial_angular_momentum",
     "center_distances",
+    "check_finite",
     "cubic_hermite",
     "drift_report",
     "duality_residual",
@@ -98,8 +103,10 @@ __all__ = [
     "ellipsoid_state_at",
     "ellipsoidal_energy",
     "embed",
+    "energy_arrays",
     "euler_integral",
     "fd_tangential_acceleration",
+    "first_integrals",
     "fit_integral_relation",
     "from_ellipsoidal",
     "hamiltonian",
@@ -107,6 +114,7 @@ __all__ = [
     "integrate_planar",
     "intrinsic_rhs",
     "kepler_limit_residual",
+    "lift_arrays",
     "lift_velocity",
     "lifted_speed_squared",
     "make_rng",

@@ -23,7 +23,7 @@ from .dynamics import PhasePoint, Problem
 from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
 from .errors import InvalidInputError, NearCollisionError
 from .integrate import IntegratorConfig, Trajectory, drift_report, integrate_planar
-from .projective import _energy_arrays, _lift_arrays, fit_integral_relation, reparametrize_time
+from .projective import energy_arrays, fit_integral_relation, lift_arrays, reparametrize_time
 from .verify import (
     CheckResult,
     check_energy_drift,
@@ -211,8 +211,8 @@ def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
         times, states = data[:, 0], data[:, 1:7]
     source = Trajectory(times, states, {}, prob, "planar")
     tau = reparametrize_time(source)
-    big_q, qp = _lift_arrays(states[:, :3], states[:, 3:], metric)
-    g = np.atleast_1d(_energy_arrays(big_q, qp, prob, metric))
+    big_q, qp = lift_arrays(states[:, :3], states[:, 3:], metric)
+    g = np.atleast_1d(energy_arrays(big_q, qp, prob))
     rows = ([tau[i], *big_q[i], *qp[i], g[i]] for i in range(len(tau)))
     _write_rows(cfg.out, _PROJECT_HEADER, rows)
     _write_json(cfg.json, {"command": "project", "samples": int(len(tau)),

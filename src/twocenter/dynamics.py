@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import StarMetric, _check_finite
+from .geometry import StarMetric, check_finite, columns
 
 # Evaluations closer to a center than this are refused instead of blowing up.
 COLLISION_GUARD = 1e-8
@@ -75,37 +75,48 @@ class PhasePoint:
         p = np.asarray(self.p, dtype=float)
         if q.shape != (3,) or p.shape != (3,):
             raise InvalidInputError("q and p must have shape (3,)")
-        _check_finite(q, "q")
-        _check_finite(p, "p")
+        check_finite(q, "q")
+        check_finite(p, "p")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
 
+def _angular_momentum(x, y, z, px, py, pz):
+    """Components of q x p from coordinate columns, in np.cross's operation order."""
+    return y * pz - z * py, z * px - x * pz, x * py - y * px
+
+
+def _distances(x, y, z, a: float):
+    """(d_minus, d_plus) from coordinate columns.
+
+    The sums run left to right, the order numpy reduces a length-3 last
+    axis in, so the result is bit-identical to the (..., 3) form.
+    """
+    yy = y * y
+    zz = z * z
+    x_minus = x + a
+    x_plus = x - a
+    return np.sqrt(x_minus * x_minus + yy + zz), np.sqrt(x_plus * x_plus + yy + zz)
+
+
 def center_distances(q: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean distances (d_minus, d_plus) to the two centers, batched."""
-    q = np.asarray(q, dtype=float)
-    dq_minus = q - prob.center_minus
-    dq_plus = q - prob.center_plus
-    return (
-        np.sqrt(np.sum(dq_minus * dq_minus, axis=-1)),
-        np.sqrt(np.sum(dq_plus * dq_plus, axis=-1)),
-    )
+    return _distances(*columns(np.asarray(q, dtype=float), 3, "q"), prob.a)
 
 
-def _guarded_distances(q, prob):
-    d_minus, d_plus = center_distances(q, prob)
+def _check_guard(d_minus, d_plus) -> None:
     if np.any(d_minus < COLLISION_GUARD) or np.any(d_plus < COLLISION_GUARD):
         raise NearCollisionError(
             f"point within {COLLISION_GUARD:g} of an attracting center"
         )
-    return d_minus, d_plus
 
 
 def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
     """Right-hand side of the two-center ODE, -sum_j m_j (q - c_j)/|q - c_j|^3."""
     q = np.asarray(q, dtype=float)
-    _check_finite(q, "q")
-    d_minus, d_plus = _guarded_distances(q, prob)
+    check_finite(q, "q")
+    d_minus, d_plus = center_distances(q, prob)
+    _check_guard(d_minus, d_plus)
     acc = -prob.m_minus * (q - prob.center_minus) / np.expand_dims(d_minus**3, -1)
     acc -= prob.m_plus * (q - prob.center_plus) / np.expand_dims(d_plus**3, -1)
     return acc
@@ -148,15 +159,37 @@ def planar_kernel(prob: Problem):
     return rhs
 
 
-def hamiltonian(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """Total energy |p|^2/2 - m_minus/|q + c| - m_plus/|q - c|."""
+def first_integrals(
+    q: np.ndarray, p: np.ndarray, prob: Problem
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J, Theta, E) at once, batched over leading axes.
+
+    q and p are checked for finite components once, the two center
+    distances are computed once and the collision guard is applied once;
+    :func:`hamiltonian` and :func:`euler_integral` are views of this.
+    Every expression keeps the operation order of the (..., 3) reductions
+    and ``np.cross`` it replaces, so the values are bit-identical to them.
+    """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    _check_finite(q, "q")
-    _check_finite(p, "p")
-    d_minus, d_plus = _guarded_distances(q, prob)
-    kinetic = 0.5 * np.sum(p * p, axis=-1)
-    return kinetic - prob.m_minus / d_minus - prob.m_plus / d_plus
+    x, y, z = columns(q, 3, "q")
+    px, py, pz = columns(p, 3, "p")
+    check_finite(q, "q")
+    check_finite(p, "p")
+    a = prob.a
+    d_minus, d_plus = _distances(x, y, z, a)
+    _check_guard(d_minus, d_plus)
+    k_minus = prob.m_minus / d_minus
+    k_plus = prob.m_plus / d_plus
+    j = 0.5 * (px * px + py * py + pz * pz) - k_minus - k_plus
+    theta, ly, lz = _angular_momentum(x, y, z, px, py, pz)
+    e = theta * theta + ly * ly + lz * lz + (a * px) ** 2 + 2.0 * a * x * (k_minus - k_plus)
+    return j, theta, e
+
+
+def hamiltonian(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
+    """Total energy |p|^2/2 - m_minus/|q + c| - m_plus/|q - c|."""
+    return first_integrals(q, p, prob)[0]
 
 
 def axial_angular_momentum(q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
@@ -176,18 +209,7 @@ def euler_integral(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.nd
     Uses c = (a, 0, 0).  Conservation along numerically integrated
     trajectories is verified by the test suite rather than assumed.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    _check_finite(q, "q")
-    _check_finite(p, "p")
-    d_minus, d_plus = _guarded_distances(q, prob)
-    cross = np.cross(q, p)
-    a = prob.a
-    return (
-        np.sum(cross * cross, axis=-1)
-        + (a * p[..., 0]) ** 2
-        + 2.0 * a * q[..., 0] * (prob.m_minus / d_minus - prob.m_plus / d_plus)
-    )
+    return first_integrals(q, p, prob)[2]
 
 
 def kepler_limit_residual(
@@ -205,8 +227,8 @@ def kepler_limit_residual(
     shrunk = Problem(prob.m_minus, prob.m_plus, a_small)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    cross = np.cross(q, p)
-    return np.abs(euler_integral(q, p, shrunk) - np.sum(cross * cross, axis=-1))
+    lx, ly, lz = _angular_momentum(*columns(q, 3, "q"), *columns(p, 3, "p"))
+    return np.abs(euler_integral(q, p, shrunk) - (lx * lx + ly * ly + lz * lz))
 
 
 def rotate_about_axis(v: np.ndarray, angle: float) -> np.ndarray:

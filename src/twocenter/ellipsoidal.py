@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import Problem, center_distances, rotate_about_axis
 from .errors import InvalidInputError
-from .geometry import _check_finite
+from .geometry import check_finite
 
 _INVARIANT_SLACK = 1e-12
 
@@ -60,7 +60,7 @@ def to_ellipsoidal(q: np.ndarray, prob: Problem) -> EllipsoidalPosition:
     q = np.asarray(q, dtype=float)
     if q.shape != (3,):
         raise InvalidInputError(f"q must have shape (3,), got {q.shape}")
-    _check_finite(q, "q")
+    check_finite(q, "q")
     d_minus, d_plus = center_distances(q, prob)
     if d_minus == 0.0 or d_plus == 0.0:
         raise InvalidInputError("q coincides with an attracting center")

@@ -23,9 +23,17 @@ NORM_TOL = 1e-9
 UNPROJECT_GUARD = 1e-150
 
 
-def _check_finite(arr: np.ndarray, name: str) -> None:
+def check_finite(arr: np.ndarray, name: str) -> None:
+    """Raise :class:`InvalidInputError` unless every component of ``arr`` is finite."""
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} must have finite components")
+
+
+def columns(v: np.ndarray, size: int, name: str) -> tuple[np.ndarray, ...]:
+    """Views of the components of a (..., size) array, for column-by-column kernels."""
+    if v.shape[-1:] != (size,):
+        raise InvalidInputError(f"{name} must have shape (..., {size}), got {v.shape}")
+    return tuple(v[..., i] for i in range(size))
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,7 @@ def star_norm(v: np.ndarray, metric: StarMetric) -> float | np.ndarray:
     ``v`` has shape (..., 4); the norm is taken over the last axis.
     """
     v = np.asarray(v, dtype=float)
-    _check_finite(v, "v")
+    check_finite(v, "v")
     return np.sqrt(np.sum(metric.weights * v * v, axis=-1))
 
 
@@ -67,8 +75,8 @@ def star_inner(u: np.ndarray, v: np.ndarray, metric: StarMetric) -> float | np.n
     """Symmetric bilinear form associated with :func:`star_norm`."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    _check_finite(u, "u")
-    _check_finite(v, "v")
+    check_finite(u, "u")
+    check_finite(v, "v")
     return np.sum(metric.weights * u * v, axis=-1)
 
 
@@ -88,7 +96,7 @@ class EllipsoidPoint:
         vec = np.asarray(self.vec, dtype=float)
         if vec.shape != (4,):
             raise InvalidInputError(f"Q must have shape (4,), got {vec.shape}")
-        _check_finite(vec, "Q")
+        check_finite(vec, "Q")
         n = float(star_norm(vec, self.metric))
         if abs(n - 1.0) > NORM_TOL:
             raise InvalidInputError(f"|star_norm(Q) - 1| = {abs(n - 1.0):.3e} exceeds {NORM_TOL:g}")
@@ -126,7 +134,7 @@ def project(q: np.ndarray, metric: StarMetric) -> EllipsoidPoint:
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise InvalidInputError(f"q must have shape (4,), got {q.shape}")
-    _check_finite(q, "q")
+    check_finite(q, "q")
     if q[3] != 1.0:
         raise InvalidInputError(f"q must lie on the slice w = 1, got w = {q[3]!r}")
     return EllipsoidPoint(_project_array(q, metric), metric)
@@ -150,7 +158,7 @@ def duality_residual(q: np.ndarray, metric: StarMetric) -> float | np.ndarray:
     that product minus one and stays at roundoff level (|r| <= 1e-13).
     """
     q = np.asarray(q, dtype=float)
-    _check_finite(q, "q")
+    check_finite(q, "q")
     n = star_norm(q, metric)
     proj = q / np.expand_dims(n, -1)
     return proj[..., 3] * n - 1.0

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Problem, axial_angular_momentum, center_distances, euler_integral, hamiltonian, planar_kernel
+from .dynamics import PhasePoint, Problem, center_distances, first_integrals, planar_kernel
 from .errors import InvalidInputError, NearCollisionError
 from .geometry import EllipsoidPoint
-from .projective import EllipsoidState, _energy_arrays, intrinsic_kernel
+from .projective import EllipsoidState, energy_arrays, intrinsic_kernel
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
 _DP_A = (
@@ -281,12 +281,8 @@ def integrate_planar(
 
     y0 = [*start.q.tolist(), *start.p.tolist()]
     times, states, rejected, status = _dopri5(planar_kernel(prob), y0, t_end, cfg, check_distance)
-    q, p = states[:, :3], states[:, 3:]
-    diagnostics = {
-        "J": np.atleast_1d(hamiltonian(q, p, prob)),
-        "Theta": np.atleast_1d(axial_angular_momentum(q, p)),
-        "E": np.atleast_1d(euler_integral(q, p, prob)),
-    }
+    j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
+    diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
     return Trajectory(times, states, diagnostics, prob, "planar", status, rejected)
 
 
@@ -332,7 +328,7 @@ def integrate_ellipsoid(
     times, states, rejected, status = _dopri5(intrinsic_kernel(prob), y0, tau_end, cfg, cleanup)
     n = len(times)
     diagnostics = {
-        "G": np.atleast_1d(_energy_arrays(states[:, :4], states[:, 4:], prob, metric)),
+        "G": np.atleast_1d(energy_arrays(states[:, :4], states[:, 4:], prob)),
         "norm_residual": np.array(norm_residuals[:n]),
         "tangency_residual": np.array(tangency_residuals[:n]),
     }

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    COLLISION_GUARD,
-    Problem,
-    acceleration,
-    axial_angular_momentum,
-    euler_integral,
-    hamiltonian,
-)
+from .dynamics import COLLISION_GUARD, Problem, acceleration, first_integrals
 from .errors import (
     CenterRayError,
     InvalidInputError,
@@ -41,7 +34,8 @@ from .errors import (
 from .geometry import (
     EllipsoidPoint,
     StarMetric,
-    _check_finite,
+    check_finite,
+    columns,
     embed,
     star_inner,
     star_norm,
@@ -68,7 +62,7 @@ class EllipsoidState:
         v = np.asarray(self.velocity, dtype=float)
         if v.shape != (4,):
             raise InvalidInputError(f"velocity must have shape (4,), got {v.shape}")
-        _check_finite(v, "velocity")
+        check_finite(v, "velocity")
         tangency = float(star_inner(self.point.vec, v, self.point.metric))
         if abs(tangency) > TANGENCY_TOL:
             raise InvalidInputError(
@@ -92,17 +86,37 @@ class IntegralRelation:
     max_residual: float
 
 
-def _lift_arrays(
+def _lift_columns(x, y, z, px, py, pz, wyz):
+    """Column form of the lift: ((Q_x, Q_y, Q_z, Q_w), (Q'_x, Q'_y, Q'_z, Q'_w)).
+
+    The sums keep the left-to-right order of the weighted (..., 4)
+    reductions ``star_norm``/``star_inner`` on the embedded (q, 1) and
+    (p, 0), so the values are bit-identical to them.  The "+ 0.0" is the W
+    term Q_w * 0 of that sum: it turns a radial part of -0.0 into +0.0.
+    """
+    n = np.sqrt(x * x + wyz * y * y + wyz * z * z + 1.0)
+    big_q = (x / n, y / n, z / n, 1.0 / n)
+    qx, qy, qz, _ = big_q
+    radial = qx * px + wyz * qy * py + wyz * qz * pz + 0.0
+    return big_q, (px * n - x * radial, py * n - y * radial, pz * n - z * radial, 0.0 - radial)
+
+
+def lift_arrays(
     q: np.ndarray, p: np.ndarray, metric: StarMetric
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched projection and tau-velocity: Q' = qdot |q|_* - q (Q, qdot)_*."""
-    q4 = embed(q)
-    qdot4 = np.concatenate([np.asarray(p, dtype=float), np.zeros(q4.shape[:-1] + (1,))], axis=-1)
-    n = star_norm(q4, metric)
-    big_q = q4 / np.expand_dims(n, -1)
-    radial = star_inner(big_q, qdot4, metric)
-    qp = qdot4 * np.expand_dims(n, -1) - q4 * np.expand_dims(radial, -1)
-    return big_q, qp
+    """Batched projection and tau-velocity: Q = q/|q|_*, Q' = qdot |q|_* - q (Q, qdot)_*.
+
+    ``q`` and ``p`` have shape (..., 3) and are embedded as (q, 1) and
+    (p, 0); returns (Q, Q') with shape (..., 4).
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    x, y, z = columns(q, 3, "q")
+    px, py, pz = columns(p, 3, "p")
+    check_finite(q, "q")
+    check_finite(p, "p")
+    big_q, qp = _lift_columns(x, y, z, px, py, pz, metric.weights[1])
+    return np.stack(big_q, axis=-1), np.stack(qp, axis=-1)
 
 
 def lift_velocity(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> EllipsoidState:
@@ -111,7 +125,7 @@ def lift_velocity(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> Ellipsoid
     p = np.asarray(p, dtype=float)
     if q.shape != (3,) or p.shape != (3,):
         raise InvalidInputError("q and p must have shape (3,)")
-    big_q, qp = _lift_arrays(q, p, metric)
+    big_q, qp = lift_arrays(q, p, metric)
     return EllipsoidState(EllipsoidPoint(big_q, metric), qp)
 
 
@@ -128,8 +142,8 @@ def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> fl
         )
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    _check_finite(q, "q")
-    _check_finite(p, "p")
+    check_finite(q, "q")
+    check_finite(p, "p")
     x, y, z = q[..., 0], q[..., 1], q[..., 2]
     xd, yd, zd = p[..., 0], p[..., 1], p[..., 2]
     return (
@@ -142,35 +156,55 @@ def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> fl
     )
 
 
-def _axis_inner_fractions(big_q: np.ndarray, prob: Problem) -> np.ndarray:
-    """u_j = (c_j . Q)/sqrt(1+a^2) for j in (minus, plus), stacked on the last axis."""
+def _potential(x, w, prob: Problem):
+    """-(2/(1+a^2)) sum_j m_j u_j / sqrt(1 - u_j^2), u_j = (c_j . Q)/sqrt(1+a^2), from Q_x, Q_w."""
     a = prob.a
     scale = np.sqrt(1.0 + a * a)
-    x = big_q[..., 0]
-    w = big_q[..., 3]
-    return np.stack([(-a * x + w) / scale, (a * x + w) / scale], axis=-1)
+    u_minus = (-a * x + w) / scale
+    u_plus = (a * x + w) / scale
+    uu_minus = u_minus * u_minus
+    uu_plus = u_plus * u_plus
+    if np.any(uu_minus >= 1.0) or np.any(uu_plus >= 1.0):
+        raise CenterRayError("point lies on a projection ray of an attracting center")
+    coeff = 2.0 / (1.0 + a * a)
+    return -coeff * (
+        prob.m_minus * u_minus / np.sqrt(1.0 - uu_minus)
+        + prob.m_plus * u_plus / np.sqrt(1.0 - uu_plus)
+    )
 
 
 def _potential_arrays(big_q: np.ndarray, prob: Problem) -> float | np.ndarray:
-    u = _axis_inner_fractions(big_q, prob)
-    if np.any(u * u >= 1.0):
-        raise CenterRayError("point lies on a projection ray of an attracting center")
-    masses = np.array([prob.m_minus, prob.m_plus])
-    coeff = 2.0 / (1.0 + prob.a * prob.a)
-    return -coeff * np.sum(masses * u / np.sqrt(1.0 - u * u), axis=-1)
+    x, _, _, w = columns(np.asarray(big_q, dtype=float), 4, "Q")
+    return _potential(x, w, prob)
 
 
-def _energy_arrays(
-    big_q: np.ndarray, qp: np.ndarray, prob: Problem, metric: StarMetric
-) -> float | np.ndarray:
-    kinetic = np.sum(metric.weights * qp * qp, axis=-1)
-    return kinetic + _potential_arrays(big_q, prob)
+def _energy_columns(x, w, qp, prob: Problem):
+    """G from the Q_x and Q_w columns and the four Q' columns, summed left to right."""
+    xp, yp, zp, wp = qp
+    wyz = prob.metric().weights[1]
+    return xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp + _potential(x, w, prob)
+
+
+def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | np.ndarray:
+    """Batched ellipsoidal energy G of points Q and tau-velocities Q' of shape (..., 4).
+
+    Raises :class:`CenterRayError` for a point on the projection ray of a
+    center.
+    """
+    x, _, _, w = columns(np.asarray(big_q, dtype=float), 4, "Q")
+    return _energy_columns(x, w, columns(np.asarray(qp, dtype=float), 4, "Q'"), prob)
+
+
+def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
+    """G(lift(q, p)) from validated (..., 3) arrays, without building the (..., 4) ones."""
+    (x, _, _, w), qp = _lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.metric().weights[1])
+    return _energy_columns(x, w, qp, prob)
 
 
 def ellipsoidal_energy(state: EllipsoidState, prob: Problem) -> float:
     """The conserved energy of the projected motion."""
     _require_matching_a(state.metric, prob)
-    return float(_energy_arrays(state.point.vec, state.velocity, prob, state.metric))
+    return float(energy_arrays(state.point.vec, state.velocity, prob))
 
 
 def ellipsoid_potential(point: EllipsoidPoint, prob: Problem) -> float:
@@ -260,13 +294,21 @@ def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np
         raise UnsupportedParameterError(
             "the printed relation holds for a = 1; use fit_integral_relation otherwise"
         )
-    metric = prob.metric()
-    big_q, qp = _lift_arrays(q, p, metric)
-    g = _energy_arrays(big_q, qp, prob, metric)
-    j = hamiltonian(q, p, prob)
-    e = euler_integral(q, p, prob)
-    theta = axial_angular_momentum(q, p)
-    return g - (j + 0.5 * e - 0.25 * theta**2)
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    j, theta, e = first_integrals(q, p, prob)  # validates q and p
+    return _lifted_energy(q, p, prob) - (j + 0.5 * e - 0.25 * theta**2)
+
+
+def _design_matrix(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
+    """Columns (J, E, Theta^2, 1) of the relation fit; validates q and p."""
+    j, theta, e = first_integrals(q, p, prob)
+    design = np.empty(j.shape + (4,))
+    design[:, 0] = j
+    design[:, 1] = e
+    design[:, 2] = theta**2
+    design[:, 3] = 1.0
+    return design
 
 
 def fit_integral_relation(
@@ -286,19 +328,14 @@ def fit_integral_relation(
     rng = make_rng(seed)
     if sampler is None:
         sampler = lambda n, r: sample_phase_points(prob, n, r)
-    metric = prob.metric()
     for _ in range(5):
-        q, p = sampler(sample_count, rng)
-        big_q, qp = _lift_arrays(q, p, metric)
-        g = _energy_arrays(big_q, qp, prob, metric)
-        design = np.column_stack(
-            [
-                hamiltonian(q, p, prob),
-                euler_integral(q, p, prob),
-                axial_angular_momentum(q, p) ** 2,
-                np.ones(sample_count),
-            ]
-        )
+        q, p = (np.asarray(arr, dtype=float) for arr in sampler(sample_count, rng))
+        if q.shape != (sample_count, 3) or p.shape != (sample_count, 3):
+            raise InvalidInputError(
+                f"sampler must return two ({sample_count}, 3) arrays, got {q.shape} and {p.shape}"
+            )
+        design = _design_matrix(q, p, prob)
+        g = _lifted_energy(q, p, prob)
         coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
         if rank < 4:
             continue
@@ -336,11 +373,11 @@ def fd_tangential_acceleration(
     metric = prob.metric()
     q_fwd, p_fwd = _rk4_planar_step(q, p, prob, step)
     q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -step)
-    _, qp_fwd = _lift_arrays(q_fwd, p_fwd, metric)
-    _, qp_bwd = _lift_arrays(q_bwd, p_bwd, metric)
+    _, qp_fwd = lift_arrays(q_fwd, p_fwd, metric)
+    _, qp_bwd = lift_arrays(q_bwd, p_bwd, metric)
     n2 = float(star_norm(embed(q), metric)) ** 2
     qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * step)
-    big_q, _ = _lift_arrays(q, p, metric)
+    big_q, _ = lift_arrays(q, p, metric)
     return qpp - float(star_inner(big_q, qpp, metric)) * big_q
 
 

@@ -17,8 +17,8 @@ from .errors import InvalidInputError
 from .geometry import embed, project, star_norm
 from .integrate import IntegratorConfig, Trajectory, cubic_hermite, integrate_ellipsoid, integrate_planar
 from .projective import (
-    _lift_arrays,
     fd_tangential_acceleration,
+    lift_arrays,
     lift_velocity,
     relation_residual,
     reparametrize_time,
@@ -115,7 +115,7 @@ def planar_route(
         tau = reparametrize_time(merged)
         tau_last = float(tau[-1])
         if tau_last >= tau_end:
-            big_q, qp = _lift_arrays(merged.states[:, :3], merged.states[:, 3:], metric)
+            big_q, qp = lift_arrays(merged.states[:, :3], merged.states[:, 3:], metric)
             return tau, big_q, qp
     raise RuntimeError("tau target not reached; the orbit may be escaping")
 
