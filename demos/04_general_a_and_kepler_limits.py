@@ -2,25 +2,34 @@
 
 For centers at (+-a, 0, 0) the ellipsoid gets weights 1/(1+a^2) on y and z
 and the energy picks up a coefficient 2/(1+a^2).  The affine relation
-between G and (J, E, Theta^2, 1) survives but with a-dependent
-coefficients, which a least-squares fit recovers to machine precision.
+between G and (J, E, Theta^2, 1) survives with the a-dependent
+coefficients (2/(1+a^2), 1/(1+a^2), -a^2/(1+a^2)^2, 0); a least-squares
+fit that knows nothing of them recovers them to machine precision.
 Shrinking a merges the centers and the Euler integral degenerates to the
 squared angular momentum at first order in a.
 """
 
 import numpy as np
 
-from twocenter import PhasePoint, Problem, fit_integral_relation, kepler_limit_residual
+from twocenter import (
+    PhasePoint,
+    Problem,
+    fit_integral_relation,
+    kepler_limit_residual,
+    relation_coefficients,
+)
 from twocenter.verify import check_energy_drift
 
 start = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
 
-print("fitted coefficients of G = l_J J + l_E E + l_T2 Theta^2 + l_0:")
-print(f"{'a':>5} {'l_J':>12} {'l_E':>12} {'l_T2':>12} {'l_0':>10} {'residual':>10}")
+print("coefficients of G = l_J J + l_E E + l_T2 Theta^2 + l_0, fitted and closed form:")
+print(f"{'a':>5} {'':>7} {'l_J':>12} {'l_E':>12} {'l_T2':>12} {'l_0':>10} {'residual':>10}")
 for a in (0.5, 1.0, 2.0):
     rel = fit_integral_relation(Problem(1.0, 1.0, a), 512, seed=1)
-    print(f"{a:5.2f} {rel.lambda_J:12.8f} {rel.lambda_E:12.8f} "
+    print(f"{a:5.2f} {'fitted':>7} {rel.lambda_J:12.8f} {rel.lambda_E:12.8f} "
           f"{rel.lambda_theta2:12.8f} {rel.lambda_0:10.2e} {rel.max_residual:10.2e}")
+    l_j, l_e, l_t2, l_0 = relation_coefficients(a)
+    print(f"{'':5} {'closed':>7} {l_j:12.8f} {l_e:12.8f} {l_t2:12.8f} {l_0:10.2e}")
 
 print("\nenergy conservation along intrinsic trajectories:")
 for a in (0.5, 1.0, 2.0):

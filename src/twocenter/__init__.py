@@ -30,7 +30,6 @@ from .errors import (
     InvalidInputError,
     NearCollisionError,
     RankDeficientError,
-    UnsupportedParameterError,
     WrongBranchError,
 )
 from .geometry import (
@@ -66,6 +65,7 @@ from .projective import (
     lift_arrays,
     lift_velocity,
     lifted_speed_squared,
+    relation_coefficients,
     relation_residual,
     reparametrize_time,
     tangential_field,
@@ -90,7 +90,6 @@ __all__ = [
     "RankDeficientError",
     "StarMetric",
     "Trajectory",
-    "UnsupportedParameterError",
     "WrongBranchError",
     "acceleration",
     "axial_angular_momentum",
@@ -119,6 +118,7 @@ __all__ = [
     "lifted_speed_squared",
     "make_rng",
     "project",
+    "relation_coefficients",
     "relation_residual",
     "reparametrize_time",
     "rotate_about_axis",

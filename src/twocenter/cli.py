@@ -25,13 +25,12 @@ from .errors import InvalidInputError, NearCollisionError
 from .integrate import IntegratorConfig, Trajectory, drift_report, integrate_planar
 from .projective import energy_arrays, fit_integral_relation, lift_arrays, reparametrize_time
 from .verify import (
-    CheckResult,
     check_energy_drift,
+    check_fitted_relation,
     check_kepler_limit,
     check_pointwise_relation,
     check_two_routes,
     check_velocity_independence,
-    TOL_FIT_RESIDUAL,
 )
 
 _SIMULATE_HEADER = ["t", "x", "y", "z", "px", "py", "pz", "J", "Theta", "E"]
@@ -224,12 +223,12 @@ def cmd_verify_theorem(cfg: RunConfig, do_fit: bool) -> int:
     prob = cfg.problem()
     integrator = cfg.integrator()
     start = cfg.start()
-    results = []
-    if prob.a == 1.0:
-        results.append(check_pointwise_relation(prob, cfg.samples, cfg.seed))
-    results.append(check_two_routes(start, prob, cfg.tau_end, integrator))
-    results.append(check_energy_drift(start, prob, cfg.tau_end, integrator))
-    results.append(check_velocity_independence(prob, seed=cfg.seed))
+    results = [
+        check_pointwise_relation(prob, cfg.samples, cfg.seed),
+        check_two_routes(start, prob, cfg.tau_end, integrator),
+        check_energy_drift(start, prob, cfg.tau_end, integrator),
+        check_velocity_independence(prob, seed=cfg.seed),
+    ]
     if prob.is_kepler:
         results.append(check_kepler_limit(start, prob))
     fitted = None
@@ -240,9 +239,7 @@ def cmd_verify_theorem(cfg: RunConfig, do_fit: bool) -> int:
             f"{_fmt(fitted.lambda_J)} J + {_fmt(fitted.lambda_E)} E "
             f"+ {_fmt(fitted.lambda_theta2)} Theta^2 + {_fmt(fitted.lambda_0)}"
         )
-        results.append(
-            CheckResult("fit-residual", fitted.max_residual, TOL_FIT_RESIDUAL, "least squares")
-        )
+        results.append(check_fitted_relation(fitted, prob))
     for result in results:
         print(result.line())
     payload = {

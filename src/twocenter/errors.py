@@ -9,10 +9,6 @@ class WrongBranchError(ValueError):
     """Ellipsoid point on (or numerically indistinguishable from) the W <= 0 sheet."""
 
 
-class UnsupportedParameterError(ValueError):
-    """Operation only defined for a restricted parameter range (typically a = 1)."""
-
-
 class NearCollisionError(RuntimeError):
     """Evaluation requested closer to an attracting center than the guard distance."""
 

@@ -9,11 +9,10 @@ the velocity, and it conserves the "ellipsoidal energy"
     G = |Q'|_*^2 - (2/(1+a^2)) sum_j m_j u_j / sqrt(1 - u_j^2),
     u_j = (c_j . Q) / sqrt(1+a^2),  c_j = (+-a, 0, 0, 1).
 
-For a = 1 this coincides pointwise with J + E/2 - Theta^2/4 in the planar
-first integrals; for general a the affine combination is recovered
-numerically by least squares (:func:`fit_integral_relation`).  The
-coefficient 2/(1+a^2) above is not taken on faith: the test suite checks
-conservation of G along intrinsic trajectories for several a.
+At every phase point, whatever the masses, G = (2J + E)/(1+a^2) -
+a^2 Theta^2/(1+a^2)^2 in the planar first integrals (J + E/2 - Theta^2/4
+for a = 1; :func:`relation_coefficients`).  The test suite proves this
+symbolically; :func:`fit_integral_relation` recovers it independently.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .errors import (
     InvalidInputError,
     NearCollisionError,
     RankDeficientError,
-    UnsupportedParameterError,
 )
 from .geometry import (
     EllipsoidPoint,
@@ -130,29 +128,27 @@ def lift_velocity(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> Ellipsoid
 
 
 def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> float | np.ndarray:
-    """Closed-form |Q'|_*^2 for a = 1, bypassing the lift.
+    """Closed-form |Q'|_*^2 of the lift, bypassing it.
 
-    Expands to xd^2 + yd^2/2 + zd^2/2 + (x yd - y xd)^2/2
-    + (y zd - z yd)^2/4 + (z xd - x zd)^2/2.  Only the printed a = 1 form
-    is supported; for other a use :func:`lift_velocity`.
+    The weighted Lagrange identity |q|_*^2 |p|_*^2 - (q, p)_*^2 for the
+    embedded (q, 1) and (p, 0), term by term with w = 1/(1+a^2):
+    xd^2 + w yd^2 + w zd^2 + w (x yd - y xd)^2 + w^2 (y zd - z yd)^2
+    + w (z xd - x zd)^2.
     """
-    if metric.a != 1.0:
-        raise UnsupportedParameterError(
-            f"closed-form speed expansion is only available for a = 1, got a = {metric.a}"
-        )
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     check_finite(q, "q")
     check_finite(p, "p")
+    w = metric.weights[1]
     x, y, z = q[..., 0], q[..., 1], q[..., 2]
     xd, yd, zd = p[..., 0], p[..., 1], p[..., 2]
     return (
         xd**2
-        + 0.5 * yd**2
-        + 0.5 * zd**2
-        + 0.5 * (x * yd - y * xd) ** 2
-        + 0.25 * (y * zd - z * yd) ** 2
-        + 0.5 * (z * xd - x * zd) ** 2
+        + w * yd**2
+        + w * zd**2
+        + w * (x * yd - y * xd) ** 2
+        + w * w * (y * zd - z * yd) ** 2
+        + w * (z * xd - x * zd) ** 2
     )
 
 
@@ -171,11 +167,6 @@ def _potential(x, w, prob: Problem):
         prob.m_minus * u_minus / np.sqrt(1.0 - uu_minus)
         + prob.m_plus * u_plus / np.sqrt(1.0 - uu_plus)
     )
-
-
-def _potential_arrays(big_q: np.ndarray, prob: Problem) -> float | np.ndarray:
-    x, _, _, w = columns(np.asarray(big_q, dtype=float), 4, "Q")
-    return _potential(x, w, prob)
 
 
 def _energy_columns(x, w, qp, prob: Problem):
@@ -210,11 +201,13 @@ def ellipsoidal_energy(state: EllipsoidState, prob: Problem) -> float:
 def ellipsoid_potential(point: EllipsoidPoint, prob: Problem) -> float:
     """Potential part of the ellipsoidal energy at a point.
 
-    Pulled back through the projection (a = 1) it equals
-    m_minus (x-1)/|q + c| - m_plus (x+1)/|q - c| on the slice w = 1.
+    Pulled back through the projection it equals
+    (2/(1+a^2)) [m_minus (a x - 1)/d_minus - m_plus (a x + 1)/d_plus]
+    on the slice w = 1, with d_minus, d_plus the distances to the centers.
     """
     _require_matching_a(point.metric, prob)
-    return float(_potential_arrays(point.vec, prob))
+    x, _, _, w = point.vec
+    return float(_potential(x, w, prob))
 
 
 def _require_matching_a(metric: StarMetric, prob: Problem) -> None:
@@ -288,16 +281,21 @@ def intrinsic_rhs(state: EllipsoidState, prob: Problem) -> tuple[np.ndarray, np.
     return state.velocity, np.array(y[4:])
 
 
+def relation_coefficients(a: float) -> tuple[float, float, float, float]:
+    """(l_J, l_E, l_T2, l_0) = (2/(1+a^2), 1/(1+a^2), -a^2/(1+a^2)^2, 0) of
+    G = l_J J + l_E E + l_T2 Theta^2 + l_0; exactly (1, 1/2, -1/4, 0) at a = 1."""
+    s = 1.0 + a * a
+    return 2.0 / s, 1.0 / s, -(a * a) / (s * s), 0.0
+
+
 def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """G(lift(q, p)) - (J + E/2 - Theta^2/4) for a = 1; zero up to roundoff."""
-    if prob.a != 1.0:
-        raise UnsupportedParameterError(
-            "the printed relation holds for a = 1; use fit_integral_relation otherwise"
-        )
+    """G(lift(q, p)) - (l_J J + l_E E + l_T2 Theta^2), zero up to roundoff;
+    the coefficients come from :func:`relation_coefficients`."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+    lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
     j, theta, e = first_integrals(q, p, prob)  # validates q and p
-    return _lifted_energy(q, p, prob) - (j + 0.5 * e - 0.25 * theta**2)
+    return _lifted_energy(q, p, prob) - (lam_j * j + lam_e * e + lam_t2 * theta**2)
 
 
 def _design_matrix(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
@@ -319,9 +317,9 @@ def fit_integral_relation(
 ) -> IntegralRelation:
     """Least-squares recovery of G as an affine combination of (J, E, Theta^2, 1).
 
-    The relation is exact, so the fit residual sits at roundoff; the
-    recovered coefficients are the general-a analogue of the a = 1 values
-    (1, 1/2, -1/4, 0).  A rank-deficient draw is resampled up to 5 times.
+    Independent cross-check of :func:`relation_coefficients`: the fit
+    residual sits at roundoff and the coefficients match the closed form to
+    about 1e-13.  A rank-deficient draw is resampled up to 5 times.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")

@@ -15,11 +15,15 @@ import numpy as np
 from .dynamics import PhasePoint, Problem, kepler_limit_residual
 from .errors import InvalidInputError
 from .geometry import embed, project, star_norm
-from .integrate import IntegratorConfig, Trajectory, cubic_hermite, integrate_ellipsoid, integrate_planar
+from .integrate import (
+    IntegratorConfig, Trajectory, cubic_hermite, drift_report, integrate_ellipsoid, integrate_planar
+)
 from .projective import (
+    IntegralRelation,
     fd_tangential_acceleration,
     lift_arrays,
     lift_velocity,
+    relation_coefficients,
     relation_residual,
     reparametrize_time,
     tangential_field,
@@ -54,7 +58,7 @@ class CheckResult:
 
 
 def check_pointwise_relation(prob: Problem, samples: int = 10_000, seed: int = 42) -> CheckResult:
-    """Max |G - (J + E/2 - Theta^2/4)| over a seeded sweep (a = 1 only)."""
+    """Max |G - (l_J J + l_E E + l_T2 Theta^2)| over a seeded sweep, at any a."""
     rng = make_rng(seed)
     q, p = sample_phase_points(prob, samples, rng)
     worst = float(np.max(np.abs(relation_residual(q, p, prob))))
@@ -68,14 +72,18 @@ def check_first_integral_drift(
     traj = integrate_planar(start, prob, t_end, cfg)
     if traj.status != "ok":
         return CheckResult("first-integral-drift", np.inf, TOL_FIRST_INTEGRAL_DRIFT, traj.status)
-    worst = 0.0
-    parts = []
-    for name in ("J", "Theta", "E"):
-        values = traj.diagnostics[name]
-        drift = float(np.max(np.abs(values - values[0])) / max(1.0, abs(values[0])))
-        parts.append(f"{name} {drift:.2g}")
-        worst = max(worst, drift)
-    return CheckResult("first-integral-drift", worst, TOL_FIRST_INTEGRAL_DRIFT, ", ".join(parts))
+    drifts = drift_report(traj).drifts
+    detail = ", ".join(f"{name} {drifts[name]:.2g}" for name in ("J", "Theta", "E"))
+    return CheckResult("first-integral-drift", max(drifts.values()), TOL_FIRST_INTEGRAL_DRIFT, detail)
+
+
+def check_fitted_relation(fitted: IntegralRelation, prob: Problem) -> CheckResult:
+    """The least-squares fit against the closed form: the larger of its
+    residual and its largest coefficient gap to :func:`relation_coefficients`."""
+    fitted_coeffs = (fitted.lambda_J, fitted.lambda_E, fitted.lambda_theta2, fitted.lambda_0)
+    gap = max(abs(f - c) for f, c in zip(fitted_coeffs, relation_coefficients(prob.a)))
+    detail = f"residual {fitted.max_residual:.2g}, vs closed form {gap:.2g}"
+    return CheckResult("fit-relation", max(fitted.max_residual, gap), TOL_FIT_RESIDUAL, detail)
 
 
 def planar_route(

@@ -4,7 +4,10 @@ The batched J, Theta, E, lift, ellipsoidal energy G and the phase-point
 sampler work on column views with scalar weights.  Each must reproduce, bit
 for bit, the numpy code that reduced over a last axis of length 3 or 4, used
 ``np.cross`` and embedded with ``concatenate``; that code is copied below as
-the oracle.  The sampler must also consume the same Philox numbers.
+the oracle.  The sampler must also consume the same Philox numbers.  At
+a = 1 the general-a relation residual and speed expansion must reproduce,
+bit for bit, the a = 1 forms G - (J + E/2 - Theta^2/4) and the expansion
+with weights 1/2 and 1/4.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ from twocenter import (
     hamiltonian,
     kepler_limit_residual,
     lift_arrays,
+    lifted_speed_squared,
     make_rng,
     relation_residual,
     sample_phase_points,
@@ -230,6 +234,23 @@ def test_relation_residual_matches_reductions(batch):
         assert got in (NearCollisionError, CenterRayError)
     else:
         assert_same(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches())
+def test_lifted_speed_squared_matches_unit_a_expansion(batch):
+    _, q, p = batch
+    x, y, z = q[..., 0], q[..., 1], q[..., 2]
+    xd, yd, zd = p[..., 0], p[..., 1], p[..., 2]
+    want = (
+        xd**2
+        + 0.5 * yd**2
+        + 0.5 * zd**2
+        + 0.5 * (x * yd - y * xd) ** 2
+        + 0.25 * (y * zd - z * yd) ** 2
+        + 0.5 * (z * xd - x * zd) ** 2
+    )
+    assert_same(lifted_speed_squared(q, p, StarMetric(1.0)), want)
 
 
 def test_lift_of_signed_zero_velocity():

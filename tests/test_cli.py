@@ -135,8 +135,8 @@ def test_verify_theorem_general_a_with_fit(capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "fitted relation" in printed
-    assert "fit-residual" in printed
-    assert "pointwise-relation" not in printed  # a != 1 skips the printed identity
+    assert "PASS pointwise-relation" in printed
+    assert "PASS fit-relation" in printed
 
 
 def test_verify_theorem_kepler_mode(capsys):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from twocenter import (
     CenterRayError,
+    EllipsoidPoint,
     EllipsoidState,
+    IntegralRelation,
     InvalidInputError,
     NearCollisionError,
     PhasePoint,
@@ -14,7 +17,6 @@ from twocenter import (
     RankDeficientError,
     StarMetric,
     Trajectory,
-    UnsupportedParameterError,
     ellipsoid_potential,
     ellipsoidal_energy,
     embed,
@@ -22,9 +24,11 @@ from twocenter import (
     fit_integral_relation,
     integrate_planar,
     intrinsic_rhs,
+    lift_arrays,
     lift_velocity,
     lifted_speed_squared,
     project,
+    relation_coefficients,
     relation_residual,
     reparametrize_time,
     star_inner,
@@ -32,11 +36,15 @@ from twocenter import (
     tangential_field,
     velocity_independence_residual,
 )
-from twocenter.projective import _potential_arrays
 from twocenter.sampling import make_rng, sample_phase_points
+from twocenter.verify import check_fitted_relation
 
 M1 = StarMetric(1.0)
 EQUAL = Problem(1.0, 1.0, 1.0)
+
+masses = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+problems = st.builds(Problem, masses, masses, st.floats(0.25, 4.0))
+seeds = st.integers(0, 2**32 - 1)
 
 
 def test_lift_examples():
@@ -72,9 +80,14 @@ def test_speed_expansion_matches_lift():
         assert abs(expected - speed2) <= 1e-12
 
 
-def test_speed_expansion_requires_unit_a():
-    with pytest.raises(UnsupportedParameterError):
-        lifted_speed_squared(np.zeros(3), np.zeros(3), StarMetric(2.0))
+@settings(max_examples=40, deadline=None)
+@given(problems, seeds)
+def test_speed_expansion_matches_lift_at_any_a(prob, seed):
+    metric = prob.metric()
+    qs, ps = sample_phase_points(prob, 500, make_rng(seed))
+    lifted = np.sum(metric.weights * lift_arrays(qs, ps, metric)[1] ** 2, axis=-1)
+    formula = lifted_speed_squared(qs, ps, metric)
+    assert np.all(np.abs(formula - lifted) <= 1e-12 * lifted)
 
 
 def test_tangential_field_examples():
@@ -125,17 +138,20 @@ def test_potential_examples():
 
 
 def test_potential_pullback_identity():
-    """Projected potential equals its printed 3-d closed form (a = 1)."""
+    """Projected potential equals its 3-d closed form, for several a."""
     rng = make_rng(17)
-    prob = Problem(1.2, 0.7, 1.0)
-    qs, _ = sample_phase_points(prob, 1000, rng)
-    for q in qs:
-        value = ellipsoid_potential(project(embed(q), M1), prob)
-        x = q[0]
-        d_minus = np.linalg.norm(q + prob.center_plus)
-        d_plus = np.linalg.norm(q - prob.center_plus)
-        closed = prob.m_minus * (x - 1) / d_minus - prob.m_plus * (x + 1) / d_plus
-        assert abs(value - closed) <= 1e-12
+    for a in (1.0, 0.5, 2.0):
+        prob = Problem(1.2, 0.7, a)
+        qs, _ = sample_phase_points(prob, 1000, rng)
+        for q in qs:
+            value = ellipsoid_potential(project(embed(q), prob.metric()), prob)
+            x = q[0]
+            d_minus = np.linalg.norm(q + prob.center_plus)
+            d_plus = np.linalg.norm(q - prob.center_plus)
+            closed = (2 / (1 + a * a)) * (
+                prob.m_minus * (a * x - 1) / d_minus - prob.m_plus * (a * x + 1) / d_plus
+            )
+            assert abs(value - closed) <= 1e-12
 
 
 def test_relation_examples():
@@ -150,9 +166,36 @@ def test_relation_sweep():
     assert np.max(np.abs(relation_residual(qs, ps, EQUAL))) <= 1e-10
 
 
-def test_relation_requires_unit_a():
-    with pytest.raises(UnsupportedParameterError):
-        relation_residual(np.zeros(3), np.zeros(3), Problem(1.0, 1.0, 2.0))
+@settings(max_examples=40, deadline=None)
+@given(problems, seeds)
+def test_relation_holds_at_any_a(prob, seed):
+    qs, ps = sample_phase_points(prob, 2000, make_rng(seed))
+    assert np.max(np.abs(relation_residual(qs, ps, prob))) <= 1e-10
+
+
+def test_relation_coefficients_examples():
+    assert relation_coefficients(1.0) == (1.0, 0.5, -0.25, 0.0)
+    assert relation_coefficients(2.0) == pytest.approx((0.4, 0.2, -0.16, 0.0), abs=1e-16)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("m_minus, m_plus", [(1.0, 1.0), (0.4, 1.7)])
+def test_fit_matches_closed_form(a, m_minus, m_plus):
+    relation = fit_integral_relation(Problem(m_minus, m_plus, a), 512, seed=1)
+    fitted = (relation.lambda_J, relation.lambda_E, relation.lambda_theta2, relation.lambda_0)
+    assert np.max(np.abs(np.subtract(fitted, relation_coefficients(a)))) <= 1e-9
+    assert relation.max_residual <= 1e-8
+
+
+def test_fitted_relation_check_judges_gap_and_residual():
+    prob = Problem(1.0, 1.0, 2.0)
+    good = check_fitted_relation(IntegralRelation(0.4, 0.2, -0.16, 0.0, 3e-13), prob)
+    assert good.name == "fit-relation" and good.passed
+    assert good.measured == pytest.approx(3e-13, abs=1e-15)
+    a1_form = check_fitted_relation(IntegralRelation(1.0, 0.5, -0.25, 0.0, 3e-13), prob)
+    assert not a1_form.passed and a1_form.measured == pytest.approx(0.6)
+    loose = check_fitted_relation(IntegralRelation(0.4, 0.2, -0.16, 0.0, 1e-6), prob)
+    assert not loose.passed and loose.measured == 1e-6
 
 
 def test_fit_recovers_printed_coefficients():
@@ -282,7 +325,10 @@ def test_tangential_field_matches_potential_gradient():
                 v = v / star_norm(v, metric)
                 fwd = (point.vec + h * v) / star_norm(point.vec + h * v, metric)
                 bwd = (point.vec - h * v) / star_norm(point.vec - h * v, metric)
-                dv = (_potential_arrays(fwd, prob) - _potential_arrays(bwd, prob)) / (2 * h)
+                dv = (
+                    ellipsoid_potential(EllipsoidPoint(fwd, metric), prob)
+                    - ellipsoid_potential(EllipsoidPoint(bwd, metric), prob)
+                ) / (2 * h)
                 assert abs(star_inner(field, v, metric) + 0.5 * dv) <= 1e-6
 
 
