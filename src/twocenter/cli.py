@@ -6,8 +6,9 @@ Subcommands: ``simulate`` (planar trajectory + drift report), ``project``
 independence), ``fit-relation`` (general-a coefficients) and ``coords``
 (ellipsoidal coordinate conversion).  Options come from an optional
 ``key: value`` config file overridden by flags; identical config and seed
-give byte-identical output.  Exit codes: 0 ok, 1 config error,
-2 integration abort, 3 verification failure.
+give byte-identical output.  Exit codes: 0 ok, 1 config or write error,
+2 integration abort, 3 verification failure (including a fit whose samples
+stay rank deficient).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dynamics import PhasePoint, Problem
 from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
-from .errors import InvalidInputError, NearCollisionError
+from .errors import InvalidInputError, NearCollisionError, RankDeficientError
 from .integrate import IntegratorConfig, Trajectory, drift_report, integrate_planar
 from .projective import energy_arrays, fit_integral_relation, lift_arrays, reparametrize_time
 from .verify import (
@@ -326,12 +327,15 @@ def main(argv=None) -> int:
         if args.command == "fit-relation":
             return cmd_fit_relation(cfg)
         return cmd_coords(cfg, args.inverse)
-    except (ConfigError, InvalidInputError, ValueError) as exc:
+    except (ConfigError, InvalidInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NearCollisionError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
+    except RankDeficientError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,11 +15,17 @@ per-step work of a numpy version is call overhead, not arithmetic: one
 plain-float right-hand side.  The batched numpy evaluators stay the public
 API for arrays and the reference the kernels are tested against.
 
-Mid-run failures abort cleanly: the partial trajectory up to the last good
-state is returned with ``status`` set to ``"collision"``,
-``"step_underflow"``, ``"integrity"`` or ``"step_budget"`` (``_MAX_STEPS``
-step attempts used up before the end time).  Invalid initial states raise
-instead, since there is nothing partial to return.
+Every kernel evaluation applies ``dynamics.COLLISION_GUARD``, the only
+near-center distance the integrators know; f(y_new) is evaluated before a
+step is accepted, so no accepted state lies inside the guard.  The stepper
+evaluates the kernel at the initial state before its first step, so a start
+inside the guard raises for both systems: there is nothing partial to
+return.  Mid-run failures abort cleanly: the partial trajectory up to the
+last good state is returned with ``status`` set to ``"collision"``,
+``"step_underflow"`` (also when the initial derivative is too large for
+any step), ``"integrity"`` or ``"step_budget"`` (``_MAX_STEPS`` step
+attempts used up before the end time).  Ellipsoid states are projected
+back onto the constraint manifold after every accepted step.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Problem, center_distances, first_integrals, planar_kernel
+from .dynamics import PhasePoint, Problem, first_integrals, planar_kernel
 from .errors import InvalidInputError, NearCollisionError
 from .geometry import EllipsoidPoint
 from .projective import EllipsoidState, energy_arrays, intrinsic_kernel
@@ -68,16 +74,14 @@ _INTEGRITY_LIMIT = 1e-6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and guards for the adaptive runs."""
+    """Tolerances and the step-size cap of the adaptive runs."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     max_step: float = 0.1
-    min_center_distance: float = 1e-8
-    renormalize_constraint: bool = True
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "min_center_distance"):
+        for name in ("rel_tol", "abs_tol", "max_step"):
             value = float(getattr(self, name))
             if not np.isfinite(value) or value <= 0.0:
                 raise InvalidInputError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -170,6 +174,8 @@ def _initial_step(f, y0, f0, t_end, cfg):
     scale = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
+    if not math.isfinite(d1):
+        return 0.0  # the derivative overflows its error scale: no step is small enough
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     f1 = f([v + h0 * d for v, d in zip(y0, f0)])
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
@@ -183,9 +189,10 @@ def _initial_step(f, y0, f0, t_end, cfg):
 def _dopri5(f, y0, t_end, cfg, postprocess=None):
     """Adaptive loop over an autonomous system whose state is a sequence of floats.
 
-    ``f`` maps a state to its derivative.  ``postprocess`` runs on every
-    accepted state and may return an adjusted copy (constraint
-    renormalization) or raise :class:`_AbortRun`.  Returns
+    ``f`` maps a state to its derivative; it is evaluated at ``y0`` before
+    the first step, so an invalid start raises.  ``postprocess``, if given,
+    runs on every accepted state and returns the state to continue from
+    (constraint renormalization) or raises :class:`_AbortRun`.  Returns
     (times, states, rejected, status).
     """
     rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
@@ -197,8 +204,8 @@ def _dopri5(f, y0, t_end, cfg, postprocess=None):
     status = "ok"
     rejected = 0
     errold = 1e-4
+    k1 = f(y)
     try:
-        k1 = f(y)
         h = _initial_step(f, y, k1, t_end, cfg)
         just_rejected = False
         for _ in range(_MAX_STEPS):
@@ -231,12 +238,11 @@ def _dopri5(f, y0, t_end, cfg, postprocess=None):
             ]) / n)
             if err <= 1.0:
                 t += h
-                adjusted = None if postprocess is None else postprocess(y_new)
-                if adjusted is None:
+                if postprocess is None:
                     y = y_new
                     k1 = k7  # FSAL
                 else:
-                    y = adjusted
+                    y = postprocess(y_new)
                     k1 = f(y)
                 times.append(t)
                 states.append(y)
@@ -266,21 +272,8 @@ def integrate_planar(
     cfg = cfg or IntegratorConfig()
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
-    d_minus, d_plus = center_distances(start.q, prob)
-    if min(d_minus, d_plus) < cfg.min_center_distance:
-        raise NearCollisionError("initial state is already inside the collision guard")
-    a = prob.a
-
-    def check_distance(state):
-        x, y, z = state[0], state[1], state[2]
-        d_minus = math.sqrt((x + a) * (x + a) + y * y + z * z)
-        d_plus = math.sqrt((x - a) * (x - a) + y * y + z * z)
-        if min(d_minus, d_plus) < cfg.min_center_distance:
-            raise _AbortRun("collision")
-        return None
-
     y0 = [*start.q.tolist(), *start.p.tolist()]
-    times, states, rejected, status = _dopri5(planar_kernel(prob), y0, t_end, cfg, check_distance)
+    times, states, rejected, status = _dopri5(planar_kernel(prob), y0, t_end, cfg)
     j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
     diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
     return Trajectory(times, states, diagnostics, prob, "planar", status, rejected)
@@ -292,9 +285,8 @@ def integrate_ellipsoid(
     """Integrate the intrinsic ellipsoid system in the reparametrized time.
 
     After every accepted step the state is projected back onto the
-    manifold and tangent space (unless ``renormalize_constraint`` is off);
-    the recorded residual diagnostics are the pre-projection values, i.e.
-    what the integrator actually produced.
+    manifold and tangent space; the recorded residual diagnostics are the
+    pre-projection values, i.e. what the integrator actually produced.
     """
     cfg = cfg or IntegratorConfig()
     if not np.isfinite(tau_end) or tau_end <= 0.0:
@@ -319,8 +311,6 @@ def integrate_ellipsoid(
             raise _AbortRun("integrity")
         norm_residuals.append(abs(norm - 1.0))
         tangency_residuals.append(abs(tangency))
-        if not cfg.renormalize_constraint:
-            return None
         big_q = [v / norm for v in big_q]
         radial = star(big_q, qp)
         return big_q + [v - radial * u for v, u in zip(qp, big_q)]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from twocenter import projective
 from twocenter.cli import main
 
 
@@ -196,3 +197,34 @@ def test_config_file_with_flag_override(tmp_path):
     assert run(["simulate", "--config", cfg, "--t-end", 1, "--out", out]) == 0
     _, data = read_csv(out)
     assert data[-1, 0] == pytest.approx(1.0, abs=0)  # flag wins over file
+
+
+def _repeated_rows(prob, n, rng, **kwargs):
+    return np.tile([0.0, 2.0, 0.0], (n, 1)), np.tile([0.3, 0.0, 0.6], (n, 1))
+
+
+@pytest.mark.parametrize(
+    "args, code, rank_deficient",
+    [
+        pytest.param(["simulate", "--config", "{tmp}/bad.cfg"], 1, False, id="malformed-config"),
+        pytest.param(["simulate", "--t-end", 1, "--out", "{tmp}/missing/x.csv"], 1, False, id="unwritable-out"),
+        pytest.param(["simulate", "--t-end", 1, "--out", "{tmp}/x.csv", "--json", "{tmp}/missing/x.json"], 1, False,
+                     id="unwritable-json"),
+        pytest.param(["simulate", "--q0", "1,0,0", "--out", "{tmp}/x.csv"], 2, False, id="start-at-center"),
+        pytest.param(["simulate", "--q0", "0.5,0,0", "--p0", "0,0,0", "--t-end", 10, "--out", "{tmp}/x.csv"], 2, False,
+                     id="infall"),
+        pytest.param(["simulate", "--m-minus", 1e160, "--m-plus", 1e160, "--out", "{tmp}/x.csv"], 2, False,
+                     id="huge-masses"),
+        pytest.param(["fit-relation", "--samples", 64], 3, True, id="rank-deficient-fit"),
+        pytest.param(["verify-theorem", "--fit", "--samples", 200, "--tau-end", 0.5], 3, True,
+                     id="rank-deficient-verify-fit"),
+    ],
+)
+def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.cfg").write_text("q0: 1,2\n")
+    if rank_deficient:
+        monkeypatch.setattr(projective, "sample_phase_points", _repeated_rows)
+    assert run([str(a).format(tmp=tmp_path) for a in args]) == code
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith("error:") and err.strip().count("\n") == 0

@@ -18,10 +18,12 @@ from twocenter import (
     integrate_ellipsoid,
     integrate_planar,
     lift_velocity,
+    star_inner,
     star_norm,
 )
-from twocenter import integrate
+from twocenter import dynamics, integrate
 from twocenter.cli import main
+from twocenter.verify import check_first_integral_drift
 
 EQUAL = Problem(1.0, 1.0, 1.0)
 DEFAULT_START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
@@ -49,10 +51,21 @@ def test_start_at_center_raises():
         integrate_planar(PhasePoint(np.array([1.0, 0.0, 0.0]), np.zeros(3)), EQUAL, 1.0)
 
 
-def test_collision_abort_returns_partial_trajectory():
-    # released at rest between the centers, slightly closer to the plus one
+def test_start_inside_guard_raises_for_both_systems():
+    q = np.array([1.0 + 0.5 * dynamics.COLLISION_GUARD, 0.0, 0.0])
+    p = np.array([0.0, 0.3, 0.0])
+    with pytest.raises(NearCollisionError):
+        integrate_planar(PhasePoint(q, p), EQUAL, 1.0)
+    with pytest.raises(NearCollisionError):
+        integrate_ellipsoid(lift_velocity(q, p, StarMetric(1.0)), EQUAL, 1.0)
+
+
+def test_collision_abort_returns_partial_trajectory(monkeypatch):
+    # released at rest between the centers, slightly closer to the plus one;
+    # at the default guard this infall ends in step_underflow instead
+    monkeypatch.setattr(dynamics, "COLLISION_GUARD", 0.01)
     infall = PhasePoint(np.array([0.5, 0.0, 0.0]), np.zeros(3))
-    traj = integrate_planar(infall, EQUAL, 10.0, IntegratorConfig(min_center_distance=0.01))
+    traj = integrate_planar(infall, EQUAL, 10.0)
     assert traj.status == "collision"
     assert len(traj) > 1
     assert traj.times[-1] < 10.0
@@ -65,6 +78,16 @@ def test_step_budget_abort_returns_partial_trajectory(monkeypatch, tmp_path):
     assert 1 < len(traj) <= 6
     assert traj.times[-1] < 10.0
     assert main(["simulate", "--t-end", "10", "--out", str(tmp_path / "orbit.csv")]) == 2
+
+
+@pytest.mark.parametrize("mass", [1e160, 1e300])
+def test_overflowing_derivative_is_step_underflow(mass):
+    # the initial derivative overflows the error scale, so no step fits
+    prob = Problem(mass, mass, 1.0)
+    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
+    for traj in (integrate_planar(DEFAULT_START, prob, 1.0), integrate_ellipsoid(state, prob, 1.0)):
+        assert traj.status == "step_underflow"
+        assert len(traj) == 1
 
 
 def test_invalid_horizons():
@@ -136,19 +159,17 @@ def test_lifted_orbit_constraints_and_energy():
     assert np.max(np.abs(g - g[0])) <= 1e-8
     assert np.max(traj.diagnostics["norm_residual"]) <= 1e-9
     assert np.max(traj.diagnostics["tangency_residual"]) <= 1e-9
-
-
-def test_renormalization_off_still_ok_short_horizon():
-    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
-    cfg = IntegratorConfig(renormalize_constraint=False)
-    traj = integrate_ellipsoid(state, EQUAL, 2.0, cfg)
-    assert traj.status == "ok"
-    assert np.max(traj.diagnostics["norm_residual"]) <= 1e-9
+    # every accepted state is renormalized, so the stored ones sit on the
+    # manifold and tangent space to roundoff (about 1e-12 without it)
+    metric = StarMetric(1.0)
+    assert np.max(np.abs(star_norm(traj.states[:, :4], metric) - 1.0)) <= 1e-14
+    assert np.max(np.abs(star_inner(traj.states[:, :4], traj.states[:, 4:], metric))) <= 1e-14
 
 
 def test_integrity_abort_on_loose_unrenormalized_run():
+    # the residuals are judged on each step's result, before it is renormalized
     state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
-    cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3, renormalize_constraint=False, max_step=0.5)
+    cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3, max_step=0.5)
     traj = integrate_ellipsoid(state, EQUAL, 50.0, cfg)
     assert traj.status == "integrity"
     assert traj.times[-1] < 50.0
@@ -196,6 +217,18 @@ def test_drift_report_examples():
     tiny = Trajectory(times, states, {"J": np.array([1.0, 1.0 + 1e-9])}, EQUAL, "planar")
     assert drift_report(tiny).drifts["J"] == pytest.approx(1e-9, rel=1e-6)
     assert any("1e-09" in line or "1.0" in line for line in drift_report(tiny).lines())
+
+
+def test_first_integral_drift_check_reports_the_largest_drift(monkeypatch):
+    result = check_first_integral_drift(DEFAULT_START, EQUAL, t_end=10.0)
+    drifts = drift_report(integrate_planar(DEFAULT_START, EQUAL, 10.0)).drifts
+    assert drifts["E"] > drifts["J"]  # so a check reporting only J would differ
+    assert result.measured == max(drifts.values())
+    assert all(name in result.detail for name in ("J", "Theta", "E"))
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 5)
+    aborted = check_first_integral_drift(DEFAULT_START, EQUAL, t_end=10.0)
+    assert aborted.measured == np.inf and not aborted.passed
+    assert aborted.detail == "step_budget"
 
 
 def test_trajectory_validation():
