@@ -117,18 +117,24 @@ def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
     check_finite(q, "q")
     d_minus, d_plus = center_distances(q, prob)
     _check_guard(d_minus, d_plus)
-    acc = -prob.m_minus * (q - prob.center_minus) / np.expand_dims(d_minus**3, -1)
-    acc -= prob.m_plus * (q - prob.center_plus) / np.expand_dims(d_plus**3, -1)
+    # float_power is libm's pow on every element, as ``**`` is for one point;
+    # ``**`` on an array may take a SIMD pow that differs in the last bit.
+    acc = -prob.m_minus * (q - prob.center_minus) / np.expand_dims(np.float_power(d_minus, 3), -1)
+    acc -= prob.m_plus * (q - prob.center_plus) / np.expand_dims(np.float_power(d_plus, 3), -1)
     return acc
 
 
-def planar_kernel(prob: Problem):
+def planar_kernel(prob: Problem, clock: str = "t"):
     """Plain-float right-hand side of the two-center system, for the integrator.
 
     Returns ``rhs(y)``, which maps (x, y, z, px, py, pz) to (p, acceleration)
     as a tuple of Python floats.  It is :func:`acceleration` for one point,
     with the same finite check and collision guard, without the numpy call
     overhead that dominates length-3 arrays.
+
+    With ``clock="tau"`` every component is multiplied by |q|_*^2: the same
+    orbit in the intrinsic time, dtau/dt = 1/|q|_*^2, with p still dq/dt.
+    The clock is chosen once, here, so the t-time kernel has no branch.
     """
     m_minus, m_plus, a = prob.m_minus, prob.m_plus, prob.a
     isfinite, sqrt = math.isfinite, math.sqrt
@@ -156,7 +162,19 @@ def planar_kernel(prob: Problem):
             -k_minus * z - k_plus * z,
         )
 
-    return rhs
+    if clock == "t":
+        return rhs
+    if clock != "tau":
+        raise InvalidInputError(f"clock must be 't' or 'tau', got {clock!r}")
+    wyz = 1.0 / (1.0 + a * a)  # a Python float: a numpy scalar would slow every stage
+
+    def rhs_tau(state):
+        vx, vy, vz, ax, ay, az = rhs(state)
+        x, y, z = state[0], state[1], state[2]
+        n2 = x * x + wyz * y * y + wyz * z * z + 1.0
+        return (n2 * vx, n2 * vy, n2 * vz, n2 * ax, n2 * ay, n2 * az)
+
+    return rhs_tau
 
 
 def first_integrals(

@@ -5,7 +5,9 @@ integrated with the Dormand-Prince 5(4) embedded pair (seven stages, FSAL)
 under PI step-size control (Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.4-II.5).  The output grid is the accepted steps; each sample carries the
 problem's first integrals (planar runs) or the ellipsoidal energy and
-constraint residuals (ellipsoid runs).
+constraint residuals (ellipsoid runs).  Planar runs step in t or, with
+``clock="tau"``, in the ellipsoid runs' time tau.  The last step is cut to
+land on the end time, so a run with status ``"ok"`` ends on it.
 
 The stepper works on Python floats and the ``math`` module, with one
 plain-float right-hand-side kernel per system (``planar_kernel`` and
@@ -103,7 +105,7 @@ class Trajectory:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        if self.kind not in ("planar", "ellipsoid"):
+        if self.kind not in ("planar", "planar_tau", "ellipsoid"):
             raise InvalidInputError(f"unknown trajectory kind {self.kind!r}")
         if self.times.ndim != 1 or len(self.times) == 0:
             raise InvalidInputError("times must be a nonempty 1-d grid")
@@ -266,17 +268,22 @@ def _dopri5(f, y0, t_end, cfg, postprocess=None):
 
 
 def integrate_planar(
-    start: PhasePoint, prob: Problem, t_end: float, cfg: IntegratorConfig | None = None
+    start: PhasePoint, prob: Problem, t_end: float, cfg: IntegratorConfig | None = None, clock: str = "t"
 ) -> Trajectory:
-    """Integrate the two-center system, sampling J, Theta and E along the way."""
+    """Integrate the two-center system, sampling J, Theta and E along the way.
+
+    With ``clock="tau"`` it steps dq/dtau = |q|_*^2 p, dp/dtau = |q|_*^2 a(q):
+    ``t_end`` and the grid are then tau, and the states are still (q, dq/dt).
+    """
     cfg = cfg or IntegratorConfig()
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
     y0 = [*start.q.tolist(), *start.p.tolist()]
-    times, states, rejected, status = _dopri5(planar_kernel(prob), y0, t_end, cfg)
+    times, states, rejected, status = _dopri5(planar_kernel(prob, clock), y0, t_end, cfg)
     j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
     diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
-    return Trajectory(times, states, diagnostics, prob, "planar", status, rejected)
+    kind = "planar" if clock == "t" else "planar_tau"  # reparametrize_time refuses the tau grid
+    return Trajectory(times, states, diagnostics, prob, kind, status, rejected)
 
 
 def integrate_ellipsoid(

@@ -345,7 +345,7 @@ def fit_integral_relation(
 def _rk4_planar_step(
     q: np.ndarray, p: np.ndarray, prob: Problem, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of the planar system (local error O(h^5))."""
+    """One classical RK4 step of the planar system (local error O(h^5)), batched."""
     k1q, k1p = p, acceleration(q, prob)
     k2q, k2p = p + 0.5 * h * k1p, acceleration(q + 0.5 * h * k1q, prob)
     k3q, k3p = p + 0.5 * h * k2p, acceleration(q + 0.5 * h * k2q, prob)
@@ -364,19 +364,23 @@ def fd_tangential_acceleration(
     Independent oracle for :func:`tangential_field`: the planar system is
     advanced by +-step with single RK4 steps, the lifted velocities are
     centrally differenced in t, and the chain rule dtau/dt = 1/|q|_*^2
-    converts to the intrinsic time.
+    converts to the intrinsic time.  Batched over (..., 3) states, each
+    bit-identical to evaluating it alone; an overflow (masses near the float
+    range) raises ``FloatingPointError`` instead of returning non-finite values.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     metric = prob.metric()
-    q_fwd, p_fwd = _rk4_planar_step(q, p, prob, step)
-    q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -step)
-    _, qp_fwd = lift_arrays(q_fwd, p_fwd, metric)
-    _, qp_bwd = lift_arrays(q_bwd, p_bwd, metric)
-    n2 = float(star_norm(embed(q), metric)) ** 2
-    qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * step)
-    big_q, _ = lift_arrays(q, p, metric)
-    return qpp - float(star_inner(big_q, qpp, metric)) * big_q
+    with np.errstate(over="raise"):
+        q_fwd, p_fwd = _rk4_planar_step(q, p, prob, step)
+        q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -step)
+        _, qp_fwd = lift_arrays(q_fwd, p_fwd, metric)
+        _, qp_bwd = lift_arrays(q_bwd, p_bwd, metric)
+        # pow, as the single-point form's float ** 2 was, not a product
+        n2 = np.float_power(star_norm(embed(q), metric), 2)[..., None]
+        qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * step)
+        big_q, _ = lift_arrays(q, p, metric)
+        return qpp - star_inner(big_q, qpp, metric)[..., None] * big_q
 
 
 def velocity_independence_residual(
@@ -399,12 +403,8 @@ def velocity_independence_residual(
     q3 = unproject(point)[:3]
     rng = make_rng(seed)
     velocities = rng.normal(0.0, 1.0, size=(samples, 3))
-    accs = [fd_tangential_acceleration(q3, v, prob, step) for v in velocities]
-    worst = 0.0
-    for i in range(samples):
-        for j in range(i + 1, samples):
-            worst = max(worst, float(star_norm(accs[i] - accs[j], point.metric)))
-    return worst
+    accs = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob, step)
+    return float(np.max(star_norm(accs[:, None] - accs[None], point.metric)))
 
 
 def reparametrize_time(traj) -> np.ndarray:
@@ -414,9 +414,11 @@ def reparametrize_time(traj) -> np.ndarray:
     derivative-corrected trapezoid rule (two-point Hermite quadrature,
     fourth order on smooth data).  Returns tau at the trajectory nodes;
     strictly increasing, and tau(t) <= t because |q|_* >= 1 on the slice.
+    It serves ``project``; a ``clock="tau"`` run (kind ``"planar_tau"``)
+    is refused, since its grid already is tau.
     """
     if getattr(traj, "kind", None) != "planar":
-        raise InvalidInputError("time reparametrization expects a planar trajectory")
+        raise InvalidInputError("time reparametrization expects a planar trajectory on a t grid")
     times = np.asarray(traj.times, dtype=float)
     states = np.asarray(traj.states, dtype=float)
     wyz = traj.problem.metric().weights[1]

@@ -4,6 +4,9 @@ Each check returns a :class:`CheckResult` carrying the measured worst-case
 value and the tolerance it was judged against, so reports always quote the
 documented thresholds.  The functions here are shared by the command-line
 front end and the acceptance test suite.
+The caller makes one intrinsic (ellipsoid) run and passes it to both
+:func:`check_two_routes` and :func:`check_energy_drift`; route A runs in
+the same time tau (:func:`planar_route`).
 """
 
 from __future__ import annotations
@@ -15,17 +18,13 @@ import numpy as np
 from .dynamics import PhasePoint, Problem, kepler_limit_residual
 from .errors import InvalidInputError
 from .geometry import embed, project, star_norm
-from .integrate import (
-    IntegratorConfig, Trajectory, cubic_hermite, drift_report, integrate_ellipsoid, integrate_planar
-)
+from .integrate import IntegratorConfig, Trajectory, cubic_hermite, drift_report, integrate_planar
 from .projective import (
     IntegralRelation,
     fd_tangential_acceleration,
     lift_arrays,
-    lift_velocity,
     relation_coefficients,
     relation_residual,
-    reparametrize_time,
     tangential_field,
     velocity_independence_residual,
 )
@@ -93,78 +92,45 @@ def planar_route(
     tau_end: float,
     cfg: IntegratorConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Planar integration, projected and reparametrized, up to tau_end.
+    """Route A: the planar orbit run in the intrinsic time up to tau_end, projected.
 
-    The planar horizon needed to cover [0, tau_end] is not known a priori
-    (dtau/dt = 1/|q|_*^2 varies along the orbit), so the integration is
-    extended in chunks until the accumulated tau passes the target.
-    Returns (tau, Q, Q') sampled on the accepted planar grid.
+    One integration of dq/dtau = |q|_*^2 p, dp/dtau = |q|_*^2 a(q)
+    (``integrate_planar`` with ``clock="tau"``) that ends on tau_end unless
+    it aborts.  Returns (tau, Q, Q') on its accepted grid, Q' = dQ/dtau.
     """
-    metric = prob.metric()
-    times_all: list[np.ndarray] = []
-    states_all: list[np.ndarray] = []
-    q, p = np.asarray(q0, dtype=float), np.asarray(p0, dtype=float)
-    t_base = 0.0
-    tau_last = 0.0
-    for _ in range(64):
-        n2 = float(star_norm(embed(q), metric)) ** 2
-        t_chunk = max(0.5, 1.25 * (tau_end - tau_last) * n2)
-        traj = integrate_planar(PhasePoint(q, p), prob, t_chunk, cfg)
-        if traj.status != "ok":
-            raise RuntimeError(f"planar route aborted with status {traj.status}")
-        skip = 1 if times_all else 0  # chunk start repeats the previous end state
-        times_all.append(traj.times[skip:] + t_base)
-        states_all.append(traj.states[skip:])
-        t_base = times_all[-1][-1]
-        q, p = traj.states[-1, :3], traj.states[-1, 3:]
-        merged = Trajectory(
-            np.concatenate(times_all), np.concatenate(states_all), {}, prob, "planar"
-        )
-        tau = reparametrize_time(merged)
-        tau_last = float(tau[-1])
-        if tau_last >= tau_end:
-            big_q, qp = lift_arrays(merged.states[:, :3], merged.states[:, 3:], metric)
-            return tau, big_q, qp
-    raise RuntimeError("tau target not reached; the orbit may be escaping")
+    traj = integrate_planar(PhasePoint(q0, p0), prob, tau_end, cfg, clock="tau")
+    big_q, qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob.metric())
+    return traj.times, big_q, qp
 
 
 def check_two_routes(
     start: PhasePoint,
-    prob: Problem,
-    tau_end: float = 5.0,
+    intrinsic: Trajectory,
     cfg: IntegratorConfig | None = None,
     n_samples: int = 801,
 ) -> CheckResult:
-    """Max star-distance between the projected planar curve and the intrinsic one."""
-    metric = prob.metric()
-    try:
-        tau_a, q_a, qp_a = planar_route(start.q, start.p, prob, tau_end, cfg)
-    except RuntimeError as exc:
-        return CheckResult("two-route-equivalence", np.inf, TOL_TWO_ROUTES, str(exc))
-    state0 = lift_velocity(start.q, start.p, metric)
-    traj_b = integrate_ellipsoid(state0, prob, tau_end, cfg)
-    if traj_b.status != "ok":
-        return CheckResult("two-route-equivalence", np.inf, TOL_TWO_ROUTES, traj_b.status)
-    t_hi = min(tau_a[-1], traj_b.times[-1], tau_end)
-    queries = np.linspace(0.0, t_hi, n_samples)
+    """Max star-distance between route A from ``start`` and ``intrinsic``, the
+    ellipsoid run lifted from ``start``, over the intrinsic run's tau range."""
+    name = "two-route-equivalence"
+    if intrinsic.status != "ok":
+        return CheckResult(name, np.inf, TOL_TWO_ROUTES, intrinsic.status)
+    prob = intrinsic.problem
+    tau_end = float(intrinsic.times[-1])
+    tau_a, q_a, qp_a = planar_route(start.q, start.p, prob, tau_end, cfg)
+    if tau_a[-1] < tau_end:
+        return CheckResult(name, np.inf, TOL_TWO_ROUTES, f"planar route stopped at tau = {tau_a[-1]:.3g}")
+    queries = np.linspace(0.0, tau_end, n_samples)
     curve_a = cubic_hermite(tau_a, q_a, qp_a, queries)
-    curve_b = cubic_hermite(traj_b.times, traj_b.states[:, :4], traj_b.states[:, 4:], queries)
-    worst = float(np.max(star_norm(curve_a - curve_b, metric)))
-    return CheckResult("two-route-equivalence", worst, TOL_TWO_ROUTES, f"tau in [0, {t_hi:.3g}]")
+    curve_b = cubic_hermite(intrinsic.times, intrinsic.states[:, :4], intrinsic.states[:, 4:], queries)
+    worst = float(np.max(star_norm(curve_a - curve_b, prob.metric())))
+    return CheckResult(name, worst, TOL_TWO_ROUTES, f"tau in [0, {tau_end:.3g}]")
 
 
-def check_energy_drift(
-    start: PhasePoint,
-    prob: Problem,
-    tau_end: float = 5.0,
-    cfg: IntegratorConfig | None = None,
-) -> CheckResult:
-    """|G(tau) - G(0)| along the intrinsic trajectory lifted from ``start``."""
-    state0 = lift_velocity(start.q, start.p, prob.metric())
-    traj = integrate_ellipsoid(state0, prob, tau_end, cfg)
-    if traj.status != "ok":
-        return CheckResult("ellipsoidal-energy-drift", np.inf, TOL_ENERGY_DRIFT, traj.status)
-    g = traj.diagnostics["G"]
+def check_energy_drift(intrinsic: Trajectory) -> CheckResult:
+    """|G(tau) - G(0)| along an intrinsic (ellipsoid) trajectory."""
+    if intrinsic.status != "ok":
+        return CheckResult("ellipsoidal-energy-drift", np.inf, TOL_ENERGY_DRIFT, intrinsic.status)
+    g = intrinsic.diagnostics["G"]
     worst = float(np.max(np.abs(g - g[0])))
     return CheckResult("ellipsoidal-energy-drift", worst, TOL_ENERGY_DRIFT, f"G(0) = {g[0]:.6g}")
 
@@ -176,21 +142,22 @@ def check_velocity_independence(
     seed: int = 42,
 ) -> CheckResult:
     """Pairwise spread of the differenced tangential acceleration, and its
-    agreement with the closed-form tangential field at random states."""
+    agreement with the closed-form tangential field at random states; an
+    overflow of the finite-difference oracle fails it with measured inf."""
+    name = "velocity-independence"
     metric = prob.metric()
     anchor = project(embed(np.array([0.0, 1.0, 0.0])), metric)
-    spread = velocity_independence_residual(anchor, prob, samples=samples, seed=seed)
-
-    rng = make_rng(seed)
-    qs, ps = sample_phase_points(prob, n_states, rng, q_radius=3.0, min_center_distance=0.5)
-    agreement = 0.0
-    for q, p in zip(qs, ps):
-        oracle = fd_tangential_acceleration(q, p, prob)
-        field = tangential_field(project(embed(q), metric), prob)
-        agreement = max(agreement, float(star_norm(oracle - field, metric)))
+    qs, ps = sample_phase_points(prob, n_states, make_rng(seed), q_radius=3.0, min_center_distance=0.5)
+    try:
+        spread = velocity_independence_residual(anchor, prob, samples=samples, seed=seed)
+        oracle = fd_tangential_acceleration(qs, ps, prob)
+    except FloatingPointError as exc:
+        return CheckResult(name, np.inf, TOL_INDEPENDENCE, f"finite-difference oracle: {exc}")
+    field = np.array([tangential_field(project(q, metric), prob) for q in embed(qs)])
+    agreement = float(np.max(star_norm(oracle - field, metric)))
     worst = max(spread, agreement)
     detail = f"pairwise {spread:.2g}, vs field {agreement:.2g}"
-    return CheckResult("velocity-independence", worst, TOL_INDEPENDENCE, detail)
+    return CheckResult(name, worst, TOL_INDEPENDENCE, detail)
 
 
 def check_kepler_limit(

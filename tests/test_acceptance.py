@@ -17,6 +17,7 @@ from twocenter import (
     ellipsoid_potential,
     embed,
     fit_integral_relation,
+    integrate_ellipsoid,
     kepler_limit_residual,
     lift_velocity,
     lifted_speed_squared,
@@ -43,6 +44,11 @@ from twocenter.verify import (
 
 EQUAL = Problem(1.0, 1.0, 1.0)
 DEFAULT_START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
+
+
+def _intrinsic_run(prob, tau_end=5.0):
+    """The ellipsoid run lifted from DEFAULT_START, as verify-theorem makes it."""
+    return integrate_ellipsoid(lift_velocity(DEFAULT_START.q, DEFAULT_START.p, prob.metric()), prob, tau_end)
 
 
 def _report(criterion, measured, tol, passed=None):
@@ -75,13 +81,13 @@ def test_criterion_2_first_integral_conservation():
 
 def test_criterion_3_ellipsoidal_energy_conservation():
     """|G(tau) - G(0)| along the lifted intrinsic trajectory, tau in [0, 5]."""
-    result = check_energy_drift(DEFAULT_START, EQUAL, tau_end=5.0)
+    result = check_energy_drift(_intrinsic_run(EQUAL))
     assert _report("3 ellipsoidal energy drift", result.measured, TOL_ENERGY_DRIFT)
 
 
 def test_criterion_4_two_route_equivalence():
     """Project-then-integrate vs integrate-intrinsically, max star distance."""
-    result = check_two_routes(DEFAULT_START, EQUAL, tau_end=5.0)
+    result = check_two_routes(DEFAULT_START, _intrinsic_run(EQUAL))
     assert _report("4 two-route equivalence", result.measured, TOL_TWO_ROUTES)
 
 
@@ -97,7 +103,7 @@ def test_criterion_6_general_a():
     """Energy conservation for a in {1/2, 2} and relation-fit quality."""
     worst_drift = 0.0
     for a in (0.5, 2.0):
-        result = check_energy_drift(DEFAULT_START, Problem(1.0, 1.0, a), tau_end=5.0)
+        result = check_energy_drift(_intrinsic_run(Problem(1.0, 1.0, a)))
         worst_drift = max(worst_drift, result.measured)
     ok = _report("6a general-a energy drift (a=1/2, 2)", worst_drift, TOL_ENERGY_DRIFT)
 

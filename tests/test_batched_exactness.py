@@ -7,7 +7,8 @@ for bit, the numpy code that reduced over a last axis of length 3 or 4, used
 the oracle.  The sampler must also consume the same Philox numbers.  At
 a = 1 the general-a relation residual and speed expansion must reproduce,
 bit for bit, the a = 1 forms G - (J + E/2 - Theta^2/4) and the expansion
-with weights 1/2 and 1/4.
+with weights 1/2 and 1/4.  The batched finite-difference oracle must
+reproduce, bit for bit, the loop that differenced one state at a time.
 """
 
 import numpy as np
@@ -18,18 +19,26 @@ from hypothesis.extra.numpy import arrays
 from twocenter import (
     Problem,
     StarMetric,
+    acceleration,
     axial_angular_momentum,
     center_distances,
+    embed,
     energy_arrays,
     euler_integral,
+    fd_tangential_acceleration,
     first_integrals,
     hamiltonian,
     kepler_limit_residual,
     lift_arrays,
     lifted_speed_squared,
     make_rng,
+    project,
     relation_residual,
     sample_phase_points,
+    star_inner,
+    star_norm,
+    unproject,
+    velocity_independence_residual,
 )
 from twocenter.dynamics import COLLISION_GUARD
 from twocenter.errors import CenterRayError, NearCollisionError
@@ -108,6 +117,39 @@ def ref_sample(prob, n, rng, q_radius, p_radius, min_center_distance):
         batch = rng.uniform(-p_radius, p_radius, size=(2 * n + 16, 3))
         ps = np.concatenate([ps, batch[np.sum(batch * batch, axis=-1) <= p_radius * p_radius]], axis=0)
     return qs[:n], ps[:n], batches
+
+
+def ref_point_acceleration(q, prob):
+    """The acceleration of one (3,) point; its distances are numpy scalars, so
+    ``d**3`` is libm's pow."""
+    d_minus, d_plus = ref_guarded_distances(q, prob)
+    acc = -prob.m_minus * (q - np.array([-prob.a, 0.0, 0.0])) / np.expand_dims(d_minus**3, -1)
+    acc -= prob.m_plus * (q - np.array([prob.a, 0.0, 0.0])) / np.expand_dims(d_plus**3, -1)
+    return acc
+
+
+def ref_point_rk4(q, p, prob, h):
+    k1q, k1p = p, ref_point_acceleration(q, prob)
+    k2q, k2p = p + 0.5 * h * k1p, ref_point_acceleration(q + 0.5 * h * k1q, prob)
+    k3q, k3p = p + 0.5 * h * k2p, ref_point_acceleration(q + 0.5 * h * k2q, prob)
+    k4q, k4p = p + h * k3p, ref_point_acceleration(q + h * k3q, prob)
+    return (
+        q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
+        p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+    )
+
+
+def ref_point_fd(q, p, prob, step=1e-5):
+    """The finite-difference oracle for one state, as it was called in a loop."""
+    metric = prob.metric()
+    q_fwd, p_fwd = ref_point_rk4(q, p, prob, step)
+    q_bwd, p_bwd = ref_point_rk4(q, p, prob, -step)
+    _, qp_fwd = lift_arrays(q_fwd, p_fwd, metric)
+    _, qp_bwd = lift_arrays(q_bwd, p_bwd, metric)
+    n2 = float(star_norm(embed(q), metric)) ** 2
+    qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * step)
+    big_q, _ = lift_arrays(q, p, metric)
+    return qpp - float(star_inner(big_q, qpp, metric)) * big_q
 
 
 # --- helpers ----------------------------------------------------------------
@@ -295,3 +337,49 @@ def test_sampler_later_batches_match(n):
     assert batches_drawn >= 2
     assert np.array_equal(q, want_q) and np.array_equal(p, want_p)
     assert np.array_equal(rng_new.random(4), rng_ref.random(4))  # same stream position
+
+
+# --- finite-difference oracle ----------------------------------------------------
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_batched_acceleration_matches_point_evaluation(a):
+    """A last-bit change in the acceleration rarely survives the h-scaled RK4
+    stages, so the batched form is pinned against single points directly."""
+    prob = Problem(1.0, 0.7, a)
+    q = make_rng(3).uniform(-3.0, 3.0, size=(2000, 3))
+    assert np.array_equal(acceleration(q, prob), np.array([ref_point_acceleration(row, prob) for row in q]))
+
+
+def squares_by_pow_not_product(prob, n):
+    """States whose |q|_* squared by pow, as the point loop did, differs from
+    the product |q|_* * |q|_*, which a batched form might use instead."""
+    qs, ps = sample_phase_points(prob, 20_000, make_rng(7), q_radius=3.0, min_center_distance=0.5)
+    norms = star_norm(embed(qs), prob.metric()).tolist()
+    pick = [i for i, s in enumerate(norms) if s**2 != s * s][:n]
+    assert len(pick) == n
+    return qs[pick], ps[pick]
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_batched_fd_oracle_matches_point_loop(a):
+    """50 sampled states, as check_velocity_independence draws them (plus 5
+    where pow and product squares differ), and 10 velocities through one
+    point, as velocity_independence_residual does."""
+    prob = Problem(1.0, 0.7, a)
+    qs, ps = sample_phase_points(prob, 50, make_rng(42), q_radius=3.0, min_center_distance=0.5)
+    extra_q, extra_p = squares_by_pow_not_product(prob, 5)
+    qs, ps = np.concatenate([qs, extra_q]), np.concatenate([ps, extra_p])
+    batched = fd_tangential_acceleration(qs, ps, prob)
+    assert np.array_equal(batched, np.array([ref_point_fd(q, p, prob) for q, p in zip(qs, ps)]))
+
+    point = project(embed(np.array([0.3, 1.0, -0.2])), prob.metric())
+    q3 = unproject(point)[:3]
+    velocities = make_rng(0).normal(0.0, 1.0, size=(10, 3))
+    batched = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob)
+    looped = [ref_point_fd(q3, v, prob) for v in velocities]
+    assert np.array_equal(batched, np.array(looped))
+    spread = max(
+        float(star_norm(looped[i] - looped[j], prob.metric())) for i in range(10) for j in range(i + 1, 10)
+    )
+    assert velocity_independence_residual(point, prob, samples=10, seed=0) == spread

@@ -1,11 +1,12 @@
 """Command-line interface: commands, exit codes, file formats, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from twocenter import projective
+from twocenter import integrate, projective
 from twocenter.cli import main
 
 
@@ -215,6 +216,9 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="infall"),
         pytest.param(["simulate", "--m-minus", 1e160, "--m-plus", 1e160, "--out", "{tmp}/x.csv"], 2, False,
                      id="huge-masses"),
+        pytest.param(["verify-theorem", "--m-minus", 1e160, "--m-plus", 1e160, "--samples", 500], 3, False,
+                     id="huge-masses-verify"),
+        pytest.param(["verify-theorem", "--q0", "nan,0,0"], 1, False, id="nonfinite-start-verify"),
         pytest.param(["fit-relation", "--samples", 64], 3, True, id="rank-deficient-fit"),
         pytest.param(["verify-theorem", "--fit", "--samples", 200, "--tau-end", 0.5], 3, True,
                      id="rank-deficient-verify-fit"),
@@ -228,3 +232,31 @@ def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_p
     err = capsys.readouterr().err
     if code == 1:
         assert err.startswith("error:") and err.strip().count("\n") == 0
+
+
+def test_verify_theorem_reports_oracle_overflow_as_failed_check(capsys):
+    """Masses near the float range overflow the finite-difference oracle: a
+    failed check naming the overflow, not a config error."""
+    assert run(["verify-theorem", "--m-minus", 1e160, "--m-plus", 1e160, "--samples", 500]) == 3
+    captured = capsys.readouterr()
+    line = next(line for line in captured.out.splitlines() if "velocity-independence" in line)
+    assert line.startswith("FAIL velocity-independence: measured inf") and "overflow" in line
+    assert captured.err == ""
+
+
+def test_verify_theorem_integrates_the_intrinsic_run_once(monkeypatch, capsys):
+    """check_two_routes and check_energy_drift share one intrinsic run."""
+    calls = []
+    real = integrate.integrate_ellipsoid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twocenter") and getattr(module, "integrate_ellipsoid", None) is real:
+            monkeypatch.setattr(module, "integrate_ellipsoid", counting)
+    assert run(["verify-theorem", "--samples", 500, "--tau-end", 2]) == 0
+    assert len(calls) == 1
+    assert run(["verify-theorem", "--a", 2, "--fit", "--samples", 500, "--tau-end", 2]) == 0
+    assert len(calls) == 2

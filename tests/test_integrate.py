@@ -18,12 +18,13 @@ from twocenter import (
     integrate_ellipsoid,
     integrate_planar,
     lift_velocity,
+    reparametrize_time,
     star_inner,
     star_norm,
 )
 from twocenter import dynamics, integrate
 from twocenter.cli import main
-from twocenter.verify import check_first_integral_drift
+from twocenter.verify import check_energy_drift, check_first_integral_drift, check_two_routes
 
 EQUAL = Problem(1.0, 1.0, 1.0)
 DEFAULT_START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
@@ -258,3 +259,23 @@ def test_cubic_hermite_reproduces_cubics():
     assert np.max(np.abs(cubic_hermite(ts, ys, dys, queries) - exact)) <= 1e-13
     with pytest.raises(InvalidInputError):
         cubic_hermite(ts, ys, dys, np.array([2.5]))
+
+
+def test_tau_clock_run_is_its_own_kind():
+    traj = integrate_planar(DEFAULT_START, EQUAL, 1.0, clock="tau")
+    assert traj.kind == "planar_tau" and traj.times[-1] == 1.0
+    with pytest.raises(InvalidInputError):
+        reparametrize_time(traj)
+
+
+def test_two_route_check_fails_when_a_route_stops_early():
+    """An aborted intrinsic run, or a route A that falls into a center before
+    the intrinsic run's end, fails the check with measured inf."""
+    intrinsic = integrate_ellipsoid(lift_velocity(DEFAULT_START.q, DEFAULT_START.p, EQUAL.metric()), EQUAL, 2.0)
+    infall = PhasePoint(np.array([0.5, 0.0, 0.0]), np.zeros(3))
+    result = check_two_routes(infall, intrinsic)
+    assert result.measured == np.inf and result.detail.startswith("planar route stopped at tau = ")
+    aborted = integrate_ellipsoid(lift_velocity(infall.q, infall.p, EQUAL.metric()), EQUAL, 2.0)
+    assert aborted.status != "ok"
+    for check in (check_two_routes(infall, aborted), check_energy_drift(aborted)):
+        assert check.measured == np.inf and check.detail == aborted.status

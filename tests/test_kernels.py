@@ -105,3 +105,34 @@ def test_intrinsic_kernel_guard(prob, side, w, offset):
 def test_planar_kernel_rejects_nonfinite_position(bad):
     with pytest.raises(InvalidInputError):
         planar_kernel(Problem())((0.0, bad, 0.0, 0.0, 0.0, 0.0))
+
+
+@given(problems, vectors3, vectors3)
+def test_tau_kernel_scales_t_kernel_by_star_norm_squared(prob, q, p):
+    """dtau/dt = 1/|q|_*^2, so the tau right-hand side is |q|_*^2 times the t one."""
+    assume(min(math.dist(q, (-prob.a, 0.0, 0.0)), math.dist(q, (prob.a, 0.0, 0.0))) >= 1e-3)
+    y = (*q, *p)
+    n2 = q[0] ** 2 + (q[1] ** 2 + q[2] ** 2) / (1.0 + prob.a**2) + 1.0
+    expected = n2 * np.array(planar_kernel(prob)(y))
+    out = np.array(planar_kernel(prob, clock="tau")(y))
+    assert np.allclose(out, expected, rtol=1e-14, atol=0.0)
+
+
+def test_planar_kernel_rejects_unknown_clock():
+    with pytest.raises(InvalidInputError):
+        planar_kernel(Problem(), clock="s")
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_kernels_return_python_floats(a):
+    """Python floats in, Python floats out: a kernel that closes over a numpy
+    scalar (``metric.weights[1]`` is one) runs every stage on numpy scalars,
+    about twice as slowly, and numpy scalars are floats to isinstance."""
+    prob = Problem(1.0, 0.5, a)
+    planar = [0.1, 2.0, -0.3, 0.3, 0.1, 0.6]
+    for rhs in (planar_kernel(prob), planar_kernel(prob, clock="tau")):
+        assert [type(v) for v in rhs(planar)] == [float] * 6
+    wyz = 1.0 / (1.0 + a * a)
+    norm = math.sqrt(0.1**2 + wyz * (2.0**2 + 0.3**2) + 1.0)
+    big_q = [0.1 / norm, 2.0 / norm, -0.3 / norm, 1.0 / norm]
+    assert [type(v) for v in intrinsic_kernel(prob)([*big_q, 0.2, 0.0, 0.1, -0.1])] == [float] * 8

@@ -1,4 +1,5 @@
-"""Both integrators against scipy's DOP853 at tight tolerance.
+"""Both integrators, and route A of the two-route check, against scipy's
+DOP853 at tight tolerance.
 
 The oracle's right-hand sides are written here with numpy and share no code
 with twocenter's kernels or stepper; only the ODEs are the same.
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from twocenter import PhasePoint, Problem, integrate_ellipsoid, integrate_planar, lift_velocity
+from twocenter import PhasePoint, Problem, integrate_ellipsoid, integrate_planar, lift_arrays, lift_velocity
+from twocenter.verify import planar_route
 
 START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
 PROBLEMS = [Problem(1.0, m_plus, a) for a in (1.0, 2.0) for m_plus in (1.0, 0.5)]
@@ -23,6 +25,13 @@ def planar_rhs(t, y, prob):
         d = q - np.array([cx, 0.0, 0.0])
         acc -= m * d / np.linalg.norm(d) ** 3
     return np.concatenate([p, acc])
+
+
+def planar_tau_rhs(tau, y, prob):
+    """The planar system in the intrinsic time: d/dtau = |q|_*^2 d/dt."""
+    q = y[:3]
+    n2 = q[0] ** 2 + (q[1] ** 2 + q[2] ** 2) / (1.0 + prob.a**2) + 1.0
+    return n2 * planar_rhs(tau, y, prob)
 
 
 def intrinsic_rhs(t, y, prob):
@@ -61,3 +70,21 @@ def test_ellipsoid_run_matches_dop853(prob):
     assert traj.status == "ok"
     y0 = np.concatenate([state.point.vec, state.velocity])
     assert max_diff_to_oracle(traj, intrinsic_rhs, y0, prob) <= MAX_STATE_DIFF
+
+
+@pytest.mark.parametrize("prob", PROBLEMS, ids=lambda p: f"a{p.a:g}-m{p.m_plus:g}")
+def test_tau_clock_planar_run_matches_dop853(prob):
+    traj = integrate_planar(START, prob, 5.0, clock="tau")
+    assert traj.status == "ok" and traj.kind == "planar_tau"
+    y0 = np.concatenate([START.q, START.p])
+    assert max_diff_to_oracle(traj, planar_tau_rhs, y0, prob) <= MAX_STATE_DIFF
+
+
+@pytest.mark.parametrize("prob", PROBLEMS, ids=lambda p: f"a{p.a:g}-m{p.m_plus:g}")
+def test_planar_route_ends_on_tau_end(prob):
+    tau, big_q, qp = planar_route(START.q, START.p, prob, 5.0)
+    assert tau[0] == 0.0 and tau[-1] == 5.0
+    traj = integrate_planar(START, prob, 5.0, clock="tau")
+    lifted_q, lifted_qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob.metric())
+    assert np.array_equal(tau, traj.times)
+    assert np.array_equal(big_q, lifted_q) and np.array_equal(qp, lifted_qp)
