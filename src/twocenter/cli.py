@@ -140,9 +140,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_rows(path: str | None, header: list[str], rows) -> None:
+def _write_rows(path: str | None, header: list[str], table: np.ndarray) -> None:
+    """Write an (N, len(header)) array as CSV, every value as ``%.17g`` (round-trip exact)."""
+    row_format = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    lines.extend(row_format % tuple(row) for row in table.tolist())
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -158,14 +160,11 @@ def _write_json(path: str | None, payload: dict) -> None:
             handle.write("\n")
 
 
-def _trajectory_rows(traj: Trajectory):
-    for i, t in enumerate(traj.times):
-        yield [t, *traj.states[i], traj.diagnostics["J"][i], traj.diagnostics["Theta"][i], traj.diagnostics["E"][i]]
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     traj = integrate_planar(cfg.start(), cfg.problem(), cfg.t_end, cfg.integrator())
-    _write_rows(cfg.out, _SIMULATE_HEADER, _trajectory_rows(traj))
+    diag = traj.diagnostics
+    table = np.column_stack([traj.times, traj.states, diag["J"], diag["Theta"], diag["E"]])
+    _write_rows(cfg.out, _SIMULATE_HEADER, table)
     report = drift_report(traj)
     for line in report.lines():
         print(line)
@@ -188,12 +187,14 @@ def _read_planar_csv(path: str) -> np.ndarray:
         cols = [header.index(name) for name in needed]
     except ValueError as exc:
         raise ConfigError(f"trajectory file {path} lacks required columns {needed}") from exc
+    if len(lines) == 1:
+        raise ConfigError(f"trajectory file {path} has no data rows")
     try:
-        data = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise ConfigError(f"trajectory file {path} has a malformed row: {exc}") from exc
-    if data.size == 0:
-        raise ConfigError(f"trajectory file {path} has no data rows")
+    if data.shape[1] != len(header):
+        raise ConfigError(f"trajectory file {path} has {data.shape[1]} values per row for {len(header)} columns")
     return data[:, cols]
 
 
@@ -213,8 +214,7 @@ def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
     tau = reparametrize_time(source)
     big_q, qp = lift_arrays(states[:, :3], states[:, 3:], metric)
     g = np.atleast_1d(energy_arrays(big_q, qp, prob))
-    rows = ([tau[i], *big_q[i], *qp[i], g[i]] for i in range(len(tau)))
-    _write_rows(cfg.out, _PROJECT_HEADER, rows)
+    _write_rows(cfg.out, _PROJECT_HEADER, np.column_stack([tau, big_q, qp, g]))
     _write_json(cfg.json, {"command": "project", "samples": int(len(tau)),
                            "tau_end": float(tau[-1]), "G_first": float(g[0]), "G_last": float(g[-1])})
     return 0

@@ -15,7 +15,12 @@ plain-float right-hand-side kernel per system (``planar_kernel`` and
 per-step work of a numpy version is call overhead, not arithmetic: one
 ``acceleration`` call on a 3-vector costs about fifty times the whole
 plain-float right-hand side.  The batched numpy evaluators stay the public
-API for arrays and the reference the kernels are tested against.
+API for arrays and the reference the kernels are tested against.  For the
+same reason the stage arithmetic is not a loop either: ``_make_step``
+generates one step function per state size, with every stage, the new state
+and the error terms written out as scalar expressions on locals, and
+compiles it on first use.  It keeps the operation order of a loop over the
+components, so trajectories are bit-identical to one.
 
 Every kernel evaluation applies ``dynamics.COLLISION_GUARD``, the only
 near-center distance the integrators know; f(y_new) is evaluated before a
@@ -32,6 +37,7 @@ back onto the constraint manifold after every accepted step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,16 +58,6 @@ _DP_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Unpacked for the unrolled stages; the zero weights of k2 are dropped there.
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _, _A73, _A74, _A75, _A76),
-) = _DP_A
-_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_ERR
 
 _SAFETY = 0.9
 _ALPHA = 0.17  # 1/5 - 0.75 * beta
@@ -188,6 +184,52 @@ def _initial_step(f, y0, f0, t_end, cfg):
     return min(100.0 * h0, h1, cfg.max_step, t_end)
 
 
+@functools.cache
+def _make_step(n: int):
+    """One Dormand-Prince step over states of ``n`` floats, compiled on first use.
+
+    Returns ``step(f, y, k1, h, atol, rtol) -> (y_new, k7, err)``, where k1
+    is f(y), k7 = f(y_new) and err is the scaled RMS error estimate.  The
+    source is generated from ``_DP_A`` and ``_DP_ERR`` with every zero
+    coefficient skipped and every component written out as a scalar
+    expression on locals: a loop over zipped sequences costs more than the
+    arithmetic on six or eight floats.  Each expression keeps the operation
+    order ``v + h * (a1 * k1 + a2 * k2 + ...)`` of such a loop, and the error
+    norm stays ``sum`` over a list (compensated on Python >= 3.12), so the
+    results are bit-identical to the loop stepper that
+    tests/test_step_exactness.py keeps as the reference.  ``namedtuple``
+    uses the same ``exec`` technique.
+    """
+
+    def names(prefix):
+        return [f"{prefix}{i}" for i in range(n)]
+
+    def unpack(variables):
+        return ", ".join(variables) + ","
+
+    y, u = names("y"), names("u")
+    k = [names(f"k{stage}_") for stage in range(1, 8)]
+
+    def combination(weights, i):
+        return " + ".join(f"{w!r} * {k[s][i]}" for s, w in enumerate(weights) if w != 0.0)
+
+    lines = ["def step(f, y, k1, h, atol, rtol):", f"    {unpack(y)} = y", f"    {unpack(k[0])} = k1"]
+    for stage, weights in enumerate(_DP_A[:-1], 1):
+        args = ", ".join(f"{y[i]} + h * ({combination(weights, i)})" for i in range(n))
+        lines.append(f"    {unpack(k[stage])} = f([{args}])")
+    # the last coupling row is the 5th-order solution (FSAL)
+    lines += [f"    {u[i]} = {y[i]} + h * ({combination(_DP_A[-1], i)})" for i in range(n)]
+    lines += [f"    y_new = [{', '.join(u)}]", "    k7 = f(y_new)", f"    {unpack(k[6])} = k7"]
+    terms = ", ".join(
+        f"(h * ({combination(_DP_ERR, i)}) / (atol + rtol * max(abs({y[i]}), abs({u[i]})))) ** 2"
+        for i in range(n)
+    )
+    lines += [f"    return y_new, k7, sqrt(sum([{terms}]) / {n})"]
+    namespace = {"sqrt": math.sqrt}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
+
+
 def _dopri5(f, y0, t_end, cfg, postprocess=None):
     """Adaptive loop over an autonomous system whose state is a sequence of floats.
 
@@ -198,7 +240,7 @@ def _dopri5(f, y0, t_end, cfg, postprocess=None):
     (times, states, rejected, status).
     """
     rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
-    n = len(y0)
+    step = _make_step(len(y0))
     t = 0.0
     y = list(y0)
     times = [t]
@@ -217,27 +259,7 @@ def _dopri5(f, y0, t_end, cfg, postprocess=None):
             if h < 1e-14 * max(1.0, abs(t)):
                 status = "step_underflow"
                 break
-            k2 = f([v + h * (_A21 * a) for v, a in zip(y, k1)])
-            k3 = f([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-            k4 = f([v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = f([
-                v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ])
-            k6 = f([
-                v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-            ])
-            # the last coupling row is the 5th-order solution (FSAL)
-            y_new = [
-                v + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * g)
-                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-            ]
-            k7 = f(y_new)
-            err = math.sqrt(sum([
-                (h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k) / (atol + rtol * max(abs(v), abs(u)))) ** 2
-                for v, u, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)
-            ]) / n)
+            y_new, k7, err = step(f, y, k1, h, atol, rtol)
             if err <= 1.0:
                 t += h
                 if postprocess is None:

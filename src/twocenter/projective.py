@@ -319,7 +319,10 @@ def fit_integral_relation(
 
     Independent cross-check of :func:`relation_coefficients`: the fit
     residual sits at roundoff and the coefficients match the closed form to
-    about 1e-13.  A rank-deficient draw is resampled up to 5 times.
+    about 1e-13 at unit masses.  The columns are scaled to unit norm, so
+    the fit keeps full rank at any mass; G then carries roundoff of about
+    mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size one)
+    can be recovered.  A rank-deficient draw is resampled up to 5 times.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
@@ -334,11 +337,16 @@ def fit_integral_relation(
             )
         design = _design_matrix(q, p, prob)
         g = _lifted_energy(q, p, prob)
+        # unit columns: at large masses J and E dwarf Theta^2 and 1, and the
+        # unscaled matrix falls below lstsq's rank cut-off
+        scale = np.sqrt(np.einsum("ij,ij->j", design, design))  # no (N, 4) temporary
+        scale[scale == 0.0] = 1.0  # a zero column (Theta = 0 throughout) stays zero: rank 3
+        design /= scale
         coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
         if rank < 4:
             continue
         residual = float(np.max(np.abs(design @ coeffs - g)))
-        return IntegralRelation(*map(float, coeffs), residual)
+        return IntegralRelation(*map(float, coeffs / scale), residual)
     raise RankDeficientError("sample set stayed rank deficient after 5 resampling attempts")
 
 
@@ -404,7 +412,8 @@ def velocity_independence_residual(
     rng = make_rng(seed)
     velocities = rng.normal(0.0, 1.0, size=(samples, 3))
     accs = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob, step)
-    return float(np.max(star_norm(accs[:, None] - accs[None], point.metric)))
+    with np.errstate(over="raise"):
+        return float(np.max(star_norm(accs[:, None] - accs[None], point.metric)))
 
 
 def reparametrize_time(traj) -> np.ndarray:

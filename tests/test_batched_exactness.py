@@ -8,7 +8,8 @@ the oracle.  The sampler must also consume the same Philox numbers.  At
 a = 1 the general-a relation residual and speed expansion must reproduce,
 bit for bit, the a = 1 forms G - (J + E/2 - Theta^2/4) and the expansion
 with weights 1/2 and 1/4.  The batched finite-difference oracle must
-reproduce, bit for bit, the loop that differenced one state at a time.
+reproduce, bit for bit, the loop that differenced one state at a time, and
+the velocity-independence check's batched field the per-state projection.
 """
 
 import numpy as np
@@ -37,9 +38,11 @@ from twocenter import (
     sample_phase_points,
     star_inner,
     star_norm,
+    tangential_field,
     unproject,
     velocity_independence_residual,
 )
+from twocenter import verify
 from twocenter.dynamics import COLLISION_GUARD
 from twocenter.errors import CenterRayError, NearCollisionError
 
@@ -383,3 +386,24 @@ def test_batched_fd_oracle_matches_point_loop(a):
         float(star_norm(looped[i] - looped[j], prob.metric())) for i in range(10) for j in range(i + 1, 10)
     )
     assert velocity_independence_residual(point, prob, samples=10, seed=0) == spread
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_velocity_independence_field_matches_point_loop(a, monkeypatch):
+    """check_velocity_independence projects its 50 states in one batch and
+    evaluates one kernel closure; the field must equal, bit for bit,
+    tangential_field(project(q)) state by state.  With the oracle replaced by
+    zeros, the last star_norm argument is exactly minus the field."""
+    prob = Problem(1.0, 0.7, a)
+    seen = []
+
+    def recording_star_norm(v, metric):
+        seen.append(np.array(v))
+        return star_norm(v, metric)
+
+    monkeypatch.setattr(verify, "fd_tangential_acceleration", lambda q, p, prob: np.zeros((len(q), 4)))
+    monkeypatch.setattr(verify, "star_norm", recording_star_norm)
+    verify.check_velocity_independence(prob, seed=42)
+    qs, _ = sample_phase_points(prob, 50, make_rng(42), q_radius=3.0, min_center_distance=0.5)
+    looped = np.array([tangential_field(project(q, prob.metric()), prob) for q in embed(qs)])
+    assert np.array_equal(-seen[-1], looped)

@@ -6,8 +6,18 @@ import sys
 import numpy as np
 import pytest
 
-from twocenter import integrate, projective
-from twocenter.cli import main
+from twocenter import (
+    PhasePoint,
+    Problem,
+    energy_arrays,
+    integrate,
+    integrate_planar,
+    lift_arrays,
+    make_rng,
+    projective,
+    reparametrize_time,
+)
+from twocenter.cli import _write_rows, main
 
 
 def run(args):
@@ -219,6 +229,10 @@ def _repeated_rows(prob, n, rng, **kwargs):
         pytest.param(["verify-theorem", "--m-minus", 1e160, "--m-plus", 1e160, "--samples", 500], 3, False,
                      id="huge-masses-verify"),
         pytest.param(["verify-theorem", "--q0", "nan,0,0"], 1, False, id="nonfinite-start-verify"),
+        pytest.param(["project", "--input", "{tmp}/header_only.csv"], 1, False, id="header-only-input"),
+        pytest.param(["project", "--input", "{tmp}/ragged.csv"], 1, False, id="ragged-input"),
+        pytest.param(["project", "--input", "{tmp}/malformed.csv"], 1, False, id="malformed-input"),
+        pytest.param(["project", "--input", "{tmp}/narrow.csv"], 1, False, id="rows-narrower-than-header"),
         pytest.param(["fit-relation", "--samples", 64], 3, True, id="rank-deficient-fit"),
         pytest.param(["verify-theorem", "--fit", "--samples", 200, "--tau-end", 0.5], 3, True,
                      id="rank-deficient-verify-fit"),
@@ -226,6 +240,11 @@ def _repeated_rows(prob, n, rng, **kwargs):
 )
 def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.cfg").write_text("q0: 1,2\n")
+    header = "t,x,y,z,px,py,pz\n"
+    (tmp_path / "header_only.csv").write_text(header)
+    (tmp_path / "ragged.csv").write_text(header + "0,0,2,0,0.3,0,0.6\n0.1,0,2,0\n")
+    (tmp_path / "malformed.csv").write_text(header + "0,0,2,0,0.3,0,0.6x\n")
+    (tmp_path / "narrow.csv").write_text("J,E,Theta," + header + "0,0,2,0,0.3,0,0.6\n")
     if rank_deficient:
         monkeypatch.setattr(projective, "sample_phase_points", _repeated_rows)
     assert run([str(a).format(tmp=tmp_path) for a in args]) == code
@@ -260,3 +279,64 @@ def test_verify_theorem_integrates_the_intrinsic_run_once(monkeypatch, capsys):
     assert len(calls) == 1
     assert run(["verify-theorem", "--a", 2, "--fit", "--samples", 500, "--tau-end", 2]) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mass", [4e87, 1e100])
+def test_verify_theorem_names_overflow_of_oracle_differences(mass, capsys):
+    """The oracle's values are finite, but the norms of their differences
+    overflow: against the field only at 4e87, also among velocities at 1e100.
+    The same failed check naming the overflow, and no numpy warning."""
+    assert run(["verify-theorem", "--m-minus", mass, "--m-plus", mass, "--samples", 500]) == 3
+    captured = capsys.readouterr()
+    line = next(line for line in captured.out.splitlines() if "velocity-independence" in line)
+    assert line.startswith("FAIL velocity-independence: measured inf") and "overflow" in line
+    assert captured.err == ""
+
+
+def test_fit_relation_at_huge_masses_keeps_full_rank(capsys):
+    """The design columns are scaled before the solve, so J and E of size 1e16
+    no longer push Theta^2 and 1 below the rank cut-off."""
+    assert run(["fit-relation", "--m-minus", 1e16, "--m-plus", 1e16, "--samples", 64]) == 0
+    lam = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert abs(float(lam["lambda_J"]) - 1.0) <= 1e-10
+    assert abs(float(lam["lambda_E"]) - 0.5) <= 1e-10
+
+
+def per_value_csv(header, rows):
+    """The CSV writer before the array form: one format(v, ".17g") per value."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format(float(value), ".17g") for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_csvs_match_per_value_writer(tmp_path):
+    """simulate and project CSVs, byte for byte; project --input of the
+    simulate CSV reads the 17-digit values back exactly."""
+    sim, proj, proj_in = tmp_path / "sim.csv", tmp_path / "proj.csv", tmp_path / "proj_in.csv"
+    args = ["--a", 2, "--m-plus", 0.7, "--t-end", 5]
+    assert run(["simulate", *args, "--out", sim]) == 0
+    assert run(["project", *args, "--out", proj]) == 0
+    assert run(["project", *args, "--input", sim, "--out", proj_in]) == 0
+
+    prob = Problem(1.0, 0.7, 2.0)
+    traj = integrate_planar(PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6])), prob, 5.0)
+    diag = traj.diagnostics
+    rows = [[t, *s, j, th, e] for t, s, j, th, e in zip(traj.times, traj.states, diag["J"], diag["Theta"], diag["E"])]
+    assert sim.read_text() == per_value_csv(["t", "x", "y", "z", "px", "py", "pz", "J", "Theta", "E"], rows)
+
+    tau = reparametrize_time(traj)
+    big_q, qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob.metric())
+    g = energy_arrays(big_q, qp, prob)
+    rows = [[t, *q, *v, e] for t, q, v, e in zip(tau, big_q, qp, g)]
+    assert proj.read_text() == per_value_csv(["tau", "X", "Y", "Z", "W", "Xp", "Yp", "Zp", "Wp", "G"], rows)
+    assert proj_in.read_bytes() == proj.read_bytes()
+
+
+def test_csv_writer_matches_per_value_writer_on_special_values(tmp_path):
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.7976931348623157e308, 1 / 3, 1e16, 2.0**53 + 2]
+    wide = make_rng(5).normal(size=400) * 10.0 ** make_rng(6).integers(-300, 300, size=400)
+    table = np.concatenate([specials * 4, wide[: 400 - 44]]).reshape(-1, 4)
+    out = tmp_path / "t.csv"
+    _write_rows(str(out), ["a", "b", "c", "d"], table)
+    assert out.read_text() == per_value_csv(["a", "b", "c", "d"], table)

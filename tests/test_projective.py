@@ -20,7 +20,9 @@ from twocenter import (
     ellipsoid_potential,
     ellipsoidal_energy,
     embed,
+    energy_arrays,
     fd_tangential_acceleration,
+    first_integrals,
     fit_integral_relation,
     integrate_planar,
     intrinsic_rhs,
@@ -236,6 +238,31 @@ def test_fit_rank_deficiency():
         fit_integral_relation(EQUAL, 64, seed=3, sampler=zero_velocity_sampler)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3.0, 16.0), st.floats(-3.0, 16.0), st.floats(0.25, 4.0), seeds)
+def test_fit_recovers_closed_form_at_any_mass(log_m_minus, log_m_plus, a, seed):
+    """Masses in [1e-3, 1e16] keep full rank.  G carries roundoff of about
+    mass x 1e-16, so l_T2 and l_0, whose columns are of size one, are only
+    determined to that over the column size: the gap of every coefficient is
+    judged in units of its column's share of G, and l_J and l_E absolutely."""
+    prob = Problem(10.0**log_m_minus, 10.0**log_m_plus, a)
+    drawn = []
+
+    def sampler(n, rng):
+        drawn[:] = sample_phase_points(prob, n, rng)
+        return drawn
+
+    relation = fit_integral_relation(prob, 64, seed, sampler)
+    q, p = drawn
+    j, theta, e = first_integrals(q, p, prob)
+    column_norms = np.linalg.norm([j, e, theta**2, np.ones_like(j)], axis=1)
+    g_norm = np.linalg.norm(energy_arrays(*lift_arrays(q, p, prob.metric()), prob))
+    fitted = (relation.lambda_J, relation.lambda_E, relation.lambda_theta2, relation.lambda_0)
+    gaps = np.abs(np.subtract(fitted, relation_coefficients(a)))
+    assert np.all(gaps * column_norms <= 1e-10 * g_norm)
+    assert gaps[0] <= 1e-10 and gaps[1] <= 1e-10
+
+
 def test_intrinsic_rhs_examples():
     top = project(np.array([0.0, 0, 0, 1]), M1)
     _, qpp = intrinsic_rhs(EllipsoidState(top, np.zeros(4)), EQUAL)
@@ -341,6 +368,16 @@ def test_velocity_independence_free_motion():
 def test_velocity_independence_at_anchor():
     point = project(np.array([0.0, 1, 0, 1]), M1)
     assert velocity_independence_residual(point, EQUAL, samples=10) <= 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+def test_velocity_independence_spread_overflow_raises():
+    """At masses of 1e100 the differenced accelerations are finite but the
+    norms of their pairwise differences overflow: raised like the oracle's
+    own overflow, not a numpy warning and inf."""
+    point = project(np.array([0.0, 1, 0, 1]), M1)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        velocity_independence_residual(point, Problem(1e100, 1e100, 1.0), samples=10, seed=42)
 
 
 def test_velocity_independence_needs_two_samples():
