@@ -49,7 +49,6 @@ from .integrate import (
     Trajectory,
     cubic_hermite,
     drift_report,
-    ellipsoid_state_at,
     integrate_ellipsoid,
     integrate_planar,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "drift_report",
     "duality_residual",
     "ellipsoid_potential",
-    "ellipsoid_state_at",
     "ellipsoidal_energy",
     "embed",
     "energy_arrays",

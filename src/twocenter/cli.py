@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import PhasePoint, Problem
 from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
-from .integrate import IntegratorConfig, Trajectory, drift_report, integrate_ellipsoid, integrate_planar
+from .integrate import IntegratorConfig, drift_report, integrate_ellipsoid, integrate_planar
 from .projective import energy_arrays, fit_integral_relation, lift_arrays, lift_velocity, reparametrize_time
 from .verify import (
     check_energy_drift,
@@ -210,8 +210,7 @@ def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
     else:
         data = _read_planar_csv(input_path)
         times, states = data[:, 0], data[:, 1:7]
-    source = Trajectory(times, states, {}, prob, "planar")
-    tau = reparametrize_time(source)
+    tau = reparametrize_time(times, states[:, :3], states[:, 3:], metric)
     big_q, qp = lift_arrays(states[:, :3], states[:, 3:], metric)
     g = np.atleast_1d(energy_arrays(big_q, qp, prob))
     _write_rows(cfg.out, _PROJECT_HEADER, np.column_stack([tau, big_q, qp, g]))

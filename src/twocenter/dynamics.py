@@ -129,20 +129,20 @@ def planar_kernel(prob: Problem, clock: str = "t"):
 
     Returns ``rhs(y)``, which maps (x, y, z, px, py, pz) to (p, acceleration)
     as a tuple of Python floats.  It is :func:`acceleration` for one point,
-    with the same finite check and collision guard, without the numpy call
-    overhead that dominates length-3 arrays.
+    with the same collision guard, without the numpy call overhead that
+    dominates length-3 arrays.  It checks no finiteness: ``PhasePoint``
+    refuses a non-finite start, and a non-finite derivative at any stage
+    makes the step's error estimate non-finite, so the stepper rejects it.
 
     With ``clock="tau"`` every component is multiplied by |q|_*^2: the same
     orbit in the intrinsic time, dtau/dt = 1/|q|_*^2, with p still dq/dt.
     The clock is chosen once, here, so the t-time kernel has no branch.
     """
     m_minus, m_plus, a = prob.m_minus, prob.m_plus, prob.a
-    isfinite, sqrt = math.isfinite, math.sqrt
+    sqrt = math.sqrt
 
     def rhs(state):
         x, y, z, px, py, pz = state
-        if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            raise InvalidInputError("q must have finite components")
         x_minus = x + a
         x_plus = x - a
         d2_minus = x_minus * x_minus + y * y + z * z

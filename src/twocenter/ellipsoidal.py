@@ -67,7 +67,7 @@ def to_ellipsoidal(q: np.ndarray, prob: Problem) -> EllipsoidalPosition:
     a = prob.a
     alpha = (d_minus + d_plus) / (2.0 * a)
     beta = (d_minus - d_plus) / (2.0 * a)
-    degenerate = q[1] == 0.0 and q[2] == 0.0
+    degenerate = bool(q[1] == 0.0 and q[2] == 0.0)
     theta = 0.0 if degenerate else float(np.arctan2(-q[1], q[2]) % TWO_PI)
     return EllipsoidalPosition(alpha, beta, theta, degenerate)
 

@@ -44,6 +44,12 @@ from .sampling import make_rng, sample_phase_points
 # Admission tolerance on the tangency constraint of ellipsoid states.
 TANGENCY_TOL = 1e-10
 
+# Finite-difference step in t of the oracle for the tangential field, and the
+# number of velocities its spread is taken over; at this step the spread stays
+# at differencing-error level, below verify.TOL_INDEPENDENCE.
+_FD_STEP = 1e-5
+_INDEPENDENCE_VELOCITIES = 10
+
 
 @dataclass(frozen=True, eq=False)
 class EllipsoidState:
@@ -309,12 +315,7 @@ def _design_matrix(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     return design
 
 
-def fit_integral_relation(
-    prob: Problem,
-    sample_count: int,
-    seed: int = 0,
-    sampler=None,
-) -> IntegralRelation:
+def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> IntegralRelation:
     """Least-squares recovery of G as an affine combination of (J, E, Theta^2, 1).
 
     Independent cross-check of :func:`relation_coefficients`: the fit
@@ -327,14 +328,8 @@ def fit_integral_relation(
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
     rng = make_rng(seed)
-    if sampler is None:
-        sampler = lambda n, r: sample_phase_points(prob, n, r)
     for _ in range(5):
-        q, p = (np.asarray(arr, dtype=float) for arr in sampler(sample_count, rng))
-        if q.shape != (sample_count, 3) or p.shape != (sample_count, 3):
-            raise InvalidInputError(
-                f"sampler must return two ({sample_count}, 3) arrays, got {q.shape} and {p.shape}"
-            )
+        q, p = sample_phase_points(prob, sample_count, rng)
         design = _design_matrix(q, p, prob)
         g = _lifted_energy(q, p, prob)
         # unit columns: at large masses J and E dwarf Theta^2 and 1, and the
@@ -364,14 +359,12 @@ def _rk4_planar_step(
     )
 
 
-def fd_tangential_acceleration(
-    q: np.ndarray, p: np.ndarray, prob: Problem, step: float = 1e-5
-) -> np.ndarray:
+def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """Tangential Q'' obtained by differencing the lifted planar flow.
 
     Independent oracle for :func:`tangential_field`: the planar system is
-    advanced by +-step with single RK4 steps, the lifted velocities are
-    centrally differenced in t, and the chain rule dtau/dt = 1/|q|_*^2
+    advanced by +-``_FD_STEP`` with single RK4 steps, the lifted velocities
+    are centrally differenced in t, and the chain rule dtau/dt = 1/|q|_*^2
     converts to the intrinsic time.  Batched over (..., 3) states, each
     bit-identical to evaluating it alone; an overflow (masses near the float
     range) raises ``FloatingPointError`` instead of returning non-finite values.
@@ -380,59 +373,58 @@ def fd_tangential_acceleration(
     p = np.asarray(p, dtype=float)
     metric = prob.metric()
     with np.errstate(over="raise"):
-        q_fwd, p_fwd = _rk4_planar_step(q, p, prob, step)
-        q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -step)
+        q_fwd, p_fwd = _rk4_planar_step(q, p, prob, _FD_STEP)
+        q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -_FD_STEP)
         _, qp_fwd = lift_arrays(q_fwd, p_fwd, metric)
         _, qp_bwd = lift_arrays(q_bwd, p_bwd, metric)
         # pow, as the single-point form's float ** 2 was, not a product
         n2 = np.float_power(star_norm(embed(q), metric), 2)[..., None]
-        qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * step)
+        qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * _FD_STEP)
         big_q, _ = lift_arrays(q, p, metric)
         return qpp - star_inner(big_q, qpp, metric)[..., None] * big_q
 
 
-def velocity_independence_residual(
-    point: EllipsoidPoint,
-    prob: Problem,
-    samples: int = 10,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> float:
+def velocity_independence_residual(point: EllipsoidPoint, prob: Problem, seed: int = 0) -> float:
     """Max pairwise spread of the differenced tangential Q'' over velocities.
 
-    Lifts ``samples`` planar states through the same projected point with
-    random velocities and measures how much the finite-differenced
-    tangential acceleration varies; the theorem says it should not, so the
-    spread stays at differencing-error level (<= 1e-6 for step 1e-5).
+    Lifts ``_INDEPENDENCE_VELOCITIES`` planar states through the same
+    projected point with random velocities and measures how much the
+    finite-differenced tangential acceleration varies; the theorem says it
+    should not, so the spread stays at differencing-error level.
     """
-    if samples < 2:
-        raise InvalidInputError(f"samples must be >= 2, got {samples}")
     _require_matching_a(point.metric, prob)
     q3 = unproject(point)[:3]
     rng = make_rng(seed)
-    velocities = rng.normal(0.0, 1.0, size=(samples, 3))
-    accs = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob, step)
+    velocities = rng.normal(0.0, 1.0, size=(_INDEPENDENCE_VELOCITIES, 3))
+    accs = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob)
     with np.errstate(over="raise"):
         return float(np.max(star_norm(accs[:, None] - accs[None], point.metric)))
 
 
-def reparametrize_time(traj) -> np.ndarray:
+def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, metric: StarMetric) -> np.ndarray:
     """Map the t grid of a planar trajectory to the intrinsic time tau.
 
-    tau(t) = integral of W(s)^2 ds with W = 1/|q(s)|_*, evaluated by the
-    derivative-corrected trapezoid rule (two-point Hermite quadrature,
-    fourth order on smooth data).  Returns tau at the trajectory nodes;
-    strictly increasing, and tau(t) <= t because |q|_* >= 1 on the slice.
-    It serves ``project``; a ``clock="tau"`` run (kind ``"planar_tau"``)
-    is refused, since its grid already is tau.
+    ``times`` is a finite, strictly increasing t grid and ``q``, ``p`` the
+    (N, 3) positions and velocities dq/dt on it.  tau(t) = integral of
+    W(s)^2 ds with W = 1/|q(s)|_*, evaluated by the derivative-corrected
+    trapezoid rule (two-point Hermite quadrature, fourth order on smooth
+    data).  Returns tau at the nodes; strictly increasing, and tau(t) <= t
+    because |q|_* >= 1 on the slice.
     """
-    if getattr(traj, "kind", None) != "planar":
-        raise InvalidInputError("time reparametrization expects a planar trajectory on a t grid")
-    times = np.asarray(traj.times, dtype=float)
-    states = np.asarray(traj.states, dtype=float)
-    wyz = traj.problem.metric().weights[1]
-    x, y, z = states[:, 0], states[:, 1], states[:, 2]
-    px, py, pz = states[:, 3], states[:, 4], states[:, 5]
+    times = np.asarray(times, dtype=float)
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise InvalidInputError("times must be a nonempty 1-d grid")
+    for name, values in (("q", q), ("p", p)):
+        if values.shape != (len(times), 3):
+            raise InvalidInputError(f"{name} must have shape ({len(times)}, 3), got {values.shape}")
+    check_finite(times, "times")
+    if np.any(np.diff(times) <= 0.0):
+        raise InvalidInputError("times must be strictly increasing")
+    wyz = metric.weights[1]
+    x, y, z = q.T
+    px, py, pz = p.T
     n2 = x * x + wyz * (y * y + z * z) + 1.0
     g = 1.0 / n2
     gdot = -2.0 * (x * px + wyz * (y * py + z * pz)) / (n2 * n2)

@@ -20,7 +20,9 @@ _BLOCK = 65536
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox) for a 64-bit seed."""
+    """Counter-based generator (Philox) for a 64-bit seed, 0 <= seed < 2^64."""
+    if not 0 <= seed < 2**64:
+        raise InvalidInputError(f"seed must be in [0, 2^64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -34,9 +34,12 @@ TOL_POINTWISE_RELATION = 1e-10
 TOL_FIRST_INTEGRAL_DRIFT = 1e-8
 TOL_ENERGY_DRIFT = 1e-8
 TOL_TWO_ROUTES = 1e-6
+_TWO_ROUTE_QUERIES = 801  # tau points, end points included, at which the routes are compared
 TOL_INDEPENDENCE = 1e-6
+_INDEPENDENCE_STATES = 50  # random states at which the oracle is held against the field
 TOL_FIT_RESIDUAL = 1e-8
 TOL_KEPLER_RESIDUAL = 1e-3
+_KEPLER_A_SMALL = 1e-4  # half-distance of the merged-centers check, then halved once
 
 
 @dataclass(frozen=True)
@@ -103,12 +106,7 @@ def planar_route(
     return traj.times, big_q, qp
 
 
-def check_two_routes(
-    start: PhasePoint,
-    intrinsic: Trajectory,
-    cfg: IntegratorConfig | None = None,
-    n_samples: int = 801,
-) -> CheckResult:
+def check_two_routes(start: PhasePoint, intrinsic: Trajectory, cfg: IntegratorConfig | None = None) -> CheckResult:
     """Max star-distance between route A from ``start`` and ``intrinsic``, the
     ellipsoid run lifted from ``start``, over the intrinsic run's tau range."""
     name = "two-route-equivalence"
@@ -119,7 +117,7 @@ def check_two_routes(
     tau_a, q_a, qp_a = planar_route(start.q, start.p, prob, tau_end, cfg)
     if tau_a[-1] < tau_end:
         return CheckResult(name, np.inf, TOL_TWO_ROUTES, f"planar route stopped at tau = {tau_a[-1]:.3g}")
-    queries = np.linspace(0.0, tau_end, n_samples)
+    queries = np.linspace(0.0, tau_end, _TWO_ROUTE_QUERIES)
     curve_a = cubic_hermite(tau_a, q_a, qp_a, queries)
     curve_b = cubic_hermite(intrinsic.times, intrinsic.states[:, :4], intrinsic.states[:, 4:], queries)
     worst = float(np.max(star_norm(curve_a - curve_b, prob.metric())))
@@ -135,19 +133,14 @@ def check_energy_drift(intrinsic: Trajectory) -> CheckResult:
     return CheckResult("ellipsoidal-energy-drift", worst, TOL_ENERGY_DRIFT, f"G(0) = {g[0]:.6g}")
 
 
-def check_velocity_independence(
-    prob: Problem,
-    n_states: int = 50,
-    samples: int = 10,
-    seed: int = 42,
-) -> CheckResult:
+def check_velocity_independence(prob: Problem, seed: int = 42) -> CheckResult:
     """Pairwise spread of the differenced tangential acceleration, and its
     agreement with the closed-form tangential field at random states; an
     overflow of the finite-difference oracle fails it with measured inf."""
     name = "velocity-independence"
     metric = prob.metric()
     anchor = project(embed(np.array([0.0, 1.0, 0.0])), metric)
-    qs, ps = sample_phase_points(prob, n_states, make_rng(seed), q_radius=3.0, min_center_distance=0.5)
+    qs, ps = sample_phase_points(prob, _INDEPENDENCE_STATES, make_rng(seed), q_radius=3.0, min_center_distance=0.5)
     # project's two normalizations (the ray, then EllipsoidPoint's), batched
     points = embed(qs)
     points = points / star_norm(points, metric)[:, None]
@@ -156,7 +149,7 @@ def check_velocity_independence(
     field = np.array([rhs((*point, 0.0, 0.0, 0.0, 0.0))[4:] for point in points.tolist()])
     try:
         with np.errstate(over="raise"):
-            spread = velocity_independence_residual(anchor, prob, samples=samples, seed=seed)
+            spread = velocity_independence_residual(anchor, prob, seed=seed)
             oracle = fd_tangential_acceleration(qs, ps, prob)
             agreement = float(np.max(star_norm(oracle - field, metric)))
     except FloatingPointError as exc:
@@ -166,13 +159,11 @@ def check_velocity_independence(
     return CheckResult(name, worst, TOL_INDEPENDENCE, detail)
 
 
-def check_kepler_limit(
-    start: PhasePoint, prob: Problem, a_small: float = 1e-4
-) -> CheckResult:
-    """Residual |E - |q x p|^2| at a_small, with the halving ratio reported."""
+def check_kepler_limit(start: PhasePoint, prob: Problem) -> CheckResult:
+    """Residual |E - |q x p|^2| at ``_KEPLER_A_SMALL``, with the halving ratio reported."""
     if not prob.is_kepler:
         raise InvalidInputError("the merged-centers check expects exactly one nonzero mass")
-    res = float(kepler_limit_residual(start.q, start.p, prob, a_small))
-    res_half = float(kepler_limit_residual(start.q, start.p, prob, a_small / 2.0))
+    res = float(kepler_limit_residual(start.q, start.p, prob, _KEPLER_A_SMALL))
+    res_half = float(kepler_limit_residual(start.q, start.p, prob, _KEPLER_A_SMALL / 2.0))
     ratio = res / res_half if res_half > 0.0 else np.inf
     return CheckResult("kepler-limit", res, TOL_KEPLER_RESIDUAL, f"halving ratio {ratio:.3g}")

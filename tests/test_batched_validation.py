@@ -26,6 +26,7 @@ from twocenter import (
     relation_residual,
     sample_phase_points,
 )
+from twocenter import projective
 from twocenter.dynamics import COLLISION_GUARD
 
 PROB = Problem(1.0, 1.0, 1.0)
@@ -39,13 +40,20 @@ def batch():
 
 
 def evaluators(q, p):
-    """Each batched entry point on (q, p), fit_integral_relation through its sampler."""
+    """Each batched entry point on (q, p), fit_integral_relation through its sample draw."""
     return {
         "hamiltonian": lambda: hamiltonian(q, p, PROB),
         "euler_integral": lambda: euler_integral(q, p, PROB),
         "relation_residual": lambda: relation_residual(q, p, PROB),
-        "fit_integral_relation": lambda: fit_integral_relation(PROB, ROWS, sampler=lambda n, rng: (q, p)),
+        "fit_integral_relation": lambda: fit_on(q, p),
     }
+
+
+def fit_on(q, p):
+    """fit_integral_relation with its sample draw replaced by (q, p)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projective, "sample_phase_points", lambda prob, n, rng: (q, p))
+        return fit_integral_relation(PROB, ROWS)
 
 
 @pytest.mark.parametrize("name", list(evaluators(None, None)))
@@ -113,3 +121,10 @@ def test_sampler_refuses_bad_radii(kwargs):
 def test_sampler_accepts_zero_min_center_distance():
     q, p = sample_phase_points(PROB, 16, make_rng(0), min_center_distance=0.0)
     assert q.shape == p.shape == (16, 3)
+
+
+def test_seeds_outside_the_uint64_range_are_refused():
+    make_rng(0), make_rng(2**64 - 1)  # both ends of the range
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidInputError, match="seed"):
+            make_rng(seed)

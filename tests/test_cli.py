@@ -193,6 +193,13 @@ def test_coords_forward(capsys):
     assert values["degenerate"] == "false"
 
 
+@pytest.mark.parametrize("q0, degenerate", [("0,1,0", False), ("0.5,0,0", True)])
+def test_coords_json(q0, degenerate, tmp_path):
+    out = tmp_path / "coords.json"
+    assert run(["coords", "--q0", q0, "--json", out]) == 0
+    assert json.loads(out.read_text())["degenerate"] is degenerate
+
+
 def test_coords_inverse(capsys):
     assert run(["coords", "--inverse", "--alpha", 2, "--beta", 0.5, "--theta", 0]) == 0
     printed = capsys.readouterr().out
@@ -236,6 +243,8 @@ def _repeated_rows(prob, n, rng, **kwargs):
         pytest.param(["fit-relation", "--samples", 64], 3, True, id="rank-deficient-fit"),
         pytest.param(["verify-theorem", "--fit", "--samples", 200, "--tau-end", 0.5], 3, True,
                      id="rank-deficient-verify-fit"),
+        pytest.param(["fit-relation", "--seed", -1], 1, False, id="negative-seed"),
+        pytest.param(["verify-theorem", "--seed", 2**64], 1, False, id="seed-beyond-uint64"),
     ],
 )
 def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_path, monkeypatch, capsys):
@@ -325,7 +334,7 @@ def test_csvs_match_per_value_writer(tmp_path):
     rows = [[t, *s, j, th, e] for t, s, j, th, e in zip(traj.times, traj.states, diag["J"], diag["Theta"], diag["E"])]
     assert sim.read_text() == per_value_csv(["t", "x", "y", "z", "px", "py", "pz", "J", "Theta", "E"], rows)
 
-    tau = reparametrize_time(traj)
+    tau = reparametrize_time(traj.times, traj.states[:, :3], traj.states[:, 3:], prob.metric())
     big_q, qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob.metric())
     g = energy_arrays(big_q, qp, prob)
     rows = [[t, *q, *v, e] for t, q, v, e in zip(tau, big_q, qp, g)]

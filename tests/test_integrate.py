@@ -1,10 +1,11 @@
 """Adaptive integration, constraint handling, and drift diagnostics."""
 
+import time
+
 import numpy as np
 import pytest
 
 from twocenter import (
-    EllipsoidState,
     IntegratorConfig,
     InvalidInputError,
     NearCollisionError,
@@ -14,11 +15,9 @@ from twocenter import (
     Trajectory,
     cubic_hermite,
     drift_report,
-    ellipsoid_state_at,
     integrate_ellipsoid,
     integrate_planar,
     lift_velocity,
-    reparametrize_time,
     star_inner,
     star_norm,
 )
@@ -81,6 +80,40 @@ def test_step_budget_abort_returns_partial_trajectory(monkeypatch, tmp_path):
     assert main(["simulate", "--t-end", "10", "--out", str(tmp_path / "orbit.csv")]) == 2
 
 
+def test_step_budget_leaves_room_for_the_default_orbit():
+    """The default orbit (t = 50) uses less than a fiftieth of the budget,
+    while the whole budget, at the per-attempt cost of an ellipsoid run (the
+    costliest kind), ends a runaway horizon in seconds, not minutes."""
+    traj = integrate_planar(DEFAULT_START, EQUAL, 50.0)
+    assert traj.status == "ok"
+    assert 50 * (len(traj) - 1 + traj.rejected_steps) <= integrate._MAX_STEPS
+    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
+    costs = []
+    for _ in range(3):
+        started = time.perf_counter()
+        run = integrate_ellipsoid(state, EQUAL, 5.0)
+        costs.append((time.perf_counter() - started) / (len(run) - 1 + run.rejected_steps))
+    assert integrate._MAX_STEPS * min(costs) <= 30.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_derivative_ends_in_step_underflow(bad, monkeypatch):
+    """The kernel checks no finiteness: a derivative that turns non-finite
+    (here for x > 0.5) makes every step there fail its error test, so the
+    run ends in step_underflow with every stored state finite."""
+    real = integrate.planar_kernel
+
+    def spoiled(prob, clock):
+        rhs = real(prob, clock)
+        return lambda y: (bad,) * 6 if y[0] > 0.5 else rhs(y)
+
+    monkeypatch.setattr(integrate, "planar_kernel", spoiled)
+    traj = integrate_planar(DEFAULT_START, EQUAL, 10.0)
+    assert traj.status == "step_underflow"
+    assert len(traj) > 10 and traj.times[-1] < 10.0
+    assert np.all(np.isfinite(traj.states)) and np.all(traj.states[:, 0] <= 0.5)
+
+
 @pytest.mark.parametrize("mass", [1e160, 1e300])
 def test_overflowing_derivative_is_step_underflow(mass):
     # the initial derivative overflows the error scale, so no step fits
@@ -99,13 +132,13 @@ def test_invalid_horizons():
         integrate_ellipsoid(state, EQUAL, -1.0)
 
 
-def test_fifth_order_convergence():
+def test_fifth_order_convergence(monkeypatch):
     """Forced constant steps via huge tolerances; error ratio ~ 2^5."""
     ref = integrate_planar(DEFAULT_START, EQUAL, 1.0, IntegratorConfig(rel_tol=1e-14, abs_tol=1e-14))
     errors = []
     for h in (0.2, 0.1):
-        cfg = IntegratorConfig(rel_tol=10.0, abs_tol=10.0, max_step=h)
-        traj = integrate_planar(DEFAULT_START, EQUAL, 1.0, cfg)
+        monkeypatch.setattr(integrate, "_MAX_STEP", h)
+        traj = integrate_planar(DEFAULT_START, EQUAL, 1.0, IntegratorConfig(rel_tol=10.0, abs_tol=10.0))
         assert np.allclose(np.diff(traj.times), h, atol=1e-12)
         errors.append(np.max(np.abs(traj.states[-1] - ref.states[-1])))
     assert 24.0 <= errors[0] / errors[1] <= 45.0
@@ -167,18 +200,18 @@ def test_lifted_orbit_constraints_and_energy():
     assert np.max(np.abs(star_inner(traj.states[:, :4], traj.states[:, 4:], metric))) <= 1e-14
 
 
-def test_integrity_abort_on_loose_unrenormalized_run():
+def test_integrity_abort_on_loose_unrenormalized_run(monkeypatch):
     # the residuals are judged on each step's result, before it is renormalized
     state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
-    cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3, max_step=0.5)
-    traj = integrate_ellipsoid(state, EQUAL, 50.0, cfg)
+    monkeypatch.setattr(integrate, "_MAX_STEP", 0.5)
+    traj = integrate_ellipsoid(state, EQUAL, 50.0, IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3))
     assert traj.status == "integrity"
     assert traj.times[-1] < 50.0
 
 
-def test_rejected_steps_are_counted():
-    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6, max_step=5.0)
-    traj = integrate_planar(DEFAULT_START, EQUAL, 20.0, cfg)
+def test_rejected_steps_are_counted(monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_STEP", 5.0)
+    traj = integrate_planar(DEFAULT_START, EQUAL, 20.0, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6))
     assert traj.status == "ok"
     assert traj.rejected_steps > 0
 
@@ -203,19 +236,12 @@ def test_general_a_energy_rate_vanishes():
         assert np.max(rate) <= 1e-8
 
 
-def test_ellipsoid_state_at_roundtrip():
-    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
-    traj = integrate_ellipsoid(state, EQUAL, 1.0)
-    again = ellipsoid_state_at(traj, -1)
-    assert isinstance(again, EllipsoidState)
-
-
 def test_drift_report_examples():
     times = np.array([0.0, 1.0])
     states = np.zeros((2, 6))
-    constant = Trajectory(times, states, {"J": np.array([2.5, 2.5])}, EQUAL, "planar")
+    constant = Trajectory(times, states, {"J": np.array([2.5, 2.5])}, EQUAL)
     assert drift_report(constant).drifts["J"] == 0.0
-    tiny = Trajectory(times, states, {"J": np.array([1.0, 1.0 + 1e-9])}, EQUAL, "planar")
+    tiny = Trajectory(times, states, {"J": np.array([1.0, 1.0 + 1e-9])}, EQUAL)
     assert drift_report(tiny).drifts["J"] == pytest.approx(1e-9, rel=1e-6)
     assert any("1e-09" in line or "1.0" in line for line in drift_report(tiny).lines())
 
@@ -234,20 +260,16 @@ def test_first_integral_drift_check_reports_the_largest_drift(monkeypatch):
 
 def test_trajectory_validation():
     with pytest.raises(InvalidInputError):
-        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 6)), {}, EQUAL, "planar")
+        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 6)), {}, EQUAL)
     with pytest.raises(InvalidInputError):
-        Trajectory(np.array([0.0, 1.0]), np.zeros((3, 6)), {}, EQUAL, "planar")
+        Trajectory(np.array([0.0, 1.0]), np.zeros((3, 6)), {}, EQUAL)
     with pytest.raises(InvalidInputError):
-        Trajectory(np.array([0.0, 1.0]), np.zeros((2, 6)), {"J": np.zeros(3)}, EQUAL, "planar")
-    with pytest.raises(InvalidInputError):
-        Trajectory(np.array([0.0, 1.0]), np.zeros((2, 6)), {}, EQUAL, "sideways")
+        Trajectory(np.array([0.0, 1.0]), np.zeros((2, 6)), {"J": np.zeros(3)}, EQUAL)
 
 
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(InvalidInputError):
-        IntegratorConfig(max_step=-0.1)
 
 
 def test_cubic_hermite_reproduces_cubics():
@@ -259,13 +281,6 @@ def test_cubic_hermite_reproduces_cubics():
     assert np.max(np.abs(cubic_hermite(ts, ys, dys, queries) - exact)) <= 1e-13
     with pytest.raises(InvalidInputError):
         cubic_hermite(ts, ys, dys, np.array([2.5]))
-
-
-def test_tau_clock_run_is_its_own_kind():
-    traj = integrate_planar(DEFAULT_START, EQUAL, 1.0, clock="tau")
-    assert traj.kind == "planar_tau" and traj.times[-1] == 1.0
-    with pytest.raises(InvalidInputError):
-        reparametrize_time(traj)
 
 
 def test_two_route_check_fails_when_a_route_stops_early():

@@ -101,12 +101,6 @@ def test_intrinsic_kernel_guard(prob, side, w, offset):
         intrinsic_kernel(prob)(y)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_planar_kernel_rejects_nonfinite_position(bad):
-    with pytest.raises(InvalidInputError):
-        planar_kernel(Problem())((0.0, bad, 0.0, 0.0, 0.0, 0.0))
-
-
 @given(problems, vectors3, vectors3)
 def test_tau_kernel_scales_t_kernel_by_star_norm_squared(prob, q, p):
     """dtau/dt = 1/|q|_*^2, so the tau right-hand side is |q|_*^2 times the t one."""

@@ -16,7 +16,6 @@ from twocenter import (
     Problem,
     RankDeficientError,
     StarMetric,
-    Trajectory,
     ellipsoid_potential,
     ellipsoidal_energy,
     embed,
@@ -38,6 +37,7 @@ from twocenter import (
     tangential_field,
     velocity_independence_residual,
 )
+from twocenter import projective
 from twocenter.sampling import make_rng, sample_phase_points
 from twocenter.verify import check_fitted_relation
 
@@ -229,13 +229,14 @@ def test_fit_rejects_small_sample():
         fit_integral_relation(EQUAL, 7)
 
 
-def test_fit_rank_deficiency():
-    def zero_velocity_sampler(n, rng):
-        qs, _ = sample_phase_points(EQUAL, n, rng)
+def test_fit_rank_deficiency(monkeypatch):
+    def zero_velocity_sampler(prob, n, rng):
+        qs, _ = sample_phase_points(prob, n, rng)
         return qs, np.zeros_like(qs)  # Theta column identically zero
 
+    monkeypatch.setattr(projective, "sample_phase_points", zero_velocity_sampler)
     with pytest.raises(RankDeficientError):
-        fit_integral_relation(EQUAL, 64, seed=3, sampler=zero_velocity_sampler)
+        fit_integral_relation(EQUAL, 64, seed=3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,11 +249,13 @@ def test_fit_recovers_closed_form_at_any_mass(log_m_minus, log_m_plus, a, seed):
     prob = Problem(10.0**log_m_minus, 10.0**log_m_plus, a)
     drawn = []
 
-    def sampler(n, rng):
+    def recording_sampler(prob, n, rng):
         drawn[:] = sample_phase_points(prob, n, rng)
         return drawn
 
-    relation = fit_integral_relation(prob, 64, seed, sampler)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projective, "sample_phase_points", recording_sampler)
+        relation = fit_integral_relation(prob, 64, seed)
     q, p = drawn
     j, theta, e = first_integrals(q, p, prob)
     column_norms = np.linalg.norm([j, e, theta**2, np.ones_like(j)], axis=1)
@@ -287,27 +290,16 @@ def test_state_tangency_validation():
         EllipsoidState(top, np.array([0.0, 0, 0, 1e-6]))
 
 
-def _manual_planar_trajectory(q0, p0, times, prob):
-    """Free-motion trajectory assembled in closed form (no integrator)."""
-    states = np.empty((len(times), 6))
-    for i, t in enumerate(times):
-        states[i, :3] = q0 + t * p0
-        states[i, 3:] = p0
-    return Trajectory(times, states, {}, prob, "planar")
-
-
 def test_reparametrize_stationary():
-    prob = EQUAL
     times = np.linspace(0.0, 3.0, 7)
-    states = np.zeros((7, 6))
-    traj = Trajectory(times, states, {}, prob, "planar")
-    assert np.allclose(reparametrize_time(traj), times, atol=1e-15)
+    rest = np.zeros((7, 3))
+    assert np.allclose(reparametrize_time(times, rest, rest, M1), times, atol=1e-15)
 
 
 def test_reparametrize_monotone_and_slower_than_t():
     start = PhasePoint(np.array([0.0, 2, 0]), np.array([0.3, 0, 0.6]))
     traj = integrate_planar(start, EQUAL, 10.0)
-    tau = reparametrize_time(traj)
+    tau = reparametrize_time(traj.times, traj.states[:, :3], traj.states[:, 3:], M1)
     assert np.all(np.diff(tau) > 0)
     assert np.all(tau <= traj.times + 1e-15)
 
@@ -326,9 +318,29 @@ def test_reparametrize_fourth_order_convergence():
     assert err < 1e-12
     errors = []
     for n in (11, 21):
-        traj = _manual_planar_trajectory(q0, p0, np.linspace(0.0, 2.0, n), prob)
-        errors.append(abs(reparametrize_time(traj)[-1] - reference))
+        times = np.linspace(0.0, 2.0, n)  # free motion in closed form, no integrator
+        q = q0 + times[:, None] * p0
+        p = np.broadcast_to(p0, q.shape)
+        errors.append(abs(reparametrize_time(times, q, p, prob.metric())[-1] - reference))
     assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.4)
+
+
+@pytest.mark.parametrize(
+    "times, q_shape, p_shape, message",
+    [
+        pytest.param(np.zeros((2, 2)), (2, 3), (2, 3), "1-d grid", id="times-not-1d"),
+        pytest.param(np.array([]), (0, 3), (0, 3), "1-d grid", id="empty-grid"),
+        pytest.param(np.array([0.0, 1.0]), (3, 3), (2, 3), "q must have shape", id="q-rows"),
+        pytest.param(np.array([0.0, 1.0]), (2, 3), (2, 4), "p must have shape", id="p-columns"),
+        pytest.param(np.array([0.0, 1.0]), (6,), (2, 3), "q must have shape", id="q-flat"),
+        pytest.param(np.array([0.0, 0.0]), (2, 3), (2, 3), "strictly increasing", id="repeated-time"),
+        pytest.param(np.array([1.0, 0.0]), (2, 3), (2, 3), "strictly increasing", id="decreasing-time"),
+        pytest.param(np.array([0.0, np.nan, 1.0]), (3, 3), (3, 3), "finite", id="nan-time"),
+    ],
+)
+def test_reparametrize_refuses_misshaped_input(times, q_shape, p_shape, message):
+    with pytest.raises(InvalidInputError, match=message):
+        reparametrize_time(times, np.ones(q_shape), np.ones(p_shape), M1)
 
 
 def test_tangential_field_matches_potential_gradient():
@@ -362,12 +374,12 @@ def test_tangential_field_matches_potential_gradient():
 def test_velocity_independence_free_motion():
     point = project(embed(np.array([0.2, 1.0, -0.4])), M1)
     # free motion has no tangential field at all; the residual is pure noise
-    assert velocity_independence_residual(point, Problem(0.0, 0.0, 1.0), samples=6) <= 1e-8
+    assert velocity_independence_residual(point, Problem(0.0, 0.0, 1.0)) <= 1e-8
 
 
 def test_velocity_independence_at_anchor():
     point = project(np.array([0.0, 1, 0, 1]), M1)
-    assert velocity_independence_residual(point, EQUAL, samples=10) <= 1e-6
+    assert velocity_independence_residual(point, EQUAL) <= 1e-6
 
 
 @pytest.mark.filterwarnings("error")
@@ -377,13 +389,7 @@ def test_velocity_independence_spread_overflow_raises():
     own overflow, not a numpy warning and inf."""
     point = project(np.array([0.0, 1, 0, 1]), M1)
     with pytest.raises(FloatingPointError, match="overflow"):
-        velocity_independence_residual(point, Problem(1e100, 1e100, 1.0), samples=10, seed=42)
-
-
-def test_velocity_independence_needs_two_samples():
-    point = project(np.array([0.0, 1, 0, 1]), M1)
-    with pytest.raises(InvalidInputError):
-        velocity_independence_residual(point, EQUAL, samples=1)
+        velocity_independence_residual(point, Problem(1e100, 1e100, 1.0), seed=42)
 
 
 def test_fd_acceleration_matches_field():

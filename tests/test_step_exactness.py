@@ -45,7 +45,7 @@ E1, _, E3, E4, E5, E6, E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 3
 
 
 def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
-    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, integrate._MAX_STEP
     n = len(y0)
     t = 0.0
     y = list(y0)
@@ -118,7 +118,8 @@ def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
 
 START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
 INFALL = PhasePoint(np.array([0.5, 0.0, 0.0]), np.zeros(3))
-CONFIGS = [IntegratorConfig(), IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6, max_step=0.5)]
+# (tolerances, step cap): the loose runs take longer steps and reject some
+CONFIGS = [(IntegratorConfig(), 0.1), (IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6), 0.5)]
 
 
 def both_steppers(monkeypatch, run):
@@ -139,19 +140,21 @@ def assert_same_run(got, want):
         assert np.array_equal(got.diagnostics[name], values)
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=["tight", "loose"])
+@pytest.mark.parametrize("cfg, max_step", CONFIGS, ids=["tight", "loose"])
 @pytest.mark.parametrize("a", [1.0, 2.0])
 @pytest.mark.parametrize("clock", ["t", "tau"])
-def test_planar_runs_match_loop_stepper(clock, a, cfg, monkeypatch):
+def test_planar_runs_match_loop_stepper(clock, a, cfg, max_step, monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_STEP", max_step)
     prob = Problem(1.0, 0.7, a)
     got, want = both_steppers(monkeypatch, lambda: integrate_planar(START, prob, 10.0, cfg, clock=clock))
     assert got.status == "ok" and len(got) > 10
     assert_same_run(got, want)
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=["tight", "loose"])
+@pytest.mark.parametrize("cfg, max_step", CONFIGS, ids=["tight", "loose"])
 @pytest.mark.parametrize("a", [1.0, 2.0])
-def test_ellipsoid_runs_match_loop_stepper(a, cfg, monkeypatch):
+def test_ellipsoid_runs_match_loop_stepper(a, cfg, max_step, monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_STEP", max_step)
     prob = Problem(1.0, 0.7, a)
     start = lift_velocity(START.q, START.p, prob.metric())
     got, want = both_steppers(monkeypatch, lambda: integrate_ellipsoid(start, prob, 3.0, cfg))
@@ -173,7 +176,7 @@ def linear_systems(draw):
     matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
     y0 = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=n, max_size=n))
     rel_tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
-    return matrix, y0, IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol, max_step=0.5)
+    return matrix, y0, IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,8 +187,10 @@ def test_linear_systems_match_loop_stepper(system):
     def f(y):
         return [sum(m * v for m, v in zip(row, y)) for row in matrix]
 
-    got = integrate._dopri5(f, y0, 2.0, cfg)
-    want = ref_dopri5(f, y0, 2.0, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrate, "_MAX_STEP", 0.5)
+        got = integrate._dopri5(f, y0, 2.0, cfg)
+        want = ref_dopri5(f, y0, 2.0, cfg)
     assert got[2:] == want[2:]
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
