@@ -50,6 +50,8 @@ TANGENCY_TOL = 1e-10
 _FD_STEP = 1e-5
 _INDEPENDENCE_VELOCITIES = 10
 
+_ROWS = 16384  # rows per block of the relation residual and the fit: temporaries stay in L2
+
 
 @dataclass(frozen=True, eq=False)
 class EllipsoidState:
@@ -294,25 +296,45 @@ def relation_coefficients(a: float) -> tuple[float, float, float, float]:
     return 2.0 / s, 1.0 / s, -(a * a) / (s * s), 0.0
 
 
-def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """G(lift(q, p)) - (l_J J + l_E E + l_T2 Theta^2), zero up to roundoff;
-    the coefficients come from :func:`relation_coefficients`."""
+def _in_row_blocks(q, p, prob: Problem, kernel, *tails: tuple[int, ...]):
+    """The arrays ``kernel(J, Theta, E, G)`` returns for (q, p), of shape (...,) + tail.
+
+    q and p of one shape with more than ``_ROWS`` rows are validated whole, then
+    evaluated a block of rows at a time, copied column-major so that the temporaries
+    stay in cache; bit-identical to one pass.  Broadcast shapes go in one pass:
+    a term of one p row squares by pow there, by product in a block."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+    if q.shape != p.shape or q.shape[-1:] != (3,) or q.size <= 3 * _ROWS:
+        return kernel(*first_integrals(q, p, prob), _lifted_energy(q, p, prob))  # validates q and p
+    check_finite(q, "q")
+    check_finite(p, "p")
+    outs = [np.empty(q.shape[:-1] + tail) for tail in tails]
+    flat = [out.reshape((-1,) + tail) for out, tail in zip(outs, tails)]
+    q, p = q.reshape(-1, 3), p.reshape(-1, 3)
+    for start in range(0, len(q), _ROWS):
+        rows = slice(start, start + _ROWS)
+        q_rows, p_rows = np.asfortranarray(q[rows]), np.asfortranarray(p[rows])
+        try:
+            values = kernel(*first_integrals(q_rows, p_rows, prob), _lifted_energy(q_rows, p_rows, prob))
+        except CenterRayError:
+            first_integrals(q[start:], p[start:], prob)  # one pass meets the collision guard first
+            raise
+        for out, value in zip(flat, values):
+            out[rows] = value
+    return outs
+
+
+def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
+    """G(lift(q, p)) - (l_J J + l_E E + l_T2 Theta^2), zero up to roundoff;
+    the coefficients come from :func:`relation_coefficients`.  Large batches
+    are evaluated in cache-sized row blocks, bit-identical to one pass."""
     lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
-    j, theta, e = first_integrals(q, p, prob)  # validates q and p
-    return _lifted_energy(q, p, prob) - (lam_j * j + lam_e * e + lam_t2 * theta**2)
 
+    def residual(j, theta, e, g):
+        return (g - (lam_j * j + lam_e * e + lam_t2 * theta**2),)
 
-def _design_matrix(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
-    """Columns (J, E, Theta^2, 1) of the relation fit; validates q and p."""
-    j, theta, e = first_integrals(q, p, prob)
-    design = np.empty(j.shape + (4,))
-    design[:, 0] = j
-    design[:, 1] = e
-    design[:, 2] = theta**2
-    design[:, 3] = 1.0
-    return design
+    return _in_row_blocks(q, p, prob, residual, ())[0]
 
 
 def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> IntegralRelation:
@@ -323,15 +345,19 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     about 1e-13 at unit masses.  The columns are scaled to unit norm, so
     the fit keeps full rank at any mass; G then carries roundoff of about
     mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size one)
-    can be recovered.  A rank-deficient draw is resampled up to 5 times.
+    can be recovered.  A rank-deficient draw is resampled up to 5 times.  A
+    large draw is evaluated in cache-sized row blocks, bit-identical to one pass.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
+
+    def design_and_g(j, theta, e, g):
+        return np.stack((j, e, theta**2, np.ones_like(j)), axis=-1), g
+
     rng = make_rng(seed)
     for _ in range(5):
         q, p = sample_phase_points(prob, sample_count, rng)
-        design = _design_matrix(q, p, prob)
-        g = _lifted_energy(q, p, prob)
+        design, g = _in_row_blocks(q, p, prob, design_and_g, (4,), ())
         # unit columns: at large masses J and E dwarf Theta^2 and 1, and the
         # unscaled matrix falls below lstsq's rank cut-off
         scale = np.sqrt(np.einsum("ij,ij->j", design, design))  # no (N, 4) temporary

@@ -40,15 +40,15 @@ def sample_phase_points(
     ``q_radius`` and kept only when farther than ``min_center_distance``
     from both centers; velocities fill the ball of radius ``p_radius``.
     Returns arrays of shape (n, 3).  Raises :class:`InvalidInputError` for
-    radii that are not finite and positive, a negative or non-finite
-    ``min_center_distance``, or when ``MAX_BATCHES`` batches yield fewer
-    than n positions (the ball has too little room away from the centers).
+    radii that are not positive or have no finite diameter, a negative or
+    non-finite ``min_center_distance``, or when ``MAX_BATCHES`` batches
+    yield fewer than n positions (too little room away from the centers).
     """
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
     for name, radius in (("q_radius", q_radius), ("p_radius", p_radius)):
-        if not 0.0 < radius < np.inf:
-            raise InvalidInputError(f"{name} must be finite and positive, got {radius!r}")
+        if not 0.0 < radius <= 0.5 * np.finfo(float).max:  # the cube is drawn as -r + 2r u
+            raise InvalidInputError(f"{name} must be positive with a finite diameter, got {radius!r}")
     if not 0.0 <= min_center_distance < np.inf:
         raise InvalidInputError(
             f"min_center_distance must be finite and nonnegative, got {min_center_distance!r}"
@@ -66,16 +66,20 @@ def sample_phase_points(
 def _ball_points(rng, n, radius, accept=None):
     """n points uniform in the ball of ``radius`` (and passing ``accept``), from cube batches.
 
-    Each batch of 2n + 16 candidates is drawn and tested in blocks of
-    ``_BLOCK`` rows, which keeps the work in cache; the blocks consume the
-    same generator numbers in the same order as one draw of the batch.
+    Each batch of 2n + 16 candidates is drawn into one reused buffer and tested
+    in blocks of ``_BLOCK`` rows, which keeps the work in cache.  The blocks
+    consume the generator numbers of one draw of the batch, and -r + 2r u is how
+    ``rng.uniform(-r, r)`` computes a point, so the points are bit-identical.
     """
     size = 2 * n + 16
+    buffer = np.empty((min(_BLOCK, size), 3))
     chunks = []
     found = 0
     for _ in range(MAX_BATCHES):
         for start in range(0, size, _BLOCK):
-            block = rng.uniform(-radius, radius, size=(min(_BLOCK, size - start), 3))
+            block = rng.random(out=buffer[: size - start])
+            block *= 2.0 * radius
+            block += -radius
             x, y, z = block[:, 0], block[:, 1], block[:, 2]
             # np.compress selects the same rows as boolean indexing, several times faster
             block = np.compress(x * x + y * y + z * z <= radius * radius, block, axis=0)

@@ -10,6 +10,9 @@ bit for bit, the a = 1 forms G - (J + E/2 - Theta^2/4) and the expansion
 with weights 1/2 and 1/4.  The batched finite-difference oracle must
 reproduce, bit for bit, the loop that differenced one state at a time, and
 the velocity-independence check's batched field the per-state projection.
+The relation residual and the fit, which evaluate large batches in row
+blocks, must reproduce the whole-array pass, and the sampler, which draws
+into one reused buffer, the draws of ``rng.uniform``.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twocenter import (
+    IntegralRelation,
     Problem,
     StarMetric,
     acceleration,
@@ -28,12 +32,14 @@ from twocenter import (
     euler_integral,
     fd_tangential_acceleration,
     first_integrals,
+    fit_integral_relation,
     hamiltonian,
     kepler_limit_residual,
     lift_arrays,
     lifted_speed_squared,
     make_rng,
     project,
+    relation_coefficients,
     relation_residual,
     sample_phase_points,
     star_inner,
@@ -42,7 +48,7 @@ from twocenter import (
     unproject,
     velocity_independence_residual,
 )
-from twocenter import verify
+from twocenter import projective, sampling, verify
 from twocenter.dynamics import COLLISION_GUARD
 from twocenter.errors import CenterRayError, NearCollisionError
 
@@ -308,10 +314,11 @@ def test_lift_of_signed_zero_velocity():
 
 
 # --- sampler ---------------------------------------------------------------------
-# n = 40 000 makes a batch of 2n + 16 candidates span two blocks of rows.
+# n = 40 000 makes a batch of 2n + 16 candidates span two blocks of rows,
+# n = 100 000 four, each drawn into the same reused buffer.
 
 
-@pytest.mark.parametrize("n", [1, 64, 10_000, 40_000])
+@pytest.mark.parametrize("n", [1, 64, 10_000, 40_000, 100_000])
 @pytest.mark.parametrize(
     "seed, prob, q_radius, p_radius, mcd",
     [
@@ -407,3 +414,146 @@ def test_velocity_independence_field_matches_point_loop(a, monkeypatch):
     qs, _ = sample_phase_points(prob, 50, make_rng(42), q_radius=3.0, min_center_distance=0.5)
     looped = np.array([tangential_field(project(q, prob.metric()), prob) for q in embed(qs)])
     assert np.array_equal(-seen[-1], looped)
+
+
+# --- row blocks of the relation residual and the fit ------------------------------
+# relation_residual and fit_integral_relation evaluate q and p of one shape
+# in blocks of projective._ROWS rows; the oracle is the whole-array code they
+# replaced, through the public whole-array evaluators.
+
+ROWS = projective._ROWS
+
+
+def parent_relation_residual(q, p, prob):
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
+    j, theta, e = first_integrals(q, p, prob)
+    return energy_arrays(*lift_arrays(q, p, prob.metric()), prob) - (lam_j * j + lam_e * e + lam_t2 * theta**2)
+
+
+def parent_fit(prob, sample_count, seed):
+    """The whole-array fit; also returns the scaled design matrix and G it solved."""
+    rng = make_rng(seed)
+    for _ in range(5):
+        q, p = sample_phase_points(prob, sample_count, rng)
+        j, theta, e = first_integrals(q, p, prob)
+        design = np.empty(j.shape + (4,))
+        design[:, 0] = j
+        design[:, 1] = e
+        design[:, 2] = theta**2
+        design[:, 3] = 1.0
+        g = energy_arrays(*lift_arrays(q, p, prob.metric()), prob)
+        scale = np.sqrt(np.einsum("ij,ij->j", design, design))
+        scale[scale == 0.0] = 1.0
+        design /= scale
+        coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
+        if rank < 4:
+            continue
+        residual = float(np.max(np.abs(design @ coeffs - g)))
+        return IntegralRelation(*map(float, coeffs / scale), residual), design, g
+    raise AssertionError("rank deficient")
+
+
+BLOCK_EDGES = [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 7]
+SWEEP_PROBLEMS = [Problem(), Problem(1.0, 0.4, 2.0), Problem(0.0, 2.0, 0.5)]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("prob", SWEEP_PROBLEMS, ids=["unit", "a2", "kepler"])
+def test_blocked_relation_residual_matches_one_pass(n, prob):
+    q, p = sample_phase_points(prob, n, make_rng(n))
+    got = relation_residual(q, p, prob)
+    assert got.shape == (n,) and np.array_equal(got, parent_relation_residual(q, p, prob))
+    # column-major and sliced inputs take the same blocks
+    assert np.array_equal(relation_residual(np.asfortranarray(q), p, prob), got)
+    q2, p2 = np.repeat(q, 2, axis=0), np.repeat(p, 2, axis=0)
+    assert np.array_equal(relation_residual(q2[::2], p2[::2], prob), got)
+
+
+@pytest.mark.parametrize("lead", [(3, 5), (7, ROWS // 2 + 1), (2, 3, ROWS // 5)])
+def test_blocked_relation_residual_keeps_leading_axes(lead):
+    prob = Problem(1.0, 0.4, 2.0)
+    q, p = make_rng(1).uniform(-4.0, 4.0, size=(2, *lead, 3))
+    got = relation_residual(q, p, prob)
+    assert got.shape == lead
+    assert np.array_equal(got, parent_relation_residual(q, p, prob))
+
+
+def pow_squares_differ(prob, n):
+    """Indices of sampled points whose Theta or a px squared as a numpy scalar
+    (by pow) differs from the product, which is how an array squares; there a
+    single point or a broadcast p row evaluated as an array would change bits."""
+    qs, ps = sample_phase_points(prob, 20_000, make_rng(13))
+    terms = zip(axial_angular_momentum(qs, ps).tolist(), (prob.a * ps[:, 0]).tolist())
+    pick = [i for i, pair in enumerate(terms) if any(np.float64(t) ** 2 != t * t for t in pair)][:n]
+    assert len(pick) == n
+    return qs, ps, pick
+
+
+@pytest.mark.parametrize("n", [1, ROWS + 1, 3 * ROWS + 7])
+def test_broadcast_relation_residual_matches_one_pass(n):
+    prob = Problem(1.0, 0.4, 2.0)
+    q, p = sample_phase_points(prob, n, make_rng(9))
+    _, ps, pick = pow_squares_differ(prob, 3)
+    for args in [(q, ps[k]) for k in pick] + [(q[0], p), (q[:, None], p[None, :3])]:
+        want = parent_relation_residual(*args, prob)
+        got = relation_residual(*args, prob)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_single_point_relation_residual_is_a_numpy_float():
+    prob = Problem(1.0, 0.4, 2.0)
+    qs, ps, pick = pow_squares_differ(prob, 10)
+    for k in pick + list(range(20)):
+        got = relation_residual(qs[k], ps[k], prob)
+        assert type(got) is np.float64
+        assert got == parent_relation_residual(qs[k], ps[k], prob)
+
+
+@settings(max_examples=80, deadline=None)
+@given(batches(), st.integers(1, 7))
+def test_small_row_blocks_match_one_pass(batch, rows):
+    """With blocks of a few rows every block edge and the last short block are hit."""
+    prob, q, p = batch
+    want = outcome(parent_relation_residual, q, p, prob)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projective, "_ROWS", rows)
+        got = outcome(relation_residual, q, p, prob)
+    assert_same(got, want)
+
+
+@pytest.mark.parametrize("n", [8] + BLOCK_EDGES[1:])
+@pytest.mark.parametrize("prob", SWEEP_PROBLEMS, ids=["unit", "a2", "kepler"])
+def test_blocked_fit_matches_one_pass(n, prob, monkeypatch):
+    solved = []
+    lstsq = np.linalg.lstsq
+
+    def recording_lstsq(design, g, rcond=None):
+        solved.append((design.copy(), g.copy()))
+        return lstsq(design, g, rcond=rcond)
+
+    want, want_design, want_g = parent_fit(prob, n, seed=n)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    got = fit_integral_relation(prob, n, seed=n)
+    design, g = solved[-1]
+    assert design.shape == (n, 4) and np.array_equal(design, want_design)
+    assert np.array_equal(g, want_g)
+    assert got == want  # all four coefficients and max_residual
+
+
+# --- the sampler's reused draw buffer --------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("n", [1, 40, 300])
+def test_sampler_small_buffer_blocks_and_later_batches(block, n, monkeypatch):
+    """Blocks smaller than a batch, with a short last block, across the forced
+    further batches of a ball that keeps about 11 % of the cube."""
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    prob = Problem()
+    rng_new, rng_ref = make_rng(1), make_rng(1)
+    q, p = sample_phase_points(prob, n, rng_new, 2.0, 1.0, 1.7)
+    want_q, want_p, batches_drawn = ref_sample(prob, n, rng_ref, 2.0, 1.0, 1.7)
+    assert batches_drawn >= 2
+    assert np.array_equal(q, want_q) and np.array_equal(p, want_p)
+    assert np.array_equal(rng_new.random(4), rng_ref.random(4))  # same stream position

@@ -15,6 +15,7 @@ from twocenter import (
     InvalidInputError,
     NearCollisionError,
     Problem,
+    center_distances,
     embed,
     energy_arrays,
     euler_integral,
@@ -105,6 +106,8 @@ def test_sampler_gives_up_when_no_point_clears_the_centers():
         {"q_radius": np.nan},
         {"q_radius": np.inf},
         {"q_radius": 0.0},
+        {"q_radius": 1e308},  # finite, but the cube side 2r overflows
+        {"p_radius": np.float64(1e308)},
         {"p_radius": -1.0},
         {"p_radius": np.nan},
         {"min_center_distance": -0.1},
@@ -128,3 +131,72 @@ def test_seeds_outside_the_uint64_range_are_refused():
     for seed in (-1, 2**64):
         with pytest.raises(InvalidInputError, match="seed"):
             make_rng(seed)
+
+
+# --- error order across the row blocks of relation_residual and the fit ----------
+# Both evaluate q and p of one shape in blocks of projective._ROWS rows; they
+# must still raise what one whole-array pass raised: a non-finite component
+# anywhere before any collision-guard row, and a guard row anywhere before a
+# center ray.
+
+BLOCK = projective._ROWS
+BLOCKED = 3 * BLOCK + 7  # three full blocks and a short last one
+FIRST, LAST = 3, BLOCKED - 2
+# Outside the guard, yet its projected point rounds onto the ray of the center at +1.
+CENTER_RAY = (0.9999999881299886, -1.1170000752134424e-09, -6.360766204602685e-09)
+
+
+@pytest.fixture(scope="module")
+def blocked_batch():
+    return sample_phase_points(PROB, BLOCKED, make_rng(6))
+
+
+def blocked_evaluators(q, p):
+    return {
+        "relation_residual": lambda: relation_residual(q, p, PROB),
+        "fit_integral_relation": lambda: fit_on(q, p),
+    }
+
+
+def test_center_ray_row_is_outside_the_guard():
+    q = np.array([CENTER_RAY])
+    d_minus, d_plus = center_distances(q, PROB)
+    assert min(d_minus[0], d_plus[0]) > COLLISION_GUARD
+    with pytest.raises(CenterRayError):
+        relation_residual(q, np.zeros((1, 3)), PROB)
+
+
+@pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))
+@pytest.mark.parametrize("which", ["q", "p"])
+def test_nonfinite_row_in_last_block_comes_before_guard_row_in_first(blocked_batch, name, which):
+    q, p = (arr.copy() for arr in blocked_batch)
+    q[FIRST] = (1.0 + 0.5 * COLLISION_GUARD, 0.0, 0.0)
+    (q if which == "q" else p)[LAST, 2] = np.nan
+    with pytest.raises(InvalidInputError, match=which):
+        blocked_evaluators(q, p)[name]()
+
+
+@pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))
+def test_guard_row_in_last_block_is_refused(blocked_batch, name):
+    q, p = blocked_batch[0].copy(), blocked_batch[1]
+    q[LAST] = (-1.0, 0.5 * COLLISION_GUARD, 0.0)
+    with pytest.raises(NearCollisionError):
+        blocked_evaluators(q, p)[name]()
+
+
+@pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))
+def test_guard_row_in_last_block_comes_before_center_ray_in_first(blocked_batch, name):
+    q, p = blocked_batch[0].copy(), blocked_batch[1]
+    q[FIRST] = CENTER_RAY
+    q[LAST] = (-1.0, 0.5 * COLLISION_GUARD, 0.0)
+    with pytest.raises(NearCollisionError):
+        blocked_evaluators(q, p)[name]()
+
+
+@pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))
+@pytest.mark.parametrize("row", [FIRST, LAST])
+def test_center_ray_row_alone_is_refused(blocked_batch, name, row):
+    q, p = blocked_batch[0].copy(), blocked_batch[1]
+    q[row] = CENTER_RAY
+    with pytest.raises(CenterRayError):
+        blocked_evaluators(q, p)[name]()
