@@ -14,6 +14,7 @@ stay rank deficient).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -299,7 +300,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=key, default=None, help=f"override config key {key}")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call (about 2 ms) and reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="twocenter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "project", "verify-theorem", "fit-relation", "coords"):

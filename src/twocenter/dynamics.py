@@ -14,13 +14,13 @@ whole sweeps go through the same code path as single points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codegen import RhsTemplate, compile_kernel
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import StarMetric, check_finite, columns
+from .geometry import StarMetric, check_broadcast, check_finite, columns
 
 # Evaluations closer to a center than this are refused instead of blowing up.
 COLLISION_GUARD = 1e-8
@@ -124,57 +124,70 @@ def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
     return acc
 
 
-def planar_kernel(prob: Problem, clock: str = "t"):
-    """Plain-float right-hand side of the two-center system, for the integrator.
+# The planar right-hand side, (q, p) -> (p, acceleration): :func:`acceleration`
+# for one point, with the same collision guard, as a template (see codegen).
+# It checks no finiteness: ``PhasePoint`` refuses a non-finite start, and a
+# non-finite derivative at any stage makes the step's error estimate
+# non-finite, so the integrator rejects the step.
+PLANAR_RHS = RhsTemplate(
+    name="planar t",
+    state=("x", "y", "z", "px", "py", "pz"),
+    params=("a", "m_minus", "m_plus", "guard"),
+    body="""\
+x_minus = x + a
+x_plus = x - a
+d2_minus = x_minus * x_minus + y * y + z * z
+d2_plus = x_plus * x_plus + y * y + z * z
+d_minus = sqrt(d2_minus)
+d_plus = sqrt(d2_plus)
+if d_minus < guard or d_plus < guard:
+    raise NearCollisionError(f"point within {guard:g} of an attracting center")
+k_minus = m_minus / (d2_minus * d_minus)
+k_plus = m_plus / (d2_plus * d_plus)""",
+    derivative=(
+        "px",
+        "py",
+        "pz",
+        "-k_minus * x_minus - k_plus * x_plus",
+        "-k_minus * y - k_plus * y",
+        "-k_minus * z - k_plus * z",
+    ),
+)
 
-    Returns ``rhs(y)``, which maps (x, y, z, px, py, pz) to (p, acceleration)
-    as a tuple of Python floats.  It is :func:`acceleration` for one point,
-    with the same collision guard, without the numpy call overhead that
-    dominates length-3 arrays.  It checks no finiteness: ``PhasePoint``
-    refuses a non-finite start, and a non-finite derivative at any stage
-    makes the step's error estimate non-finite, so the stepper rejects it.
+# The same orbit in the intrinsic time, dtau/dt = 1/|q|_*^2, with p still
+# dq/dt: every component times |q|_*^2.
+PLANAR_TAU_RHS = RhsTemplate(
+    name="planar tau",
+    state=PLANAR_RHS.state,
+    params=(*PLANAR_RHS.params, "wyz"),
+    body=PLANAR_RHS.body + "\nn2 = x * x + wyz * y * y + wyz * z * z + 1.0",
+    derivative=tuple(f"n2 * ({expr})" for expr in PLANAR_RHS.derivative),
+)
 
-    With ``clock="tau"`` every component is multiplied by |q|_*^2: the same
-    orbit in the intrinsic time, dtau/dt = 1/|q|_*^2, with p still dq/dt.
-    The clock is chosen once, here, so the t-time kernel has no branch.
+
+def planar_system(prob: Problem, clock: str = "t") -> tuple[RhsTemplate, dict[str, float]]:
+    """The planar template for ``clock`` ("t" or "tau") and its parameters for ``prob``.
+
+    The parameters are Python floats: a numpy scalar would slow every stage.
+    ``COLLISION_GUARD`` is read here, at call time.
     """
-    m_minus, m_plus, a = prob.m_minus, prob.m_plus, prob.a
-    sqrt = math.sqrt
-
-    def rhs(state):
-        x, y, z, px, py, pz = state
-        x_minus = x + a
-        x_plus = x - a
-        d2_minus = x_minus * x_minus + y * y + z * z
-        d2_plus = x_plus * x_plus + y * y + z * z
-        d_minus = sqrt(d2_minus)
-        d_plus = sqrt(d2_plus)
-        if d_minus < COLLISION_GUARD or d_plus < COLLISION_GUARD:
-            raise NearCollisionError(f"point within {COLLISION_GUARD:g} of an attracting center")
-        k_minus = m_minus / (d2_minus * d_minus)
-        k_plus = m_plus / (d2_plus * d_plus)
-        return (
-            px,
-            py,
-            pz,
-            -k_minus * x_minus - k_plus * x_plus,
-            -k_minus * y - k_plus * y,
-            -k_minus * z - k_plus * z,
-        )
-
+    params = {"a": prob.a, "m_minus": prob.m_minus, "m_plus": prob.m_plus, "guard": COLLISION_GUARD}
     if clock == "t":
-        return rhs
+        return PLANAR_RHS, params
     if clock != "tau":
         raise InvalidInputError(f"clock must be 't' or 'tau', got {clock!r}")
-    wyz = 1.0 / (1.0 + a * a)  # a Python float: a numpy scalar would slow every stage
+    return PLANAR_TAU_RHS, {**params, "wyz": 1.0 / (1.0 + prob.a * prob.a)}
 
-    def rhs_tau(state):
-        vx, vy, vz, ax, ay, az = rhs(state)
-        x, y, z = state[0], state[1], state[2]
-        n2 = x * x + wyz * y * y + wyz * z * z + 1.0
-        return (n2 * vx, n2 * vy, n2 * vz, n2 * ax, n2 * ay, n2 * az)
 
-    return rhs_tau
+def planar_kernel(prob: Problem, clock: str = "t"):
+    """Plain-float right-hand side of the two-center system, in t or in tau.
+
+    Returns ``rhs(y)``, which maps (x, y, z, px, py, pz) to its derivative
+    as a tuple of Python floats: the template of :func:`planar_system`,
+    compiled once per clock, bound to ``prob``.
+    """
+    template, params = planar_system(prob, clock)
+    return compile_kernel(template)(**params)
 
 
 def first_integrals(
@@ -192,6 +205,7 @@ def first_integrals(
     p = np.asarray(p, dtype=float)
     x, y, z = columns(q, 3, "q")
     px, py, pz = columns(p, 3, "p")
+    check_broadcast(q, p)
     check_finite(q, "q")
     check_finite(p, "p")
     a = prob.a
@@ -218,6 +232,7 @@ def axial_angular_momentum(q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+    check_broadcast(q, p)
     return q[..., 1] * p[..., 2] - q[..., 2] * p[..., 1]
 
 

@@ -29,6 +29,14 @@ def check_finite(arr: np.ndarray, name: str) -> None:
         raise InvalidInputError(f"{name} must have finite components")
 
 
+def check_broadcast(q: np.ndarray, p: np.ndarray) -> None:
+    """Raise :class:`InvalidInputError` unless ``q`` and ``p`` broadcast together."""
+    try:
+        np.broadcast_shapes(q.shape, p.shape)
+    except ValueError:
+        raise InvalidInputError(f"q of shape {q.shape} and p of shape {p.shape} do not broadcast") from None
+
+
 def columns(v: np.ndarray, size: int, name: str) -> tuple[np.ndarray, ...]:
     """Views of the components of a (..., size) array, for column-by-column kernels."""
     if v.shape[-1:] != (size,):

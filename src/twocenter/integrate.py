@@ -9,23 +9,28 @@ constraint residuals (ellipsoid runs).  Planar runs step in t or, with
 ``clock="tau"``, in the ellipsoid runs' time tau.  The last step is cut to
 land on the end time, so a run with status ``"ok"`` ends on it.
 
-The stepper works on Python floats and the ``math`` module, with one
-plain-float right-hand-side kernel per system (``planar_kernel`` and
-``intrinsic_kernel``).  A state has only six or eight components, so the
-per-step work of a numpy version is call overhead, not arithmetic: one
-``acceleration`` call on a 3-vector costs about fifty times the whole
-plain-float right-hand side.  The batched numpy evaluators stay the public
-API for arrays and the reference the kernels are tested against.  For the
-same reason the stage arithmetic is not a loop either: ``_make_step``
-generates one step function per state size, with every stage, the new state
-and the error terms written out as scalar expressions on locals, and
-compiles it on first use.  It keeps the operation order of a loop over the
-components, so trajectories are bit-identical to one.
+Each run works on Python floats and the ``math`` module.  A state has only
+six or eight components, so the per-step work of a numpy version is call
+overhead, not arithmetic: one ``acceleration`` call on a 3-vector costs
+about fifty times the whole plain-float right-hand side.  The batched numpy
+evaluators stay the public API for arrays and the reference the kernels are
+tested against.  For the same reason no run calls its right-hand side per
+stage either.  Each system defines its right-hand side once, as a template
+(``dynamics.PLANAR_RHS`` and ``PLANAR_TAU_RHS``, ``projective.INTRINSIC_RHS``;
+see ``codegen``), and ``_make_run`` generates one adaptive run per system,
+compiled on first use: the state and the FSAL stage stay in locals across
+steps, the template is written out at each of the six stage evaluations, and
+for the ellipsoid the integrity check, the residual recording and the
+renormalization follow inline.  The problem's constants and the run's
+limits are arguments, so nothing is compiled per problem or per call.  The
+expressions keep the operation order of a stepper that loops over the
+components and calls the kernel, so trajectories are bit-identical to it
+(tests/test_step_exactness.py keeps that stepper as the oracle).
 
-Every kernel evaluation applies ``dynamics.COLLISION_GUARD``, the only
-near-center distance the integrators know; f(y_new) is evaluated before a
-step is accepted, so no accepted state lies inside the guard.  The stepper
-evaluates the kernel at the initial state before its first step, so a start
+Every evaluation of a right-hand side applies ``dynamics.COLLISION_GUARD``,
+the only near-center distance the integrators know; f(y_new) is evaluated
+before a step is accepted, so no accepted state lies inside the guard.  A
+run evaluates the kernel at the initial state before its first step, so a start
 inside the guard raises for both systems: there is nothing partial to
 return.  Mid-run failures abort cleanly: the partial trajectory up to the
 last good state is returned with ``status`` set to ``"collision"``,
@@ -43,9 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Problem, first_integrals, planar_kernel
+from .codegen import RhsTemplate, compile_function, compile_kernel
+from .dynamics import PhasePoint, Problem, first_integrals, planar_system
 from .errors import InvalidInputError, NearCollisionError
-from .projective import EllipsoidState, energy_arrays, intrinsic_kernel
+from .projective import EllipsoidState, energy_arrays, intrinsic_system
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
 _DP_A = (
@@ -156,13 +162,6 @@ def drift_report(traj: Trajectory) -> DriftReport:
     )
 
 
-class _AbortRun(Exception):
-    """Internal: stop stepping and return the partial trajectory."""
-
-    def __init__(self, status: str):
-        self.status = status
-
-
 def _rms(values) -> float:
     return math.sqrt(sum(v * v for v in values) / len(values))
 
@@ -184,109 +183,124 @@ def _initial_step(f, y0, f0, t_end, cfg):
     return min(100.0 * h0, h1, _MAX_STEP, t_end)
 
 
+def _star(u, v):
+    """Source of (u, v)_* = u0 v0 + wyz u1 v1 + wyz u2 v2 + u3 v3, summed left to right."""
+    return f"{u[0]} * {v[0]} + wyz * {u[1]} * {v[1]} + wyz * {u[2]} * {v[2]} + {u[3]} * {v[3]}"
+
+
 @functools.cache
-def _make_step(n: int):
-    """One Dormand-Prince step over states of ``n`` floats, compiled on first use.
+def _make_run(template: RhsTemplate, renormalize: bool = False):
+    """The adaptive Dormand-Prince run of ``template``, compiled on first use.
 
-    Returns ``step(f, y, k1, h, atol, rtol) -> (y_new, k7, err)``, where k1
-    is f(y), k7 = f(y_new) and err is the scaled RMS error estimate.  The
-    source is generated from ``_DP_A`` and ``_DP_ERR`` with every zero
-    coefficient skipped and every component written out as a scalar
-    expression on locals: a loop over zipped sequences costs more than the
-    arithmetic on six or eight floats.  Each expression keeps the operation
-    order ``v + h * (a1 * k1 + a2 * k2 + ...)`` of such a loop, and the error
-    norm stays ``sum`` over a list (compensated on Python >= 3.12), so the
-    results are bit-identical to the loop stepper that
-    tests/test_step_exactness.py keeps as the reference.  ``namedtuple``
-    uses the same ``exec`` technique.
+    Returns ``run(start, t_end, cfg, max_step, max_steps, **params) ->
+    (times, states, rejected, status)``, plus the norm and tangency residual
+    lists when ``renormalize``; ``start`` is a list of floats and
+    ``params`` the template's parameters.  The run evaluates the compiled
+    kernel at ``start``, outside its abort handling, then steps with the
+    state and the FSAL stage in locals and the template written out at each
+    of the six stage evaluations.  With ``renormalize`` (the ellipsoid, whose
+    state is (Q, Q') and whose template has the parameter ``wyz``) every
+    accepted state is checked against ``_INTEGRITY_LIMIT``, projected back
+    onto the manifold and tangent space, and f is evaluated there.  Zero
+    tableau coefficients are skipped; each stage keeps the operation order
+    ``v + h * (a1 * k1 + a2 * k2 + ...)`` of a loop over the components, and
+    the error norm stays ``sum`` over a list (compensated on Python >= 3.12).
     """
-
-    def names(prefix):
-        return [f"{prefix}{i}" for i in range(n)]
-
-    def unpack(variables):
-        return ", ".join(variables) + ","
-
-    y, u = names("y"), names("u")
-    k = [names(f"k{stage}_") for stage in range(1, 8)]
+    n = len(template.state)
+    y, u = [f"y{i}" for i in range(n)], [f"u{i}" for i in range(n)]
+    k = [[f"k{stage}_{i}" for i in range(n)] for stage in range(1, 8)]
 
     def combination(weights, i):
         return " + ".join(f"{w!r} * {k[s][i]}" for s, w in enumerate(weights) if w != 0.0)
 
-    lines = ["def step(f, y, k1, h, atol, rtol):", f"    {unpack(y)} = y", f"    {unpack(k[0])} = k1"]
+    lines = [
+        f"def run(start, t_end, cfg, max_step, max_steps, {', '.join(template.params)}):",
+        "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
+        f"    {', '.join(y)}, = start",
+        f"    f = kernel({', '.join(template.params)})",
+        "    k1 = f(start)  # a start inside the collision guard raises",
+        f"    {', '.join(k[0])}, = k1",
+        "    t = 0.0",
+        "    times = [t]",
+        "    states = [start]",
+        '    status = "ok"',
+        "    rejected = 0",
+        "    errold = 1e-4",
+    ]
+    if renormalize:
+        lines += [
+            f"    norm_residuals = [abs(sqrt({_star(y, y)}) - 1.0)]",
+            f"    tangency_residuals = [abs({_star(y, y[4:])})]",
+        ]
+    lines += [
+        "    try:",
+        "        h = initial_step(f, start, k1, t_end, cfg)",
+        "        just_rejected = False",
+        "        for _ in range(max_steps):",
+        "            if t >= t_end:",
+        "                break",
+        "            h = min(h, t_end - t, max_step)",
+        "            if h < 1e-14 * max(1.0, abs(t)):",
+        '                status = "step_underflow"',
+        "                break",
+    ]
+    tab = " " * 12
     for stage, weights in enumerate(_DP_A[:-1], 1):
-        args = ", ".join(f"{y[i]} + h * ({combination(weights, i)})" for i in range(n))
-        lines.append(f"    {unpack(k[stage])} = f([{args}])")
+        values = [f"{y[i]} + h * ({combination(weights, i)})" for i in range(n)]
+        lines += template.inline(values, k[stage], tab)
     # the last coupling row is the 5th-order solution (FSAL)
-    lines += [f"    {u[i]} = {y[i]} + h * ({combination(_DP_A[-1], i)})" for i in range(n)]
-    lines += [f"    y_new = [{', '.join(u)}]", "    k7 = f(y_new)", f"    {unpack(k[6])} = k7"]
+    lines += [f"{tab}{u[i]} = {y[i]} + h * ({combination(_DP_A[-1], i)})" for i in range(n)]
+    lines += template.inline(u, k[6], tab)
     terms = ", ".join(
         f"(h * ({combination(_DP_ERR, i)}) / (atol + rtol * max(abs({y[i]}), abs({u[i]})))) ** 2"
         for i in range(n)
     )
-    lines += [f"    return y_new, k7, sqrt(sum([{terms}]) / {n})"]
-    namespace = {"sqrt": math.sqrt}
-    exec("\n".join(lines), namespace)
-    return namespace["step"]
-
-
-def _dopri5(f, y0, t_end, cfg, postprocess=None):
-    """Adaptive loop over an autonomous system whose state is a sequence of floats.
-
-    ``f`` maps a state to its derivative; it is evaluated at ``y0`` before
-    the first step, so an invalid start raises.  ``postprocess``, if given,
-    runs on every accepted state and returns the state to continue from
-    (constraint renormalization) or raises :class:`_AbortRun`.  Returns
-    (times, states, rejected, status).
-    """
-    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, _MAX_STEP
-    step = _make_step(len(y0))
-    t = 0.0
-    y = list(y0)
-    times = [t]
-    states = [y]
-    status = "ok"
-    rejected = 0
-    errold = 1e-4
-    k1 = f(y)
-    try:
-        h = _initial_step(f, y, k1, t_end, cfg)
-        just_rejected = False
-        for _ in range(_MAX_STEPS):
-            if t >= t_end:
-                break
-            h = min(h, t_end - t, max_step)
-            if h < 1e-14 * max(1.0, abs(t)):
-                status = "step_underflow"
-                break
-            y_new, k7, err = step(f, y, k1, h, atol, rtol)
-            if err <= 1.0:
-                t += h
-                if postprocess is None:
-                    y = y_new
-                    k1 = k7  # FSAL
-                else:
-                    y = postprocess(y_new)
-                    k1 = f(y)
-                times.append(t)
-                states.append(y)
-                facmax = 1.0 if just_rejected else _FACMAX
-                fac = facmax if err == 0.0 else _SAFETY * err**-_ALPHA * errold**_BETA
-                h *= min(facmax, max(_FACMIN, fac))
-                errold = max(err, 1e-4)
-                just_rejected = False
-            else:
-                rejected += 1
-                just_rejected = True
-                h *= min(1.0, max(_FACMIN, _SAFETY * err**-_ALPHA))
-        else:
-            if t < t_end:
-                status = "step_budget"
-    except NearCollisionError:
-        status = "collision"
-    except _AbortRun as abort:
-        status = abort.status
-    return np.array(times), np.array(states, dtype=float), rejected, status
+    lines += [
+        f"{tab}err = sqrt(sum([{terms}]) / {n})",
+        f"{tab}if err <= 1.0:",
+        f"{tab}    t += h",
+    ]
+    tab = " " * 16
+    if renormalize:
+        lines += [
+            f"{tab}norm = sqrt({_star(u, u)})",
+            f"{tab}tangency = {_star(u, u[4:])}",
+            f"{tab}if abs(norm - 1.0) > {_INTEGRITY_LIMIT!r} or abs(tangency) > {_INTEGRITY_LIMIT!r}:",
+            f'{tab}    status = "integrity"',
+            f"{tab}    break",
+            *(f"{tab}{y[i]} = {u[i]} / norm" for i in range(4)),
+            f"{tab}radial = {_star(y, u[4:])}",
+            *(f"{tab}{y[i]} = {u[i]} - radial * {y[i - 4]}" for i in range(4, 8)),
+        ]
+        lines += template.inline(y, k[0], tab)
+        lines += [
+            f"{tab}norm_residuals.append(abs(norm - 1.0))",
+            f"{tab}tangency_residuals.append(abs(tangency))",
+        ]
+    else:
+        lines += [f"{tab}{y[i]} = {u[i]}" for i in range(n)]
+        lines += [f"{tab}{k[0][i]} = {k[6][i]}" for i in range(n)]
+    lines += [
+        f"{tab}times.append(t)",
+        f"{tab}states.append([{', '.join(y)}])",
+        f"{tab}facmax = 1.0 if just_rejected else {_FACMAX!r}",
+        f"{tab}fac = facmax if err == 0.0 else {_SAFETY!r} * err ** -{_ALPHA!r} * errold ** {_BETA!r}",
+        f"{tab}h *= min(facmax, max({_FACMIN!r}, fac))",
+        f"{tab}errold = max(err, 1e-4)",
+        f"{tab}just_rejected = False",
+        "            else:",
+        "                rejected += 1",
+        "                just_rejected = True",
+        f"                h *= min(1.0, max({_FACMIN!r}, {_SAFETY!r} * err ** -{_ALPHA!r}))",
+        "        else:",
+        "            if t < t_end:",
+        '                status = "step_budget"',
+        "    except NearCollisionError:",
+        '        status = "collision"',
+        "    return times, states, rejected, status" + (", norm_residuals, tangency_residuals" if renormalize else ""),
+    ]
+    namespace = {"kernel": compile_kernel(template), "initial_step": _initial_step}
+    return compile_function(f"{template.name} run", "\n".join(lines) + "\n", "run", namespace)
 
 
 def integrate_planar(
@@ -300,11 +314,13 @@ def integrate_planar(
     cfg = cfg or IntegratorConfig()
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
+    template, params = planar_system(prob, clock)
     y0 = [*start.q.tolist(), *start.p.tolist()]
-    times, states, rejected, status = _dopri5(planar_kernel(prob, clock), y0, t_end, cfg)
+    times, states, rejected, status = _make_run(template)(y0, t_end, cfg, _MAX_STEP, _MAX_STEPS, **params)
+    states = np.array(states, dtype=float)
     j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
     diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
-    return Trajectory(times, states, diagnostics, prob, status, rejected)
+    return Trajectory(np.array(times), states, diagnostics, prob, status, rejected)
 
 
 def integrate_ellipsoid(
@@ -319,38 +335,19 @@ def integrate_ellipsoid(
     cfg = cfg or IntegratorConfig()
     if not np.isfinite(tau_end) or tau_end <= 0.0:
         raise InvalidInputError(f"tau_end must be positive, got {tau_end!r}")
-    metric = start.metric
-    if metric.a != prob.a:
+    if start.metric.a != prob.a:
         raise InvalidInputError("state metric does not match the problem half-distance")
-    wyz = float(metric.weights[1])
-
-    def star(u, v):
-        return u[0] * v[0] + wyz * u[1] * v[1] + wyz * u[2] * v[2] + u[3] * v[3]
-
+    template, params = intrinsic_system(prob)
     y0 = [*start.point.vec.tolist(), *start.velocity.tolist()]
-    norm_residuals = [abs(math.sqrt(star(y0[:4], y0[:4])) - 1.0)]
-    tangency_residuals = [abs(star(y0[:4], y0[4:]))]
-
-    def cleanup(y):
-        big_q, qp = y[:4], y[4:]
-        norm = math.sqrt(star(big_q, big_q))
-        tangency = star(big_q, qp)
-        if abs(norm - 1.0) > _INTEGRITY_LIMIT or abs(tangency) > _INTEGRITY_LIMIT:
-            raise _AbortRun("integrity")
-        norm_residuals.append(abs(norm - 1.0))
-        tangency_residuals.append(abs(tangency))
-        big_q = [v / norm for v in big_q]
-        radial = star(big_q, qp)
-        return big_q + [v - radial * u for v, u in zip(qp, big_q)]
-
-    times, states, rejected, status = _dopri5(intrinsic_kernel(prob), y0, tau_end, cfg, cleanup)
-    n = len(times)
+    run = _make_run(template, renormalize=True)
+    times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **params)
+    states = np.array(states, dtype=float)
     diagnostics = {
         "G": np.atleast_1d(energy_arrays(states[:, :4], states[:, 4:], prob)),
-        "norm_residual": np.array(norm_residuals[:n]),
-        "tangency_residual": np.array(tangency_residuals[:n]),
+        "norm_residual": np.array(norms),
+        "tangency_residual": np.array(tangencies),
     }
-    return Trajectory(times, states, diagnostics, prob, status, rejected)
+    return Trajectory(np.array(times), states, diagnostics, prob, status, rejected)
 
 
 def cubic_hermite(

@@ -17,21 +17,22 @@ symbolically; :func:`fit_integral_relation` recovers it independently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import COLLISION_GUARD, Problem, acceleration, first_integrals
+from . import dynamics
+from .codegen import RhsTemplate, compile_kernel
+from .dynamics import Problem, acceleration, first_integrals
 from .errors import (
     CenterRayError,
     InvalidInputError,
-    NearCollisionError,
     RankDeficientError,
 )
 from .geometry import (
     EllipsoidPoint,
     StarMetric,
+    check_broadcast,
     check_finite,
     columns,
     embed,
@@ -119,6 +120,7 @@ def lift_arrays(
     p = np.asarray(p, dtype=float)
     x, y, z = columns(q, 3, "q")
     px, py, pz = columns(p, 3, "p")
+    check_broadcast(q, p)
     check_finite(q, "q")
     check_finite(p, "p")
     big_q, qp = _lift_columns(x, y, z, px, py, pz, metric.weights[1])
@@ -145,6 +147,7 @@ def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> fl
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+    check_broadcast(q, p)
     check_finite(q, "q")
     check_finite(p, "p")
     w = metric.weights[1]
@@ -225,45 +228,63 @@ def _require_matching_a(metric: StarMetric, prob: Problem) -> None:
         )
 
 
+# The intrinsic right-hand side, [Q, Q'] -> [Q', Q''], as a template (see codegen):
+#
+#     Q'' = F(Q) - ((Q, F)_* + |Q'|_*^2) / (Q, Q)_* Q,
+#     F(Q) = sum_j m_j c_j / |Q - c_j W|^3,
+#
+# with Euclidean distances and c_j = (+-a, 0, 0, 1).  Stage values of an
+# explicit step are not exactly on the ellipsoid, so the projector and the
+# normal closure divide by (Q, Q)_* instead of assuming it is one.  Raises
+# NearCollisionError within ``guard`` of a scaled center.
+INTRINSIC_RHS = RhsTemplate(
+    name="ellipsoid",
+    state=("x", "y", "z", "w", "xp", "yp", "zp", "wp"),
+    params=("a", "m_minus", "m_plus", "wyz", "guard"),
+    body="""\
+x_minus = x + a * w
+x_plus = x - a * w
+d2_minus = x_minus * x_minus + y * y + z * z
+d2_plus = x_plus * x_plus + y * y + z * z
+d_minus = sqrt(d2_minus)
+d_plus = sqrt(d2_plus)
+if d_minus < guard or d_plus < guard:
+    raise NearCollisionError(f"ellipsoid point within {guard:g} of a scaled center")
+s_minus = m_minus / (d2_minus * d_minus)
+s_plus = m_plus / (d2_plus * d_plus)
+f_x = a * s_plus - a * s_minus
+f_w = s_minus + s_plus
+qq = x * x + wyz * y * y + wyz * z * z + w * w
+speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp
+c = (x * f_x + w * f_w + speed2) / qq""",
+    derivative=("xp", "yp", "zp", "wp", "f_x - c * x", "-c * y", "-c * z", "f_w - c * w"),
+)
+
+
+def intrinsic_system(prob: Problem) -> tuple[RhsTemplate, dict[str, float]]:
+    """The intrinsic template and its parameters for ``prob``, as Python floats.
+
+    ``dynamics.COLLISION_GUARD`` is read here, at call time.
+    """
+    a = prob.a
+    return INTRINSIC_RHS, {
+        "a": a,
+        "m_minus": prob.m_minus,
+        "m_plus": prob.m_plus,
+        "wyz": 1.0 / (1.0 + a * a),
+        "guard": dynamics.COLLISION_GUARD,
+    }
+
+
 def intrinsic_kernel(prob: Problem):
     """Plain-float right-hand side of the intrinsic ellipsoid system.
 
-    Returns ``rhs(y)``, which maps y = [Q, Q'] (eight Python floats) to
-    [Q', Q''] with
-
-        Q'' = F(Q) - ((Q, F)_* + |Q'|_*^2) / (Q, Q)_* Q,
-        F(Q) = sum_j m_j c_j / |Q - c_j W|^3,
-
-    Euclidean distances and c_j = (+-a, 0, 0, 1).  Stage values of an
-    explicit step are not exactly on the ellipsoid, so the projector and
-    the normal closure divide by (Q, Q)_* instead of assuming it is one.
-    Raises :class:`NearCollisionError` within ``COLLISION_GUARD`` of a
-    scaled center.
+    Returns ``rhs(y)``, which maps y = [Q, Q'] (eight floats) to [Q', Q'']
+    as a tuple of Python floats: ``INTRINSIC_RHS``, compiled once, bound to
+    ``prob``.
     """
-    a, m_minus, m_plus = prob.a, prob.m_minus, prob.m_plus
-    wyz = 1.0 / (1.0 + a * a)
-    sqrt = math.sqrt
-
-    def rhs(state):
-        x, y, z, w, xp, yp, zp, wp = state
-        x_minus = x + a * w
-        x_plus = x - a * w
-        d2_minus = x_minus * x_minus + y * y + z * z
-        d2_plus = x_plus * x_plus + y * y + z * z
-        d_minus = sqrt(d2_minus)
-        d_plus = sqrt(d2_plus)
-        if d_minus < COLLISION_GUARD or d_plus < COLLISION_GUARD:
-            raise NearCollisionError(f"ellipsoid point within {COLLISION_GUARD:g} of a scaled center")
-        s_minus = m_minus / (d2_minus * d_minus)
-        s_plus = m_plus / (d2_plus * d_plus)
-        f_x = a * s_plus - a * s_minus
-        f_w = s_minus + s_plus
-        qq = x * x + wyz * y * y + wyz * z * z + w * w
-        speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp
-        c = (x * f_x + w * f_w + speed2) / qq
-        return (xp, yp, zp, wp, f_x - c * x, -c * y, -c * z, f_w - c * w)
-
-    return rhs
+    template, params = intrinsic_system(prob)
+    return compile_kernel(template)(**params)
 
 
 def tangential_field(point: EllipsoidPoint, prob: Problem) -> np.ndarray:

@@ -15,13 +15,16 @@ from twocenter import (
     InvalidInputError,
     NearCollisionError,
     Problem,
+    axial_angular_momentum,
     center_distances,
     embed,
     energy_arrays,
     euler_integral,
+    first_integrals,
     fit_integral_relation,
     hamiltonian,
     lift_arrays,
+    lifted_speed_squared,
     make_rng,
     project,
     relation_residual,
@@ -92,6 +95,27 @@ def test_wrong_last_axis_is_refused(shape_q, shape_p):
     for fn in (lambda: hamiltonian(q, p, PROB), lambda: lift_arrays(q, p, PROB.metric())):
         with pytest.raises(InvalidInputError, match="shape"):
             fn()
+
+
+PAIR_EVALUATORS = {
+    "first_integrals": lambda q, p: first_integrals(q, p, PROB),
+    "hamiltonian": lambda q, p: hamiltonian(q, p, PROB),
+    "euler_integral": lambda q, p: euler_integral(q, p, PROB),
+    "axial_angular_momentum": axial_angular_momentum,
+    "lift_arrays": lambda q, p: lift_arrays(q, p, PROB.metric()),
+    "lifted_speed_squared": lambda q, p: lifted_speed_squared(q, p, PROB.metric()),
+    "relation_residual": lambda q, p: relation_residual(q, p, PROB),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIR_EVALUATORS))
+@pytest.mark.parametrize("rows_q, rows_p", [(5, 4), (2 * projective._ROWS, projective._ROWS + 1)])
+def test_shapes_that_do_not_broadcast_are_refused(name, rows_q, rows_p):
+    """q and p with different row counts: the documented error, not numpy's ValueError."""
+    q = np.tile([0.0, 2.0, 0.0], (rows_q, 1))
+    p = np.tile([0.3, 0.0, 0.6], (rows_p, 1))
+    with pytest.raises(InvalidInputError, match="do not broadcast"):
+        PAIR_EVALUATORS[name](q, p)
 
 
 def test_sampler_gives_up_when_no_point_clears_the_centers():

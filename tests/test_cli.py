@@ -17,7 +17,7 @@ from twocenter import (
     projective,
     reparametrize_time,
 )
-from twocenter.cli import _write_rows, main
+from twocenter.cli import _write_rows, main, make_parser
 
 
 def run(args):
@@ -54,6 +54,26 @@ def test_simulate_default_conserves_integrals(tmp_path, capsys):
     _, data = read_csv(out)
     for col in (7, 8, 9):  # J, Theta, E
         assert np.max(np.abs(data[:, col] - data[0, col])) <= 1e-8
+
+
+def test_parser_is_built_once_and_each_call_parses_afresh(tmp_path, capsys):
+    """Flags of one call leak into no later call: after a fitted a = 2 run with
+    few samples and a simulate, a plain verify-theorem prints what it prints
+    through a newly built parser."""
+    assert make_parser() is make_parser()
+    fitted, plain = tmp_path / "fitted.json", tmp_path / "plain.json"
+    assert run(["verify-theorem", "--a", 2, "--fit", "--samples", 500, "--tau-end", 1, "--json", fitted]) == 0
+    assert "[500 points]" in capsys.readouterr().out
+    assert run(["simulate", "--t-end", 1, "--out", tmp_path / "orbit.csv"]) == 0
+    capsys.readouterr()
+    args = ["verify-theorem", "--tau-end", 1, "--json", plain]
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    assert "[10000 points]" in printed
+    assert "fit" in json.loads(fitted.read_text()) and "fit" not in json.loads(plain.read_text())
+    make_parser.cache_clear()
+    assert run(args) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_simulate_malformed_config(tmp_path, capsys):

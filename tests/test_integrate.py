@@ -23,6 +23,7 @@ from twocenter import (
 )
 from twocenter import dynamics, integrate
 from twocenter.cli import main
+from twocenter.codegen import RhsTemplate
 from twocenter.verify import check_energy_drift, check_first_integral_drift, check_two_routes
 
 EQUAL = Problem(1.0, 1.0, 1.0)
@@ -101,13 +102,15 @@ def test_nonfinite_derivative_ends_in_step_underflow(bad, monkeypatch):
     """The kernel checks no finiteness: a derivative that turns non-finite
     (here for x > 0.5) makes every step there fail its error test, so the
     run ends in step_underflow with every stored state finite."""
-    real = integrate.planar_kernel
-
-    def spoiled(prob, clock):
-        rhs = real(prob, clock)
-        return lambda y: (bad,) * 6 if y[0] > 0.5 else rhs(y)
-
-    monkeypatch.setattr(integrate, "planar_kernel", spoiled)
+    template, params = dynamics.planar_system(EQUAL)
+    spoiled = RhsTemplate(
+        name="planar t spoiled",
+        state=template.state,
+        params=(*template.params, "bad"),
+        body=template.body,
+        derivative=tuple(f"bad if x > 0.5 else ({expr})" for expr in template.derivative),
+    )
+    monkeypatch.setattr(integrate, "planar_system", lambda prob, clock: (spoiled, {**params, "bad": bad}))
     traj = integrate_planar(DEFAULT_START, EQUAL, 10.0)
     assert traj.status == "step_underflow"
     assert len(traj) > 10 and traj.times[-1] < 10.0

@@ -1,13 +1,18 @@
-"""The generated Dormand-Prince step against the loop form it replaced.
+"""The generated Dormand-Prince runs against the loop stepper they replaced.
 
-``integrate._make_step`` writes every stage as a scalar expression.  It must
-reproduce, bit for bit, the stepper that combined the stages with list
-comprehensions over zipped sequences; that stepper and its tableau are
-copied below as the oracle, and runs through both are compared with
-``np.array_equal`` on times and states.
+``integrate._make_run`` writes each system's run out in full: the state in
+locals, the right-hand side's template inlined at every stage and, for the
+ellipsoid, the renormalization.  It must reproduce, bit for bit, the stepper
+that called the kernel as a function, combined the stages with list
+comprehensions over zipped sequences and renormalized in a ``postprocess``
+hook; that stepper and its tableau are copied below as the oracle, and runs
+through both are compared with ``np.array_equal`` on times, states and
+diagnostics, for every status a run can end in.
 """
 
+import inspect
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -17,14 +22,26 @@ from twocenter import (
     IntegratorConfig,
     PhasePoint,
     Problem,
+    Trajectory,
+    energy_arrays,
+    first_integrals,
     integrate_ellipsoid,
     integrate_planar,
     lift_velocity,
 )
-from twocenter import integrate
+from twocenter import dynamics, integrate
+from twocenter.codegen import RhsTemplate, compile_kernel
+from twocenter.dynamics import PLANAR_RHS, planar_kernel
 from twocenter.errors import NearCollisionError
+from twocenter.projective import INTRINSIC_RHS
 
 # --- oracle: the comprehension stepper ------------------------------------------
+
+
+class AbortRun(Exception):
+    def __init__(self, status):
+        self.status = status
+
 
 (
     (A21,),
@@ -109,26 +126,73 @@ def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
                 status = "step_budget"
     except NearCollisionError:
         status = "collision"
-    except integrate._AbortRun as abort:
+    except AbortRun as abort:
         status = abort.status
     return np.array(times), np.array(states, dtype=float), rejected, status
+
+
+def reference(system, start, prob, end, cfg=None):
+    """The run of ``integrate_planar``/``integrate_ellipsoid`` through the oracle
+    stepper, with the kernel compiled from the (possibly patched) system template."""
+    cfg = cfg or IntegratorConfig()
+    if system != "ellipsoid":
+        template, params = integrate.planar_system(prob, system)
+        y0 = [*start.q.tolist(), *start.p.tolist()]
+        times, states, rejected, status = ref_dopri5(compile_kernel(template)(**params), y0, end, cfg)
+        j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
+        diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
+        return Trajectory(times, states, diagnostics, prob, status, rejected)
+    template, params = integrate.intrinsic_system(prob)
+    wyz = float(prob.metric().weights[1])
+
+    def star(u, v):
+        return u[0] * v[0] + wyz * u[1] * v[1] + wyz * u[2] * v[2] + u[3] * v[3]
+
+    lifted = lift_velocity(start.q, start.p, prob.metric())
+    y0 = [*lifted.point.vec.tolist(), *lifted.velocity.tolist()]
+    norm_residuals = [abs(math.sqrt(star(y0[:4], y0[:4])) - 1.0)]
+    tangency_residuals = [abs(star(y0[:4], y0[4:]))]
+
+    def cleanup(y):
+        big_q, qp = y[:4], y[4:]
+        norm = math.sqrt(star(big_q, big_q))
+        tangency = star(big_q, qp)
+        if abs(norm - 1.0) > integrate._INTEGRITY_LIMIT or abs(tangency) > integrate._INTEGRITY_LIMIT:
+            raise AbortRun("integrity")
+        norm_residuals.append(abs(norm - 1.0))
+        tangency_residuals.append(abs(tangency))
+        big_q = [v / norm for v in big_q]
+        radial = star(big_q, qp)
+        return big_q + [v - radial * u for v, u in zip(qp, big_q)]
+
+    times, states, rejected, status = ref_dopri5(compile_kernel(template)(**params), y0, end, cfg, cleanup)
+    n = len(times)
+    diagnostics = {
+        "G": np.atleast_1d(energy_arrays(states[:, :4], states[:, 4:], prob)),
+        "norm_residual": np.array(norm_residuals[:n]),
+        "tangency_residual": np.array(tangency_residuals[:n]),
+    }
+    return Trajectory(times, states, diagnostics, prob, status, rejected)
 
 
 # --- comparisons ----------------------------------------------------------------
 
 START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
 INFALL = PhasePoint(np.array([0.5, 0.0, 0.0]), np.zeros(3))
+EQUAL = Problem()
+SYSTEMS = ["t", "tau", "ellipsoid"]
 # (tolerances, step cap): the loose runs take longer steps and reject some
 CONFIGS = [(IntegratorConfig(), 0.1), (IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6), 0.5)]
 
 
-def both_steppers(monkeypatch, run):
-    """``run()`` with the generated step, then with the oracle stepper."""
-    generated = run()
-    with monkeypatch.context() as patch:
-        patch.setattr(integrate, "_dopri5", ref_dopri5)
-        reference = run()
-    return generated, reference
+def generated(system, start, prob, end, cfg=None):
+    if system == "ellipsoid":
+        return integrate_ellipsoid(lift_velocity(start.q, start.p, prob.metric()), prob, end, cfg)
+    return integrate_planar(start, prob, end, cfg, clock=system)
+
+
+def both_steppers(system, start, prob, end, cfg=None):
+    return generated(system, start, prob, end, cfg), reference(system, start, prob, end, cfg)
 
 
 def assert_same_run(got, want):
@@ -136,6 +200,7 @@ def assert_same_run(got, want):
     assert got.rejected_steps == want.rejected_steps
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.states, want.states)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
     for name, values in want.diagnostics.items():
         assert np.array_equal(got.diagnostics[name], values)
 
@@ -145,8 +210,7 @@ def assert_same_run(got, want):
 @pytest.mark.parametrize("clock", ["t", "tau"])
 def test_planar_runs_match_loop_stepper(clock, a, cfg, max_step, monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_STEP", max_step)
-    prob = Problem(1.0, 0.7, a)
-    got, want = both_steppers(monkeypatch, lambda: integrate_planar(START, prob, 10.0, cfg, clock=clock))
+    got, want = both_steppers(clock, START, Problem(1.0, 0.7, a), 10.0, cfg)
     assert got.status == "ok" and len(got) > 10
     assert_same_run(got, want)
 
@@ -155,18 +219,87 @@ def test_planar_runs_match_loop_stepper(clock, a, cfg, max_step, monkeypatch):
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_ellipsoid_runs_match_loop_stepper(a, cfg, max_step, monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_STEP", max_step)
-    prob = Problem(1.0, 0.7, a)
-    start = lift_velocity(START.q, START.p, prob.metric())
-    got, want = both_steppers(monkeypatch, lambda: integrate_ellipsoid(start, prob, 3.0, cfg))
+    got, want = both_steppers("ellipsoid", START, Problem(1.0, 0.7, a), 3.0, cfg)
     assert got.status == "ok" and len(got) > 10
     assert_same_run(got, want)
 
 
-def test_aborted_run_matches_loop_stepper(monkeypatch):
+def test_aborted_run_matches_loop_stepper():
     """Released at rest between the centers: the partial grid up to the abort."""
-    got, want = both_steppers(monkeypatch, lambda: integrate_planar(INFALL, Problem(), 10.0))
+    got, want = both_steppers("t", INFALL, EQUAL, 10.0)
     assert got.status != "ok"
     assert_same_run(got, want)
+
+
+# --- every status through the generated runs ------------------------------------
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_collision_matches_loop_stepper(system, monkeypatch):
+    # at the default guard this infall ends in step_underflow instead
+    monkeypatch.setattr(dynamics, "COLLISION_GUARD", 0.01)
+    got, want = both_steppers(system, INFALL, EQUAL, 10.0)
+    assert got.status == "collision" and len(got) > 100
+    assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_overflowing_initial_derivative_matches_loop_stepper(system):
+    got, want = both_steppers(system, START, Problem(1e160, 1e160, 1.0), 1.0)
+    assert got.status == "step_underflow" and len(got) == 1
+    assert_same_run(got, want)
+
+
+def spoiled(template, threshold):
+    """``template`` with every derivative component replaced by ``bad`` for x > threshold."""
+    return RhsTemplate(
+        name=f"{template.name} spoiled",
+        state=template.state,
+        params=(*template.params, "bad"),
+        body=template.body,
+        derivative=tuple(f"bad if x > {threshold!r} else ({expr})" for expr in template.derivative),
+    )
+
+
+SPOILED = {"t": spoiled(PLANAR_RHS, 0.5), "tau": spoiled(dynamics.PLANAR_TAU_RHS, 0.5), "ellipsoid": spoiled(INTRINSIC_RHS, 0.3)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_nonfinite_derivative_mid_run_matches_loop_stepper(system, bad, monkeypatch):
+    """A derivative that turns non-finite past x = threshold fails every step
+    there, down to step_underflow; the stored states stay finite."""
+    if system == "ellipsoid":
+        real = integrate.intrinsic_system
+        monkeypatch.setattr(integrate, "intrinsic_system", lambda prob: (SPOILED[system], {**real(prob)[1], "bad": bad}))
+    else:
+        real = integrate.planar_system
+        monkeypatch.setattr(
+            integrate, "planar_system", lambda prob, clock: (SPOILED[clock], {**real(prob, clock)[1], "bad": bad})
+        )
+    got, want = both_steppers(system, START, EQUAL, 5.0)
+    assert got.status == "step_underflow" and len(got) > 10
+    assert np.all(np.isfinite(got.states))
+    assert_same_run(got, want)
+
+
+def test_integrity_matches_loop_stepper(monkeypatch):
+    # the residuals are judged on each step's result, before it is renormalized
+    monkeypatch.setattr(integrate, "_MAX_STEP", 0.5)
+    got, want = both_steppers("ellipsoid", START, EQUAL, 50.0, IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3))
+    assert got.status == "integrity" and len(got) > 1
+    assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_step_budget_matches_loop_stepper(system, monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 5)
+    got, want = both_steppers(system, START, EQUAL, 5.0)
+    assert got.status == "step_budget" and 1 < len(got) <= 6
+    assert_same_run(got, want)
+
+
+# --- test-supplied templates ----------------------------------------------------
 
 
 @st.composite
@@ -183,19 +316,52 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_linear_systems_match_loop_stepper(system):
     matrix, y0, cfg = system
+    names = [f"s{j}" for j in range(len(y0))]
+    template = RhsTemplate(
+        name="linear",
+        state=tuple(names),
+        params=(),
+        body="",
+        derivative=tuple(f"sum([{', '.join(f'{m!r} * {v}' for m, v in zip(row, names))}])" for row in matrix),
+    )
 
     def f(y):
         return [sum(m * v for m, v in zip(row, y)) for row in matrix]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrate, "_MAX_STEP", 0.5)
-        got = integrate._dopri5(f, y0, 2.0, cfg)
+        times, states, rejected, status = integrate._make_run(template)(list(y0), 2.0, cfg, 0.5, integrate._MAX_STEPS)
         want = ref_dopri5(f, y0, 2.0, cfg)
-    assert got[2:] == want[2:]
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    assert (rejected, status) == want[2:]
+    assert np.array_equal(times, want[0])
+    assert np.array_equal(np.array(states, dtype=float), want[1])
 
 
-def test_step_is_built_once_per_state_size():
-    assert integrate._make_step(6) is integrate._make_step(6)
-    assert integrate._make_step(6) is not integrate._make_step(8)
+def test_run_is_compiled_once_per_system():
+    """Problems differ only in the parameters each run and kernel take as arguments."""
+
+    def integrate_each_system(prob):
+        for system in SYSTEMS:
+            generated(system, START, prob, 0.5)
+
+    integrate_each_system(EQUAL)
+    compiled = integrate._make_run.cache_info().misses, compile_kernel.cache_info().misses
+    for prob in (Problem(1.0, 0.7, 2.0), Problem(0.0, 3.0, 0.5), Problem(2.0, 1.0, 1.0)):
+        integrate_each_system(prob)
+    assert (integrate._make_run.cache_info().misses, compile_kernel.cache_info().misses) == compiled
+    assert integrate._make_run(PLANAR_RHS) is integrate._make_run(PLANAR_RHS)
+
+
+def test_generated_source_is_shown_in_tracebacks():
+    run = integrate._make_run(INTRINSIC_RHS, renormalize=True)
+    assert run.__code__.co_filename == "<twocenter generated: ellipsoid run>"
+    source = inspect.getsource(run)
+    assert source.startswith("def run(start, t_end, cfg, max_step, max_steps, a, m_minus, m_plus, wyz, guard):")
+    assert "norm_residuals.append(abs(norm - 1.0))" in source
+    rhs = planar_kernel(EQUAL)
+    assert inspect.getsource(rhs).startswith("    def rhs(state):")
+    with pytest.raises(NearCollisionError) as caught:
+        rhs([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    shown = "".join(traceback.format_exception(caught.type, caught.value, caught.tb))
+    assert 'File "<twocenter generated: planar t kernel>"' in shown
+    assert 'raise NearCollisionError(f"point within {guard:g} of an attracting center")' in shown
