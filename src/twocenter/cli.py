@@ -4,11 +4,15 @@ Subcommands: ``simulate`` (planar trajectory + drift report), ``project``
 (project and reparametrize a planar trajectory), ``verify-theorem``
 (pointwise identity, two-route equivalence, energy drift, velocity
 independence), ``fit-relation`` (general-a coefficients) and ``coords``
-(ellipsoidal coordinate conversion).  Options come from an optional
-``key: value`` config file overridden by flags; identical config and seed
-give byte-identical output.  Exit codes: 0 ok, 1 config or write error,
-2 integration abort, 3 verification failure (including a fit whose samples
-stay rank deficient).
+(ellipsoidal coordinate conversion).  ``_COMMANDS`` maps each to its
+handler and the config keys it reads: a subcommand takes ``--config``,
+``--seed``, ``--json`` and one flag per key it reads, nothing else.  An
+optional ``key: value`` config file may set any key, and flags win over
+it.  A run is named by its config and seed, so identical ones give
+byte-identical output; subcommands that draw nothing ignore the seed.
+Exit codes: 0 ok, 1 usage, config or write error, 2 integration abort,
+3 verification failure (including a fit whose samples stay rank
+deficient).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -41,7 +45,9 @@ _PROJECT_HEADER = ["tau", "X", "Y", "Z", "W", "Xp", "Yp", "Zp", "Wp", "G"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Defaults for every subcommand; see the module docstring for keys."""
+    """Every config key and its default.  A config file may set any key; each
+    subcommand reads only the keys ``_COMMANDS`` lists for it.  A key's
+    annotation names the parser of its text (``tuple``: an ``x,y,z`` vector)."""
 
     m_minus: float = 1.0
     m_plus: float = 1.0
@@ -81,24 +87,17 @@ def _parse_vector(text: str) -> tuple:
     return tuple(float(part) for part in parts)
 
 
-_PARSERS = {
-    "m_minus": float,
-    "m_plus": float,
-    "a": float,
-    "q0": _parse_vector,
-    "p0": _parse_vector,
-    "t_end": float,
-    "tau_end": float,
-    "rel_tol": float,
-    "abs_tol": float,
-    "seed": int,
-    "samples": int,
-    "out": str,
-    "json": str,
-    "alpha": float,
-    "beta": float,
-    "theta": float,
-}
+# each key's parser, from its annotation ("float | None" parses as float)
+_PARSE = {"float": float, "int": int, "str": str, "tuple": _parse_vector}
+_PARSERS = {f.name: _PARSE[f.type.split(" |")[0]] for f in fields(RunConfig)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ``ConfigError`` (exit 1, one line), where
+    argparse would print the usage and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def load_config(path: str) -> dict:
@@ -126,15 +125,10 @@ def load_config(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = _PARSERS[f.name](value)
-    return replace(cfg, **overrides)
+    """Defaults, then the config file, then the flags the subcommand registered."""
+    cfg = replace(RunConfig(), **load_config(args.config)) if args.config else RunConfig()
+    flags = {key: getattr(args, key, None) for key in _PARSERS}
+    return replace(cfg, **{key: _PARSERS[key](text) for key, text in flags.items() if text is not None})
 
 
 def _fmt(value: float) -> str:
@@ -249,27 +243,17 @@ def cmd_verify_theorem(cfg: RunConfig, do_fit: bool) -> int:
         "checks": {r.name: {"measured": r.measured, "tolerance": r.tolerance, "passed": r.passed} for r in results},
     }
     if fitted is not None:
-        payload["fit"] = {
-            "lambda_J": fitted.lambda_J,
-            "lambda_E": fitted.lambda_E,
-            "lambda_theta2": fitted.lambda_theta2,
-            "lambda_0": fitted.lambda_0,
-            "max_residual": fitted.max_residual,
-        }
+        payload["fit"] = asdict(fitted)
     _write_json(cfg.json, payload)
     return 0 if all(r.passed for r in results) else 3
 
 
 def cmd_fit_relation(cfg: RunConfig) -> int:
     relation = fit_integral_relation(cfg.problem(), min(cfg.samples, 4096), cfg.seed)
-    print(f"lambda_J = {_fmt(relation.lambda_J)}")
-    print(f"lambda_E = {_fmt(relation.lambda_E)}")
-    print(f"lambda_theta2 = {_fmt(relation.lambda_theta2)}")
-    print(f"lambda_0 = {_fmt(relation.lambda_0)}")
-    print(f"max residual = {_fmt(relation.max_residual)}")
-    _write_json(cfg.json, {"command": "fit-relation", "lambda_J": relation.lambda_J,
-                           "lambda_E": relation.lambda_E, "lambda_theta2": relation.lambda_theta2,
-                           "lambda_0": relation.lambda_0, "max_residual": relation.max_residual})
+    fitted = asdict(relation)
+    for name, value in fitted.items():
+        print(f"{'max residual' if name == 'max_residual' else name} = {_fmt(value)}")
+    _write_json(cfg.json, {"command": "fit-relation", **fitted})
     return 0
 
 
@@ -288,49 +272,49 @@ def cmd_coords(cfg: RunConfig, inverse: bool) -> int:
         print(f"beta = {_fmt(ep.beta)}")
         print(f"theta = {_fmt(ep.theta)}")
         print(f"degenerate = {str(ep.degenerate).lower()}")
-        _write_json(cfg.json, {"command": "coords", "alpha": ep.alpha, "beta": ep.beta,
-                               "theta": ep.theta, "degenerate": ep.degenerate})
+        _write_json(cfg.json, {"command": "coords", **asdict(ep)})
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key: value config file")
-    for key in _PARSERS:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, default=None, help=f"override config key {key}")
+_TRAJECTORY_KEYS = "m_minus m_plus a q0 p0 rel_tol abs_tol"
+
+# subcommand: (handler, the config keys it reads, None or its own flag, whose value the handler takes second)
+_COMMANDS = {
+    "simulate": (cmd_simulate, f"{_TRAJECTORY_KEYS} t_end out", None),
+    "project": (cmd_project, f"{_TRAJECTORY_KEYS} t_end out",
+                ("--input", {"metavar": "CSV", "help": "existing planar trajectory CSV"})),
+    "verify-theorem": (cmd_verify_theorem, f"{_TRAJECTORY_KEYS} tau_end samples",
+                       ("--fit", {"action": "store_true", "help": "also fit the integral relation"})),
+    "fit-relation": (cmd_fit_relation, "m_minus m_plus a samples", None),
+    "coords": (cmd_coords, "a q0 alpha beta theta",
+               ("--inverse", {"action": "store_true", "help": "convert (alpha, beta, theta) to q"})),
+}
+_HELP = {"seed": "override config key seed: a run is named by its config and seed, "
+                 "and subcommands that draw nothing ignore it"}
 
 
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call (about 2 ms) and reused:
     parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="twocenter", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="twocenter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "project", "verify-theorem", "fit-relation", "coords"):
+    for name, (_, keys, flag) in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "project":
-            p.add_argument("--input", help="existing planar trajectory CSV")
-        if name == "verify-theorem":
-            p.add_argument("--fit", action="store_true", help="also fit the integral relation")
-        if name == "coords":
-            p.add_argument("--inverse", action="store_true", help="convert (alpha, beta, theta) to q")
+        p.add_argument("--config", help="key: value config file, which may set any key")
+        for key in (*keys.split(), "seed", "json"):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key, f"override config key {key}"))
+        if flag is not None:
+            p.add_argument(flag[0], dest="extra", **flag[1])
     return parser
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
+        handler, _, flag = _COMMANDS[args.command]
         cfg = build_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "project":
-            return cmd_project(cfg, args.input)
-        if args.command == "verify-theorem":
-            return cmd_verify_theorem(cfg, args.fit)
-        if args.command == "fit-relation":
-            return cmd_fit_relation(cfg)
-        return cmd_coords(cfg, args.inverse)
+        return handler(cfg) if flag is None else handler(cfg, args.extra)
     except (ConfigError, InvalidInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, file formats, determinism."""
 
+import argparse
 import json
 import sys
 
@@ -265,6 +266,12 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="rank-deficient-verify-fit"),
         pytest.param(["fit-relation", "--seed", -1], 1, False, id="negative-seed"),
         pytest.param(["verify-theorem", "--seed", 2**64], 1, False, id="seed-beyond-uint64"),
+        pytest.param(["frobnicate"], 1, False, id="unknown-subcommand"),
+        pytest.param([], 1, False, id="missing-subcommand"),
+        pytest.param(["simulate", "--bogus", 1], 1, False, id="unknown-flag"),
+        pytest.param(["verify-theorem", "--t-end", 100], 1, False, id="flag-of-another-subcommand"),
+        pytest.param(["fit-relation", "--out", "{tmp}/fit.csv"], 1, False, id="flag-the-subcommand-does-not-read"),
+        pytest.param(["simulate", "--t-end"], 1, False, id="flag-without-value"),
     ],
 )
 def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_path, monkeypatch, capsys):
@@ -280,6 +287,79 @@ def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_p
     err = capsys.readouterr().err
     if code == 1:
         assert err.startswith("error:") and err.strip().count("\n") == 0
+
+
+@pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"], ["coords", "-h"]])
+def test_help_exits_0(args, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(args)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: twocenter")
+
+
+def registered_flags():
+    """Each subcommand's option flags as make_parser() registers them, -h excluded."""
+    sub = next(action for action in make_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    return {
+        name: {flag.option_strings[-1] for flag in parser._actions if flag.option_strings and flag.dest != "help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+TRAJECTORY_FLAGS = "--m-minus --m-plus --a --q0 --p0 --rel-tol --abs-tol"
+READ_FLAGS = {
+    "simulate": f"{TRAJECTORY_FLAGS} --t-end --out",
+    "project": f"{TRAJECTORY_FLAGS} --t-end --out --input",
+    "verify-theorem": f"{TRAJECTORY_FLAGS} --tau-end --samples --fit",
+    "fit-relation": "--m-minus --m-plus --a --samples",
+    "coords": "--a --q0 --alpha --beta --theta --inverse",
+}
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads():
+    flags = registered_flags()
+    common = {"--config", "--seed", "--json"}
+    assert flags == {name: common | set(read.split()) for name, read in READ_FLAGS.items()}
+    assert sum(len(names) for names in flags.values()) == 54
+
+
+# cheap runs of each subcommand, one per mode; a flag must change the output of at least one
+CHEAP_RUNS = {
+    "simulate": [["--t-end", 0.5, "--out", "{tmp}/out.csv"]],
+    "project": [["--t-end", 0.5, "--out", "{tmp}/out.csv"], ["--input", "{tmp}/orbit.csv", "--out", "{tmp}/out.csv"]],
+    "verify-theorem": [["--tau-end", 0.5, "--samples", 64]],
+    "fit-relation": [["--samples", 64]],
+    "coords": [[], ["--inverse", "--alpha", 2, "--beta", 0.5, "--theta", 0]],
+}
+CHANGED = {
+    "--m-minus": [0.5], "--m-plus": [0.5], "--a": [2], "--q0": ["0,2.5,0"], "--p0": ["0.3,0,0.5"],
+    "--rel-tol": [1e-6], "--abs-tol": [1e-6], "--t-end": [0.25], "--tau-end": [0.25], "--samples": [100],
+    "--seed": [7], "--alpha": [3], "--beta": [0.25], "--theta": [1], "--input": ["{tmp}/orbit.csv"],
+    "--fit": [], "--inverse": [],
+}
+DRAWS = {"verify-theorem", "fit-relation"}  # the subcommands that read the seed
+
+
+def test_no_flag_is_a_no_op(tmp_path, capsys):
+    """Every registered flag but --config, --json, --out and an undrawn --seed
+    changes stdout or the written file when moved off its default."""
+    assert run(["simulate", "--t-end", 0.3, "--out", tmp_path / "orbit.csv"]) == 0
+
+    def output(args):
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        code = run([str(arg).format(tmp=tmp_path) for arg in args])
+        return code, capsys.readouterr().out, out.read_text() if out.exists() else None
+
+    for name, flags in registered_flags().items():
+        bases = [[name, *args] for args in CHEAP_RUNS[name]]
+        before = [output(base) for base in bases]
+        assert all(code == 0 for code, _, _ in before), name
+        for flag in sorted(flags - {"--config", "--json", "--out"}):
+            if flag == "--seed" and name not in DRAWS:
+                continue
+            after = [output([*base, flag, *CHANGED[flag]]) for base in bases]
+            assert after != before, f"{name} {flag} changes nothing"
 
 
 def test_verify_theorem_reports_oracle_overflow_as_failed_check(capsys):

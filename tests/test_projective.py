@@ -39,7 +39,7 @@ from twocenter import (
 )
 from twocenter import projective
 from twocenter.sampling import make_rng, sample_phase_points
-from twocenter.verify import check_fitted_relation
+from twocenter.verify import check_fitted_relation, check_pointwise_relation
 
 M1 = StarMetric(1.0)
 EQUAL = Problem(1.0, 1.0, 1.0)
@@ -198,6 +198,32 @@ def test_fitted_relation_check_judges_gap_and_residual():
     assert not a1_form.passed and a1_form.measured == pytest.approx(0.6)
     loose = check_fitted_relation(IntegralRelation(0.4, 0.2, -0.16, 0.0, 1e-6), prob)
     assert not loose.passed and loose.measured == 1e-6
+
+
+@pytest.mark.parametrize("mass", [1e4, 1e6, 1e100])
+def test_pointwise_relation_check_is_relative_to_the_masses(mass, monkeypatch):
+    """G, J and E grow with the masses, and so does their roundoff: the
+    identity passes at any mass, and lambda_J or lambda_E off by 1e-9 fails."""
+    prob = Problem(mass, mass, 1.0)
+    result = check_pointwise_relation(prob, 2000, seed=42)
+    assert result.passed and result.measured <= 1e-13
+    exact = projective.relation_coefficients
+    for index in (0, 1):  # lambda_J, lambda_E
+
+        def perturbed(a, index=index):
+            coeffs = list(exact(a))
+            coeffs[index] += 1e-9
+            return tuple(coeffs)
+
+        monkeypatch.setattr(projective, "relation_coefficients", perturbed)
+        assert not check_pointwise_relation(prob, 2000, seed=42).passed
+
+
+def test_pointwise_relation_check_is_absolute_up_to_unit_masses():
+    prob = Problem(0.3, 0.7, 2.0)
+    q, p = sample_phase_points(prob, 2000, make_rng(42))
+    raw = np.max(np.abs(relation_residual(q, p, prob)))
+    assert check_pointwise_relation(prob, 2000, seed=42).measured == raw
 
 
 def test_fit_recovers_printed_coefficients():
