@@ -44,6 +44,7 @@ class Problem:
             raise InvalidInputError("masses must be nonnegative")
         if self.a <= 0.0:
             raise InvalidInputError(f"half-distance a must be positive, got {self.a!r}")
+        self.metric()  # refuses an a whose 1 + a^2 overflows
 
     @property
     def center_minus(self) -> np.ndarray:
@@ -61,6 +62,25 @@ class Problem:
     def metric(self) -> StarMetric:
         """The star metric whose ellipsoid this problem projects onto."""
         return StarMetric(self.a)
+
+
+def rhs_params(prob: Problem) -> dict[str, float]:
+    """The constants of the right-hand-side templates for ``prob``, by name.
+
+    Each system template lists all of these names as its ``params``, read or
+    not, so this one dict binds every kernel and generated run.  The values
+    are Python floats: a numpy scalar would slow every stage.
+    ``COLLISION_GUARD`` is read here, at call time.
+    """
+    a = prob.a
+    return {"a": a, "m_minus": prob.m_minus, "m_plus": prob.m_plus,
+            "wyz": 1.0 / (1.0 + a * a), "guard": COLLISION_GUARD}
+
+
+def kernel(template: RhsTemplate, prob: Problem):
+    """``rhs(state)``: ``template`` compiled (once, see codegen) and bound to
+    ``prob``; it maps a sequence of floats to the tuple of derivative components."""
+    return compile_kernel(template)(**rhs_params(prob))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +148,11 @@ def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
 # for one point, with the same collision guard, as a template (see codegen).
 # It checks no finiteness: ``PhasePoint`` refuses a non-finite start, and a
 # non-finite derivative at any stage makes the step's error estimate
-# non-finite, so the integrator rejects the step.
+# non-finite, so the integrator rejects the step.  It leaves ``wyz`` unread.
 PLANAR_RHS = RhsTemplate(
     name="planar t",
     state=("x", "y", "z", "px", "py", "pz"),
-    params=("a", "m_minus", "m_plus", "guard"),
+    params=("a", "m_minus", "m_plus", "wyz", "guard"),
     body="""\
 x_minus = x + a
 x_plus = x - a
@@ -159,35 +179,10 @@ k_plus = m_plus / (d2_plus * d_plus)""",
 PLANAR_TAU_RHS = RhsTemplate(
     name="planar tau",
     state=PLANAR_RHS.state,
-    params=(*PLANAR_RHS.params, "wyz"),
+    params=PLANAR_RHS.params,
     body=PLANAR_RHS.body + "\nn2 = x * x + wyz * y * y + wyz * z * z + 1.0",
     derivative=tuple(f"n2 * ({expr})" for expr in PLANAR_RHS.derivative),
 )
-
-
-def planar_system(prob: Problem, clock: str = "t") -> tuple[RhsTemplate, dict[str, float]]:
-    """The planar template for ``clock`` ("t" or "tau") and its parameters for ``prob``.
-
-    The parameters are Python floats: a numpy scalar would slow every stage.
-    ``COLLISION_GUARD`` is read here, at call time.
-    """
-    params = {"a": prob.a, "m_minus": prob.m_minus, "m_plus": prob.m_plus, "guard": COLLISION_GUARD}
-    if clock == "t":
-        return PLANAR_RHS, params
-    if clock != "tau":
-        raise InvalidInputError(f"clock must be 't' or 'tau', got {clock!r}")
-    return PLANAR_TAU_RHS, {**params, "wyz": 1.0 / (1.0 + prob.a * prob.a)}
-
-
-def planar_kernel(prob: Problem, clock: str = "t"):
-    """Plain-float right-hand side of the two-center system, in t or in tau.
-
-    Returns ``rhs(y)``, which maps (x, y, z, px, py, pz) to its derivative
-    as a tuple of Python floats: the template of :func:`planar_system`,
-    compiled once per clock, bound to ``prob``.
-    """
-    template, params = planar_system(prob, clock)
-    return compile_kernel(template)(**params)
 
 
 def first_integrals(

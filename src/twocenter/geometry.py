@@ -59,6 +59,8 @@ class StarMetric:
         a = float(self.a)
         if not np.isfinite(a) or a <= 0.0:
             raise InvalidInputError(f"half-distance a must be finite and positive, got {self.a!r}")
+        if not np.isfinite(1.0 + a * a):  # above about 1.34e154 the norm would lose y and z
+            raise InvalidInputError(f"half-distance a must keep 1 + a^2 finite, got {self.a!r}")
         object.__setattr__(self, "a", a)
         wyz = 1.0 / (1.0 + a * a)
         object.__setattr__(self, "_weights", np.array([1.0, wyz, wyz, 1.0]))

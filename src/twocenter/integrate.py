@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import RhsTemplate, compile_function, compile_kernel
-from .dynamics import PhasePoint, Problem, first_integrals, planar_system
+from .dynamics import PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, first_integrals, rhs_params
 from .errors import InvalidInputError, NearCollisionError
-from .projective import EllipsoidState, energy_arrays, intrinsic_system
+from .projective import INTRINSIC_RHS, EllipsoidState, energy_arrays
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
 _DP_A = (
@@ -78,6 +78,9 @@ _MAX_STEP = 0.1
 
 # Constraint residual beyond which an ellipsoid run is declared corrupted.
 _INTEGRITY_LIMIT = 1e-6
+
+# The planar template of each clock.
+_CLOCKS = {"t": PLANAR_RHS, "tau": PLANAR_TAU_RHS}
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,18 @@ class DriftReport:
 
 
 def drift_report(traj: Trajectory) -> DriftReport:
-    """Summarize invariant drift, max_t |I(t) - I(0)| / max(1, |I(0)|)."""
+    """Summarize invariant drift, max_t |I(t) - I(0)| / max(1, |I(0)|).
+
+    An invariant with a non-finite sample (an overflow) drifts by inf, where
+    inf - inf would give nan, which ``max`` and ``<=`` both pass over.
+    """
     drifts = {}
     for name, values in traj.diagnostics.items():
         values = np.asarray(values, dtype=float)
-        drifts[name] = float(np.max(np.abs(values - values[0])) / max(1.0, abs(values[0])))
+        if np.all(np.isfinite(values)):
+            drifts[name] = float(np.max(np.abs(values - values[0])) / max(1.0, abs(values[0])))
+        else:
+            drifts[name] = math.inf
     steps = np.diff(traj.times)
     return DriftReport(
         drifts=drifts,
@@ -314,9 +324,11 @@ def integrate_planar(
     cfg = cfg or IntegratorConfig()
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
-    template, params = planar_system(prob, clock)
+    if clock not in _CLOCKS:
+        raise InvalidInputError(f"clock must be 't' or 'tau', got {clock!r}")
     y0 = [*start.q.tolist(), *start.p.tolist()]
-    times, states, rejected, status = _make_run(template)(y0, t_end, cfg, _MAX_STEP, _MAX_STEPS, **params)
+    run = _make_run(_CLOCKS[clock])
+    times, states, rejected, status = run(y0, t_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     states = np.array(states, dtype=float)
     j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
     diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
@@ -337,9 +349,9 @@ def integrate_ellipsoid(
         raise InvalidInputError(f"tau_end must be positive, got {tau_end!r}")
     if start.metric.a != prob.a:
         raise InvalidInputError("state metric does not match the problem half-distance")
-    template, params = intrinsic_system(prob)
     y0 = [*start.point.vec.tolist(), *start.velocity.tolist()]
-    run = _make_run(template, renormalize=True)
+    run = _make_run(INTRINSIC_RHS, renormalize=True)
+    params = rhs_params(prob)
     times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **params)
     states = np.array(states, dtype=float)
     diagnostics = {

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
-from .codegen import RhsTemplate, compile_kernel
-from .dynamics import Problem, acceleration, first_integrals
+from .codegen import RhsTemplate
+from .dynamics import Problem, acceleration, first_integrals, kernel
 from .errors import (
     CenterRayError,
     InvalidInputError,
@@ -128,11 +127,19 @@ def lift_arrays(
 
 
 def lift_velocity(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> EllipsoidState:
-    """Lift a planar phase point to the projected point and its tau-velocity."""
+    """Lift a planar phase point to the projected point and its tau-velocity.
+
+    A q whose |(q, 1)|_* overflows is refused: the projected point would be lost.
+    """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape != (3,) or p.shape != (3,):
         raise InvalidInputError("q and p must have shape (3,)")
+    check_finite(q, "q")
+    x, y, z = q.tolist()
+    wyz = float(metric.weights[1])
+    if not np.isfinite(x * x + wyz * y * y + wyz * z * z + 1.0):  # Python floats: no warning
+        raise InvalidInputError(f"|(q, 1)|_* overflows at q = {q.tolist()}")
     big_q, qp = lift_arrays(q, p, metric)
     return EllipsoidState(EllipsoidPoint(big_q, metric), qp)
 
@@ -261,32 +268,6 @@ c = (x * f_x + w * f_w + speed2) / qq""",
 )
 
 
-def intrinsic_system(prob: Problem) -> tuple[RhsTemplate, dict[str, float]]:
-    """The intrinsic template and its parameters for ``prob``, as Python floats.
-
-    ``dynamics.COLLISION_GUARD`` is read here, at call time.
-    """
-    a = prob.a
-    return INTRINSIC_RHS, {
-        "a": a,
-        "m_minus": prob.m_minus,
-        "m_plus": prob.m_plus,
-        "wyz": 1.0 / (1.0 + a * a),
-        "guard": dynamics.COLLISION_GUARD,
-    }
-
-
-def intrinsic_kernel(prob: Problem):
-    """Plain-float right-hand side of the intrinsic ellipsoid system.
-
-    Returns ``rhs(y)``, which maps y = [Q, Q'] (eight floats) to [Q', Q'']
-    as a tuple of Python floats: ``INTRINSIC_RHS``, compiled once, bound to
-    ``prob``.
-    """
-    template, params = intrinsic_system(prob)
-    return compile_kernel(template)(**params)
-
-
 def tangential_field(point: EllipsoidPoint, prob: Problem) -> np.ndarray:
     """Velocity-independent tangential part of the projected acceleration.
 
@@ -295,7 +276,7 @@ def tangential_field(point: EllipsoidPoint, prob: Problem) -> np.ndarray:
     intrinsic right-hand side at Q' = 0.
     """
     _require_matching_a(point.metric, prob)
-    return np.array(intrinsic_kernel(prob)((*point.vec.tolist(), 0.0, 0.0, 0.0, 0.0))[4:])
+    return np.array(kernel(INTRINSIC_RHS, prob)((*point.vec.tolist(), 0.0, 0.0, 0.0, 0.0))[4:])
 
 
 def intrinsic_rhs(state: EllipsoidState, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +287,7 @@ def intrinsic_rhs(state: EllipsoidState, prob: Problem) -> tuple[np.ndarray, np.
     compatible with motion on the ellipsoid.
     """
     _require_matching_a(state.metric, prob)
-    y = intrinsic_kernel(prob)((*state.point.vec.tolist(), *state.velocity.tolist()))
+    y = kernel(INTRINSIC_RHS, prob)((*state.point.vec.tolist(), *state.velocity.tolist()))
     return state.velocity, np.array(y[4:])
 
 
@@ -317,8 +298,8 @@ def relation_coefficients(a: float) -> tuple[float, float, float, float]:
     return 2.0 / s, 1.0 / s, -(a * a) / (s * s), 0.0
 
 
-def _in_row_blocks(q, p, prob: Problem, kernel, *tails: tuple[int, ...]):
-    """The arrays ``kernel(J, Theta, E, G)`` returns for (q, p), of shape (...,) + tail.
+def _in_row_blocks(q, p, prob: Problem, evaluate, *tails: tuple[int, ...]):
+    """The arrays ``evaluate(J, Theta, E, G)`` returns for (q, p), of shape (...,) + tail.
 
     q and p of one shape with more than ``_ROWS`` rows are validated whole, then
     evaluated a block of rows at a time, copied column-major so that the temporaries
@@ -327,7 +308,7 @@ def _in_row_blocks(q, p, prob: Problem, kernel, *tails: tuple[int, ...]):
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape != p.shape or q.shape[-1:] != (3,) or q.size <= 3 * _ROWS:
-        return kernel(*first_integrals(q, p, prob), _lifted_energy(q, p, prob))  # validates q and p
+        return evaluate(*first_integrals(q, p, prob), _lifted_energy(q, p, prob))  # validates q and p
     check_finite(q, "q")
     check_finite(p, "p")
     outs = [np.empty(q.shape[:-1] + tail) for tail in tails]
@@ -337,7 +318,7 @@ def _in_row_blocks(q, p, prob: Problem, kernel, *tails: tuple[int, ...]):
         rows = slice(start, start + _ROWS)
         q_rows, p_rows = np.asfortranarray(q[rows]), np.asfortranarray(p[rows])
         try:
-            values = kernel(*first_integrals(q_rows, p_rows, prob), _lifted_energy(q_rows, p_rows, prob))
+            values = evaluate(*first_integrals(q_rows, p_rows, prob), _lifted_energy(q_rows, p_rows, prob))
         except CenterRayError:
             first_integrals(q[start:], p[start:], prob)  # one pass meets the collision guard first
             raise

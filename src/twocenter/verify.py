@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Problem, kepler_limit_residual
+from .dynamics import PhasePoint, Problem, kepler_limit_residual, kernel
 from .errors import InvalidInputError
 from .geometry import embed, project, star_norm
 from .integrate import IntegratorConfig, Trajectory, cubic_hermite, drift_report, integrate_planar
 from .projective import (
+    INTRINSIC_RHS,
     IntegralRelation,
     fd_tangential_acceleration,
-    intrinsic_kernel,
     lift_arrays,
     relation_coefficients,
     relation_residual,
@@ -149,7 +149,7 @@ def check_velocity_independence(prob: Problem, seed: int = 42) -> CheckResult:
     points = embed(qs)
     points = points / star_norm(points, metric)[:, None]
     points = points / star_norm(points, metric)[:, None]
-    rhs = intrinsic_kernel(prob)  # at Q' = 0 it is tangential_field
+    rhs = kernel(INTRINSIC_RHS, prob)  # at Q' = 0 it is tangential_field
     field = np.array([rhs((*point, 0.0, 0.0, 0.0, 0.0))[4:] for point in points.tolist()])
     try:
         with np.errstate(over="raise"):

@@ -257,6 +257,10 @@ def _repeated_rows(prob, n, rng, **kwargs):
         pytest.param(["verify-theorem", "--m-minus", 1e160, "--m-plus", 1e160, "--samples", 500], 3, False,
                      id="huge-masses-verify"),
         pytest.param(["verify-theorem", "--q0", "nan,0,0"], 1, False, id="nonfinite-start-verify"),
+        pytest.param(["simulate", "--a", 1e300, "--t-end", 1, "--out", "{tmp}/x.csv"], 1, False,
+                     id="overflowing-half-distance"),
+        pytest.param(["verify-theorem", "--q0", "1e155,0,0", "--tau-end", 1, "--samples", 100], 1, False,
+                     id="overflowing-lift"),
         pytest.param(["project", "--input", "{tmp}/header_only.csv"], 1, False, id="header-only-input"),
         pytest.param(["project", "--input", "{tmp}/ragged.csv"], 1, False, id="ragged-input"),
         pytest.param(["project", "--input", "{tmp}/malformed.csv"], 1, False, id="malformed-input"),

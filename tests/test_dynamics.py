@@ -145,6 +145,9 @@ def test_problem_validation():
         Problem(-1.0, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
         Problem(1.0, 1.0, 0.0)
+    with pytest.raises(InvalidInputError, match="1 \\+ a\\^2"):
+        Problem(1.0, 1.0, 1e300)  # the ellipsoid would lose y and z
+    assert Problem(1.0, 1.0, 1e150).a == 1e150
     assert Problem(1.0, 0.0, 1.0).is_kepler
     assert not Problem(1.0, 1.0, 1.0).is_kepler
     assert not Problem(0.0, 0.0, 1.0).is_kepler

@@ -28,9 +28,10 @@ def test_metric_weights():
     assert np.allclose(M1.weights, [1.0, 0.5, 0.5, 1.0], atol=0)
     m2 = StarMetric(2.0)
     assert np.allclose(m2.weights, [1.0, 0.2, 0.2, 1.0], atol=1e-16)
+    assert StarMetric(1e150).weights[1] == 1e-300  # 1 + a^2 is finite up to about 1.34e154
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, 1.35e154, 1e300])
 def test_metric_rejects_bad_a(bad):
     with pytest.raises(InvalidInputError):
         StarMetric(bad)

@@ -21,7 +21,7 @@ from twocenter import (
     star_inner,
     star_norm,
 )
-from twocenter import dynamics, integrate
+from twocenter import dynamics, integrate, verify
 from twocenter.cli import main
 from twocenter.codegen import RhsTemplate
 from twocenter.verify import check_energy_drift, check_first_integral_drift, check_two_routes
@@ -102,7 +102,7 @@ def test_nonfinite_derivative_ends_in_step_underflow(bad, monkeypatch):
     """The kernel checks no finiteness: a derivative that turns non-finite
     (here for x > 0.5) makes every step there fail its error test, so the
     run ends in step_underflow with every stored state finite."""
-    template, params = dynamics.planar_system(EQUAL)
+    template, real = dynamics.PLANAR_RHS, integrate.rhs_params
     spoiled = RhsTemplate(
         name="planar t spoiled",
         state=template.state,
@@ -110,7 +110,8 @@ def test_nonfinite_derivative_ends_in_step_underflow(bad, monkeypatch):
         body=template.body,
         derivative=tuple(f"bad if x > 0.5 else ({expr})" for expr in template.derivative),
     )
-    monkeypatch.setattr(integrate, "planar_system", lambda prob, clock: (spoiled, {**params, "bad": bad}))
+    monkeypatch.setitem(integrate._CLOCKS, "t", spoiled)
+    monkeypatch.setattr(integrate, "rhs_params", lambda prob: {**real(prob), "bad": bad})
     traj = integrate_planar(DEFAULT_START, EQUAL, 10.0)
     assert traj.status == "step_underflow"
     assert len(traj) > 10 and traj.times[-1] < 10.0
@@ -133,6 +134,14 @@ def test_invalid_horizons():
     state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
     with pytest.raises(InvalidInputError):
         integrate_ellipsoid(state, EQUAL, -1.0)
+
+
+def test_unknown_clock_is_rejected():
+    with pytest.raises(InvalidInputError, match="clock must be 't' or 'tau'"):
+        integrate_planar(DEFAULT_START, EQUAL, 1.0, clock="s")
+    # a bad end time is reported first
+    with pytest.raises(InvalidInputError, match="t_end must be positive"):
+        integrate_planar(DEFAULT_START, EQUAL, 0.0, clock="s")
 
 
 def test_fifth_order_convergence(monkeypatch):
@@ -247,6 +256,23 @@ def test_drift_report_examples():
     tiny = Trajectory(times, states, {"J": np.array([1.0, 1.0 + 1e-9])}, EQUAL)
     assert drift_report(tiny).drifts["J"] == pytest.approx(1e-9, rel=1e-6)
     assert any("1e-09" in line or "1.0" in line for line in drift_report(tiny).lines())
+
+
+@pytest.mark.parametrize(
+    "e_column", [[1.0, 2.0, np.inf], [np.inf, 2.0, 3.0], [1.0, -np.inf, np.nan], [np.inf, np.inf, np.inf]]
+)
+def test_nonfinite_invariant_fails_the_drift_check(e_column, monkeypatch):
+    """An overflowed invariant drifts by inf, with no warning, and fails the
+    check; as nan, ``max`` over J, Theta and E passed over it when it came last."""
+    diagnostics = {"J": np.ones(3), "Theta": np.ones(3), "E": np.array(e_column)}
+    traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.zeros((3, 6)), diagnostics, EQUAL)
+    report = drift_report(traj)
+    assert report.drifts == {"J": 0.0, "Theta": 0.0, "E": np.inf}
+    assert "E: max relative drift inf" in report.lines()
+    monkeypatch.setattr(verify, "integrate_planar", lambda *args: traj)
+    result = check_first_integral_drift(DEFAULT_START, EQUAL, t_end=1.0)
+    assert result.measured == np.inf and not result.passed
+    assert result.detail == "J 0, Theta 0, E inf"
 
 
 def test_first_integral_drift_check_reports_the_largest_drift(monkeypatch):

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from twocenter import InvalidInputError, NearCollisionError, Problem, acceleration
-from twocenter.dynamics import COLLISION_GUARD, planar_kernel
-from twocenter.projective import intrinsic_kernel
+from twocenter import NearCollisionError, Problem, acceleration
+from twocenter.dynamics import COLLISION_GUARD, PLANAR_RHS, PLANAR_TAU_RHS, kernel
+from twocenter.projective import INTRINSIC_RHS
 
 RTOL = 1e-13
 ATOL = 1e-15
@@ -63,7 +63,7 @@ def reference_intrinsic(y, prob):
 def test_planar_kernel_matches_acceleration(prob, q, p):
     assume(min(math.dist(q, (-prob.a, 0.0, 0.0)), math.dist(q, (prob.a, 0.0, 0.0))) >= 1e-3)
     q = np.array(q)
-    out = planar_kernel(prob)((*q.tolist(), *p))
+    out = kernel(PLANAR_RHS, prob)((*q.tolist(), *p))
     assert out[:3] == p
     diff = np.abs(np.array(out[3:]) - acceleration(q, prob))
     assert np.all(diff <= ATOL + RTOL * planar_scale(q, prob))
@@ -79,7 +79,7 @@ def test_intrinsic_kernel_matches_array_reference(prob, q, off_manifold, qp):
     big_q = off_manifold * q4 / np.sqrt(np.sum(weights * q4 * q4))
     y = np.concatenate([big_q, qp])
     reference, scale = reference_intrinsic(y, prob)
-    out = np.array(intrinsic_kernel(prob)(y.tolist()))
+    out = np.array(kernel(INTRINSIC_RHS, prob)(y.tolist()))
     assert np.array_equal(out[:4], y[4:])
     assert np.all(np.abs(out - reference) <= ATOL + RTOL * scale)
 
@@ -88,7 +88,7 @@ def test_intrinsic_kernel_matches_array_reference(prob, q, off_manifold, qp):
 def test_planar_kernel_guard(prob, side, offset, p):
     q = (side * prob.a + offset[0], offset[1], offset[2])
     with pytest.raises(NearCollisionError):
-        planar_kernel(prob)((*q, *p))
+        kernel(PLANAR_RHS, prob)((*q, *p))
     with pytest.raises(NearCollisionError):
         acceleration(np.array(q), prob)
 
@@ -98,7 +98,7 @@ def test_intrinsic_kernel_guard(prob, side, w, offset):
     """Q on the projection ray of a center, up to an offset inside the guard."""
     y = (side * prob.a * w + offset[0], offset[1], offset[2], w, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(NearCollisionError):
-        intrinsic_kernel(prob)(y)
+        kernel(INTRINSIC_RHS, prob)(y)
 
 
 @given(problems, vectors3, vectors3)
@@ -107,14 +107,9 @@ def test_tau_kernel_scales_t_kernel_by_star_norm_squared(prob, q, p):
     assume(min(math.dist(q, (-prob.a, 0.0, 0.0)), math.dist(q, (prob.a, 0.0, 0.0))) >= 1e-3)
     y = (*q, *p)
     n2 = q[0] ** 2 + (q[1] ** 2 + q[2] ** 2) / (1.0 + prob.a**2) + 1.0
-    expected = n2 * np.array(planar_kernel(prob)(y))
-    out = np.array(planar_kernel(prob, clock="tau")(y))
+    expected = n2 * np.array(kernel(PLANAR_RHS, prob)(y))
+    out = np.array(kernel(PLANAR_TAU_RHS, prob)(y))
     assert np.allclose(out, expected, rtol=1e-14, atol=0.0)
-
-
-def test_planar_kernel_rejects_unknown_clock():
-    with pytest.raises(InvalidInputError):
-        planar_kernel(Problem(), clock="s")
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
@@ -124,9 +119,9 @@ def test_kernels_return_python_floats(a):
     about twice as slowly, and numpy scalars are floats to isinstance."""
     prob = Problem(1.0, 0.5, a)
     planar = [0.1, 2.0, -0.3, 0.3, 0.1, 0.6]
-    for rhs in (planar_kernel(prob), planar_kernel(prob, clock="tau")):
+    for rhs in (kernel(PLANAR_RHS, prob), kernel(PLANAR_TAU_RHS, prob)):
         assert [type(v) for v in rhs(planar)] == [float] * 6
     wyz = 1.0 / (1.0 + a * a)
     norm = math.sqrt(0.1**2 + wyz * (2.0**2 + 0.3**2) + 1.0)
     big_q = [0.1 / norm, 2.0 / norm, -0.3 / norm, 1.0 / norm]
-    assert [type(v) for v in intrinsic_kernel(prob)([*big_q, 0.2, 0.0, 0.1, -0.1])] == [float] * 8
+    assert [type(v) for v in kernel(INTRINSIC_RHS, prob)([*big_q, 0.2, 0.0, 0.1, -0.1])] == [float] * 8

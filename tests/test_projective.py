@@ -55,6 +55,11 @@ def test_lift_examples():
     assert star_norm(state.velocity, M1) ** 2 == pytest.approx(0.75, abs=1e-15)
     rest = lift_velocity(np.array([0.3, -2.0, 1.1]), np.zeros(3), M1)
     assert np.array_equal(rest.velocity, np.zeros(4))
+    # refused before numpy overflows, and a non-finite q is not called an overflow
+    with pytest.raises(InvalidInputError, match=r"\|\(q, 1\)\|_\* overflows"):
+        lift_velocity(np.array([0.0, 0.0, 1e155]), np.zeros(3), M1)
+    with pytest.raises(InvalidInputError, match="finite components"):
+        lift_velocity(np.array([np.inf, 0.0, 0.0]), np.zeros(3), M1)
 
 
 def test_lift_is_tangent():

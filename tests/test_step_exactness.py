@@ -31,7 +31,7 @@ from twocenter import (
 )
 from twocenter import dynamics, integrate
 from twocenter.codegen import RhsTemplate, compile_kernel
-from twocenter.dynamics import PLANAR_RHS, planar_kernel
+from twocenter.dynamics import PLANAR_RHS, kernel
 from twocenter.errors import NearCollisionError
 from twocenter.projective import INTRINSIC_RHS
 
@@ -133,16 +133,17 @@ def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
 
 def reference(system, start, prob, end, cfg=None):
     """The run of ``integrate_planar``/``integrate_ellipsoid`` through the oracle
-    stepper, with the kernel compiled from the (possibly patched) system template."""
+    stepper, with the kernel compiled from the system template and bound to the
+    constants that ``integrate`` reads (either possibly patched)."""
     cfg = cfg or IntegratorConfig()
+    template = integrate.INTRINSIC_RHS if system == "ellipsoid" else integrate._CLOCKS[system]
+    f = compile_kernel(template)(**integrate.rhs_params(prob))
     if system != "ellipsoid":
-        template, params = integrate.planar_system(prob, system)
         y0 = [*start.q.tolist(), *start.p.tolist()]
-        times, states, rejected, status = ref_dopri5(compile_kernel(template)(**params), y0, end, cfg)
+        times, states, rejected, status = ref_dopri5(f, y0, end, cfg)
         j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
         diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
         return Trajectory(times, states, diagnostics, prob, status, rejected)
-    template, params = integrate.intrinsic_system(prob)
     wyz = float(prob.metric().weights[1])
 
     def star(u, v):
@@ -165,7 +166,7 @@ def reference(system, start, prob, end, cfg=None):
         radial = star(big_q, qp)
         return big_q + [v - radial * u for v, u in zip(qp, big_q)]
 
-    times, states, rejected, status = ref_dopri5(compile_kernel(template)(**params), y0, end, cfg, cleanup)
+    times, states, rejected, status = ref_dopri5(f, y0, end, cfg, cleanup)
     n = len(times)
     diagnostics = {
         "G": np.atleast_1d(energy_arrays(states[:, :4], states[:, 4:], prob)),
@@ -269,14 +270,12 @@ SPOILED = {"t": spoiled(PLANAR_RHS, 0.5), "tau": spoiled(dynamics.PLANAR_TAU_RHS
 def test_nonfinite_derivative_mid_run_matches_loop_stepper(system, bad, monkeypatch):
     """A derivative that turns non-finite past x = threshold fails every step
     there, down to step_underflow; the stored states stay finite."""
+    real = integrate.rhs_params
+    monkeypatch.setattr(integrate, "rhs_params", lambda prob: {**real(prob), "bad": bad})
     if system == "ellipsoid":
-        real = integrate.intrinsic_system
-        monkeypatch.setattr(integrate, "intrinsic_system", lambda prob: (SPOILED[system], {**real(prob)[1], "bad": bad}))
+        monkeypatch.setattr(integrate, "INTRINSIC_RHS", SPOILED[system])
     else:
-        real = integrate.planar_system
-        monkeypatch.setattr(
-            integrate, "planar_system", lambda prob, clock: (SPOILED[clock], {**real(prob, clock)[1], "bad": bad})
-        )
+        monkeypatch.setitem(integrate._CLOCKS, system, SPOILED[system])
     got, want = both_steppers(system, START, EQUAL, 5.0)
     assert got.status == "step_underflow" and len(got) > 10
     assert np.all(np.isfinite(got.states))
@@ -358,7 +357,7 @@ def test_generated_source_is_shown_in_tracebacks():
     source = inspect.getsource(run)
     assert source.startswith("def run(start, t_end, cfg, max_step, max_steps, a, m_minus, m_plus, wyz, guard):")
     assert "norm_residuals.append(abs(norm - 1.0))" in source
-    rhs = planar_kernel(EQUAL)
+    rhs = kernel(PLANAR_RHS, EQUAL)
     assert inspect.getsource(rhs).startswith("    def rhs(state):")
     with pytest.raises(NearCollisionError) as caught:
         rhs([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
