@@ -156,21 +156,24 @@ PLANAR_RHS = RhsTemplate(
     body="""\
 x_minus = x + a
 x_plus = x - a
-d2_minus = x_minus * x_minus + y * y + z * z
-d2_plus = x_plus * x_plus + y * y + z * z
+yy = y * y
+zz = z * z
+d2_minus = x_minus * x_minus + yy + zz
+d2_plus = x_plus * x_plus + yy + zz
 d_minus = sqrt(d2_minus)
 d_plus = sqrt(d2_plus)
 if d_minus < guard or d_plus < guard:
     raise NearCollisionError(f"point within {guard:g} of an attracting center")
 k_minus = m_minus / (d2_minus * d_minus)
-k_plus = m_plus / (d2_plus * d_plus)""",
+k_plus = m_plus / (d2_plus * d_plus)
+nk_minus = -k_minus""",
     derivative=(
         "px",
         "py",
         "pz",
-        "-k_minus * x_minus - k_plus * x_plus",
-        "-k_minus * y - k_plus * y",
-        "-k_minus * z - k_plus * z",
+        "nk_minus * x_minus - k_plus * x_plus",
+        "nk_minus * y - k_plus * y",
+        "nk_minus * z - k_plus * z",
     ),
 )
 

@@ -249,10 +249,13 @@ INTRINSIC_RHS = RhsTemplate(
     state=("x", "y", "z", "w", "xp", "yp", "zp", "wp"),
     params=("a", "m_minus", "m_plus", "wyz", "guard"),
     body="""\
-x_minus = x + a * w
-x_plus = x - a * w
-d2_minus = x_minus * x_minus + y * y + z * z
-d2_plus = x_plus * x_plus + y * y + z * z
+aw = a * w
+x_minus = x + aw
+x_plus = x - aw
+yy = y * y
+zz = z * z
+d2_minus = x_minus * x_minus + yy + zz
+d2_plus = x_plus * x_plus + yy + zz
 d_minus = sqrt(d2_minus)
 d_plus = sqrt(d2_plus)
 if d_minus < guard or d_plus < guard:
@@ -263,8 +266,9 @@ f_x = a * s_plus - a * s_minus
 f_w = s_minus + s_plus
 qq = x * x + wyz * y * y + wyz * z * z + w * w
 speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp
-c = (x * f_x + w * f_w + speed2) / qq""",
-    derivative=("xp", "yp", "zp", "wp", "f_x - c * x", "-c * y", "-c * z", "f_w - c * w"),
+c = (x * f_x + w * f_w + speed2) / qq
+nc = -c""",
+    derivative=("xp", "yp", "zp", "wp", "f_x - c * x", "nc * y", "nc * z", "f_w - c * w"),
 )
 
 
@@ -450,16 +454,20 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, metric: 
     check_finite(times, "times")
     if np.any(np.diff(times) <= 0.0):
         raise InvalidInputError("times must be strictly increasing")
+    check_finite(np.stack([q, p]), "q and p")
     wyz = metric.weights[1]
     x, y, z = q.T
     px, py, pz = p.T
-    n2 = x * x + wyz * (y * y + z * z) + 1.0
-    g = 1.0 / n2
-    gdot = -2.0 * (x * px + wyz * (y * py + z * pz)) / (n2 * n2)
-    h = np.diff(times)
-    dtau = 0.5 * h * (g[:-1] + g[1:]) + (h * h / 12.0) * (gdot[:-1] - gdot[1:])
-    if np.any(dtau <= 0.0):
-        raise InvalidInputError("quadrature produced a nonincreasing tau grid")
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = x * x + wyz * (y * y + z * z) + 1.0
+        g = 1.0 / n2
+        gdot = -2.0 * (x * px + wyz * (y * py + z * pz)) / (n2 * n2)
+        h = np.diff(times)
+        dtau = 0.5 * h * (g[:-1] + g[1:]) + (h * h / 12.0) * (gdot[:-1] - gdot[1:])
+    if not np.all(np.isfinite(n2)):
+        raise InvalidInputError("|q|_*^2 overflows on the grid")
+    if not np.all(np.isfinite(dtau) & (dtau > 0.0)):
+        raise InvalidInputError("quadrature produced a nonincreasing or non-finite tau grid")
     tau = np.empty_like(times)
     tau[0] = 0.0
     np.cumsum(dtau, out=tau[1:])

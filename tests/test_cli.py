@@ -261,6 +261,15 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="overflowing-half-distance"),
         pytest.param(["verify-theorem", "--q0", "1e155,0,0", "--tau-end", 1, "--samples", 100], 1, False,
                      id="overflowing-lift"),
+        # the diagnostics overflow to inf: an inf drift, or a refused tau grid, never a numpy warning
+        pytest.param(["simulate", "--q0", "1e155,0,0", "--t-end", 1, "--out", "{tmp}/x.csv"], 0, False,
+                     id="overflowing-first-integrals"),
+        pytest.param(["project", "--q0", "1e155,0,0", "--t-end", 1, "--out", "{tmp}/x.csv"], 1, False,
+                     id="overflowing-star-norm"),
+        pytest.param(["simulate", "--p0", "1e200,0,0", "--t-end", 1, "--out", "{tmp}/x.csv"], 2, False,
+                     id="overflowing-velocity"),
+        pytest.param(["verify-theorem", "--p0", "1e200,0,0", "--tau-end", 1, "--samples", 100], 3, False,
+                     id="overflowing-velocity-verify"),
         pytest.param(["project", "--input", "{tmp}/header_only.csv"], 1, False, id="header-only-input"),
         pytest.param(["project", "--input", "{tmp}/ragged.csv"], 1, False, id="ragged-input"),
         pytest.param(["project", "--input", "{tmp}/malformed.csv"], 1, False, id="malformed-input"),

@@ -374,6 +374,21 @@ def test_reparametrize_refuses_misshaped_input(times, q_shape, p_shape, message)
         reparametrize_time(times, np.ones(q_shape), np.ones(p_shape), M1)
 
 
+@pytest.mark.parametrize(
+    "times, q, p, message",
+    [
+        pytest.param([0.0, 1.0], [[np.nan, 0.0, 0.0]] * 2, [[0.0] * 3] * 2, "q and p must have finite", id="nan-q"),
+        pytest.param([0.0, 1.0], [[1e155, 0.0, 0.0]] * 2, [[0.0] * 3] * 2, r"\|q\|_\*\^2 overflows", id="huge-q"),
+        pytest.param([0.0, 1.0], [[1e10, 0.0, 0.0]] * 2, [[1e300, 0.0, 0.0]] * 2, "non-finite", id="huge-q-dot-p"),
+        pytest.param([0.0, 1e200], [[1.0, 0.0, 0.0]] * 2, [[0.0] * 3] * 2, "non-finite", id="huge-step"),
+    ],
+)
+def test_reparametrize_refuses_overflow_without_warning(times, q, p, message):
+    """pytest turns RuntimeWarning into an error, so an overflow that warns fails here."""
+    with pytest.raises(InvalidInputError, match=message):
+        reparametrize_time(np.array(times), np.array(q), np.array(p), M1)
+
+
 def test_tangential_field_matches_potential_gradient():
     """F_tan is -1/2 the tangential gradient of the potential part of G.
 
