@@ -41,6 +41,7 @@ from .verify import (
 
 _SIMULATE_HEADER = ["t", "x", "y", "z", "px", "py", "pz", "J", "Theta", "E"]
 _PROJECT_HEADER = ["tau", "X", "Y", "Z", "W", "Xp", "Yp", "Zp", "Wp", "G"]
+_FIT_SAMPLES = 4096  # the fit's cap on ``samples``; the pointwise-relation check takes all of them
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,9 @@ def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
         data = _read_planar_csv(input_path)
         times, states = data[:, 0], data[:, 1:7]
     tau = reparametrize_time(times, states[:, :3], states[:, 3:], metric)
-    big_q, qp = lift_arrays(states[:, :3], states[:, 3:], metric)
-    g = np.atleast_1d(energy_arrays(big_q, qp, prob))
+    with np.errstate(over="ignore", invalid="ignore"):  # G may overflow to inf; energy_arrays refuses an inf Q'
+        big_q, qp = lift_arrays(states[:, :3], states[:, 3:], metric)
+        g = np.atleast_1d(energy_arrays(big_q, qp, prob))
     _write_rows(cfg.out, _PROJECT_HEADER, np.column_stack([tau, big_q, qp, g]))
     _write_json(cfg.json, {"command": "project", "samples": int(len(tau)),
                            "tau_end": float(tau[-1]), "G_first": float(g[0]), "G_last": float(g[-1])})
@@ -229,7 +231,7 @@ def cmd_verify_theorem(cfg: RunConfig, do_fit: bool) -> int:
         results.append(check_kepler_limit(start, prob))
     fitted = None
     if do_fit:
-        fitted = fit_integral_relation(prob, min(cfg.samples, 4096), cfg.seed)
+        fitted = fit_integral_relation(prob, min(cfg.samples, _FIT_SAMPLES), cfg.seed)
         print(
             "fitted relation: G = "
             f"{_fmt(fitted.lambda_J)} J + {_fmt(fitted.lambda_E)} E "
@@ -249,7 +251,7 @@ def cmd_verify_theorem(cfg: RunConfig, do_fit: bool) -> int:
 
 
 def cmd_fit_relation(cfg: RunConfig) -> int:
-    relation = fit_integral_relation(cfg.problem(), min(cfg.samples, 4096), cfg.seed)
+    relation = fit_integral_relation(cfg.problem(), min(cfg.samples, _FIT_SAMPLES), cfg.seed)
     fitted = asdict(relation)
     for name, value in fitted.items():
         print(f"{'max residual' if name == 'max_residual' else name} = {_fmt(value)}")
@@ -290,7 +292,8 @@ _COMMANDS = {
                ("--inverse", {"action": "store_true", "help": "convert (alpha, beta, theta) to q"})),
 }
 _HELP = {"seed": "override config key seed: a run is named by its config and seed, "
-                 "and subcommands that draw nothing ignore it"}
+                 "and subcommands that draw nothing ignore it",
+         "samples": f"override config key samples; the fit uses at most {_FIT_SAMPLES:,} of them"}
 
 
 @functools.cache

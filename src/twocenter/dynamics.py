@@ -20,7 +20,7 @@ import numpy as np
 
 from .codegen import RhsTemplate, compile_kernel
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import StarMetric, check_broadcast, check_finite, columns
+from .geometry import StarMetric, check_finite, columns, pair_columns
 
 # Evaluations closer to a center than this are refused instead of blowing up.
 COLLISION_GUARD = 1e-8
@@ -199,13 +199,7 @@ def first_integrals(
     Every expression keeps the operation order of the (..., 3) reductions
     and ``np.cross`` it replaces, so the values are bit-identical to them.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    x, y, z = columns(q, 3, "q")
-    px, py, pz = columns(p, 3, "p")
-    check_broadcast(q, p)
-    check_finite(q, "q")
-    check_finite(p, "p")
+    x, y, z, px, py, pz = pair_columns(q, p)
     a = prob.a
     d_minus, d_plus = _distances(x, y, z, a)
     _check_guard(d_minus, d_plus)
@@ -228,10 +222,8 @@ def axial_angular_momentum(q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     The unit axis direction is used for every a; conservation only depends
     on the direction, and relation fits absorb any constant rescaling.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    check_broadcast(q, p)
-    return q[..., 1] * p[..., 2] - q[..., 2] * p[..., 1]
+    _, y, z, _, py, pz = pair_columns(q, p)
+    return y * pz - z * py
 
 
 def euler_integral(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
@@ -256,18 +248,12 @@ def kepler_limit_residual(
     if not np.isfinite(a_small) or a_small <= 0.0:
         raise InvalidInputError(f"a_small must be positive, got {a_small!r}")
     shrunk = Problem(prob.m_minus, prob.m_plus, a_small)
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    lx, ly, lz = _angular_momentum(*columns(q, 3, "q"), *columns(p, 3, "p"))
+    lx, ly, lz = _angular_momentum(*pair_columns(q, p))
     return np.abs(euler_integral(q, p, shrunk) - (lx * lx + ly * ly + lz * lz))
 
 
 def rotate_about_axis(v: np.ndarray, angle: float) -> np.ndarray:
     """Right-handed rotation of 3-vectors about the centers (x) axis."""
-    v = np.asarray(v, dtype=float)
+    x, y, z = columns(np.asarray(v, dtype=float), 3, "v")
     c, s = np.cos(angle), np.sin(angle)
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 0]
-    out[..., 1] = c * v[..., 1] - s * v[..., 2]
-    out[..., 2] = s * v[..., 1] + c * v[..., 2]
-    return out
+    return np.stack((x, c * y - s * z, s * y + c * z), axis=-1)

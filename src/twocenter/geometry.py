@@ -29,19 +29,31 @@ def check_finite(arr: np.ndarray, name: str) -> None:
         raise InvalidInputError(f"{name} must have finite components")
 
 
-def check_broadcast(q: np.ndarray, p: np.ndarray) -> None:
-    """Raise :class:`InvalidInputError` unless ``q`` and ``p`` broadcast together."""
-    try:
-        np.broadcast_shapes(q.shape, p.shape)
-    except ValueError:
-        raise InvalidInputError(f"q of shape {q.shape} and p of shape {p.shape} do not broadcast") from None
-
-
 def columns(v: np.ndarray, size: int, name: str) -> tuple[np.ndarray, ...]:
     """Views of the components of a (..., size) array, for column-by-column kernels."""
     if v.shape[-1:] != (size,):
         raise InvalidInputError(f"{name} must have shape (..., {size}), got {v.shape}")
     return tuple(v[..., i] for i in range(size))
+
+
+def pair_columns(q, p, size: int = 3, names: tuple[str, str] = ("q", "p")) -> tuple[np.ndarray, ...]:
+    """The 2 x ``size`` column views of two (..., size) batches, q's then p's.
+
+    The one validation rule of the public evaluators of two batches: the
+    last axis of q, then of p, then that the shapes broadcast, then that q
+    and then p are finite, each refused with :class:`InvalidInputError`.
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    views = columns(q, size, names[0]) + columns(p, size, names[1])
+    try:
+        np.broadcast_shapes(q.shape, p.shape)
+    except ValueError:
+        shapes = f"{names[0]} of shape {q.shape} and {names[1]} of shape {p.shape}"
+        raise InvalidInputError(f"{shapes} do not broadcast") from None
+    check_finite(q, names[0])
+    check_finite(p, names[1])
+    return views
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     ``v + h * (a1 * k1 + a2 * k2 + ...)`` of a loop over the components.
     """
     n = len(template.state)
-    y, u = [f"y{i}" for i in range(n)], [f"u{i}" for i in range(n)]
+    y, u = [f"y{i}" for i in range(n)], template.state
     k = [[f"k{stage}_{i}" for i in range(n)] for stage in range(1, 8)]
 
     def combination(weights, i):
@@ -262,17 +262,15 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
         "                break",
     ]
     tab = " " * 12
-    for stage, weights in enumerate(_DP_A[:-1], 1):
+    # the last stage is the 5th-order solution (FSAL); the state names u keep it
+    for stage, weights in enumerate(_DP_A, 1):
         values = [f"{y[i]} + h * ({combination(weights, i)})" for i in range(n)]
         lines += template.inline(values, k[stage], tab)
-    # the last coupling row is the 5th-order solution (FSAL)
-    lines += [f"{tab}{u[i]} = {y[i]} + h * ({combination(_DP_A[-1], i)})" for i in range(n)]
-    lines += template.inline(u, k[6], tab)
     for i in range(n):
-        lines.append(f"{tab}s{i} = -{y[i]} if {y[i]} < 0.0 else {y[i]}")
-        lines.append(f"{tab}v{i} = -{u[i]} if {u[i]} < 0.0 else {u[i]}")
+        lines.append(f"{tab}ys{i} = -{y[i]} if {y[i]} < 0.0 else {y[i]}")
+        lines.append(f"{tab}us{i} = -{u[i]} if {u[i]} < 0.0 else {u[i]}")
     terms = ", ".join(
-        f"(h * ({combination(_DP_ERR, i)}) / (atol + rtol * (v{i} if v{i} > s{i} else s{i}))) ** 2" for i in range(n)
+        f"(h * ({combination(_DP_ERR, i)}) / (atol + rtol * (us{i} if us{i} > ys{i} else ys{i}))) ** 2" for i in range(n)
     )
     lines += [
         f"{tab}err = sqrt(sum([{terms}]) / {n})",

@@ -31,10 +31,10 @@ from .errors import (
 from .geometry import (
     EllipsoidPoint,
     StarMetric,
-    check_broadcast,
     check_finite,
     columns,
     embed,
+    pair_columns,
     star_inner,
     star_norm,
     unproject,
@@ -115,14 +115,7 @@ def lift_arrays(
     ``q`` and ``p`` have shape (..., 3) and are embedded as (q, 1) and
     (p, 0); returns (Q, Q') with shape (..., 4).
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    x, y, z = columns(q, 3, "q")
-    px, py, pz = columns(p, 3, "p")
-    check_broadcast(q, p)
-    check_finite(q, "q")
-    check_finite(p, "p")
-    big_q, qp = _lift_columns(x, y, z, px, py, pz, metric.weights[1])
+    big_q, qp = _lift_columns(*pair_columns(q, p), metric.weights[1])
     return np.stack(big_q, axis=-1), np.stack(qp, axis=-1)
 
 
@@ -152,14 +145,8 @@ def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> fl
     xd^2 + w yd^2 + w zd^2 + w (x yd - y xd)^2 + w^2 (y zd - z yd)^2
     + w (z xd - x zd)^2.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    check_broadcast(q, p)
-    check_finite(q, "q")
-    check_finite(p, "p")
+    x, y, z, xd, yd, zd = pair_columns(q, p)
     w = metric.weights[1]
-    x, y, z = q[..., 0], q[..., 1], q[..., 2]
-    xd, yd, zd = p[..., 0], p[..., 1], p[..., 2]
     return (
         xd**2
         + w * yd**2
@@ -200,8 +187,8 @@ def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | n
     Raises :class:`CenterRayError` for a point on the projection ray of a
     center.
     """
-    x, _, _, w = columns(np.asarray(big_q, dtype=float), 4, "Q")
-    return _energy_columns(x, w, columns(np.asarray(qp, dtype=float), 4, "Q'"), prob)
+    x, _, _, w, *qp_columns = pair_columns(big_q, qp, 4, ("Q", "Q'"))
+    return _energy_columns(x, w, qp_columns, prob)
 
 
 def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:

@@ -23,6 +23,7 @@ from twocenter import (
     first_integrals,
     fit_integral_relation,
     hamiltonian,
+    kepler_limit_residual,
     lift_arrays,
     lifted_speed_squared,
     make_rng,
@@ -31,7 +32,7 @@ from twocenter import (
     sample_phase_points,
 )
 from twocenter import projective
-from twocenter.dynamics import COLLISION_GUARD
+from twocenter.dynamics import COLLISION_GUARD, rotate_about_axis
 
 PROB = Problem(1.0, 1.0, 1.0)
 ROWS = 100_000
@@ -44,7 +45,7 @@ def batch():
 
 
 def evaluators(q, p):
-    """Each batched entry point on (q, p), fit_integral_relation through its sample draw."""
+    """The batched entry points that apply the collision guard, fit_integral_relation through its sample draw."""
     return {
         "hamiltonian": lambda: hamiltonian(q, p, PROB),
         "euler_integral": lambda: euler_integral(q, p, PROB),
@@ -60,14 +61,37 @@ def fit_on(q, p):
         return fit_integral_relation(PROB, ROWS)
 
 
-@pytest.mark.parametrize("name", list(evaluators(None, None)))
+PAIR_EVALUATORS = {
+    "first_integrals": lambda q, p: first_integrals(q, p, PROB),
+    "hamiltonian": lambda q, p: hamiltonian(q, p, PROB),
+    "euler_integral": lambda q, p: euler_integral(q, p, PROB),
+    "axial_angular_momentum": axial_angular_momentum,
+    "kepler_limit_residual": lambda q, p: kepler_limit_residual(q, p, PROB, 0.1),
+    "lift_arrays": lambda q, p: lift_arrays(q, p, PROB.metric()),
+    "lifted_speed_squared": lambda q, p: lifted_speed_squared(q, p, PROB.metric()),
+    "relation_residual": lambda q, p: relation_residual(q, p, PROB),
+}
+# Every evaluator of two batches; energy_arrays takes the lifted (Q, Q') of the batch.
+BATCH_EVALUATORS = {
+    **PAIR_EVALUATORS,
+    "fit_integral_relation": fit_on,
+    "energy_arrays": lambda big_q, qp: energy_arrays(big_q, qp, PROB),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_EVALUATORS))
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("which", ["q", "p"])
 def test_one_nonfinite_row_is_refused(batch, name, bad, which):
-    q, p = (arr.copy() for arr in batch)
-    (q if which == "q" else p)[MIDDLE, 1] = bad
-    with pytest.raises(InvalidInputError, match=which):
-        evaluators(q, p)[name]()
+    """In every column in turn, also one the evaluator never reads."""
+    label = which
+    if name == "energy_arrays":
+        batch, label = lift_arrays(*batch, PROB.metric()), {"q": "Q", "p": "Q'"}[which]
+    for column in range(batch[0].shape[-1]):
+        q, p = (arr.copy() for arr in batch)
+        (q if which == "q" else p)[MIDDLE, column] = bad
+        with pytest.raises(InvalidInputError, match=f"^{label} must have finite"):
+            BATCH_EVALUATORS[name](q, p)
 
 
 @pytest.mark.parametrize("name", list(evaluators(None, None)))
@@ -88,24 +112,19 @@ def test_batched_energy_refuses_a_center_ray(batch):
 
 @pytest.mark.parametrize(
     "shape_q, shape_p",
-    [((5, 4), (5, 3)), ((5, 3), (5, 2)), ((2,), (3,))],
+    [((5, 4), (5, 3)), ((5, 3), (5, 2)), ((2,), (3,)), ((5, 2), (5, 2))],
 )
 def test_wrong_last_axis_is_refused(shape_q, shape_p):
+    """Every evaluator of (..., 3) batches, energy_arrays of (..., 4) ones, and rotate_about_axis."""
     q, p = np.zeros(shape_q), np.ones(shape_p)
-    for fn in (lambda: hamiltonian(q, p, PROB), lambda: lift_arrays(q, p, PROB.metric())):
+    fns = [
+        *PAIR_EVALUATORS.values(),
+        lambda q, p: energy_arrays(q, p, PROB),
+        lambda q, p: (rotate_about_axis(q, 1.0), rotate_about_axis(p, 1.0)),
+    ]
+    for fn in fns:
         with pytest.raises(InvalidInputError, match="shape"):
-            fn()
-
-
-PAIR_EVALUATORS = {
-    "first_integrals": lambda q, p: first_integrals(q, p, PROB),
-    "hamiltonian": lambda q, p: hamiltonian(q, p, PROB),
-    "euler_integral": lambda q, p: euler_integral(q, p, PROB),
-    "axial_angular_momentum": axial_angular_momentum,
-    "lift_arrays": lambda q, p: lift_arrays(q, p, PROB.metric()),
-    "lifted_speed_squared": lambda q, p: lifted_speed_squared(q, p, PROB.metric()),
-    "relation_residual": lambda q, p: relation_residual(q, p, PROB),
-}
+            fn(q, p)
 
 
 @pytest.mark.parametrize("name", list(PAIR_EVALUATORS))

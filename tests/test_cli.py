@@ -204,6 +204,13 @@ def test_fit_relation_output(capsys):
     assert lam["max residual"] <= 1e-8
 
 
+def test_fit_uses_at_most_4096_samples(capsys):
+    assert run(["fit-relation", "--a", 2, "--samples", 4096]) == 0
+    capped = capsys.readouterr().out
+    assert run(["fit-relation", "--a", 2, "--samples", 100_000]) == 0
+    assert capsys.readouterr().out == capped
+
+
 def test_coords_forward(capsys):
     assert run(["coords", "--q0", "0,1,0"]) == 0
     printed = capsys.readouterr().out
@@ -270,6 +277,10 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="overflowing-velocity"),
         pytest.param(["verify-theorem", "--p0", "1e200,0,0", "--tau-end", 1, "--samples", 100], 3, False,
                      id="overflowing-velocity-verify"),
+        pytest.param(["project", "--input", "{tmp}/overflow.csv", "--out", "{tmp}/x.csv"], 0, False,
+                     id="overflowing-energy-input"),
+        pytest.param(["project", "--input", "{tmp}/overflow_lift.csv", "--out", "{tmp}/x.csv"], 1, False,
+                     id="overflowing-lift-input"),
         pytest.param(["project", "--input", "{tmp}/header_only.csv"], 1, False, id="header-only-input"),
         pytest.param(["project", "--input", "{tmp}/ragged.csv"], 1, False, id="ragged-input"),
         pytest.param(["project", "--input", "{tmp}/malformed.csv"], 1, False, id="malformed-input"),
@@ -294,6 +305,8 @@ def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_p
     (tmp_path / "ragged.csv").write_text(header + "0,0,2,0,0.3,0,0.6\n0.1,0,2,0\n")
     (tmp_path / "malformed.csv").write_text(header + "0,0,2,0,0.3,0,0.6x\n")
     (tmp_path / "narrow.csv").write_text("J,E,Theta," + header + "0,0,2,0,0.3,0,0.6\n")
+    (tmp_path / "overflow.csv").write_text(header + "0,0,2,0,1e200,0,0.6\n1,1,2,0,1e200,0,0.6\n")  # G is inf
+    (tmp_path / "overflow_lift.csv").write_text(header + "0,0,2,0,1.5e308,0,0.6\n1,0,2,0,1.5e308,0,0.6\n")  # Q' is inf
     if rank_deficient:
         monkeypatch.setattr(projective, "sample_phase_points", _repeated_rows)
     assert run([str(a).format(tmp=tmp_path) for a in args]) == code
