@@ -105,6 +105,9 @@ class IntegratorConfig:
             object.__setattr__(self, name, value)
 
 
+_DEFAULT_CONFIG = IntegratorConfig()
+
+
 @dataclass
 class Trajectory:
     """Accepted-step grid with states and per-sample diagnostics."""
@@ -161,13 +164,14 @@ def drift_report(traj: Trajectory) -> DriftReport:
     An invariant with a non-finite sample (an overflow) drifts by inf, where
     inf - inf would give nan, which ``max`` and ``<=`` both pass over.
     """
-    drifts = {}
-    for name, values in traj.diagnostics.items():
-        values = np.asarray(values, dtype=float)
-        if np.all(np.isfinite(values)):
-            drifts[name] = float(np.max(np.abs(values - values[0])) / max(1.0, abs(values[0])))
-        else:
-            drifts[name] = math.inf
+    values = np.array(list(traj.diagnostics.values()), dtype=float).reshape(-1, len(traj.times))
+    with np.errstate(invalid="ignore"):  # a row with inf - inf drifts by inf below
+        spread = np.abs(values - values[:, :1]).max(axis=1).tolist()
+    finite = np.isfinite(values).all(axis=1).tolist()
+    drifts = {
+        name: s / max(1.0, abs(v0)) if ok else math.inf
+        for name, s, v0, ok in zip(traj.diagnostics, spread, values[:, 0].tolist(), finite)
+    }
     steps = np.diff(traj.times)
     return DriftReport(
         drifts=drifts,
@@ -331,7 +335,7 @@ def integrate_planar(
     With ``clock="tau"`` it steps dq/dtau = |q|_*^2 p, dp/dtau = |q|_*^2 a(q):
     ``t_end`` and the grid are then tau, and the states are still (q, dq/dt).
     """
-    cfg = cfg or IntegratorConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
     if clock not in _CLOCKS:
@@ -355,7 +359,7 @@ def integrate_ellipsoid(
     manifold and tangent space; the recorded residual diagnostics are the
     pre-projection values, i.e. what the integrator actually produced.
     """
-    cfg = cfg or IntegratorConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if not np.isfinite(tau_end) or tau_end <= 0.0:
         raise InvalidInputError(f"tau_end must be positive, got {tau_end!r}")
     if start.metric.a != prob.a:

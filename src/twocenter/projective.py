@@ -339,7 +339,9 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     the fit keeps full rank at any mass; G then carries roundoff of about
     mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size one)
     can be recovered.  A rank-deficient draw is resampled up to 5 times.  A
-    large draw is evaluated in cache-sized row blocks, bit-identical to one pass.
+    large draw is evaluated in cache-sized row blocks, bit-identical to one pass,
+    and released once its design (4 columns) and G are built: the solve holds
+    those and LAPACK's copy of the design, about 80 bytes per sample point.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
@@ -351,6 +353,7 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     for _ in range(5):
         q, p = sample_phase_points(prob, sample_count, rng)
         design, g = _in_row_blocks(q, p, prob, design_and_g, (4,), ())
+        del q, p  # lstsq copies the design: the sample must not be held alongside it
         # unit columns: at large masses J and E dwarf Theta^2 and 1, and the
         # unscaled matrix falls below lstsq's rank cut-off
         scale = np.sqrt(np.einsum("ij,ij->j", design, design))  # no (N, 4) temporary
@@ -359,7 +362,9 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
         coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
         if rank < 4:
             continue
-        residual = float(np.max(np.abs(design @ coeffs - g)))
+        misfit = design @ coeffs
+        misfit -= g
+        residual = float(np.max(np.abs(misfit, out=misfit)))
         return IntegralRelation(*map(float, coeffs / scale), residual)
     raise RankDeficientError("sample set stayed rank deficient after 5 resampling attempts")
 
@@ -428,7 +433,9 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, metric: 
     W(s)^2 ds with W = 1/|q(s)|_*, evaluated by the derivative-corrected
     trapezoid rule (two-point Hermite quadrature, fourth order on smooth
     data).  Returns tau at the nodes; strictly increasing, and tau(t) <= t
-    because |q|_* >= 1 on the slice.
+    because |q|_* >= 1 on the slice.  A step whose tau increment exceeds its
+    t step breaks that bound, which happens only when p is not dq/dt (the
+    derivative term grows with p): it raises, naming the first such row.
     """
     times = np.asarray(times, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -455,6 +462,12 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, metric: 
         raise InvalidInputError("|q|_*^2 overflows on the grid")
     if not np.all(np.isfinite(dtau) & (dtau > 0.0)):
         raise InvalidInputError("quadrature produced a nonincreasing or non-finite tau grid")
+    longer = np.flatnonzero(dtau > h)
+    if len(longer):
+        row = longer[0] + 1
+        raise InvalidInputError(
+            f"tau step to row {row} (t = {float(times[row])!r}) exceeds its t step: p is not dq/dt on the grid"
+        )
     tau = np.empty_like(times)
     tau[0] = 0.0
     np.cumsum(dtau, out=tau[1:])

@@ -70,14 +70,19 @@ def _ball_points(rng, n, radius, accept=None):
     in blocks of ``_BLOCK`` rows, which keeps the work in cache.  The blocks
     consume the generator numbers of one draw of the batch, and -r + 2r u is how
     ``rng.uniform(-r, r)`` computes a point, so the points are bit-identical.
+    Accepted rows go straight into the one (n, 3) output.  Once it is full, the
+    batch's remaining blocks are drawn but not tested, so that later draws see
+    the same stream.
     """
     size = 2 * n + 16
     buffer = np.empty((min(_BLOCK, size), 3))
-    chunks = []
+    points = np.empty((n, 3))
     found = 0
     for _ in range(MAX_BATCHES):
         for start in range(0, size, _BLOCK):
             block = rng.random(out=buffer[: size - start])
+            if found == n:
+                continue  # drawn all the same: the p ball sees the same stream
             block *= 2.0 * radius
             block += -radius
             x, y, z = block[:, 0], block[:, 1], block[:, 2]
@@ -85,10 +90,11 @@ def _ball_points(rng, n, radius, accept=None):
             block = np.compress(x * x + y * y + z * z <= radius * radius, block, axis=0)
             if accept is not None:
                 block = np.compress(accept(block), block, axis=0)
-            chunks.append(block)
-            found += len(block)
-        if found >= n:
-            return np.concatenate(chunks)[:n]
+            taken = min(len(block), n - found)
+            points[found : found + taken] = block[:taken]
+            found += taken
+        if found == n:
+            return points
     raise InvalidInputError(
         f"only {found} of {n} points accepted in {MAX_BATCHES} batches; "
         "the ball leaves too little room farther than min_center_distance from both centers"

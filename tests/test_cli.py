@@ -279,6 +279,9 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="overflowing-velocity-verify"),
         pytest.param(["project", "--input", "{tmp}/overflow.csv", "--out", "{tmp}/x.csv"], 0, False,
                      id="overflowing-energy-input"),
+        # p is not dq/dt there: the quadrature's tau step would exceed the t step (tau = 1e198 at t = 1)
+        pytest.param(["project", "--input", "{tmp}/tau_beyond_t.csv", "--out", "{tmp}/x.csv"], 1, False,
+                     id="tau-beyond-t-input"),
         pytest.param(["project", "--input", "{tmp}/overflow_lift.csv", "--out", "{tmp}/x.csv"], 1, False,
                      id="overflowing-lift-input"),
         pytest.param(["project", "--input", "{tmp}/header_only.csv"], 1, False, id="header-only-input"),
@@ -305,7 +308,8 @@ def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_p
     (tmp_path / "ragged.csv").write_text(header + "0,0,2,0,0.3,0,0.6\n0.1,0,2,0\n")
     (tmp_path / "malformed.csv").write_text(header + "0,0,2,0,0.3,0,0.6x\n")
     (tmp_path / "narrow.csv").write_text("J,E,Theta," + header + "0,0,2,0,0.3,0,0.6\n")
-    (tmp_path / "overflow.csv").write_text(header + "0,0,2,0,1e200,0,0.6\n1,1,2,0,1e200,0,0.6\n")  # G is inf
+    (tmp_path / "overflow.csv").write_text(header + "0,0,2,0,1e200,0,0\n1,0,2,0,1e200,0,0\n")  # G is inf
+    (tmp_path / "tau_beyond_t.csv").write_text(header + "0,0,2,0,1e200,0,0.6\n1,1,2,0,1e200,0,0.6\n")
     (tmp_path / "overflow_lift.csv").write_text(header + "0,0,2,0,1.5e308,0,0.6\n1,0,2,0,1.5e308,0,0.6\n")  # Q' is inf
     if rank_deficient:
         monkeypatch.setattr(projective, "sample_phase_points", _repeated_rows)

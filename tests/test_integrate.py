@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twocenter import (
     IntegratorConfig,
@@ -256,6 +257,24 @@ def test_drift_report_examples():
     tiny = Trajectory(times, states, {"J": np.array([1.0, 1.0 + 1e-9])}, EQUAL)
     assert drift_report(tiny).drifts["J"] == pytest.approx(1e-9, rel=1e-6)
     assert any("1e-09" in line or "1.0" in line for line in drift_report(tiny).lines())
+
+
+_SAMPLES = st.floats(-1e300, 1e300) | st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(st.lists(_SAMPLES, min_size=n, max_size=n), max_size=4)))
+def test_drift_report_matches_the_per_invariant_formula(columns):
+    """max |I - I(0)| / max(1, |I(0)|) per invariant, or inf with any non-finite sample."""
+    n = len(columns[0]) if columns else 1
+    names = ["J", "Theta", "E", "G"][: len(columns)]
+    traj = Trajectory(np.arange(float(n)), np.zeros((n, 6)), dict(zip(names, map(np.array, columns))), EQUAL)
+    want = {}
+    for name, values in traj.diagnostics.items():
+        if np.all(np.isfinite(values)):
+            want[name] = float(np.max(np.abs(values - values[0])) / max(1.0, abs(values[0])))
+        else:
+            want[name] = np.inf
+    assert drift_report(traj).drifts == want
 
 
 @pytest.mark.parametrize(
