@@ -10,9 +10,9 @@ handler and the config keys it reads: a subcommand takes ``--config``,
 optional ``key: value`` config file may set any key, and flags win over
 it.  A run is named by its config and seed, so identical ones give
 byte-identical output; subcommands that draw nothing ignore the seed.
-Exit codes: 0 ok, 1 usage, config or write error, 2 integration abort,
-3 verification failure (including a fit whose samples stay rank
-deficient).
+Exit codes: 0 ok, 1 usage, config or write error, 2 integration abort
+(for ``simulate`` also an invariant that overflowed along the run), 3
+verification failure (including a fit whose samples stay rank deficient).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -166,7 +167,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         print(line)
     _write_json(cfg.json, {"command": "simulate", "status": traj.status, "drifts": report.drifts,
                            "accepted_steps": report.accepted_steps, "rejected_steps": report.rejected_steps})
-    return 0 if traj.status == "ok" else 2
+    overflowed = [name for name, drift in report.drifts.items() if not math.isfinite(drift)]
+    if overflowed:
+        print(f"invariant overflowed along the run: {', '.join(overflowed)}", file=sys.stderr)
+    return 0 if traj.status == "ok" and not overflowed else 2
 
 
 def _read_planar_csv(path: str) -> np.ndarray:

@@ -106,8 +106,8 @@ def _angular_momentum(x, y, z, px, py, pz):
     return y * pz - z * py, z * px - x * pz, x * py - y * px
 
 
-def _distances(x, y, z, a: float):
-    """(d_minus, d_plus) from coordinate columns.
+def distance_columns(x, y, z, a: float):
+    """(d_minus, d_plus) from coordinate columns, with no check.
 
     The sums run left to right, the order numpy reduces a length-3 last
     axis in, so the result is bit-identical to the (..., 3) form.
@@ -121,7 +121,7 @@ def _distances(x, y, z, a: float):
 
 def center_distances(q: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean distances (d_minus, d_plus) to the two centers, batched."""
-    return _distances(*columns(np.asarray(q, dtype=float), 3, "q"), prob.a)
+    return distance_columns(*columns(np.asarray(q, dtype=float), 3, "q"), prob.a)
 
 
 def _check_guard(d_minus, d_plus) -> None:
@@ -188,21 +188,24 @@ PLANAR_TAU_RHS = RhsTemplate(
 )
 
 
-def first_integrals(
-    q: np.ndarray, p: np.ndarray, prob: Problem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def first_integrals(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(J, Theta, E) at once, batched over leading axes.
 
-    q and p are checked for finite components once, the two center
-    distances are computed once and the collision guard is applied once;
+    q and p are validated once, and the collision guard is applied once to
+    the pair of center distances :func:`integral_columns` then reads;
     :func:`hamiltonian` and :func:`euler_integral` are views of this.
-    Every expression keeps the operation order of the (..., 3) reductions
-    and ``np.cross`` it replaces, so the values are bit-identical to them.
     """
     x, y, z, px, py, pz = pair_columns(q, p)
-    a = prob.a
-    d_minus, d_plus = _distances(x, y, z, a)
+    d_minus, d_plus = distance_columns(x, y, z, prob.a)
     _check_guard(d_minus, d_plus)
+    return integral_columns(x, y, z, px, py, pz, d_minus, d_plus, prob)
+
+
+def integral_columns(x, y, z, px, py, pz, d_minus, d_plus, prob: Problem):
+    """(J, Theta, E) of trusted columns of (q, p) and their center distances,
+    unchecked.  Each expression keeps the operation order of the (..., 3)
+    reductions and ``np.cross`` it replaces, so the values are bit-identical."""
+    a = prob.a
     k_minus = prob.m_minus / d_minus
     k_plus = prob.m_plus / d_plus
     j = 0.5 * (px * px + py * py + pz * pz) - k_minus - k_plus

@@ -25,7 +25,7 @@ UNPROJECT_GUARD = 1e-150
 
 def check_finite(arr: np.ndarray, name: str) -> None:
     """Raise :class:`InvalidInputError` unless every component of ``arr`` is finite."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} must have finite components")
 
 

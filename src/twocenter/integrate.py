@@ -29,21 +29,26 @@ components and calls the kernel, so trajectories are bit-identical to it
 control calls no builtin: ``max(a, b)`` is written ``b if b > a else a`` and
 ``min(a, b)`` ``b if b < a else a``, so a NaN or a signed zero picks the same
 operand, and ``abs(v)`` ``-v if v < 0.0 else v``, whose sign of a zero or
-NaN the error scale atol + rtol * |v| drops.  ``** 2`` and ``sum([...])``
-stay: ``x ** 2`` (libm's ``pow``) differs from ``x * x`` for about one
-double in 1,200, and ``sum`` is compensated on Python >= 3.12.
+NaN the error scale atol + rtol * |v| drops.  ``** 2`` stays: ``x ** 2``
+(libm's ``pow``) differs from ``x * x`` for about one double in 1,200.  The
+error norm and ``_rms`` add their squares left to right, where ``sum`` is
+compensated from Python 3.12 on, so a run gives the same bits on Python
+3.10 to 3.13.
 
 Every evaluation of a right-hand side applies ``dynamics.COLLISION_GUARD``,
 the only near-center distance the integrators know; f(y_new) is evaluated
-before a step is accepted, so no accepted state lies inside the guard.  A
-run evaluates the kernel at the initial state before its first step, so a start
-inside the guard raises for both systems: there is nothing partial to
-return.  Mid-run failures abort cleanly: the partial trajectory up to the
-last good state is returned with ``status`` set to ``"collision"``,
-``"step_underflow"`` (also when the initial derivative is too large for
-any step), ``"integrity"`` or ``"step_budget"`` (``_MAX_STEPS`` step
-attempts used up before the end time).  Ellipsoid states are projected
-back onto the constraint manifold after every accepted step.
+before a step is accepted, so no accepted state lies inside the guard.  So
+the diagnostics skip the public evaluators' validation: the column kernels
+``dynamics.integral_columns`` and ``projective.energy_columns`` run on the
+states after one finiteness check.  A run evaluates the kernel at the
+initial state before its first step, so a start inside the guard raises for
+both systems: there is nothing partial to return.  Mid-run failures abort
+cleanly: the partial trajectory up to the last good state is returned with
+``status`` set to ``"collision"``, ``"step_underflow"`` (also when the
+initial derivative is too large for any step), ``"integrity"`` or
+``"step_budget"`` (``_MAX_STEPS`` step attempts used up before the end
+time).  Ellipsoid states are projected back onto the constraint manifold
+after every accepted step.
 """
 
 from __future__ import annotations
@@ -55,9 +60,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import RhsTemplate, compile_function, compile_kernel
-from .dynamics import PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, first_integrals, rhs_params
+from .dynamics import PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, distance_columns, integral_columns, rhs_params
 from .errors import InvalidInputError, NearCollisionError
-from .projective import INTRINSIC_RHS, EllipsoidState, energy_arrays
+from .geometry import check_finite
+from .projective import INTRINSIC_RHS, EllipsoidState, energy_columns
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
 _DP_A = (
@@ -124,7 +130,7 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=float)
         if self.times.ndim != 1 or len(self.times) == 0:
             raise InvalidInputError("times must be a nonempty 1-d grid")
-        if np.any(np.diff(self.times) <= 0.0):
+        if np.any(self.times[1:] <= self.times[:-1]):
             raise InvalidInputError("times must be strictly increasing")
         if self.states.shape[0] != self.times.shape[0]:
             raise InvalidInputError("states and times must have matching length")
@@ -161,30 +167,27 @@ class DriftReport:
 def drift_report(traj: Trajectory) -> DriftReport:
     """Summarize invariant drift, max_t |I(t) - I(0)| / max(1, |I(0)|).
 
-    An invariant with a non-finite sample (an overflow) drifts by inf, where
-    inf - inf would give nan, which ``max`` and ``<=`` both pass over.
+    An invariant with a non-finite sample (an overflow) drifts by inf: its
+    spread is then inf or nan (inf - inf), and ``max`` and ``<=`` pass over nan.
     """
     values = np.array(list(traj.diagnostics.values()), dtype=float).reshape(-1, len(traj.times))
-    with np.errstate(invalid="ignore"):  # a row with inf - inf drifts by inf below
-        spread = np.abs(values - values[:, :1]).max(axis=1).tolist()
-    finite = np.isfinite(values).all(axis=1).tolist()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        spread = values - values[:, :1]
+        spread = np.abs(spread, out=spread).max(axis=1).tolist()
     drifts = {
-        name: s / max(1.0, abs(v0)) if ok else math.inf
-        for name, s, v0, ok in zip(traj.diagnostics, spread, values[:, 0].tolist(), finite)
+        name: s / max(1.0, abs(v0)) if math.isfinite(s) else math.inf
+        for name, s, v0 in zip(traj.diagnostics, spread, values[:, 0].tolist())
     }
     steps = np.diff(traj.times)
-    return DriftReport(
-        drifts=drifts,
-        accepted_steps=len(traj.times) - 1,
-        rejected_steps=traj.rejected_steps,
-        min_step=float(steps.min()) if len(steps) else 0.0,
-        max_step=float(steps.max()) if len(steps) else 0.0,
-        status=traj.status,
-    )
+    h_min, h_max = (float(steps.min()), float(steps.max())) if len(steps) else (0.0, 0.0)
+    return DriftReport(drifts, len(traj.times) - 1, traj.rejected_steps, h_min, h_max, traj.status)
 
 
 def _rms(values) -> float:
-    return math.sqrt(sum(v * v for v in values) / len(values))
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total / len(values))
 
 
 def _initial_step(f, y0, f0, t_end, cfg):
@@ -225,6 +228,8 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     onto the manifold and tangent space, and f is evaluated there.  Zero
     tableau coefficients are skipped; each stage keeps the operation order
     ``v + h * (a1 * k1 + a2 * k2 + ...)`` of a loop over the components.
+    The error scale's |y_i| is taken once per accepted state: without
+    ``renormalize`` it is the step's |u_i|.
     """
     n = len(template.state)
     y, u = [f"y{i}" for i in range(n)], template.state
@@ -237,6 +242,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
         f"def run(start, t_end, cfg, max_step, max_steps, {', '.join(template.params)}):",
         "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
         f"    {', '.join(y)}, = start",
+        *(f"    ys{i} = -{y[i]} if {y[i]} < 0.0 else {y[i]}" for i in range(n)),
         f"    f = kernel({', '.join(template.params)})",
         "    k1 = f(start)  # a start inside the collision guard raises",
         f"    {', '.join(k[0])}, = k1",
@@ -270,14 +276,12 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     for stage, weights in enumerate(_DP_A, 1):
         values = [f"{y[i]} + h * ({combination(weights, i)})" for i in range(n)]
         lines += template.inline(values, k[stage], tab)
-    for i in range(n):
-        lines.append(f"{tab}ys{i} = -{y[i]} if {y[i]} < 0.0 else {y[i]}")
-        lines.append(f"{tab}us{i} = -{u[i]} if {u[i]} < 0.0 else {u[i]}")
-    terms = ", ".join(
+    lines += [f"{tab}us{i} = -{u[i]} if {u[i]} < 0.0 else {u[i]}" for i in range(n)]
+    terms = " + ".join(
         f"(h * ({combination(_DP_ERR, i)}) / (atol + rtol * (us{i} if us{i} > ys{i} else ys{i}))) ** 2" for i in range(n)
     )
     lines += [
-        f"{tab}err = sqrt(sum([{terms}]) / {n})",
+        f"{tab}err = sqrt(({terms}) / {n})",
         f"{tab}if err <= 1.0:",
         f"{tab}    t += h",
     ]
@@ -292,6 +296,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
             *(f"{tab}{y[i]} = {u[i]} / norm" for i in range(4)),
             f"{tab}radial = {_star(y, u[4:])}",
             *(f"{tab}{y[i]} = {u[i]} - radial * {y[i - 4]}" for i in range(4, 8)),
+            *(f"{tab}ys{i} = -{y[i]} if {y[i]} < 0.0 else {y[i]}" for i in range(n)),
         ]
         lines += template.inline(y, k[0], tab)
         lines += [
@@ -300,6 +305,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
         ]
     else:
         lines += [f"{tab}{y[i]} = {u[i]}" for i in range(n)]
+        lines += [f"{tab}ys{i} = us{i}" for i in range(n)]
         lines += [f"{tab}{k[0][i]} = {k[6][i]}" for i in range(n)]
     lines += [
         f"{tab}times.append(t)",
@@ -336,7 +342,7 @@ def integrate_planar(
     ``t_end`` and the grid are then tau, and the states are still (q, dq/dt).
     """
     cfg = cfg or _DEFAULT_CONFIG
-    if not np.isfinite(t_end) or t_end <= 0.0:
+    if not math.isfinite(t_end) or t_end <= 0.0:
         raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
     if clock not in _CLOCKS:
         raise InvalidInputError(f"clock must be 't' or 'tau', got {clock!r}")
@@ -344,10 +350,11 @@ def integrate_planar(
     run = _make_run(_CLOCKS[clock])
     times, states, rejected, status = run(y0, t_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     states = np.array(states, dtype=float)
+    check_finite(states, "states")
+    x, y, z, px, py, pz = states.T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
-    diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
-    return Trajectory(np.array(times), states, diagnostics, prob, status, rejected)
+        j, theta, e = integral_columns(x, y, z, px, py, pz, *distance_columns(x, y, z, prob.a), prob)
+    return Trajectory(np.array(times), states, {"J": j, "Theta": theta, "E": e}, prob, status, rejected)
 
 
 def integrate_ellipsoid(
@@ -360,22 +367,19 @@ def integrate_ellipsoid(
     pre-projection values, i.e. what the integrator actually produced.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    if not np.isfinite(tau_end) or tau_end <= 0.0:
+    if not math.isfinite(tau_end) or tau_end <= 0.0:
         raise InvalidInputError(f"tau_end must be positive, got {tau_end!r}")
     if start.metric.a != prob.a:
         raise InvalidInputError("state metric does not match the problem half-distance")
     y0 = [*start.point.vec.tolist(), *start.velocity.tolist()]
     run = _make_run(INTRINSIC_RHS, renormalize=True)
-    params = rhs_params(prob)
-    times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **params)
+    times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     states = np.array(states, dtype=float)
+    check_finite(states, "states")
+    x, _, _, w, *qp = states.T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        energy = energy_arrays(states[:, :4], states[:, 4:], prob)
-    diagnostics = {
-        "G": np.atleast_1d(energy),
-        "norm_residual": np.array(norms),
-        "tangency_residual": np.array(tangencies),
-    }
+        g = energy_columns(x, w, qp, prob)
+    diagnostics = {"G": g, "norm_residual": np.array(norms), "tangency_residual": np.array(tangencies)}
     return Trajectory(np.array(times), states, diagnostics, prob, status, rejected)
 
 

@@ -174,8 +174,9 @@ def _potential(x, w, prob: Problem):
     )
 
 
-def _energy_columns(x, w, qp, prob: Problem):
-    """G from the Q_x and Q_w columns and the four Q' columns, summed left to right."""
+def energy_columns(x, w, qp, prob: Problem):
+    """G from trusted Q_x and Q_w columns and the four Q' columns, summed left
+    to right; unchecked but for the center ray (``_potential``)."""
     xp, yp, zp, wp = qp
     wyz = prob.metric().weights[1]
     return xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp + _potential(x, w, prob)
@@ -188,13 +189,13 @@ def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | n
     center.
     """
     x, _, _, w, *qp_columns = pair_columns(big_q, qp, 4, ("Q", "Q'"))
-    return _energy_columns(x, w, qp_columns, prob)
+    return energy_columns(x, w, qp_columns, prob)
 
 
 def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """G(lift(q, p)) from validated (..., 3) arrays, without building the (..., 4) ones."""
     (x, _, _, w), qp = _lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.metric().weights[1])
-    return _energy_columns(x, w, qp, prob)
+    return energy_columns(x, w, qp, prob)
 
 
 def ellipsoidal_energy(state: EllipsoidState, prob: Problem) -> float:

@@ -268,8 +268,8 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="overflowing-half-distance"),
         pytest.param(["verify-theorem", "--q0", "1e155,0,0", "--tau-end", 1, "--samples", 100], 1, False,
                      id="overflowing-lift"),
-        # the diagnostics overflow to inf: an inf drift, or a refused tau grid, never a numpy warning
-        pytest.param(["simulate", "--q0", "1e155,0,0", "--t-end", 1, "--out", "{tmp}/x.csv"], 0, False,
+        # the diagnostics overflow to inf: an inf drift (exit 2), or a refused tau grid, never a numpy warning
+        pytest.param(["simulate", "--q0", "1e155,0,0", "--t-end", 1, "--out", "{tmp}/x.csv"], 2, False,
                      id="overflowing-first-integrals"),
         pytest.param(["project", "--q0", "1e155,0,0", "--t-end", 1, "--out", "{tmp}/x.csv"], 1, False,
                      id="overflowing-star-norm"),
@@ -431,6 +431,19 @@ def test_verify_theorem_names_overflow_of_oracle_differences(mass, capsys):
     line = next(line for line in captured.out.splitlines() if "velocity-independence" in line)
     assert line.startswith("FAIL velocity-independence: measured inf") and "overflow" in line
     assert captured.err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_exits_2_naming_an_overflowed_invariant(tmp_path, capsys):
+    """|q x p|^2 overflows at q = 1e155 while the run itself stays "ok": E
+    reads inf in the CSV and drifts by inf, and one line names it."""
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--q0", "1e155,0,0", "--t-end", 1, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert "E: max relative drift inf" in captured.out and "status ok" in captured.out
+    assert captured.err == "invariant overflowed along the run: E\n"
+    _, data = read_csv(out)
+    assert np.all(np.isinf(data[:, 9])) and np.all(np.isfinite(data[:, :9]))
 
 
 def test_fit_relation_at_huge_masses_keeps_full_rank(capsys):

@@ -16,6 +16,8 @@ from twocenter import (
     Trajectory,
     cubic_hermite,
     drift_report,
+    energy_arrays,
+    first_integrals,
     integrate_ellipsoid,
     integrate_planar,
     lift_velocity,
@@ -306,9 +308,45 @@ def test_first_integral_drift_check_reports_the_largest_drift(monkeypatch):
     assert aborted.detail == "step_budget"
 
 
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("clock", ["t", "tau"])
+def test_run_diagnostics_equal_the_validating_evaluators(clock, a):
+    """The runs evaluate J, Theta and E with the column kernel, unchecked;
+    the public, validating evaluator gives the same bits on their states."""
+    prob = Problem(1.0, 0.7, a)
+    traj = integrate_planar(DEFAULT_START, prob, 5.0, clock=clock)
+    assert traj.status == "ok" and len(traj) > 10
+    for name, values in zip(("J", "Theta", "E"), first_integrals(traj.states[:, :3], traj.states[:, 3:], prob)):
+        assert np.array_equal(traj.diagnostics[name], values)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_ellipsoid_energy_equals_the_validating_evaluator(a):
+    prob = Problem(1.0, 0.7, a)
+    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, prob.metric())
+    traj = integrate_ellipsoid(state, prob, 3.0)
+    assert traj.status == "ok" and len(traj) > 10
+    assert np.array_equal(traj.diagnostics["G"], energy_arrays(traj.states[:, :4], traj.states[:, 4:], prob))
+
+
+@pytest.mark.parametrize("system", ["t", "ellipsoid"])
+def test_nonfinite_state_from_a_run_is_refused(system, monkeypatch):
+    """The diagnostics trust a run's states but for one finiteness check."""
+    width, residuals = (8, ([0.0, 0.0], [0.0, 0.0])) if system == "ellipsoid" else (6, ())
+    output = ([0.0, 1.0], [[0.5] * width, [np.nan] * width], 0, "ok", *residuals)
+    monkeypatch.setattr(integrate, "_make_run", lambda *args, **kwargs: lambda *args, **params: output)
+    with pytest.raises(InvalidInputError, match="states must have finite components"):
+        if system == "ellipsoid":
+            integrate_ellipsoid(lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0)), EQUAL, 1.0)
+        else:
+            integrate_planar(DEFAULT_START, EQUAL, 1.0)
+
+
 def test_trajectory_validation():
     with pytest.raises(InvalidInputError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 6)), {}, EQUAL)
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        Trajectory(np.array([0.0, 2.0, 1.0]), np.zeros((3, 6)), {}, EQUAL)
     with pytest.raises(InvalidInputError):
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 6)), {}, EQUAL)
     with pytest.raises(InvalidInputError):

@@ -98,10 +98,10 @@ def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
             ]
             k7 = f(y_new)
-            err = math.sqrt(sum([
-                (h * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * k) / (atol + rtol * max(abs(v), abs(u)))) ** 2
-                for v, u, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)
-            ]) / n)
+            total = 0.0  # added left to right, as the generated run does: no compensated sum
+            for v, u, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                total += (h * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * k) / (atol + rtol * max(abs(v), abs(u)))) ** 2
+            err = math.sqrt(total / n)
             if err <= 1.0:
                 t += h
                 if postprocess is None:
