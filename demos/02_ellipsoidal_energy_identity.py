@@ -19,10 +19,10 @@ import numpy as np
 from twocenter import (
     Problem,
     axial_angular_momentum,
-    ellipsoidal_energy,
+    energy_arrays,
     euler_integral,
     hamiltonian,
-    lift_velocity,
+    lift_arrays,
     relation_coefficients,
     relation_residual,
 )
@@ -34,8 +34,8 @@ metric = prob.metric()
 # one point, spelled out
 q = np.array([0.0, 1.0, 0.0])
 p = np.array([0.0, 0.0, 1.0])
-state = lift_velocity(q, p, metric)
-G = ellipsoidal_energy(state, prob)
+big_q, qp = lift_arrays(q, p, metric)  # the projected point Q and its tau-velocity Q'
+G = energy_arrays(big_q, qp, prob)
 J = hamiltonian(q, p, prob)
 E = euler_integral(q, p, prob)
 Th = axial_angular_momentum(q, p)

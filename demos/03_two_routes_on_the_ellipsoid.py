@@ -10,7 +10,7 @@ to ~1e-10 while the intrinsic route also conserves the ellipsoidal energy G.
 
 import numpy as np
 
-from twocenter import PhasePoint, Problem, integrate_ellipsoid, lift_velocity
+from twocenter import PhasePoint, Problem, integrate_ellipsoid
 from twocenter.verify import check_energy_drift, check_two_routes, planar_route
 
 prob = Problem(1.0, 1.0, 1.0)
@@ -20,8 +20,7 @@ tau_a, q_a, _ = planar_route(start.q, start.p, prob, tau_end=5.0)
 print(f"route A: planar integration in tau, {len(tau_a) - 1} accepted steps, "
       f"ending at tau = {tau_a[-1]:g} (about t = {tau_a[-1] * 3:.0f}: the orbit sits near |q|_*^2 ~ 3)")
 
-state0 = lift_velocity(start.q, start.p, prob.metric())
-traj_b = integrate_ellipsoid(state0, prob, 5.0)
+traj_b = integrate_ellipsoid(start, prob, 5.0)  # lifts the start itself
 print(f"route B: intrinsic integration, {len(traj_b) - 1} accepted steps")
 print(f"         |Q|_* - 1 stayed below {traj_b.diagnostics['norm_residual'].max():.2e}, "
       f"(Q, Q')_* below {traj_b.diagnostics['tangency_residual'].max():.2e}")

@@ -17,7 +17,6 @@ from twocenter import (
     fit_integral_relation,
     integrate_ellipsoid,
     kepler_limit_residual,
-    lift_velocity,
     relation_coefficients,
 )
 from twocenter.verify import check_energy_drift
@@ -36,7 +35,7 @@ for a in (0.5, 1.0, 2.0):
 print("\nenergy conservation along intrinsic trajectories:")
 for a in (0.5, 1.0, 2.0):
     prob = Problem(1.0, 1.0, a)
-    traj = integrate_ellipsoid(lift_velocity(start.q, start.p, prob.metric()), prob, 5.0)
+    traj = integrate_ellipsoid(start, prob, 5.0)
     result = check_energy_drift(traj)
     print(f"  a = {a:<4} {result.line()}")
 

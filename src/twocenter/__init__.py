@@ -19,30 +19,9 @@ from .dynamics import (
     kepler_limit_residual,
     rotate_about_axis,
 )
-from .ellipsoidal import (
-    EllipsoidalPosition,
-    from_ellipsoidal,
-    rotational_invariance_residual,
-    to_ellipsoidal,
-)
-from .errors import (
-    CenterRayError,
-    InvalidInputError,
-    NearCollisionError,
-    RankDeficientError,
-    WrongBranchError,
-)
-from .geometry import (
-    EllipsoidPoint,
-    StarMetric,
-    check_finite,
-    duality_residual,
-    embed,
-    project,
-    star_inner,
-    star_norm,
-    unproject,
-)
+from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
+from .errors import CenterRayError, InvalidInputError, NearCollisionError, RankDeficientError
+from .geometry import StarMetric, check_finite, embed, project, star_inner, star_norm
 from .integrate import (
     DriftReport,
     IntegratorConfig,
@@ -53,21 +32,15 @@ from .integrate import (
     integrate_planar,
 )
 from .projective import (
-    EllipsoidState,
     IntegralRelation,
-    ellipsoid_potential,
-    ellipsoidal_energy,
     energy_arrays,
     fd_tangential_acceleration,
     fit_integral_relation,
-    intrinsic_rhs,
     lift_arrays,
-    lift_velocity,
     lifted_speed_squared,
     relation_coefficients,
     relation_residual,
     reparametrize_time,
-    tangential_field,
     velocity_independence_residual,
 )
 from .sampling import make_rng, sample_phase_points
@@ -77,8 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CenterRayError",
     "DriftReport",
-    "EllipsoidPoint",
-    "EllipsoidState",
     "EllipsoidalPosition",
     "IntegralRelation",
     "IntegratorConfig",
@@ -89,16 +60,12 @@ __all__ = [
     "RankDeficientError",
     "StarMetric",
     "Trajectory",
-    "WrongBranchError",
     "acceleration",
     "axial_angular_momentum",
     "center_distances",
     "check_finite",
     "cubic_hermite",
     "drift_report",
-    "duality_residual",
-    "ellipsoid_potential",
-    "ellipsoidal_energy",
     "embed",
     "energy_arrays",
     "euler_integral",
@@ -109,10 +76,8 @@ __all__ = [
     "hamiltonian",
     "integrate_ellipsoid",
     "integrate_planar",
-    "intrinsic_rhs",
     "kepler_limit_residual",
     "lift_arrays",
-    "lift_velocity",
     "lifted_speed_squared",
     "make_rng",
     "project",
@@ -120,12 +85,9 @@ __all__ = [
     "relation_residual",
     "reparametrize_time",
     "rotate_about_axis",
-    "rotational_invariance_residual",
     "sample_phase_points",
     "star_inner",
     "star_norm",
-    "tangential_field",
     "to_ellipsoidal",
-    "unproject",
     "velocity_independence_residual",
 ]

@@ -11,7 +11,8 @@ optional ``key: value`` config file may set any key, and flags win over
 it.  A run is named by its config and seed, so identical ones give
 byte-identical output; subcommands that draw nothing ignore the seed.
 Exit codes: 0 ok, 1 usage, config or write error, 2 integration abort
-(for ``simulate`` also an invariant that overflowed along the run), 3
+(for ``simulate`` and ``project`` also an invariant that overflowed along
+the run: the rows are still written, and one stderr line names it), 3
 verification failure (including a fit whose samples stay rank deficient).
 """
 
@@ -30,7 +31,7 @@ from .dynamics import PhasePoint, Problem
 from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
 from .integrate import IntegratorConfig, drift_report, integrate_ellipsoid, integrate_planar
-from .projective import energy_arrays, fit_integral_relation, lift_arrays, lift_velocity, reparametrize_time
+from .projective import energy_arrays, fit_integral_relation, lift_arrays, reparametrize_time
 from .verify import (
     check_energy_drift,
     check_fitted_relation,
@@ -217,6 +218,9 @@ def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
     _write_rows(cfg.out, _PROJECT_HEADER, np.column_stack([tau, big_q, qp, g]))
     _write_json(cfg.json, {"command": "project", "samples": int(len(tau)),
                            "tau_end": float(tau[-1]), "G_first": float(g[0]), "G_last": float(g[-1])})
+    if not np.isfinite(g).all():
+        print("invariant overflowed along the run: G", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -224,7 +228,7 @@ def cmd_verify_theorem(cfg: RunConfig, do_fit: bool) -> int:
     prob = cfg.problem()
     integrator = cfg.integrator()
     start = cfg.start()
-    intrinsic = integrate_ellipsoid(lift_velocity(start.q, start.p, prob.metric()), prob, cfg.tau_end, integrator)
+    intrinsic = integrate_ellipsoid(start, prob, cfg.tau_end, integrator)
     results = [
         check_pointwise_relation(prob, cfg.samples, cfg.seed),
         check_two_routes(start, intrinsic, integrator),

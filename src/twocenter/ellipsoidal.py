@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Problem, center_distances, rotate_about_axis
+from .dynamics import Problem, center_distances
 from .errors import InvalidInputError
 from .geometry import check_finite
 
@@ -88,13 +88,3 @@ def from_ellipsoidal(ep: EllipsoidalPosition, prob: Problem) -> np.ndarray:
     rho = a * np.sqrt(max(rho2, 0.0))
     return np.array([x, -rho * np.sin(ep.theta), rho * np.cos(ep.theta)])
 
-
-def rotational_invariance_residual(q: np.ndarray, prob: Problem, angle: float) -> float:
-    """Max change of (alpha, beta) under a rotation about the centers axis.
-
-    Vanishes up to roundoff for every angle; theta itself shifts by the
-    angle mod 2 pi, which the test suite checks separately.
-    """
-    before = to_ellipsoidal(q, prob)
-    after = to_ellipsoidal(rotate_about_axis(q, angle), prob)
-    return max(abs(after.alpha - before.alpha), abs(after.beta - before.beta))

@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """Non-finite, mis-shaped, or invariant-violating input."""
 
 
-class WrongBranchError(ValueError):
-    """Ellipsoid point on (or numerically indistinguishable from) the W <= 0 sheet."""
-
-
 class NearCollisionError(RuntimeError):
     """Evaluation requested closer to an attracting center than the guard distance."""
 

@@ -62,8 +62,8 @@ import numpy as np
 from .codegen import RhsTemplate, compile_function, compile_kernel
 from .dynamics import PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, distance_columns, integral_columns, rhs_params
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import check_finite
-from .projective import INTRINSIC_RHS, EllipsoidState, energy_columns
+from .geometry import check_finite, project
+from .projective import INTRINSIC_RHS, energy_columns, lift_arrays
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
 _DP_A = (
@@ -358,20 +358,31 @@ def integrate_planar(
 
 
 def integrate_ellipsoid(
-    start: EllipsoidState, prob: Problem, tau_end: float, cfg: IntegratorConfig | None = None
+    start: PhasePoint, prob: Problem, tau_end: float, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
     """Integrate the intrinsic ellipsoid system in the reparametrized time.
 
-    After every accepted step the state is projected back onto the
-    manifold and tangent space; the recorded residual diagnostics are the
-    pre-projection values, i.e. what the integrator actually produced.
+    The run starts from the lift of the planar ``start``: Q = ``project(q)``
+    and Q' from :func:`lift_arrays`.  A q whose |(q, 1)|_* overflows is
+    refused, as the projected point would be lost, and so is a p whose
+    lifted Q' overflows; neither lets numpy warn.  After every accepted
+    step the state is projected back onto the manifold and tangent space;
+    the recorded residual diagnostics are the pre-projection values, i.e.
+    what the integrator actually produced.
     """
     cfg = cfg or _DEFAULT_CONFIG
     if not math.isfinite(tau_end) or tau_end <= 0.0:
         raise InvalidInputError(f"tau_end must be positive, got {tau_end!r}")
-    if start.metric.a != prob.a:
-        raise InvalidInputError("state metric does not match the problem half-distance")
-    y0 = [*start.point.vec.tolist(), *start.velocity.tolist()]
+    metric = prob.metric()
+    x, y, z = start.q.tolist()
+    wyz = float(metric.weights[1])
+    if not math.isfinite(x * x + wyz * y * y + wyz * z * z + 1.0):  # Python floats: no numpy warning
+        raise InvalidInputError(f"|(q, 1)|_* overflows at q = {[x, y, z]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        qp0 = lift_arrays(start.q, start.p, metric)[1]
+    if not np.isfinite(qp0).all():
+        raise InvalidInputError(f"the lifted velocity Q' overflows at p = {start.p.tolist()}")
+    y0 = [*project(start.q, metric).tolist(), *qp0.tolist()]
     run = _make_run(INTRINSIC_RHS, renormalize=True)
     times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     states = np.array(states, dtype=float)

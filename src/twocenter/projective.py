@@ -13,6 +13,13 @@ At every phase point, whatever the masses, G = (2J + E)/(1+a^2) -
 a^2 Theta^2/(1+a^2)^2 in the planar first integrals (J + E/2 - Theta^2/4
 for a = 1; :func:`relation_coefficients`).  The test suite proves this
 symbolically; :func:`fit_integral_relation` recovers it independently.
+
+A projected state is held only as the (..., 4) arrays (Q, Q') that
+:func:`lift_arrays` makes from a planar (q, p).  That loses nothing: the
+projection maps the slice one-to-one onto the W > 0 sheet, and its
+differential maps velocities onto the tangent space, so every state on the
+ellipsoid is the lift of exactly one (q, p).  The intrinsic ODE is the
+template ``INTRINSIC_RHS``, evaluated through ``dynamics.kernel``.
 """
 
 from __future__ import annotations
@@ -22,27 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import RhsTemplate
-from .dynamics import Problem, acceleration, first_integrals, kernel
-from .errors import (
-    CenterRayError,
-    InvalidInputError,
-    RankDeficientError,
-)
-from .geometry import (
-    EllipsoidPoint,
-    StarMetric,
-    check_finite,
-    columns,
-    embed,
-    pair_columns,
-    star_inner,
-    star_norm,
-    unproject,
-)
+from .dynamics import Problem, acceleration, first_integrals
+from .errors import CenterRayError, InvalidInputError, RankDeficientError
+from .geometry import StarMetric, check_finite, columns, embed, pair_columns, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
-
-# Admission tolerance on the tangency constraint of ellipsoid states.
-TANGENCY_TOL = 1e-10
 
 # Finite-difference step in t of the oracle for the tangential field, and the
 # number of velocities its spread is taken over; at this step the spread stays
@@ -51,34 +41,6 @@ _FD_STEP = 1e-5
 _INDEPENDENCE_VELOCITIES = 10
 
 _ROWS = 16384  # rows per block of the relation residual and the fit: temporaries stay in L2
-
-
-@dataclass(frozen=True, eq=False)
-class EllipsoidState:
-    """Point on the ellipsoid together with its tau-velocity.
-
-    The velocity must be star-orthogonal to the point (|(Q, Q')_*| within
-    ``TANGENCY_TOL``); lifted planar states satisfy this identically.
-    """
-
-    point: EllipsoidPoint
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.velocity, dtype=float)
-        if v.shape != (4,):
-            raise InvalidInputError(f"velocity must have shape (4,), got {v.shape}")
-        check_finite(v, "velocity")
-        tangency = float(star_inner(self.point.vec, v, self.point.metric))
-        if abs(tangency) > TANGENCY_TOL:
-            raise InvalidInputError(
-                f"|(Q, Q')_*| = {abs(tangency):.3e} exceeds {TANGENCY_TOL:g}"
-            )
-        object.__setattr__(self, "velocity", v)
-
-    @property
-    def metric(self) -> StarMetric:
-        return self.point.metric
 
 
 @dataclass(frozen=True)
@@ -119,24 +81,6 @@ def lift_arrays(
     return np.stack(big_q, axis=-1), np.stack(qp, axis=-1)
 
 
-def lift_velocity(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> EllipsoidState:
-    """Lift a planar phase point to the projected point and its tau-velocity.
-
-    A q whose |(q, 1)|_* overflows is refused: the projected point would be lost.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.shape != (3,) or p.shape != (3,):
-        raise InvalidInputError("q and p must have shape (3,)")
-    check_finite(q, "q")
-    x, y, z = q.tolist()
-    wyz = float(metric.weights[1])
-    if not np.isfinite(x * x + wyz * y * y + wyz * z * z + 1.0):  # Python floats: no warning
-        raise InvalidInputError(f"|(q, 1)|_* overflows at q = {q.tolist()}")
-    big_q, qp = lift_arrays(q, p, metric)
-    return EllipsoidState(EllipsoidPoint(big_q, metric), qp)
-
-
 def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> float | np.ndarray:
     """Closed-form |Q'|_*^2 of the lift, bypassing it.
 
@@ -158,7 +102,10 @@ def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> fl
 
 
 def _potential(x, w, prob: Problem):
-    """-(2/(1+a^2)) sum_j m_j u_j / sqrt(1 - u_j^2), u_j = (c_j . Q)/sqrt(1+a^2), from Q_x, Q_w."""
+    """-(2/(1+a^2)) sum_j m_j u_j / sqrt(1 - u_j^2), u_j = (c_j . Q)/sqrt(1+a^2), from Q_x, Q_w.
+
+    Pulled back to the slice it is (2/(1+a^2)) [m_- (a x - 1)/d_- - m_+ (a x + 1)/d_+],
+    with d_-, d_+ the distances to the centers."""
     a = prob.a
     scale = np.sqrt(1.0 + a * a)
     u_minus = (-a * x + w) / scale
@@ -198,37 +145,14 @@ def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     return energy_columns(x, w, qp, prob)
 
 
-def ellipsoidal_energy(state: EllipsoidState, prob: Problem) -> float:
-    """The conserved energy of the projected motion."""
-    _require_matching_a(state.metric, prob)
-    return float(energy_arrays(state.point.vec, state.velocity, prob))
-
-
-def ellipsoid_potential(point: EllipsoidPoint, prob: Problem) -> float:
-    """Potential part of the ellipsoidal energy at a point.
-
-    Pulled back through the projection it equals
-    (2/(1+a^2)) [m_minus (a x - 1)/d_minus - m_plus (a x + 1)/d_plus]
-    on the slice w = 1, with d_minus, d_plus the distances to the centers.
-    """
-    _require_matching_a(point.metric, prob)
-    x, _, _, w = point.vec
-    return float(_potential(x, w, prob))
-
-
-def _require_matching_a(metric: StarMetric, prob: Problem) -> None:
-    if metric.a != prob.a:
-        raise InvalidInputError(
-            f"metric half-distance {metric.a} does not match problem half-distance {prob.a}"
-        )
-
-
 # The intrinsic right-hand side, [Q, Q'] -> [Q', Q''], as a template (see codegen):
 #
 #     Q'' = F(Q) - ((Q, F)_* + |Q'|_*^2) / (Q, Q)_* Q,
 #     F(Q) = sum_j m_j c_j / |Q - c_j W|^3,
 #
-# with Euclidean distances and c_j = (+-a, 0, 0, 1).  Stage values of an
+# with Euclidean distances and c_j = (+-a, 0, 0, 1).  At Q' = 0 it is the
+# velocity-independent tangential field; the normal term is forced by
+# differentiating the tangency constraint (Q, Q')_* = 0.  Stage values of an
 # explicit step are not exactly on the ellipsoid, so the projector and the
 # normal closure divide by (Q, Q)_* instead of assuming it is one.  Raises
 # NearCollisionError within ``guard`` of a scaled center.
@@ -258,29 +182,6 @@ c = (x * f_x + w * f_w + speed2) / qq
 nc = -c""",
     derivative=("xp", "yp", "zp", "wp", "f_x - c * x", "nc * y", "nc * z", "f_w - c * w"),
 )
-
-
-def tangential_field(point: EllipsoidPoint, prob: Problem) -> np.ndarray:
-    """Velocity-independent tangential part of the projected acceleration.
-
-    Returns P_Q[sum_j m_j c_j / |Q - c_j W|^3] with the star-orthogonal
-    tangent projector P_Q v = v - (Q, v)_* Q and Euclidean distances: the
-    intrinsic right-hand side at Q' = 0.
-    """
-    _require_matching_a(point.metric, prob)
-    return np.array(kernel(INTRINSIC_RHS, prob)((*point.vec.tolist(), 0.0, 0.0, 0.0, 0.0))[4:])
-
-
-def intrinsic_rhs(state: EllipsoidState, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """(Q', Q'') of the intrinsic ellipsoid ODE.
-
-    The normal closure Q'' = F_tan(Q) - |Q'|_*^2 Q is forced by
-    differentiating the tangency constraint; no other normal term is
-    compatible with motion on the ellipsoid.
-    """
-    _require_matching_a(state.metric, prob)
-    y = kernel(INTRINSIC_RHS, prob)((*state.point.vec.tolist(), *state.velocity.tolist()))
-    return state.velocity, np.array(y[4:])
 
 
 def relation_coefficients(a: float) -> tuple[float, float, float, float]:
@@ -387,7 +288,8 @@ def _rk4_planar_step(
 def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """Tangential Q'' obtained by differencing the lifted planar flow.
 
-    Independent oracle for :func:`tangential_field`: the planar system is
+    Independent oracle for the tangential field, ``INTRINSIC_RHS`` at
+    Q' = 0 (``kernel(INTRINSIC_RHS, prob)``): the planar system is
     advanced by +-``_FD_STEP`` with single RK4 steps, the lifted velocities
     are centrally differenced in t, and the chain rule dtau/dt = 1/|q|_*^2
     converts to the intrinsic time.  Batched over (..., 3) states, each
@@ -409,21 +311,23 @@ def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> n
         return qpp - star_inner(big_q, qpp, metric)[..., None] * big_q
 
 
-def velocity_independence_residual(point: EllipsoidPoint, prob: Problem, seed: int = 0) -> float:
+def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0) -> float:
     """Max pairwise spread of the differenced tangential Q'' over velocities.
 
-    Lifts ``_INDEPENDENCE_VELOCITIES`` planar states through the same
-    projected point with random velocities and measures how much the
-    finite-differenced tangential acceleration varies; the theorem says it
-    should not, so the spread stays at differencing-error level.
+    Lifts ``_INDEPENDENCE_VELOCITIES`` planar states at the position ``q3``
+    with random velocities, so all through the same projected point, and
+    measures how much the finite-differenced tangential acceleration varies;
+    the theorem says it should not, so the spread stays at differencing-error
+    level.
     """
-    _require_matching_a(point.metric, prob)
-    q3 = unproject(point)[:3]
+    q3 = np.asarray(q3, dtype=float)
+    if q3.shape != (3,):
+        raise InvalidInputError(f"q3 must have shape (3,), got {q3.shape}")
     rng = make_rng(seed)
     velocities = rng.normal(0.0, 1.0, size=(_INDEPENDENCE_VELOCITIES, 3))
     accs = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob)
     with np.errstate(over="raise"):
-        return float(np.max(star_norm(accs[:, None] - accs[None], point.metric)))
+        return float(np.max(star_norm(accs[:, None] - accs[None], prob.metric())))
 
 
 def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, metric: StarMetric) -> np.ndarray:

@@ -44,12 +44,10 @@ from twocenter import (
     sample_phase_points,
     star_inner,
     star_norm,
-    tangential_field,
-    unproject,
     velocity_independence_residual,
 )
 from twocenter import projective, sampling, verify
-from twocenter.dynamics import COLLISION_GUARD
+from twocenter.dynamics import COLLISION_GUARD, kernel
 from twocenter.errors import CenterRayError, NearCollisionError
 
 
@@ -383,8 +381,7 @@ def test_batched_fd_oracle_matches_point_loop(a):
     batched = fd_tangential_acceleration(qs, ps, prob)
     assert np.array_equal(batched, np.array([ref_point_fd(q, p, prob) for q, p in zip(qs, ps)]))
 
-    point = project(embed(np.array([0.3, 1.0, -0.2])), prob.metric())
-    q3 = unproject(point)[:3]
+    q3 = np.array([0.3, 1.0, -0.2])
     velocities = make_rng(0).normal(0.0, 1.0, size=(10, 3))
     batched = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob)
     looped = [ref_point_fd(q3, v, prob) for v in velocities]
@@ -392,15 +389,16 @@ def test_batched_fd_oracle_matches_point_loop(a):
     spread = max(
         float(star_norm(looped[i] - looped[j], prob.metric())) for i in range(10) for j in range(i + 1, 10)
     )
-    assert velocity_independence_residual(point, prob, seed=0) == spread
+    assert velocity_independence_residual(q3, prob, seed=0) == spread
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_velocity_independence_field_matches_point_loop(a, monkeypatch):
     """check_velocity_independence projects its 50 states in one batch and
-    evaluates one kernel closure; the field must equal, bit for bit,
-    tangential_field(project(q)) state by state.  With the oracle replaced by
-    zeros, the last star_norm argument is exactly minus the field."""
+    evaluates one kernel closure; the field must equal, bit for bit, the
+    kernel at Q' = 0 on project(q), projected and evaluated state by state.
+    With the oracle replaced by zeros, the last star_norm argument is exactly
+    minus the field."""
     prob = Problem(1.0, 0.7, a)
     seen = []
 
@@ -412,7 +410,8 @@ def test_velocity_independence_field_matches_point_loop(a, monkeypatch):
     monkeypatch.setattr(verify, "star_norm", recording_star_norm)
     verify.check_velocity_independence(prob, seed=42)
     qs, _ = sample_phase_points(prob, 50, make_rng(42), q_radius=3.0, min_center_distance=0.5)
-    looped = np.array([tangential_field(project(q, prob.metric()), prob) for q in embed(qs)])
+    rhs = kernel(projective.INTRINSIC_RHS, prob)
+    looped = np.array([rhs((*project(q, prob.metric()).tolist(), 0.0, 0.0, 0.0, 0.0))[4:] for q in qs])
     assert np.array_equal(-seen[-1], looped)
 
 

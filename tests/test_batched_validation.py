@@ -17,7 +17,6 @@ from twocenter import (
     Problem,
     axial_angular_momentum,
     center_distances,
-    embed,
     energy_arrays,
     euler_integral,
     first_integrals,
@@ -105,7 +104,7 @@ def test_one_row_inside_collision_guard_is_refused(batch, name, center):
 
 def test_batched_energy_refuses_a_center_ray(batch):
     big_q, qp = lift_arrays(*batch, PROB.metric())
-    big_q[MIDDLE] = project(embed(np.array([PROB.a, 0.0, 0.0])), PROB.metric()).vec
+    big_q[MIDDLE] = project(np.array([PROB.a, 0.0, 0.0]), PROB.metric())
     with pytest.raises(CenterRayError):
         energy_arrays(big_q, qp, PROB)
 

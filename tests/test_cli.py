@@ -268,6 +268,9 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="overflowing-half-distance"),
         pytest.param(["verify-theorem", "--q0", "1e155,0,0", "--tau-end", 1, "--samples", 100], 1, False,
                      id="overflowing-lift"),
+        # Q'_x = p_x |(q, 1)|_* - x (Q, p)_* is inf - inf here
+        pytest.param(["verify-theorem", "--q0", "3,0,0", "--p0", "1.5e308,0,0", "--tau-end", 1, "--samples", 100], 1,
+                     False, id="overflowing-lifted-velocity"),
         # the diagnostics overflow to inf: an inf drift (exit 2), or a refused tau grid, never a numpy warning
         pytest.param(["simulate", "--q0", "1e155,0,0", "--t-end", 1, "--out", "{tmp}/x.csv"], 2, False,
                      id="overflowing-first-integrals"),
@@ -277,7 +280,7 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="overflowing-velocity"),
         pytest.param(["verify-theorem", "--p0", "1e200,0,0", "--tau-end", 1, "--samples", 100], 3, False,
                      id="overflowing-velocity-verify"),
-        pytest.param(["project", "--input", "{tmp}/overflow.csv", "--out", "{tmp}/x.csv"], 0, False,
+        pytest.param(["project", "--input", "{tmp}/overflow.csv", "--out", "{tmp}/x.csv"], 2, False,
                      id="overflowing-energy-input"),
         # p is not dq/dt there: the quadrature's tau step would exceed the t step (tau = 1e198 at t = 1)
         pytest.param(["project", "--input", "{tmp}/tau_beyond_t.csv", "--out", "{tmp}/x.csv"], 1, False,
@@ -444,6 +447,19 @@ def test_simulate_exits_2_naming_an_overflowed_invariant(tmp_path, capsys):
     assert captured.err == "invariant overflowed along the run: E\n"
     _, data = read_csv(out)
     assert np.all(np.isinf(data[:, 9])) and np.all(np.isfinite(data[:, :9]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_project_exits_2_naming_an_overflowed_energy(tmp_path, capsys):
+    """|Q'|_*^2 overflows for p = 1e200: G reads inf in the rows, which are
+    still written, and one line names it, as simulate does for J, Theta, E."""
+    src, out, report = tmp_path / "overflow.csv", tmp_path / "x.csv", tmp_path / "x.json"
+    src.write_text("t,x,y,z,px,py,pz\n0,0,2,0,1e200,0,0\n1,0,2,0,1e200,0,0\n")
+    assert run(["project", "--input", src, "--out", out, "--json", report]) == 2
+    assert capsys.readouterr().err == "invariant overflowed along the run: G\n"
+    _, data = read_csv(out)
+    assert data.shape == (2, 10) and np.all(np.isinf(data[:, 9])) and np.all(np.isfinite(data[:, :9]))
+    assert json.loads(report.read_text())["G_last"] == float("inf")
 
 
 def test_fit_relation_at_huge_masses_keeps_full_rank(capsys):

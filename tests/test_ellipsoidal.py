@@ -10,7 +10,6 @@ from twocenter import (
     from_ellipsoidal,
     hamiltonian,
     rotate_about_axis,
-    rotational_invariance_residual,
     to_ellipsoidal,
 )
 from twocenter.sampling import make_rng
@@ -72,21 +71,25 @@ def test_invariants_hold_for_random_points():
 
 
 def test_rotational_invariance():
-    assert rotational_invariance_residual(np.array([0.3, 1.2, -0.7]), EQUAL, 0.0) == 0.0
+    """alpha and beta do not change under a rotation about the centers axis;
+    theta shifts by the angle."""
 
-    q = np.array([0.0, 1.0, 0.0])
-    assert rotational_invariance_residual(q, EQUAL, np.pi / 2) <= 1e-15
-    before = to_ellipsoidal(q, EQUAL)
-    after = to_ellipsoidal(rotate_about_axis(q, np.pi / 2), EQUAL)
+    def rotated(q, angle):
+        return to_ellipsoidal(q, EQUAL), to_ellipsoidal(rotate_about_axis(q, angle), EQUAL)
+
+    before, after = rotated(np.array([0.3, 1.2, -0.7]), 0.0)
+    assert (after.alpha, after.beta) == (before.alpha, before.beta)
+
+    before, after = rotated(np.array([0.0, 1.0, 0.0]), np.pi / 2)
+    assert max(abs(after.alpha - before.alpha), abs(after.beta - before.beta)) <= 1e-15
     assert _angle_distance(after.theta, before.theta + np.pi / 2) <= 1e-12
 
     rng = make_rng(41)
     qs = rng.uniform(-4, 4, size=(100, 3))
     angles = rng.uniform(0, TWO_PI, size=100)
     for q, angle in zip(qs, angles):
-        assert rotational_invariance_residual(q, EQUAL, angle) <= 1e-12
-        before = to_ellipsoidal(q, EQUAL)
-        after = to_ellipsoidal(rotate_about_axis(q, angle), EQUAL)
+        before, after = rotated(q, angle)
+        assert max(abs(after.alpha - before.alpha), abs(after.beta - before.beta)) <= 1e-12
         if not (before.degenerate or after.degenerate):
             assert _angle_distance(after.theta, before.theta + angle) <= 1e-12
 

@@ -1,10 +1,11 @@
 """Adaptive integration, constraint handling, and drift diagnostics."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twocenter import (
     IntegratorConfig,
@@ -20,7 +21,8 @@ from twocenter import (
     first_integrals,
     integrate_ellipsoid,
     integrate_planar,
-    lift_velocity,
+    lift_arrays,
+    project,
     star_inner,
     star_norm,
 )
@@ -61,7 +63,7 @@ def test_start_inside_guard_raises_for_both_systems():
     with pytest.raises(NearCollisionError):
         integrate_planar(PhasePoint(q, p), EQUAL, 1.0)
     with pytest.raises(NearCollisionError):
-        integrate_ellipsoid(lift_velocity(q, p, StarMetric(1.0)), EQUAL, 1.0)
+        integrate_ellipsoid(PhasePoint(q, p), EQUAL, 1.0)
 
 
 def test_collision_abort_returns_partial_trajectory(monkeypatch):
@@ -91,11 +93,10 @@ def test_step_budget_leaves_room_for_the_default_orbit():
     traj = integrate_planar(DEFAULT_START, EQUAL, 50.0)
     assert traj.status == "ok"
     assert 50 * (len(traj) - 1 + traj.rejected_steps) <= integrate._MAX_STEPS
-    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
     costs = []
     for _ in range(3):
         started = time.perf_counter()
-        run = integrate_ellipsoid(state, EQUAL, 5.0)
+        run = integrate_ellipsoid(DEFAULT_START, EQUAL, 5.0)
         costs.append((time.perf_counter() - started) / (len(run) - 1 + run.rejected_steps))
     assert integrate._MAX_STEPS * min(costs) <= 30.0
 
@@ -125,8 +126,7 @@ def test_nonfinite_derivative_ends_in_step_underflow(bad, monkeypatch):
 def test_overflowing_derivative_is_step_underflow(mass):
     # the initial derivative overflows the error scale, so no step fits
     prob = Problem(mass, mass, 1.0)
-    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
-    for traj in (integrate_planar(DEFAULT_START, prob, 1.0), integrate_ellipsoid(state, prob, 1.0)):
+    for traj in (integrate_planar(DEFAULT_START, prob, 1.0), integrate_ellipsoid(DEFAULT_START, prob, 1.0)):
         assert traj.status == "step_underflow"
         assert len(traj) == 1
 
@@ -134,9 +134,8 @@ def test_overflowing_derivative_is_step_underflow(mass):
 def test_invalid_horizons():
     with pytest.raises(InvalidInputError):
         integrate_planar(DEFAULT_START, EQUAL, 0.0)
-    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
     with pytest.raises(InvalidInputError):
-        integrate_ellipsoid(state, EQUAL, -1.0)
+        integrate_ellipsoid(DEFAULT_START, EQUAL, -1.0)
 
 
 def test_unknown_clock_is_rejected():
@@ -176,10 +175,36 @@ def test_tolerance_scaling_improves_accuracy():
     assert errs[1] < errs[0] * 1e-1
 
 
+_BOX = st.tuples(*[st.floats(-5.0, 5.0)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_BOX, _BOX, st.floats(0.25, 4.0))
+def test_ellipsoid_run_starts_on_the_lift(q, p, a):
+    """The start of an ellipsoid run is the lift of its planar start: Q =
+    project(q0), Q' from lift_arrays, on the manifold and tangent to it at
+    roundoff.  No other form of a projected state can be passed in, so
+    there is no start off the manifold or on the W < 0 sheet to refuse; a
+    q0 whose |(q0, 1)|_* overflows is refused by name before numpy warns."""
+    q0, p0 = np.array(q), np.array(p)
+    assume(min(np.linalg.norm(q0 - [a, 0, 0]), np.linalg.norm(q0 + [a, 0, 0])) >= 0.1)
+    prob = Problem(1.0, 0.7, a)
+    metric = prob.metric()
+    first = integrate_ellipsoid(PhasePoint(q0, p0), prob, 1e-6).states[0]
+    big_q, qp = first[:4], first[4:]
+    assert np.array_equal(big_q, project(q0, metric))
+    assert np.array_equal(qp, lift_arrays(q0, p0, metric)[1])
+    eps = np.finfo(float).eps
+    assert abs(star_norm(big_q, metric) - 1.0) <= 2 * eps
+    assert abs(star_inner(big_q, qp, metric)) <= 16 * eps * (1.0 + star_norm(qp, metric))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"\|\(q, 1\)\|_\* overflows at q = \[0.0, 0.0, 1e\+155\]"):
+            integrate_ellipsoid(PhasePoint(np.array([0.0, 0.0, 1e155]), p0), prob, 1.0)
+
+
 def test_ellipsoid_equilibrium():
-    metric = StarMetric(1.0)
-    state = lift_velocity(np.zeros(3), np.zeros(3), metric)
-    traj = integrate_ellipsoid(state, EQUAL, 5.0)
+    traj = integrate_ellipsoid(PhasePoint(np.zeros(3), np.zeros(3)), EQUAL, 5.0)
     assert traj.status == "ok"
     assert np.max(np.abs(traj.states - traj.states[0])) <= 1e-12
 
@@ -188,21 +213,19 @@ def test_free_flow_conserves_speed_and_matches_closed_form():
     """m = 0 gives star-circular motion Q0 cos(w tau) + (Q'0/w) sin(w tau)."""
     metric = StarMetric(1.0)
     free = Problem(0.0, 0.0, 1.0)
-    state = lift_velocity(np.array([0.3, 1.0, -0.2]), np.array([0.4, -0.1, 0.5]), metric)
-    traj = integrate_ellipsoid(state, free, 10.0)
+    traj = integrate_ellipsoid(PhasePoint(np.array([0.3, 1.0, -0.2]), np.array([0.4, -0.1, 0.5])), free, 10.0)
     assert traj.status == "ok"
     speeds = star_norm(traj.states[:, 4:], metric)
     assert np.max(np.abs(speeds - speeds[0])) <= 1e-10
     omega = float(speeds[0])
-    q0, qp0 = state.point.vec, state.velocity
+    q0, qp0 = traj.states[0, :4], traj.states[0, 4:]
     tau = traj.times[-1]
     closed = q0 * np.cos(omega * tau) + (qp0 / omega) * np.sin(omega * tau)
     assert np.max(np.abs(traj.states[-1, :4] - closed)) <= 1e-9
 
 
 def test_lifted_orbit_constraints_and_energy():
-    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
-    traj = integrate_ellipsoid(state, EQUAL, 5.0)
+    traj = integrate_ellipsoid(DEFAULT_START, EQUAL, 5.0)
     assert traj.status == "ok"
     g = traj.diagnostics["G"]
     assert np.max(np.abs(g - g[0])) <= 1e-8
@@ -217,9 +240,8 @@ def test_lifted_orbit_constraints_and_energy():
 
 def test_integrity_abort_on_loose_unrenormalized_run(monkeypatch):
     # the residuals are judged on each step's result, before it is renormalized
-    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0))
     monkeypatch.setattr(integrate, "_MAX_STEP", 0.5)
-    traj = integrate_ellipsoid(state, EQUAL, 50.0, IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3))
+    traj = integrate_ellipsoid(DEFAULT_START, EQUAL, 50.0, IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3))
     assert traj.status == "integrity"
     assert traj.times[-1] < 50.0
 
@@ -234,9 +256,7 @@ def test_rejected_steps_are_counted(monkeypatch):
 def test_intrinsic_infall_aborts_cleanly():
     # falling toward the projected center ray: the run must stop with a
     # partial trajectory, whether the guard or the step floor fires first
-    metric = StarMetric(1.0)
-    state = lift_velocity(np.array([0.5, 0.0, 0.0]), np.zeros(3), metric)
-    traj = integrate_ellipsoid(state, EQUAL, 10.0)
+    traj = integrate_ellipsoid(PhasePoint(np.array([0.5, 0.0, 0.0]), np.zeros(3)), EQUAL, 10.0)
     assert traj.status in ("collision", "step_underflow")
     assert 0.0 < traj.times[-1] < 10.0
 
@@ -245,8 +265,7 @@ def test_general_a_energy_rate_vanishes():
     """dG/dtau by finite differences along route B, for a in {1/2, 1, 2}."""
     for a in (0.5, 1.0, 2.0):
         prob = Problem(1.0, 1.0, a)
-        state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(a))
-        traj = integrate_ellipsoid(state, prob, 5.0)
+        traj = integrate_ellipsoid(DEFAULT_START, prob, 5.0)
         rate = np.abs(np.diff(traj.diagnostics["G"]) / np.diff(traj.times))
         assert np.max(rate) <= 1e-8
 
@@ -323,8 +342,7 @@ def test_run_diagnostics_equal_the_validating_evaluators(clock, a):
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_ellipsoid_energy_equals_the_validating_evaluator(a):
     prob = Problem(1.0, 0.7, a)
-    state = lift_velocity(DEFAULT_START.q, DEFAULT_START.p, prob.metric())
-    traj = integrate_ellipsoid(state, prob, 3.0)
+    traj = integrate_ellipsoid(DEFAULT_START, prob, 3.0)
     assert traj.status == "ok" and len(traj) > 10
     assert np.array_equal(traj.diagnostics["G"], energy_arrays(traj.states[:, :4], traj.states[:, 4:], prob))
 
@@ -337,7 +355,7 @@ def test_nonfinite_state_from_a_run_is_refused(system, monkeypatch):
     monkeypatch.setattr(integrate, "_make_run", lambda *args, **kwargs: lambda *args, **params: output)
     with pytest.raises(InvalidInputError, match="states must have finite components"):
         if system == "ellipsoid":
-            integrate_ellipsoid(lift_velocity(DEFAULT_START.q, DEFAULT_START.p, StarMetric(1.0)), EQUAL, 1.0)
+            integrate_ellipsoid(DEFAULT_START, EQUAL, 1.0)
         else:
             integrate_planar(DEFAULT_START, EQUAL, 1.0)
 
@@ -372,11 +390,11 @@ def test_cubic_hermite_reproduces_cubics():
 def test_two_route_check_fails_when_a_route_stops_early():
     """An aborted intrinsic run, or a route A that falls into a center before
     the intrinsic run's end, fails the check with measured inf."""
-    intrinsic = integrate_ellipsoid(lift_velocity(DEFAULT_START.q, DEFAULT_START.p, EQUAL.metric()), EQUAL, 2.0)
+    intrinsic = integrate_ellipsoid(DEFAULT_START, EQUAL, 2.0)
     infall = PhasePoint(np.array([0.5, 0.0, 0.0]), np.zeros(3))
     result = check_two_routes(infall, intrinsic)
     assert result.measured == np.inf and result.detail.startswith("planar route stopped at tau = ")
-    aborted = integrate_ellipsoid(lift_velocity(infall.q, infall.p, EQUAL.metric()), EQUAL, 2.0)
+    aborted = integrate_ellipsoid(infall, EQUAL, 2.0)
     assert aborted.status != "ok"
     for check in (check_two_routes(infall, aborted), check_energy_drift(aborted)):
         assert check.measured == np.inf and check.detail == aborted.status

@@ -1,4 +1,9 @@
-"""Lifted velocities, the tangential field, and the ellipsoidal energy."""
+"""Lifted velocities, the tangential field, and the ellipsoidal energy.
+
+A projected state is the pair of (..., 4) arrays (Q, Q') of ``lift_arrays``
+(or ``project`` for Q alone); the field is ``kernel(INTRINSIC_RHS, prob)``
+and the energy ``energy_arrays``, whose value at Q' = 0 is the potential.
+"""
 
 import numpy as np
 import pytest
@@ -7,8 +12,6 @@ from scipy.integrate import quad
 
 from twocenter import (
     CenterRayError,
-    EllipsoidPoint,
-    EllipsoidState,
     IntegralRelation,
     InvalidInputError,
     NearCollisionError,
@@ -16,17 +19,12 @@ from twocenter import (
     Problem,
     RankDeficientError,
     StarMetric,
-    ellipsoid_potential,
-    ellipsoidal_energy,
-    embed,
     energy_arrays,
     fd_tangential_acceleration,
     first_integrals,
     fit_integral_relation,
     integrate_planar,
-    intrinsic_rhs,
     lift_arrays,
-    lift_velocity,
     lifted_speed_squared,
     project,
     relation_coefficients,
@@ -34,10 +32,10 @@ from twocenter import (
     reparametrize_time,
     star_inner,
     star_norm,
-    tangential_field,
     velocity_independence_residual,
 )
 from twocenter import projective
+from twocenter.dynamics import kernel
 from twocenter.sampling import make_rng, sample_phase_points
 from twocenter.verify import check_fitted_relation, check_pointwise_relation
 
@@ -49,17 +47,31 @@ problems = st.builds(Problem, masses, masses, st.floats(0.25, 4.0))
 seeds = st.integers(0, 2**32 - 1)
 
 
+def intrinsic_rhs(big_q, qp, prob):
+    """(Q', Q'') of the intrinsic ODE at one state, from the template's kernel."""
+    y = kernel(projective.INTRINSIC_RHS, prob)(np.concatenate([big_q, qp]).tolist())
+    return np.array(y[:4]), np.array(y[4:])
+
+
+def field_at(point, prob):
+    """The tangential field: the intrinsic Q'' at Q' = 0."""
+    return intrinsic_rhs(point, np.zeros(4), prob)[1]
+
+
+def potential_at(points, prob):
+    """The potential part of G: G at Q' = 0."""
+    return energy_arrays(points, np.zeros(4), prob)
+
+
 def test_lift_examples():
-    state = lift_velocity(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), M1)
-    assert np.allclose(state.velocity, [0, 0, np.sqrt(1.5), 0], atol=1e-15)
-    assert star_norm(state.velocity, M1) ** 2 == pytest.approx(0.75, abs=1e-15)
-    rest = lift_velocity(np.array([0.3, -2.0, 1.1]), np.zeros(3), M1)
-    assert np.array_equal(rest.velocity, np.zeros(4))
-    # refused before numpy overflows, and a non-finite q is not called an overflow
-    with pytest.raises(InvalidInputError, match=r"\|\(q, 1\)\|_\* overflows"):
-        lift_velocity(np.array([0.0, 0.0, 1e155]), np.zeros(3), M1)
+    big_q, qp = lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), M1)
+    assert np.array_equal(big_q, project(np.array([0.0, 1, 0]), M1))
+    assert np.allclose(qp, [0, 0, np.sqrt(1.5), 0], atol=1e-15)
+    assert star_norm(qp, M1) ** 2 == pytest.approx(0.75, abs=1e-15)
+    _, rest = lift_arrays(np.array([0.3, -2.0, 1.1]), np.zeros(3), M1)
+    assert np.array_equal(rest, np.zeros(4))
     with pytest.raises(InvalidInputError, match="finite components"):
-        lift_velocity(np.array([np.inf, 0.0, 0.0]), np.zeros(3), M1)
+        lift_arrays(np.array([np.inf, 0.0, 0.0]), np.zeros(3), M1)
 
 
 def test_lift_is_tangent():
@@ -67,9 +79,8 @@ def test_lift_is_tangent():
     for metric in (M1, StarMetric(2.0)):
         qs = rng.uniform(-4, 4, size=(300, 3))
         ps = rng.uniform(-3, 3, size=(300, 3))
-        for q, p in zip(qs, ps):
-            state = lift_velocity(q, p, metric)
-            assert abs(star_inner(state.point.vec, state.velocity, metric)) <= 1e-12
+        big_q, qp = lift_arrays(qs, ps, metric)
+        assert np.max(np.abs(star_inner(big_q, qp, metric))) <= 1e-12
 
 
 def test_speed_expansion_examples():
@@ -82,9 +93,8 @@ def test_speed_expansion_matches_lift():
     qs = rng.uniform(-5, 5, size=(1000, 3))
     ps = rng.uniform(-3, 3, size=(1000, 3))
     formula = lifted_speed_squared(qs, ps, M1)
-    for q, p, expected in zip(qs, ps, formula):
-        speed2 = star_norm(lift_velocity(q, p, M1).velocity, M1) ** 2
-        assert abs(expected - speed2) <= 1e-12
+    speed2 = star_norm(lift_arrays(qs, ps, M1)[1], M1) ** 2
+    assert np.max(np.abs(formula - speed2)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,50 +108,47 @@ def test_speed_expansion_matches_lift_at_any_a(prob, seed):
 
 
 def test_tangential_field_examples():
-    top = project(np.array([0.0, 0, 0, 1]), M1)
-    assert np.allclose(tangential_field(top, EQUAL), np.zeros(4), atol=1e-15)
-    assert np.array_equal(tangential_field(top, Problem(0.0, 0.0, 1.0)), np.zeros(4))
-    single = tangential_field(top, Problem(1.0, 0.0, 1.0))
+    top = project(np.zeros(3), M1)
+    assert np.allclose(field_at(top, EQUAL), np.zeros(4), atol=1e-15)
+    assert np.array_equal(field_at(top, Problem(0.0, 0.0, 1.0)), np.zeros(4))
+    single = field_at(top, Problem(1.0, 0.0, 1.0))
     assert np.allclose(single, [-1.0, 0, 0, 0], atol=1e-15)
 
 
 def test_tangential_field_is_tangent():
     rng = make_rng(4)
     prob = Problem(0.6, 1.9, 1.0)
-    for q3 in rng.uniform(-4, 4, size=(200, 3)):
-        point = project(embed(q3), M1)
-        field = tangential_field(point, prob)
-        assert abs(star_inner(point.vec, field, M1)) <= 1e-12
+    for point in project(rng.uniform(-4, 4, size=(200, 3)), M1):
+        assert abs(star_inner(point, field_at(point, prob), M1)) <= 1e-12
 
 
 def test_tangential_field_center_ray_guard():
     # the projected center itself sits at zero distance from the scaled center
-    point = project(np.array([1.0, 0, 0, 1]), M1)
+    point = project(np.array([1.0, 0, 0]), M1)
     with pytest.raises(NearCollisionError):
-        tangential_field(point, EQUAL)
+        field_at(point, EQUAL)
 
 
 def test_energy_examples():
-    state = lift_velocity(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), M1)
-    assert ellipsoidal_energy(state, EQUAL) == pytest.approx(0.75 - np.sqrt(2), abs=1e-14)
-    rest = lift_velocity(np.zeros(3), np.zeros(3), M1)
-    assert ellipsoidal_energy(rest, EQUAL) == pytest.approx(-2.0, abs=1e-14)
-    assert ellipsoidal_energy(rest, Problem(0.0, 0.0, 1.0)) == 0.0
+    lifted = lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), M1)
+    assert energy_arrays(*lifted, EQUAL) == pytest.approx(0.75 - np.sqrt(2), abs=1e-14)
+    rest = lift_arrays(np.zeros(3), np.zeros(3), M1)
+    assert energy_arrays(*rest, EQUAL) == pytest.approx(-2.0, abs=1e-14)
+    assert energy_arrays(*rest, Problem(0.0, 0.0, 1.0)) == 0.0
 
 
 def test_energy_center_ray_error():
-    point = project(np.array([1.0, 0, 0, 1]), M1)
-    state = EllipsoidState(point, np.zeros(4))
+    point = project(np.array([1.0, 0, 0]), M1)
     with pytest.raises(CenterRayError):
-        ellipsoidal_energy(state, EQUAL)
+        energy_arrays(point, np.zeros(4), EQUAL)
 
 
 def test_potential_examples():
-    origin = project(np.array([0.0, 0, 0, 1]), M1)
-    assert ellipsoid_potential(origin, EQUAL) == pytest.approx(-2.0, abs=1e-15)
-    side = project(np.array([0.0, 1, 0, 1]), M1)
-    assert ellipsoid_potential(side, EQUAL) == pytest.approx(-np.sqrt(2), abs=1e-15)
-    assert ellipsoid_potential(side, Problem(0.0, 0.0, 1.0)) == 0.0
+    origin = project(np.zeros(3), M1)
+    assert potential_at(origin, EQUAL) == pytest.approx(-2.0, abs=1e-15)
+    side = project(np.array([0.0, 1, 0]), M1)
+    assert potential_at(side, EQUAL) == pytest.approx(-np.sqrt(2), abs=1e-15)
+    assert potential_at(side, Problem(0.0, 0.0, 1.0)) == 0.0
 
 
 def test_potential_pullback_identity():
@@ -150,15 +157,14 @@ def test_potential_pullback_identity():
     for a in (1.0, 0.5, 2.0):
         prob = Problem(1.2, 0.7, a)
         qs, _ = sample_phase_points(prob, 1000, rng)
-        for q in qs:
-            value = ellipsoid_potential(project(embed(q), prob.metric()), prob)
-            x = q[0]
-            d_minus = np.linalg.norm(q + prob.center_plus)
-            d_plus = np.linalg.norm(q - prob.center_plus)
-            closed = (2 / (1 + a * a)) * (
-                prob.m_minus * (a * x - 1) / d_minus - prob.m_plus * (a * x + 1) / d_plus
-            )
-            assert abs(value - closed) <= 1e-12
+        values = potential_at(project(qs, prob.metric()), prob)
+        x = qs[:, 0]
+        d_minus = np.linalg.norm(qs + prob.center_plus, axis=1)
+        d_plus = np.linalg.norm(qs - prob.center_plus, axis=1)
+        closed = (2 / (1 + a * a)) * (
+            prob.m_minus * (a * x - 1) / d_minus - prob.m_plus * (a * x + 1) / d_plus
+        )
+        assert np.max(np.abs(values - closed)) <= 1e-12
 
 
 def test_relation_examples():
@@ -298,27 +304,20 @@ def test_fit_recovers_closed_form_at_any_mass(log_m_minus, log_m_plus, a, seed):
 
 
 def test_intrinsic_rhs_examples():
-    top = project(np.array([0.0, 0, 0, 1]), M1)
-    _, qpp = intrinsic_rhs(EllipsoidState(top, np.zeros(4)), EQUAL)
+    top = project(np.zeros(3), M1)
+    _, qpp = intrinsic_rhs(top, np.zeros(4), EQUAL)
     assert np.allclose(qpp, np.zeros(4), atol=1e-15)
 
-    side = project(np.array([0.0, 2, 0, 1]), M1)
-    state = EllipsoidState(side, np.zeros(4))
-    _, qpp = intrinsic_rhs(state, EQUAL)
-    assert np.allclose(qpp, tangential_field(side, EQUAL), atol=0)
+    side = project(np.array([0.0, 2, 0]), M1)
+    _, qpp = intrinsic_rhs(side, np.zeros(4), EQUAL)
+    assert np.allclose(qpp, field_at(side, EQUAL), atol=0)
 
     free = Problem(0.0, 0.0, 1.0)
-    moving = lift_velocity(np.array([0.0, 2, 0]), np.array([0.3, 0, 0.6]), M1)
-    qp, qpp = intrinsic_rhs(moving, free)
-    speed2 = star_norm(moving.velocity, M1) ** 2
-    assert np.allclose(qpp, -speed2 * moving.point.vec, atol=1e-15)
-    assert np.array_equal(qp, moving.velocity)
-
-
-def test_state_tangency_validation():
-    top = project(np.array([0.0, 0, 0, 1]), M1)
-    with pytest.raises(InvalidInputError):
-        EllipsoidState(top, np.array([0.0, 0, 0, 1e-6]))
+    big_q, velocity = lift_arrays(np.array([0.0, 2, 0]), np.array([0.3, 0, 0.6]), M1)
+    qp, qpp = intrinsic_rhs(big_q, velocity, free)
+    speed2 = star_norm(velocity, M1) ** 2
+    assert np.allclose(qpp, -speed2 * big_q, atol=1e-15)
+    assert np.array_equal(qp, velocity)
 
 
 def test_reparametrize_stationary():
@@ -402,30 +401,30 @@ def test_tangential_field_matches_potential_gradient():
         metric = StarMetric(a)
         prob = Problem(1.1, 0.8, a)
         qs, _ = sample_phase_points(prob, 50, rng, min_center_distance=0.5)
-        for q3 in qs:
-            point = project(embed(q3), metric)
-            field = tangential_field(point, prob)
+        for point in project(qs, metric):
+            field = field_at(point, prob)
             for seed_vec in (np.array([1.0, 0.3, -0.2, 0.1]), np.array([0.0, 1.0, 0.5, -0.3])):
-                v = seed_vec - star_inner(point.vec, seed_vec, metric) * point.vec
+                v = seed_vec - star_inner(point, seed_vec, metric) * point
                 v = v / star_norm(v, metric)
-                fwd = (point.vec + h * v) / star_norm(point.vec + h * v, metric)
-                bwd = (point.vec - h * v) / star_norm(point.vec - h * v, metric)
-                dv = (
-                    ellipsoid_potential(EllipsoidPoint(fwd, metric), prob)
-                    - ellipsoid_potential(EllipsoidPoint(bwd, metric), prob)
-                ) / (2 * h)
+                fwd = (point + h * v) / star_norm(point + h * v, metric)
+                bwd = (point - h * v) / star_norm(point - h * v, metric)
+                dv = (potential_at(fwd, prob) - potential_at(bwd, prob)) / (2 * h)
                 assert abs(star_inner(field, v, metric) + 0.5 * dv) <= 1e-6
 
 
 def test_velocity_independence_free_motion():
-    point = project(embed(np.array([0.2, 1.0, -0.4])), M1)
     # free motion has no tangential field at all; the residual is pure noise
-    assert velocity_independence_residual(point, Problem(0.0, 0.0, 1.0)) <= 1e-8
+    assert velocity_independence_residual(np.array([0.2, 1.0, -0.4]), Problem(0.0, 0.0, 1.0)) <= 1e-8
 
 
 def test_velocity_independence_at_anchor():
-    point = project(np.array([0.0, 1, 0, 1]), M1)
-    assert velocity_independence_residual(point, EQUAL) <= 1e-6
+    assert velocity_independence_residual(np.array([0.0, 1, 0]), EQUAL) <= 1e-6
+
+
+@pytest.mark.parametrize("q3", [[0.0, 1.0], [[0.0, 1.0, 0.0]] * 2, [np.nan, 1.0, 0.0]])
+def test_velocity_independence_refuses_a_bad_position(q3):
+    with pytest.raises(InvalidInputError):
+        velocity_independence_residual(np.array(q3), EQUAL)
 
 
 @pytest.mark.filterwarnings("error")
@@ -433,15 +432,13 @@ def test_velocity_independence_spread_overflow_raises():
     """At masses of 1e100 the differenced accelerations are finite but the
     norms of their pairwise differences overflow: raised like the oracle's
     own overflow, not a numpy warning and inf."""
-    point = project(np.array([0.0, 1, 0, 1]), M1)
     with pytest.raises(FloatingPointError, match="overflow"):
-        velocity_independence_residual(point, Problem(1e100, 1e100, 1.0), seed=42)
+        velocity_independence_residual(np.array([0.0, 1, 0]), Problem(1e100, 1e100, 1.0), seed=42)
 
 
 def test_fd_acceleration_matches_field():
     rng = make_rng(29)
     qs, ps = sample_phase_points(EQUAL, 50, rng, q_radius=3.0, min_center_distance=0.5)
-    for q, p in zip(qs, ps):
+    for q, p, point in zip(qs, ps, project(qs, M1)):
         oracle = fd_tangential_acceleration(q, p, EQUAL)
-        field = tangential_field(project(embed(q), M1), EQUAL)
-        assert star_norm(oracle - field, M1) <= 1e-6
+        assert star_norm(oracle - field_at(point, EQUAL), M1) <= 1e-6

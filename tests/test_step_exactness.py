@@ -27,7 +27,8 @@ from twocenter import (
     first_integrals,
     integrate_ellipsoid,
     integrate_planar,
-    lift_velocity,
+    lift_arrays,
+    project,
 )
 from twocenter import dynamics, integrate
 from twocenter.codegen import RhsTemplate, compile_kernel
@@ -149,8 +150,8 @@ def reference(system, start, prob, end, cfg=None):
     def star(u, v):
         return u[0] * v[0] + wyz * u[1] * v[1] + wyz * u[2] * v[2] + u[3] * v[3]
 
-    lifted = lift_velocity(start.q, start.p, prob.metric())
-    y0 = [*lifted.point.vec.tolist(), *lifted.velocity.tolist()]
+    # the lift integrate_ellipsoid starts from: Q = project(q), Q' of lift_arrays
+    y0 = [*project(start.q, prob.metric()).tolist(), *lift_arrays(start.q, start.p, prob.metric())[1].tolist()]
     norm_residuals = [abs(math.sqrt(star(y0[:4], y0[:4])) - 1.0)]
     tangency_residuals = [abs(star(y0[:4], y0[4:]))]
 
@@ -188,7 +189,7 @@ CONFIGS = [(IntegratorConfig(), 0.1), (IntegratorConfig(rel_tol=1e-6, abs_tol=1e
 
 def generated(system, start, prob, end, cfg=None):
     if system == "ellipsoid":
-        return integrate_ellipsoid(lift_velocity(start.q, start.p, prob.metric()), prob, end, cfg)
+        return integrate_ellipsoid(start, prob, end, cfg)
     return integrate_planar(start, prob, end, cfg, clock=system)
 
 
