@@ -1,7 +1,8 @@
 """The ellipsoidal energy is an affine combination of the first integrals.
 
 Lifting any planar phase point (q, p) to the ellipsoid gives a projected
-point Q and a tau-velocity Q'; the energy of that projected state,
+point Q and a tau-velocity Q' (``lift_arrays(q, p, prob)``: the problem's
+half-distance a fixes the ellipsoid); the energy of that projected state,
 
     G = |Q'|_*^2 - (2/(1+a^2)) sum_j m_j u_j / sqrt(1 - u_j^2),
 
@@ -28,13 +29,12 @@ from twocenter import (
 )
 from twocenter.sampling import make_rng, sample_phase_points
 
-prob = Problem(1.0, 1.0, 1.0)
-metric = prob.metric()
+prob = Problem(1.0, 1.0, 1.0)  # its a also fixes the ellipsoid's weights
 
 # one point, spelled out
 q = np.array([0.0, 1.0, 0.0])
 p = np.array([0.0, 0.0, 1.0])
-big_q, qp = lift_arrays(q, p, metric)  # the projected point Q and its tau-velocity Q'
+big_q, qp = lift_arrays(q, p, prob)  # the projected point Q and its tau-velocity Q'
 G = energy_arrays(big_q, qp, prob)
 J = hamiltonian(q, p, prob)
 E = euler_integral(q, p, prob)

@@ -21,7 +21,7 @@ from .dynamics import (
 )
 from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
 from .errors import CenterRayError, InvalidInputError, NearCollisionError, RankDeficientError
-from .geometry import StarMetric, check_finite, embed, project, star_inner, star_norm
+from .geometry import check_finite, embed, project, star_inner, star_norm
 from .integrate import (
     DriftReport,
     IntegratorConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "PhasePoint",
     "Problem",
     "RankDeficientError",
-    "StarMetric",
     "Trajectory",
     "acceleration",
     "axial_angular_momentum",

@@ -201,7 +201,6 @@ def _read_planar_csv(path: str) -> np.ndarray:
 
 def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
     prob = cfg.problem()
-    metric = prob.metric()
     if input_path is None:
         traj = integrate_planar(cfg.start(), prob, cfg.t_end, cfg.integrator())
         if traj.status != "ok":
@@ -211,9 +210,9 @@ def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
     else:
         data = _read_planar_csv(input_path)
         times, states = data[:, 0], data[:, 1:7]
-    tau = reparametrize_time(times, states[:, :3], states[:, 3:], metric)
+    tau = reparametrize_time(times, states[:, :3], states[:, 3:], prob)
     with np.errstate(over="ignore", invalid="ignore"):  # G may overflow to inf; energy_arrays refuses an inf Q'
-        big_q, qp = lift_arrays(states[:, :3], states[:, 3:], metric)
+        big_q, qp = lift_arrays(states[:, :3], states[:, 3:], prob)
         g = np.atleast_1d(energy_arrays(big_q, qp, prob))
     _write_rows(cfg.out, _PROJECT_HEADER, np.column_stack([tau, big_q, qp, g]))
     _write_json(cfg.json, {"command": "project", "samples": int(len(tau)),

@@ -14,13 +14,13 @@ whole sweeps go through the same code path as single points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codegen import RhsTemplate, compile_kernel
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import StarMetric, check_finite, columns, pair_columns
+from .geometry import check_finite, columns, pair_columns
 
 # Evaluations closer to a center than this are refused instead of blowing up.
 COLLISION_GUARD = 1e-8
@@ -28,11 +28,17 @@ COLLISION_GUARD = 1e-8
 
 @dataclass(frozen=True)
 class Problem:
-    """Masses and half-distance of the two fixed centers."""
+    """Masses and half-distance of the two fixed centers.
+
+    a also fixes the ellipsoid: the unit set of the norm with ``weights``
+    (1, wyz, wyz, 1), wyz = 1/(1+a^2), so (1, 1/2, 1/2, 1) at a = 1.
+    ``wyz`` is a Python float, as the kernels need."""
 
     m_minus: float = 1.0
     m_plus: float = 1.0
     a: float = 1.0
+    wyz: float = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("m_minus", "m_plus", "a"):
@@ -42,9 +48,14 @@ class Problem:
             object.__setattr__(self, name, value)
         if self.m_minus < 0.0 or self.m_plus < 0.0:
             raise InvalidInputError("masses must be nonnegative")
-        if self.a <= 0.0:
-            raise InvalidInputError(f"half-distance a must be positive, got {self.a!r}")
-        self.metric()  # refuses an a whose 1 + a^2 overflows
+        a = self.a
+        if a <= 0.0:
+            raise InvalidInputError(f"half-distance a must be positive, got {a!r}")
+        if not np.isfinite(1.0 + a * a):  # above about 1.34e154 the norm would lose y and z
+            raise InvalidInputError(f"half-distance a must keep 1 + a^2 finite, got {a!r}")
+        wyz = 1.0 / (1.0 + a * a)
+        object.__setattr__(self, "wyz", wyz)
+        object.__setattr__(self, "weights", np.array([1.0, wyz, wyz, 1.0]))
 
     @property
     def center_minus(self) -> np.ndarray:
@@ -59,10 +70,6 @@ class Problem:
         """True when exactly one mass vanishes (single-center limit)."""
         return (self.m_minus == 0.0) != (self.m_plus == 0.0)
 
-    def metric(self) -> StarMetric:
-        """The star metric whose ellipsoid this problem projects onto."""
-        return StarMetric(self.a)
-
 
 def rhs_params(prob: Problem) -> dict[str, float]:
     """The constants of the right-hand-side templates for ``prob``, by name.
@@ -72,9 +79,8 @@ def rhs_params(prob: Problem) -> dict[str, float]:
     are Python floats: a numpy scalar would slow every stage.
     ``COLLISION_GUARD`` is read here, at call time.
     """
-    a = prob.a
-    return {"a": a, "m_minus": prob.m_minus, "m_plus": prob.m_plus,
-            "wyz": 1.0 / (1.0 + a * a), "guard": COLLISION_GUARD}
+    return {"a": prob.a, "m_minus": prob.m_minus, "m_plus": prob.m_plus,
+            "wyz": prob.wyz, "guard": COLLISION_GUARD}
 
 
 def kernel(template: RhsTemplate, prob: Problem):

@@ -6,17 +6,22 @@ axis-aligned ellipsoid of revolution; points of the affine slice w = 1 are
 carried onto the W > 0 half of that ellipsoid by central projection
 through the origin.  That map is one-to-one, with inverse Q -> Q / W, so a
 point of the ellipsoid is always held as the (..., 4) array of its
-projection, never as an object of its own.  All operations here are pure
-and accept batches (leading axes broadcast).
+projection, never as an object of its own.  The weights depend on the
+half-distance a alone, so the functions here take the ``dynamics.Problem``
+and read its ``weights``.  All operations here are pure and accept batches
+(leading axes broadcast).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:  # dynamics imports this module
+    from .dynamics import Problem
 
 
 def check_finite(arr: np.ndarray, name: str) -> None:
@@ -52,50 +57,23 @@ def pair_columns(q, p, size: int = 3, names: tuple[str, str] = ("q", "p")) -> tu
     return views
 
 
-@dataclass(frozen=True)
-class StarMetric:
-    """Diagonal metric (1, 1/(1+a^2), 1/(1+a^2), 1) on R^4.
-
-    ``a`` is the half-distance between the attracting centers; the unit set
-    of the induced norm is the ellipsoid the planar problem projects onto.
-    For a = 1 the weights are (1, 1/2, 1/2, 1).
-    """
-
-    a: float = 1.0
-
-    def __post_init__(self):
-        a = float(self.a)
-        if not np.isfinite(a) or a <= 0.0:
-            raise InvalidInputError(f"half-distance a must be finite and positive, got {self.a!r}")
-        if not np.isfinite(1.0 + a * a):  # above about 1.34e154 the norm would lose y and z
-            raise InvalidInputError(f"half-distance a must keep 1 + a^2 finite, got {self.a!r}")
-        object.__setattr__(self, "a", a)
-        wyz = 1.0 / (1.0 + a * a)
-        object.__setattr__(self, "_weights", np.array([1.0, wyz, wyz, 1.0]))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The four diagonal weights as an array."""
-        return self._weights
-
-
-def star_norm(v: np.ndarray, metric: StarMetric) -> float | np.ndarray:
-    """Weighted norm sqrt(x^2 + y^2/(1+a^2) + z^2/(1+a^2) + w^2).
+def star_norm(v: np.ndarray, prob: Problem) -> float | np.ndarray:
+    """Weighted norm sqrt(x^2 + y^2/(1+a^2) + z^2/(1+a^2) + w^2), a = ``prob.a``.
 
     ``v`` has shape (..., 4); the norm is taken over the last axis.
     """
     v = np.asarray(v, dtype=float)
     check_finite(v, "v")
-    return np.sqrt(np.sum(metric.weights * v * v, axis=-1))
+    return np.sqrt(np.sum(prob.weights * v * v, axis=-1))
 
 
-def star_inner(u: np.ndarray, v: np.ndarray, metric: StarMetric) -> float | np.ndarray:
+def star_inner(u: np.ndarray, v: np.ndarray, prob: Problem) -> float | np.ndarray:
     """Symmetric bilinear form associated with :func:`star_norm`."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     check_finite(u, "u")
     check_finite(v, "v")
-    return np.sum(metric.weights * u * v, axis=-1)
+    return np.sum(prob.weights * u * v, axis=-1)
 
 
 def embed(q3: np.ndarray) -> np.ndarray:
@@ -104,20 +82,32 @@ def embed(q3: np.ndarray) -> np.ndarray:
     return np.concatenate([q3, np.ones(q3.shape[:-1] + (1,))], axis=-1)
 
 
-def project(q3: np.ndarray, metric: StarMetric) -> np.ndarray:
+def check_lift(norm, x, y, z) -> None:
+    """Refuse, naming the first, a q whose |(q, 1)|_* (``norm``, or its square,
+    from q's columns x, y, z) overflowed: its projected point would be lost."""
+    finite = np.isfinite(norm)
+    if not finite.all():
+        row = np.unravel_index(np.argmin(finite), finite.shape)
+        raise InvalidInputError(f"|(q, 1)|_* overflows at q = {[float(c[row]) for c in (x, y, z)]}")
+
+
+def project(q3: np.ndarray, prob: Problem) -> np.ndarray:
     """Centrally project points q of the slice w = 1, given as (..., 3), onto the ellipsoid.
 
     Each (q, 1) is divided by its norm, which is positive because w = 1, so
-    the (..., 4) result lies on the W > 0 sheet.  The quotient is divided by
+    the (..., 4) result lies on the W > 0 sheet; a q whose norm overflows
+    is refused (:func:`check_lift`).  The quotient is divided by
     its own norm once more.  That moves only last bits, but the recorded
     figures and trajectory hashes were taken with it: without it for the
     field points alone, the a = 2 velocity-independence figure moves from
     8.27320961560851e-09 to 8.27320644726578e-09.
     """
     q3 = np.asarray(q3, dtype=float)
-    if q3.shape[-1:] != (3,):
-        raise InvalidInputError(f"q must have shape (..., 3), got {q3.shape}")
+    q_columns = columns(q3, 3, "q")
     check_finite(q3, "q")
     big_q = embed(q3)
-    big_q = big_q / np.expand_dims(star_norm(big_q, metric), -1)
-    return big_q / np.expand_dims(star_norm(big_q, metric), -1)
+    with np.errstate(over="ignore"):
+        norm = star_norm(big_q, prob)
+    check_lift(norm, *q_columns)
+    big_q = big_q / np.expand_dims(norm, -1)
+    return big_q / np.expand_dims(star_norm(big_q, prob), -1)

@@ -363,8 +363,8 @@ def integrate_ellipsoid(
     """Integrate the intrinsic ellipsoid system in the reparametrized time.
 
     The run starts from the lift of the planar ``start``: Q = ``project(q)``
-    and Q' from :func:`lift_arrays`.  A q whose |(q, 1)|_* overflows is
-    refused, as the projected point would be lost, and so is a p whose
+    and Q' from :func:`lift_arrays`.  The lift refuses a q whose |(q, 1)|_*
+    overflows, as the projected point would be lost, and the run a p whose
     lifted Q' overflows; neither lets numpy warn.  After every accepted
     step the state is projected back onto the manifold and tangent space;
     the recorded residual diagnostics are the pre-projection values, i.e.
@@ -373,16 +373,11 @@ def integrate_ellipsoid(
     cfg = cfg or _DEFAULT_CONFIG
     if not math.isfinite(tau_end) or tau_end <= 0.0:
         raise InvalidInputError(f"tau_end must be positive, got {tau_end!r}")
-    metric = prob.metric()
-    x, y, z = start.q.tolist()
-    wyz = float(metric.weights[1])
-    if not math.isfinite(x * x + wyz * y * y + wyz * z * z + 1.0):  # Python floats: no numpy warning
-        raise InvalidInputError(f"|(q, 1)|_* overflows at q = {[x, y, z]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        qp0 = lift_arrays(start.q, start.p, metric)[1]
+        qp0 = lift_arrays(start.q, start.p, prob)[1]  # refuses a q whose |(q, 1)|_* overflows
     if not np.isfinite(qp0).all():
         raise InvalidInputError(f"the lifted velocity Q' overflows at p = {start.p.tolist()}")
-    y0 = [*project(start.q, metric).tolist(), *qp0.tolist()]
+    y0 = [*project(start.q, prob).tolist(), *qp0.tolist()]
     run = _make_run(INTRINSIC_RHS, renormalize=True)
     times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     states = np.array(states, dtype=float)

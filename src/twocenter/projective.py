@@ -31,7 +31,7 @@ import numpy as np
 from .codegen import RhsTemplate
 from .dynamics import Problem, acceleration, first_integrals
 from .errors import CenterRayError, InvalidInputError, RankDeficientError
-from .geometry import StarMetric, check_finite, columns, embed, pair_columns, star_inner, star_norm
+from .geometry import check_finite, check_lift, columns, embed, pair_columns, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
 
 # Finite-difference step in t of the oracle for the tangential field, and the
@@ -61,27 +61,30 @@ def _lift_columns(x, y, z, px, py, pz, wyz):
     reductions ``star_norm``/``star_inner`` on the embedded (q, 1) and
     (p, 0), so the values are bit-identical to them.  The "+ 0.0" is the W
     term Q_w * 0 of that sum: it turns a radial part of -0.0 into +0.0.
+    A q whose |(q, 1)|_*^2 overflows is refused (``check_lift``).
     """
-    n = np.sqrt(x * x + wyz * y * y + wyz * z * z + 1.0)
+    with np.errstate(over="ignore"):
+        n2 = x * x + wyz * y * y + wyz * z * z + 1.0
+    check_lift(n2, x, y, z)
+    n = np.sqrt(n2)
     big_q = (x / n, y / n, z / n, 1.0 / n)
     qx, qy, qz, _ = big_q
     radial = qx * px + wyz * qy * py + wyz * qz * pz + 0.0
     return big_q, (px * n - x * radial, py * n - y * radial, pz * n - z * radial, 0.0 - radial)
 
 
-def lift_arrays(
-    q: np.ndarray, p: np.ndarray, metric: StarMetric
-) -> tuple[np.ndarray, np.ndarray]:
+def lift_arrays(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Batched projection and tau-velocity: Q = q/|q|_*, Q' = qdot |q|_* - q (Q, qdot)_*.
 
     ``q`` and ``p`` have shape (..., 3) and are embedded as (q, 1) and
-    (p, 0); returns (Q, Q') with shape (..., 4).
+    (p, 0); returns (Q, Q') with shape (..., 4).  A q whose |(q, 1)|_*
+    overflows raises :class:`InvalidInputError`, naming the first such q.
     """
-    big_q, qp = _lift_columns(*pair_columns(q, p), metric.weights[1])
+    big_q, qp = _lift_columns(*pair_columns(q, p), prob.wyz)
     return np.stack(big_q, axis=-1), np.stack(qp, axis=-1)
 
 
-def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> float | np.ndarray:
+def lifted_speed_squared(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
     """Closed-form |Q'|_*^2 of the lift, bypassing it.
 
     The weighted Lagrange identity |q|_*^2 |p|_*^2 - (q, p)_*^2 for the
@@ -90,7 +93,7 @@ def lifted_speed_squared(q: np.ndarray, p: np.ndarray, metric: StarMetric) -> fl
     + w (z xd - x zd)^2.
     """
     x, y, z, xd, yd, zd = pair_columns(q, p)
-    w = metric.weights[1]
+    w = prob.wyz
     return (
         xd**2
         + w * yd**2
@@ -125,7 +128,7 @@ def energy_columns(x, w, qp, prob: Problem):
     """G from trusted Q_x and Q_w columns and the four Q' columns, summed left
     to right; unchecked but for the center ray (``_potential``)."""
     xp, yp, zp, wp = qp
-    wyz = prob.metric().weights[1]
+    wyz = prob.wyz
     return xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp + _potential(x, w, prob)
 
 
@@ -141,7 +144,7 @@ def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | n
 
 def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """G(lift(q, p)) from validated (..., 3) arrays, without building the (..., 4) ones."""
-    (x, _, _, w), qp = _lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.metric().weights[1])
+    (x, _, _, w), qp = _lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.wyz)
     return energy_columns(x, w, qp, prob)
 
 
@@ -298,17 +301,16 @@ def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> n
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    metric = prob.metric()
     with np.errstate(over="raise"):
         q_fwd, p_fwd = _rk4_planar_step(q, p, prob, _FD_STEP)
         q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -_FD_STEP)
-        _, qp_fwd = lift_arrays(q_fwd, p_fwd, metric)
-        _, qp_bwd = lift_arrays(q_bwd, p_bwd, metric)
+        _, qp_fwd = lift_arrays(q_fwd, p_fwd, prob)
+        _, qp_bwd = lift_arrays(q_bwd, p_bwd, prob)
         # pow, as the single-point form's float ** 2 was, not a product
-        n2 = np.float_power(star_norm(embed(q), metric), 2)[..., None]
+        n2 = np.float_power(star_norm(embed(q), prob), 2)[..., None]
         qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * _FD_STEP)
-        big_q, _ = lift_arrays(q, p, metric)
-        return qpp - star_inner(big_q, qpp, metric)[..., None] * big_q
+        big_q, _ = lift_arrays(q, p, prob)
+        return qpp - star_inner(big_q, qpp, prob)[..., None] * big_q
 
 
 def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0) -> float:
@@ -327,10 +329,10 @@ def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0)
     velocities = rng.normal(0.0, 1.0, size=(_INDEPENDENCE_VELOCITIES, 3))
     accs = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob)
     with np.errstate(over="raise"):
-        return float(np.max(star_norm(accs[:, None] - accs[None], prob.metric())))
+        return float(np.max(star_norm(accs[:, None] - accs[None], prob)))
 
 
-def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, metric: StarMetric) -> np.ndarray:
+def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """Map the t grid of a planar trajectory to the intrinsic time tau.
 
     ``times`` is a finite, strictly increasing t grid and ``q``, ``p`` the
@@ -354,7 +356,7 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, metric: 
     if np.any(np.diff(times) <= 0.0):
         raise InvalidInputError("times must be strictly increasing")
     check_finite(np.stack([q, p]), "q and p")
-    wyz = metric.weights[1]
+    wyz = prob.wyz
     x, y, z = q.T
     px, py, pz = p.T
     with np.errstate(over="ignore", invalid="ignore"):

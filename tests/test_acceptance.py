@@ -12,7 +12,6 @@ import numpy as np
 from twocenter import (
     PhasePoint,
     Problem,
-    StarMetric,
     embed,
     energy_arrays,
     fit_integral_relation,
@@ -132,17 +131,17 @@ def test_criterion_7_kepler_limit():
 
 def test_criterion_8_geometry_suite():
     """Duality, projection and coordinate roundtrips, speed expansion."""
-    metric = StarMetric(1.0)
+    prob = Problem(a=1.0)
     rng = make_rng(8)
 
     qs = rng.uniform(-10, 10, size=(1000, 3))
-    points = project(qs, metric)
+    points = project(qs, prob)
     # duality: the projected height W times the source norm |(q, 1)|_* is 1
-    worst_duality = float(np.max(np.abs(points[:, 3] * star_norm(embed(qs), metric) - 1.0)))
+    worst_duality = float(np.max(np.abs(points[:, 3] * star_norm(embed(qs), prob) - 1.0)))
     ok_duality = _report("8a duality residual", worst_duality, 1e-13)
 
     # the inverse projection Q -> Q / W, then project again
-    back = project(points[:, :3] / points[:, 3:], metric)
+    back = project(points[:, :3] / points[:, 3:], prob)
     worst_round = float(np.max(np.abs(back - points)))
     ok_round = _report("8b projection roundtrip", worst_round, 1e-12)
 
@@ -160,8 +159,8 @@ def test_criterion_8_geometry_suite():
 
     q3 = rng.uniform(-5, 5, size=(1000, 3))
     p3 = rng.uniform(-3, 3, size=(1000, 3))
-    formula = lifted_speed_squared(q3, p3, metric)
-    speed2 = star_norm(lift_arrays(q3, p3, metric)[1], metric) ** 2
+    formula = lifted_speed_squared(q3, p3, prob)
+    speed2 = star_norm(lift_arrays(q3, p3, prob)[1], prob) ** 2
     worst_speed = float(np.max(np.abs(formula - speed2)))
     ok_speed = _report("8d speed expansion vs lift", worst_speed, 1e-12)
 
@@ -174,7 +173,6 @@ def test_criterion_9_pullback_identity():
     worst = 0.0
     for a in (1.0, 0.5, 2.0):
         prob = Problem(1.3, 0.6, a)
-        metric = prob.metric()
         qs, _ = sample_phase_points(prob, 1000, rng)
         x = qs[:, 0]
         d_minus = np.linalg.norm(qs + prob.center_plus, axis=1)
@@ -182,6 +180,6 @@ def test_criterion_9_pullback_identity():
         closed = (2 / (1 + a * a)) * (
             prob.m_minus * (a * x - 1) / d_minus - prob.m_plus * (a * x + 1) / d_plus
         )
-        projected = energy_arrays(project(qs, metric), np.zeros(4), prob)  # G at Q' = 0 is its potential
+        projected = energy_arrays(project(qs, prob), np.zeros(4), prob)  # G at Q' = 0 is its potential
         worst = max(worst, float(np.max(np.abs(projected - closed))))
     assert _report("9 pullback identity", worst, 1e-12)

@@ -23,7 +23,6 @@ from hypothesis.extra.numpy import arrays
 from twocenter import (
     IntegralRelation,
     Problem,
-    StarMetric,
     acceleration,
     axial_angular_momentum,
     center_distances,
@@ -87,12 +86,12 @@ def ref_euler_integral(q, p, prob):
     )
 
 
-def ref_lift(q, p, metric):
+def ref_lift(q, p, prob):
     q4 = np.concatenate([q, np.ones(q.shape[:-1] + (1,))], axis=-1)
     qdot4 = np.concatenate([p, np.zeros(q4.shape[:-1] + (1,))], axis=-1)
-    n = np.sqrt(np.sum(metric.weights * q4 * q4, axis=-1))
+    n = np.sqrt(np.sum(prob.weights * q4 * q4, axis=-1))
     big_q = q4 / np.expand_dims(n, -1)
-    radial = np.sum(metric.weights * big_q * qdot4, axis=-1)
+    radial = np.sum(prob.weights * big_q * qdot4, axis=-1)
     return big_q, qdot4 * np.expand_dims(n, -1) - q4 * np.expand_dims(radial, -1)
 
 
@@ -105,7 +104,7 @@ def ref_energy(big_q, qp, prob):
         raise CenterRayError("ray")
     masses = np.array([prob.m_minus, prob.m_plus])
     potential = -(2.0 / (1.0 + a * a)) * np.sum(masses * u / np.sqrt(1.0 - u * u), axis=-1)
-    return np.sum(prob.metric().weights * qp * qp, axis=-1) + potential
+    return np.sum(prob.weights * qp * qp, axis=-1) + potential
 
 
 def ref_sample(prob, n, rng, q_radius, p_radius, min_center_distance):
@@ -148,15 +147,14 @@ def ref_point_rk4(q, p, prob, h):
 
 def ref_point_fd(q, p, prob, step=1e-5):
     """The finite-difference oracle for one state, as it was called in a loop."""
-    metric = prob.metric()
     q_fwd, p_fwd = ref_point_rk4(q, p, prob, step)
     q_bwd, p_bwd = ref_point_rk4(q, p, prob, -step)
-    _, qp_fwd = lift_arrays(q_fwd, p_fwd, metric)
-    _, qp_bwd = lift_arrays(q_bwd, p_bwd, metric)
-    n2 = float(star_norm(embed(q), metric)) ** 2
+    _, qp_fwd = lift_arrays(q_fwd, p_fwd, prob)
+    _, qp_bwd = lift_arrays(q_bwd, p_bwd, prob)
+    n2 = float(star_norm(embed(q), prob)) ** 2
     qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * step)
-    big_q, _ = lift_arrays(q, p, metric)
-    return qpp - float(star_inner(big_q, qpp, metric)) * big_q
+    big_q, _ = lift_arrays(q, p, prob)
+    return qpp - float(star_inner(big_q, qpp, prob)) * big_q
 
 
 # --- helpers ----------------------------------------------------------------
@@ -257,9 +255,8 @@ def test_lift_and_energy_match_reductions(batch, hit_center):
     prob, q, p = batch
     if hit_center:
         q = with_center_rows(prob, q)
-    metric = StarMetric(prob.a)
-    want_q, want_qp = ref_lift(q, p, metric)
-    got_q, got_qp = lift_arrays(q, p, metric)
+    want_q, want_qp = ref_lift(q, p, prob)
+    got_q, got_qp = lift_arrays(q, p, prob)
     assert_same(got_q, want_q)
     assert_same(got_qp, want_qp)
     assert_same(outcome(energy_arrays, got_q, got_qp, prob), outcome(ref_energy, want_q, want_qp, prob))
@@ -272,7 +269,7 @@ def test_relation_residual_matches_reductions(batch):
     prob = Problem(prob.m_minus, prob.m_plus, 1.0)
 
     def ref():
-        g = ref_energy(*ref_lift(q, p, prob.metric()), prob)
+        g = ref_energy(*ref_lift(q, p, prob), prob)
         j, e, theta = ref_hamiltonian(q, p, prob), ref_euler_integral(q, p, prob), ref_theta(q, p)
         return g - (j + 0.5 * e - 0.25 * theta**2)
 
@@ -299,14 +296,14 @@ def test_lifted_speed_squared_matches_unit_a_expansion(batch):
         + 0.25 * (y * zd - z * yd) ** 2
         + 0.5 * (z * xd - x * zd) ** 2
     )
-    assert_same(lifted_speed_squared(q, p, StarMetric(1.0)), want)
+    assert_same(lifted_speed_squared(q, p, Problem(a=1.0)), want)
 
 
 def test_lift_of_signed_zero_velocity():
     # radial part -0.0: the four-term sum turned it into +0.0, and so must the columns
     q, p = np.array([1.0, 0.0, 0.0]), np.array([-0.0, -1.0, -1.0])
-    want_q, want_qp = ref_lift(q, p, StarMetric(1.0))
-    got_q, got_qp = lift_arrays(q, p, StarMetric(1.0))
+    want_q, want_qp = ref_lift(q, p, Problem(a=1.0))
+    got_q, got_qp = lift_arrays(q, p, Problem(a=1.0))
     assert np.array_equal(np.signbit(got_qp), np.signbit(want_qp))
     assert np.array_equal(got_qp, want_qp) and np.array_equal(got_q, want_q)
 
@@ -363,7 +360,7 @@ def squares_by_pow_not_product(prob, n):
     """States whose |q|_* squared by pow, as the point loop did, differs from
     the product |q|_* * |q|_*, which a batched form might use instead."""
     qs, ps = sample_phase_points(prob, 20_000, make_rng(7), q_radius=3.0, min_center_distance=0.5)
-    norms = star_norm(embed(qs), prob.metric()).tolist()
+    norms = star_norm(embed(qs), prob).tolist()
     pick = [i for i, s in enumerate(norms) if s**2 != s * s][:n]
     assert len(pick) == n
     return qs[pick], ps[pick]
@@ -387,7 +384,7 @@ def test_batched_fd_oracle_matches_point_loop(a):
     looped = [ref_point_fd(q3, v, prob) for v in velocities]
     assert np.array_equal(batched, np.array(looped))
     spread = max(
-        float(star_norm(looped[i] - looped[j], prob.metric())) for i in range(10) for j in range(i + 1, 10)
+        float(star_norm(looped[i] - looped[j], prob)) for i in range(10) for j in range(i + 1, 10)
     )
     assert velocity_independence_residual(q3, prob, seed=0) == spread
 
@@ -402,16 +399,16 @@ def test_velocity_independence_field_matches_point_loop(a, monkeypatch):
     prob = Problem(1.0, 0.7, a)
     seen = []
 
-    def recording_star_norm(v, metric):
+    def recording_star_norm(v, prob):
         seen.append(np.array(v))
-        return star_norm(v, metric)
+        return star_norm(v, prob)
 
     monkeypatch.setattr(verify, "fd_tangential_acceleration", lambda q, p, prob: np.zeros((len(q), 4)))
     monkeypatch.setattr(verify, "star_norm", recording_star_norm)
     verify.check_velocity_independence(prob, seed=42)
     qs, _ = sample_phase_points(prob, 50, make_rng(42), q_radius=3.0, min_center_distance=0.5)
     rhs = kernel(projective.INTRINSIC_RHS, prob)
-    looped = np.array([rhs((*project(q, prob.metric()).tolist(), 0.0, 0.0, 0.0, 0.0))[4:] for q in qs])
+    looped = np.array([rhs((*project(q, prob).tolist(), 0.0, 0.0, 0.0, 0.0))[4:] for q in qs])
     assert np.array_equal(-seen[-1], looped)
 
 
@@ -427,7 +424,7 @@ def parent_relation_residual(q, p, prob):
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
     j, theta, e = first_integrals(q, p, prob)
-    return energy_arrays(*lift_arrays(q, p, prob.metric()), prob) - (lam_j * j + lam_e * e + lam_t2 * theta**2)
+    return energy_arrays(*lift_arrays(q, p, prob), prob) - (lam_j * j + lam_e * e + lam_t2 * theta**2)
 
 
 def parent_fit(prob, sample_count, seed):
@@ -441,7 +438,7 @@ def parent_fit(prob, sample_count, seed):
         design[:, 1] = e
         design[:, 2] = theta**2
         design[:, 3] = 1.0
-        g = energy_arrays(*lift_arrays(q, p, prob.metric()), prob)
+        g = energy_arrays(*lift_arrays(q, p, prob), prob)
         scale = np.sqrt(np.einsum("ij,ij->j", design, design))
         scale[scale == 0.0] = 1.0
         design /= scale

@@ -66,8 +66,8 @@ PAIR_EVALUATORS = {
     "euler_integral": lambda q, p: euler_integral(q, p, PROB),
     "axial_angular_momentum": axial_angular_momentum,
     "kepler_limit_residual": lambda q, p: kepler_limit_residual(q, p, PROB, 0.1),
-    "lift_arrays": lambda q, p: lift_arrays(q, p, PROB.metric()),
-    "lifted_speed_squared": lambda q, p: lifted_speed_squared(q, p, PROB.metric()),
+    "lift_arrays": lambda q, p: lift_arrays(q, p, PROB),
+    "lifted_speed_squared": lambda q, p: lifted_speed_squared(q, p, PROB),
     "relation_residual": lambda q, p: relation_residual(q, p, PROB),
 }
 # Every evaluator of two batches; energy_arrays takes the lifted (Q, Q') of the batch.
@@ -85,7 +85,7 @@ def test_one_nonfinite_row_is_refused(batch, name, bad, which):
     """In every column in turn, also one the evaluator never reads."""
     label = which
     if name == "energy_arrays":
-        batch, label = lift_arrays(*batch, PROB.metric()), {"q": "Q", "p": "Q'"}[which]
+        batch, label = lift_arrays(*batch, PROB), {"q": "Q", "p": "Q'"}[which]
     for column in range(batch[0].shape[-1]):
         q, p = (arr.copy() for arr in batch)
         (q if which == "q" else p)[MIDDLE, column] = bad
@@ -103,8 +103,8 @@ def test_one_row_inside_collision_guard_is_refused(batch, name, center):
 
 
 def test_batched_energy_refuses_a_center_ray(batch):
-    big_q, qp = lift_arrays(*batch, PROB.metric())
-    big_q[MIDDLE] = project(np.array([PROB.a, 0.0, 0.0]), PROB.metric())
+    big_q, qp = lift_arrays(*batch, PROB)
+    big_q[MIDDLE] = project(np.array([PROB.a, 0.0, 0.0]), PROB)
     with pytest.raises(CenterRayError):
         energy_arrays(big_q, qp, PROB)
 

@@ -1,11 +1,14 @@
 """Command-line interface: commands, exit codes, file formats, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twocenter import (
     PhasePoint,
@@ -268,6 +271,9 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="overflowing-half-distance"),
         pytest.param(["verify-theorem", "--q0", "1e155,0,0", "--tau-end", 1, "--samples", 100], 1, False,
                      id="overflowing-lift"),
+        # E grows as a^2 p^2: the pointwise relation's residual overflows, a failed check
+        pytest.param(["verify-theorem", "--a", 1.34e154, "--tau-end", 0.5, "--samples", 50], 3, False,
+                     id="overflowing-relation-residual"),
         # Q'_x = p_x |(q, 1)|_* - x (Q, p)_* is inf - inf here
         pytest.param(["verify-theorem", "--q0", "3,0,0", "--p0", "1.5e308,0,0", "--tau-end", 1, "--samples", 100], 1,
                      False, id="overflowing-lifted-velocity"),
@@ -320,6 +326,30 @@ def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_p
     err = capsys.readouterr().err
     if code == 1:
         assert err.startswith("error:") and err.strip().count("\n") == 0
+
+
+# Edge values of a: tiny, 1, either side of the largest a whose 1 + a^2 is
+# finite (about 1.34e154), beyond it, and the values Problem refuses outright.
+EDGE_HALF_DISTANCES = ["5e-324", "1e-300", "1", "1.34e154", "1.3407807929942596e154", "1.35e154", "1e300",
+                       "nan", "inf", "-inf", "0", "-1"]
+edge_vectors = st.tuples(*[st.floats(-1e308, 1e308).map(repr)] * 3).map(",".join)
+
+
+# Derandomized: a few draws (a fast orbit, say) run for a second or more, so
+# a fixed set of draws keeps the test's time the same from run to run.
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([["project", "--t-end", "0.5"], ["verify-theorem", "--tau-end", "0.5", "--samples", "50"]]),
+    a=st.sampled_from(EDGE_HALF_DISTANCES),
+    q0=edge_vectors,
+    p0=edge_vectors,
+)
+def test_edge_inputs_end_in_documented_exit_codes(command, a, q0, p0):
+    """Any a, q0 and p0 ends in exit code 0 to 3: no traceback, and (pytest
+    turns RuntimeWarning into an error) no numpy warning."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*command, "--a", a, "--q0", q0, "--p0", p0])
+    assert code in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"], ["coords", "-h"]])
@@ -493,8 +523,8 @@ def test_csvs_match_per_value_writer(tmp_path):
     rows = [[t, *s, j, th, e] for t, s, j, th, e in zip(traj.times, traj.states, diag["J"], diag["Theta"], diag["E"])]
     assert sim.read_text() == per_value_csv(["t", "x", "y", "z", "px", "py", "pz", "J", "Theta", "E"], rows)
 
-    tau = reparametrize_time(traj.times, traj.states[:, :3], traj.states[:, 3:], prob.metric())
-    big_q, qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob.metric())
+    tau = reparametrize_time(traj.times, traj.states[:, :3], traj.states[:, 3:], prob)
+    big_q, qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob)
     g = energy_arrays(big_q, qp, prob)
     rows = [[t, *q, *v, e] for t, q, v, e in zip(tau, big_q, qp, g)]
     assert proj.read_text() == per_value_csv(["tau", "X", "Y", "Z", "W", "Xp", "Yp", "Zp", "Wp", "G"], rows)

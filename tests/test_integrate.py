@@ -13,7 +13,6 @@ from twocenter import (
     NearCollisionError,
     PhasePoint,
     Problem,
-    StarMetric,
     Trajectory,
     cubic_hermite,
     drift_report,
@@ -189,14 +188,13 @@ def test_ellipsoid_run_starts_on_the_lift(q, p, a):
     q0, p0 = np.array(q), np.array(p)
     assume(min(np.linalg.norm(q0 - [a, 0, 0]), np.linalg.norm(q0 + [a, 0, 0])) >= 0.1)
     prob = Problem(1.0, 0.7, a)
-    metric = prob.metric()
     first = integrate_ellipsoid(PhasePoint(q0, p0), prob, 1e-6).states[0]
     big_q, qp = first[:4], first[4:]
-    assert np.array_equal(big_q, project(q0, metric))
-    assert np.array_equal(qp, lift_arrays(q0, p0, metric)[1])
+    assert np.array_equal(big_q, project(q0, prob))
+    assert np.array_equal(qp, lift_arrays(q0, p0, prob)[1])
     eps = np.finfo(float).eps
-    assert abs(star_norm(big_q, metric) - 1.0) <= 2 * eps
-    assert abs(star_inner(big_q, qp, metric)) <= 16 * eps * (1.0 + star_norm(qp, metric))
+    assert abs(star_norm(big_q, prob) - 1.0) <= 2 * eps
+    assert abs(star_inner(big_q, qp, prob)) <= 16 * eps * (1.0 + star_norm(qp, prob))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=r"\|\(q, 1\)\|_\* overflows at q = \[0.0, 0.0, 1e\+155\]"):
@@ -211,11 +209,10 @@ def test_ellipsoid_equilibrium():
 
 def test_free_flow_conserves_speed_and_matches_closed_form():
     """m = 0 gives star-circular motion Q0 cos(w tau) + (Q'0/w) sin(w tau)."""
-    metric = StarMetric(1.0)
     free = Problem(0.0, 0.0, 1.0)
     traj = integrate_ellipsoid(PhasePoint(np.array([0.3, 1.0, -0.2]), np.array([0.4, -0.1, 0.5])), free, 10.0)
     assert traj.status == "ok"
-    speeds = star_norm(traj.states[:, 4:], metric)
+    speeds = star_norm(traj.states[:, 4:], free)
     assert np.max(np.abs(speeds - speeds[0])) <= 1e-10
     omega = float(speeds[0])
     q0, qp0 = traj.states[0, :4], traj.states[0, 4:]
@@ -233,9 +230,8 @@ def test_lifted_orbit_constraints_and_energy():
     assert np.max(traj.diagnostics["tangency_residual"]) <= 1e-9
     # every accepted state is renormalized, so the stored ones sit on the
     # manifold and tangent space to roundoff (about 1e-12 without it)
-    metric = StarMetric(1.0)
-    assert np.max(np.abs(star_norm(traj.states[:, :4], metric) - 1.0)) <= 1e-14
-    assert np.max(np.abs(star_inner(traj.states[:, :4], traj.states[:, 4:], metric))) <= 1e-14
+    assert np.max(np.abs(star_norm(traj.states[:, :4], EQUAL) - 1.0)) <= 1e-14
+    assert np.max(np.abs(star_inner(traj.states[:, :4], traj.states[:, 4:], EQUAL))) <= 1e-14
 
 
 def test_integrity_abort_on_loose_unrenormalized_run(monkeypatch):

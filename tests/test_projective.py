@@ -5,6 +5,8 @@ A projected state is the pair of (..., 4) arrays (Q, Q') of ``lift_arrays``
 and the energy ``energy_arrays``, whose value at Q' = 0 is the potential.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,6 @@ from twocenter import (
     PhasePoint,
     Problem,
     RankDeficientError,
-    StarMetric,
     energy_arrays,
     fd_tangential_acceleration,
     first_integrals,
@@ -39,7 +40,6 @@ from twocenter.dynamics import kernel
 from twocenter.sampling import make_rng, sample_phase_points
 from twocenter.verify import check_fitted_relation, check_pointwise_relation
 
-M1 = StarMetric(1.0)
 EQUAL = Problem(1.0, 1.0, 1.0)
 
 masses = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
@@ -64,51 +64,64 @@ def potential_at(points, prob):
 
 
 def test_lift_examples():
-    big_q, qp = lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), M1)
-    assert np.array_equal(big_q, project(np.array([0.0, 1, 0]), M1))
+    big_q, qp = lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL)
+    assert np.array_equal(big_q, project(np.array([0.0, 1, 0]), EQUAL))
     assert np.allclose(qp, [0, 0, np.sqrt(1.5), 0], atol=1e-15)
-    assert star_norm(qp, M1) ** 2 == pytest.approx(0.75, abs=1e-15)
-    _, rest = lift_arrays(np.array([0.3, -2.0, 1.1]), np.zeros(3), M1)
+    assert star_norm(qp, EQUAL) ** 2 == pytest.approx(0.75, abs=1e-15)
+    _, rest = lift_arrays(np.array([0.3, -2.0, 1.1]), np.zeros(3), EQUAL)
     assert np.array_equal(rest, np.zeros(4))
     with pytest.raises(InvalidInputError, match="finite components"):
-        lift_arrays(np.array([np.inf, 0.0, 0.0]), np.zeros(3), M1)
+        lift_arrays(np.array([np.inf, 0.0, 0.0]), np.zeros(3), EQUAL)
+
+
+def test_lift_refuses_an_overflowing_norm():
+    """A q whose |(q, 1)|_* overflows is refused before numpy can warn,
+    naming the point, or the first such row of a batch, which p broadcasts to."""
+    batch = np.zeros((5, 3))
+    batch[2] = (0.0, -3e200, 1.0)  # overflows through the y term alone
+    batch[4] = (1e155, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"^\|\(q, 1\)\|_\* overflows at q = \[1e\+155, 0\.0, 0\.0\]$"):
+            lift_arrays(np.array([1e155, 0.0, 0.0]), np.zeros(3), EQUAL)
+        with pytest.raises(InvalidInputError, match=r"^\|\(q, 1\)\|_\* overflows at q = \[0\.0, -3e\+200, 1\.0\]$"):
+            lift_arrays(batch, np.ones(3), EQUAL)
 
 
 def test_lift_is_tangent():
     rng = make_rng(2)
-    for metric in (M1, StarMetric(2.0)):
+    for prob in (EQUAL, Problem(a=2.0)):
         qs = rng.uniform(-4, 4, size=(300, 3))
         ps = rng.uniform(-3, 3, size=(300, 3))
-        big_q, qp = lift_arrays(qs, ps, metric)
-        assert np.max(np.abs(star_inner(big_q, qp, metric))) <= 1e-12
+        big_q, qp = lift_arrays(qs, ps, prob)
+        assert np.max(np.abs(star_inner(big_q, qp, prob))) <= 1e-12
 
 
 def test_speed_expansion_examples():
-    assert lifted_speed_squared(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), M1) == 0.75
-    assert lifted_speed_squared(np.array([1.0, 2, 3]), np.zeros(3), M1) == 0.0
+    assert lifted_speed_squared(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL) == 0.75
+    assert lifted_speed_squared(np.array([1.0, 2, 3]), np.zeros(3), EQUAL) == 0.0
 
 
 def test_speed_expansion_matches_lift():
     rng = make_rng(21)
     qs = rng.uniform(-5, 5, size=(1000, 3))
     ps = rng.uniform(-3, 3, size=(1000, 3))
-    formula = lifted_speed_squared(qs, ps, M1)
-    speed2 = star_norm(lift_arrays(qs, ps, M1)[1], M1) ** 2
+    formula = lifted_speed_squared(qs, ps, EQUAL)
+    speed2 = star_norm(lift_arrays(qs, ps, EQUAL)[1], EQUAL) ** 2
     assert np.max(np.abs(formula - speed2)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(problems, seeds)
 def test_speed_expansion_matches_lift_at_any_a(prob, seed):
-    metric = prob.metric()
     qs, ps = sample_phase_points(prob, 500, make_rng(seed))
-    lifted = np.sum(metric.weights * lift_arrays(qs, ps, metric)[1] ** 2, axis=-1)
-    formula = lifted_speed_squared(qs, ps, metric)
+    lifted = np.sum(prob.weights * lift_arrays(qs, ps, prob)[1] ** 2, axis=-1)
+    formula = lifted_speed_squared(qs, ps, prob)
     assert np.all(np.abs(formula - lifted) <= 1e-12 * lifted)
 
 
 def test_tangential_field_examples():
-    top = project(np.zeros(3), M1)
+    top = project(np.zeros(3), EQUAL)
     assert np.allclose(field_at(top, EQUAL), np.zeros(4), atol=1e-15)
     assert np.array_equal(field_at(top, Problem(0.0, 0.0, 1.0)), np.zeros(4))
     single = field_at(top, Problem(1.0, 0.0, 1.0))
@@ -118,35 +131,35 @@ def test_tangential_field_examples():
 def test_tangential_field_is_tangent():
     rng = make_rng(4)
     prob = Problem(0.6, 1.9, 1.0)
-    for point in project(rng.uniform(-4, 4, size=(200, 3)), M1):
-        assert abs(star_inner(point, field_at(point, prob), M1)) <= 1e-12
+    for point in project(rng.uniform(-4, 4, size=(200, 3)), EQUAL):
+        assert abs(star_inner(point, field_at(point, prob), EQUAL)) <= 1e-12
 
 
 def test_tangential_field_center_ray_guard():
     # the projected center itself sits at zero distance from the scaled center
-    point = project(np.array([1.0, 0, 0]), M1)
+    point = project(np.array([1.0, 0, 0]), EQUAL)
     with pytest.raises(NearCollisionError):
         field_at(point, EQUAL)
 
 
 def test_energy_examples():
-    lifted = lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), M1)
+    lifted = lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL)
     assert energy_arrays(*lifted, EQUAL) == pytest.approx(0.75 - np.sqrt(2), abs=1e-14)
-    rest = lift_arrays(np.zeros(3), np.zeros(3), M1)
+    rest = lift_arrays(np.zeros(3), np.zeros(3), EQUAL)
     assert energy_arrays(*rest, EQUAL) == pytest.approx(-2.0, abs=1e-14)
     assert energy_arrays(*rest, Problem(0.0, 0.0, 1.0)) == 0.0
 
 
 def test_energy_center_ray_error():
-    point = project(np.array([1.0, 0, 0]), M1)
+    point = project(np.array([1.0, 0, 0]), EQUAL)
     with pytest.raises(CenterRayError):
         energy_arrays(point, np.zeros(4), EQUAL)
 
 
 def test_potential_examples():
-    origin = project(np.zeros(3), M1)
+    origin = project(np.zeros(3), EQUAL)
     assert potential_at(origin, EQUAL) == pytest.approx(-2.0, abs=1e-15)
-    side = project(np.array([0.0, 1, 0]), M1)
+    side = project(np.array([0.0, 1, 0]), EQUAL)
     assert potential_at(side, EQUAL) == pytest.approx(-np.sqrt(2), abs=1e-15)
     assert potential_at(side, Problem(0.0, 0.0, 1.0)) == 0.0
 
@@ -157,7 +170,7 @@ def test_potential_pullback_identity():
     for a in (1.0, 0.5, 2.0):
         prob = Problem(1.2, 0.7, a)
         qs, _ = sample_phase_points(prob, 1000, rng)
-        values = potential_at(project(qs, prob.metric()), prob)
+        values = potential_at(project(qs, prob), prob)
         x = qs[:, 0]
         d_minus = np.linalg.norm(qs + prob.center_plus, axis=1)
         d_plus = np.linalg.norm(qs - prob.center_plus, axis=1)
@@ -296,7 +309,7 @@ def test_fit_recovers_closed_form_at_any_mass(log_m_minus, log_m_plus, a, seed):
     q, p = drawn
     j, theta, e = first_integrals(q, p, prob)
     column_norms = np.linalg.norm([j, e, theta**2, np.ones_like(j)], axis=1)
-    g_norm = np.linalg.norm(energy_arrays(*lift_arrays(q, p, prob.metric()), prob))
+    g_norm = np.linalg.norm(energy_arrays(*lift_arrays(q, p, prob), prob))
     fitted = (relation.lambda_J, relation.lambda_E, relation.lambda_theta2, relation.lambda_0)
     gaps = np.abs(np.subtract(fitted, relation_coefficients(a)))
     assert np.all(gaps * column_norms <= 1e-10 * g_norm)
@@ -304,18 +317,18 @@ def test_fit_recovers_closed_form_at_any_mass(log_m_minus, log_m_plus, a, seed):
 
 
 def test_intrinsic_rhs_examples():
-    top = project(np.zeros(3), M1)
+    top = project(np.zeros(3), EQUAL)
     _, qpp = intrinsic_rhs(top, np.zeros(4), EQUAL)
     assert np.allclose(qpp, np.zeros(4), atol=1e-15)
 
-    side = project(np.array([0.0, 2, 0]), M1)
+    side = project(np.array([0.0, 2, 0]), EQUAL)
     _, qpp = intrinsic_rhs(side, np.zeros(4), EQUAL)
     assert np.allclose(qpp, field_at(side, EQUAL), atol=0)
 
     free = Problem(0.0, 0.0, 1.0)
-    big_q, velocity = lift_arrays(np.array([0.0, 2, 0]), np.array([0.3, 0, 0.6]), M1)
+    big_q, velocity = lift_arrays(np.array([0.0, 2, 0]), np.array([0.3, 0, 0.6]), EQUAL)
     qp, qpp = intrinsic_rhs(big_q, velocity, free)
-    speed2 = star_norm(velocity, M1) ** 2
+    speed2 = star_norm(velocity, EQUAL) ** 2
     assert np.allclose(qpp, -speed2 * big_q, atol=1e-15)
     assert np.array_equal(qp, velocity)
 
@@ -323,13 +336,13 @@ def test_intrinsic_rhs_examples():
 def test_reparametrize_stationary():
     times = np.linspace(0.0, 3.0, 7)
     rest = np.zeros((7, 3))
-    assert np.allclose(reparametrize_time(times, rest, rest, M1), times, atol=1e-15)
+    assert np.allclose(reparametrize_time(times, rest, rest, EQUAL), times, atol=1e-15)
 
 
 def test_reparametrize_monotone_and_slower_than_t():
     start = PhasePoint(np.array([0.0, 2, 0]), np.array([0.3, 0, 0.6]))
     traj = integrate_planar(start, EQUAL, 10.0)
-    tau = reparametrize_time(traj.times, traj.states[:, :3], traj.states[:, 3:], M1)
+    tau = reparametrize_time(traj.times, traj.states[:, :3], traj.states[:, 3:], EQUAL)
     assert np.all(np.diff(tau) > 0)
     assert np.all(tau <= traj.times + 1e-15)
 
@@ -351,7 +364,7 @@ def test_reparametrize_fourth_order_convergence():
         times = np.linspace(0.0, 2.0, n)  # free motion in closed form, no integrator
         q = q0 + times[:, None] * p0
         p = np.broadcast_to(p0, q.shape)
-        errors.append(abs(reparametrize_time(times, q, p, prob.metric())[-1] - reference))
+        errors.append(abs(reparametrize_time(times, q, p, prob)[-1] - reference))
     assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.4)
 
 
@@ -370,7 +383,7 @@ def test_reparametrize_fourth_order_convergence():
 )
 def test_reparametrize_refuses_misshaped_input(times, q_shape, p_shape, message):
     with pytest.raises(InvalidInputError, match=message):
-        reparametrize_time(times, np.ones(q_shape), np.ones(p_shape), M1)
+        reparametrize_time(times, np.ones(q_shape), np.ones(p_shape), EQUAL)
 
 
 @pytest.mark.parametrize(
@@ -385,7 +398,7 @@ def test_reparametrize_refuses_misshaped_input(times, q_shape, p_shape, message)
 def test_reparametrize_refuses_overflow_without_warning(times, q, p, message):
     """pytest turns RuntimeWarning into an error, so an overflow that warns fails here."""
     with pytest.raises(InvalidInputError, match=message):
-        reparametrize_time(np.array(times), np.array(q), np.array(p), M1)
+        reparametrize_time(np.array(times), np.array(q), np.array(p), EQUAL)
 
 
 def test_tangential_field_matches_potential_gradient():
@@ -398,18 +411,17 @@ def test_tangential_field_matches_potential_gradient():
     rng = make_rng(23)
     h = 1e-6
     for a in (1.0, 2.0):
-        metric = StarMetric(a)
         prob = Problem(1.1, 0.8, a)
         qs, _ = sample_phase_points(prob, 50, rng, min_center_distance=0.5)
-        for point in project(qs, metric):
+        for point in project(qs, prob):
             field = field_at(point, prob)
             for seed_vec in (np.array([1.0, 0.3, -0.2, 0.1]), np.array([0.0, 1.0, 0.5, -0.3])):
-                v = seed_vec - star_inner(point, seed_vec, metric) * point
-                v = v / star_norm(v, metric)
-                fwd = (point + h * v) / star_norm(point + h * v, metric)
-                bwd = (point - h * v) / star_norm(point - h * v, metric)
+                v = seed_vec - star_inner(point, seed_vec, prob) * point
+                v = v / star_norm(v, prob)
+                fwd = (point + h * v) / star_norm(point + h * v, prob)
+                bwd = (point - h * v) / star_norm(point - h * v, prob)
                 dv = (potential_at(fwd, prob) - potential_at(bwd, prob)) / (2 * h)
-                assert abs(star_inner(field, v, metric) + 0.5 * dv) <= 1e-6
+                assert abs(star_inner(field, v, prob) + 0.5 * dv) <= 1e-6
 
 
 def test_velocity_independence_free_motion():
@@ -439,6 +451,6 @@ def test_velocity_independence_spread_overflow_raises():
 def test_fd_acceleration_matches_field():
     rng = make_rng(29)
     qs, ps = sample_phase_points(EQUAL, 50, rng, q_radius=3.0, min_center_distance=0.5)
-    for q, p, point in zip(qs, ps, project(qs, M1)):
+    for q, p, point in zip(qs, ps, project(qs, EQUAL)):
         oracle = fd_tangential_acceleration(q, p, EQUAL)
-        assert star_norm(oracle - field_at(point, EQUAL), M1) <= 1e-6
+        assert star_norm(oracle - field_at(point, EQUAL), EQUAL) <= 1e-6

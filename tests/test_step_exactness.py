@@ -145,13 +145,13 @@ def reference(system, start, prob, end, cfg=None):
         j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
         diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
         return Trajectory(times, states, diagnostics, prob, status, rejected)
-    wyz = float(prob.metric().weights[1])
+    wyz = prob.wyz
 
     def star(u, v):
         return u[0] * v[0] + wyz * u[1] * v[1] + wyz * u[2] * v[2] + u[3] * v[3]
 
     # the lift integrate_ellipsoid starts from: Q = project(q), Q' of lift_arrays
-    y0 = [*project(start.q, prob.metric()).tolist(), *lift_arrays(start.q, start.p, prob.metric())[1].tolist()]
+    y0 = [*project(start.q, prob).tolist(), *lift_arrays(start.q, start.p, prob)[1].tolist()]
     norm_residuals = [abs(math.sqrt(star(y0[:4], y0[:4])) - 1.0)]
     tangency_residuals = [abs(star(y0[:4], y0[4:]))]
 

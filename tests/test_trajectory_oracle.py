@@ -67,7 +67,7 @@ def test_planar_run_matches_dop853(prob):
 def test_ellipsoid_run_matches_dop853(prob):
     traj = integrate_ellipsoid(START, prob, 5.0)
     assert traj.status == "ok"
-    y0 = np.concatenate(lift_arrays(START.q, START.p, prob.metric()))
+    y0 = np.concatenate(lift_arrays(START.q, START.p, prob))
     assert max_diff_to_oracle(traj, intrinsic_rhs, y0, prob) <= MAX_STATE_DIFF
 
 
@@ -84,6 +84,6 @@ def test_planar_route_ends_on_tau_end(prob):
     tau, big_q, qp = planar_route(START.q, START.p, prob, 5.0)
     assert tau[0] == 0.0 and tau[-1] == 5.0
     traj = integrate_planar(START, prob, 5.0, clock="tau")
-    lifted_q, lifted_qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob.metric())
+    lifted_q, lifted_qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob)
     assert np.array_equal(tau, traj.times)
     assert np.array_equal(big_q, lifted_q) and np.array_equal(qp, lifted_qp)
