@@ -20,7 +20,7 @@ from .dynamics import (
     rotate_about_axis,
 )
 from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
-from .errors import CenterRayError, InvalidInputError, NearCollisionError, RankDeficientError
+from .errors import InvalidInputError, NearCollisionError, RankDeficientError
 from .geometry import check_finite, embed, project, star_inner, star_norm
 from .integrate import (
     DriftReport,
@@ -48,7 +48,6 @@ from .sampling import make_rng, sample_phase_points
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenterRayError",
     "DriftReport",
     "EllipsoidalPosition",
     "IntegralRelation",

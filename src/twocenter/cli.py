@@ -10,10 +10,11 @@ handler and the config keys it reads: a subcommand takes ``--config``,
 optional ``key: value`` config file may set any key, and flags win over
 it.  A run is named by its config and seed, so identical ones give
 byte-identical output; subcommands that draw nothing ignore the seed.
-Exit codes: 0 ok, 1 usage, config or write error, 2 integration abort
-(for ``simulate`` and ``project`` also an invariant that overflowed along
-the run: the rows are still written, and one stderr line names it), 3
-verification failure (including a fit whose samples stay rank deficient).
+Exit codes: 0 ok, 1 usage, config or write error, 2 integration abort or
+a point inside the collision guard (for ``simulate`` and ``project`` also
+an invariant that overflowed along the run: the rows are still written,
+and one stderr line names it), 3 verification failure (including a fit
+whose samples stay rank deficient).
 """
 
 from __future__ import annotations

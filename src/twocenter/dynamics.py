@@ -112,11 +112,14 @@ def _angular_momentum(x, y, z, px, py, pz):
     return y * pz - z * py, z * px - x * pz, x * py - y * px
 
 
-def distance_columns(x, y, z, a: float):
-    """(d_minus, d_plus) from coordinate columns, with no check.
+def distance_columns(x, y, z, a):
+    """(d_minus, d_plus), the distances to (-a, 0, 0) and (a, 0, 0), from
+    coordinate columns, with no check.
 
     The sums run left to right, the order numpy reduces a length-3 last
-    axis in, so the result is bit-identical to the (..., 3) form.
+    axis in, so the result is bit-identical to the (..., 3) form.  ``a`` may
+    be a column too: with a W it gives the distances of a point Q of the
+    ellipsoid to the scaled centers (+-a W, 0, 0), as ``INTRINSIC_RHS`` does.
     """
     yy = y * y
     zz = z * z
@@ -130,7 +133,8 @@ def center_distances(q: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarr
     return distance_columns(*columns(np.asarray(q, dtype=float), 3, "q"), prob.a)
 
 
-def _check_guard(d_minus, d_plus) -> None:
+def check_guard(d_minus, d_plus) -> None:
+    """The one near-center rule: refuse any distance below ``COLLISION_GUARD``."""
     if np.any(d_minus < COLLISION_GUARD) or np.any(d_plus < COLLISION_GUARD):
         raise NearCollisionError(
             f"point within {COLLISION_GUARD:g} of an attracting center"
@@ -142,7 +146,7 @@ def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     check_finite(q, "q")
     d_minus, d_plus = center_distances(q, prob)
-    _check_guard(d_minus, d_plus)
+    check_guard(d_minus, d_plus)
     # float_power is libm's pow on every element, as ``**`` is for one point;
     # ``**`` on an array may take a SIMD pow that differs in the last bit.
     acc = -prob.m_minus * (q - prob.center_minus) / np.expand_dims(np.float_power(d_minus, 3), -1)
@@ -203,7 +207,7 @@ def first_integrals(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.nda
     """
     x, y, z, px, py, pz = pair_columns(q, p)
     d_minus, d_plus = distance_columns(x, y, z, prob.a)
-    _check_guard(d_minus, d_plus)
+    check_guard(d_minus, d_plus)
     return integral_columns(x, y, z, px, py, pz, d_minus, d_plus, prob)
 
 

@@ -9,9 +9,5 @@ class NearCollisionError(RuntimeError):
     """Evaluation requested closer to an attracting center than the guard distance."""
 
 
-class CenterRayError(ValueError):
-    """Ellipsoid point on the projection ray of an attracting center."""
-
-
 class RankDeficientError(RuntimeError):
     """Least-squares sample set remained rank deficient after resampling."""

@@ -40,9 +40,11 @@ the only near-center distance the integrators know; f(y_new) is evaluated
 before a step is accepted, so no accepted state lies inside the guard.  So
 the diagnostics skip the public evaluators' validation: the column kernels
 ``dynamics.integral_columns`` and ``projective.energy_columns`` run on the
-states after one finiteness check.  A run evaluates the kernel at the
-initial state before its first step, so a start inside the guard raises for
-both systems: there is nothing partial to return.  Mid-run failures abort
+states after one finiteness check; the guard ``energy_columns`` applies
+cannot trip, since the run tested the same distances at every accepted
+state.  A run evaluates the kernel at the initial state before its first
+step, so a start inside the guard raises for both systems: there is
+nothing partial to return.  Mid-run failures abort
 cleanly: the partial trajectory up to the last good state is returned with
 ``status`` set to ``"collision"``, ``"step_underflow"`` (also when the
 initial derivative is too large for any step), ``"integrity"`` or
@@ -382,9 +384,8 @@ def integrate_ellipsoid(
     times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     states = np.array(states, dtype=float)
     check_finite(states, "states")
-    x, _, _, w, *qp = states.T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        g = energy_columns(x, w, qp, prob)
+        g = energy_columns(states.T[:4], states.T[4:], prob)
     diagnostics = {"G": g, "norm_residual": np.array(norms), "tangency_residual": np.array(tangencies)}
     return Trajectory(np.array(times), states, diagnostics, prob, status, rejected)
 

@@ -7,7 +7,13 @@ second-order ODE on the ellipsoid whose tangential part does not depend on
 the velocity, and it conserves the "ellipsoidal energy"
 
     G = |Q'|_*^2 - (2/(1+a^2)) sum_j m_j u_j / sqrt(1 - u_j^2),
-    u_j = (c_j . Q) / sqrt(1+a^2),  c_j = (+-a, 0, 0, 1).
+    u_j = (c_j . Q) / sqrt(1+a^2),  c_- = (-a, 0, 0, 1),  c_+ = (a, 0, 0, 1).
+
+On the ellipsoid 1 - u_j^2 = d_j^2/(1+a^2), d_j = |Q - W c_j| the distance
+to the scaled center (-+a W, 0, 0), so the code evaluates, with the
+distances and the collision guard of ``INTRINSIC_RHS`` and no cancellation,
+
+    G = |Q'|_*^2 - (2/(1+a^2)) [m_- (W - a X)/d_- + m_+ (W + a X)/d_+].
 
 At every phase point, whatever the masses, G = (2J + E)/(1+a^2) -
 a^2 Theta^2/(1+a^2)^2 in the planar first integrals (J + E/2 - Theta^2/4
@@ -29,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import RhsTemplate
-from .dynamics import Problem, acceleration, first_integrals
-from .errors import CenterRayError, InvalidInputError, RankDeficientError
+from .dynamics import Problem, acceleration, check_guard, distance_columns, first_integrals
+from .errors import InvalidInputError, RankDeficientError
 from .geometry import check_finite, check_lift, columns, embed, pair_columns, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
 
@@ -104,48 +110,37 @@ def lifted_speed_squared(q: np.ndarray, p: np.ndarray, prob: Problem) -> float |
     )
 
 
-def _potential(x, w, prob: Problem):
-    """-(2/(1+a^2)) sum_j m_j u_j / sqrt(1 - u_j^2), u_j = (c_j . Q)/sqrt(1+a^2), from Q_x, Q_w.
-
-    Pulled back to the slice it is (2/(1+a^2)) [m_- (a x - 1)/d_- - m_+ (a x + 1)/d_+],
-    with d_-, d_+ the distances to the centers."""
+def _potential(x, y, z, w, prob: Problem):
+    """-(2/(1+a^2)) [m_- (W - a X)/d_- + m_+ (W + a X)/d_+] from the Q columns, with
+    (d_-, d_+) the distances ``INTRINSIC_RHS`` computes; refused within the guard."""
     a = prob.a
-    scale = np.sqrt(1.0 + a * a)
-    u_minus = (-a * x + w) / scale
-    u_plus = (a * x + w) / scale
-    uu_minus = u_minus * u_minus
-    uu_plus = u_plus * u_plus
-    if np.any(uu_minus >= 1.0) or np.any(uu_plus >= 1.0):
-        raise CenterRayError("point lies on a projection ray of an attracting center")
-    coeff = 2.0 / (1.0 + a * a)
-    return -coeff * (
-        prob.m_minus * u_minus / np.sqrt(1.0 - uu_minus)
-        + prob.m_plus * u_plus / np.sqrt(1.0 - uu_plus)
-    )
+    d_minus, d_plus = distance_columns(x, y, z, a * w)
+    check_guard(d_minus, d_plus)
+    ax = a * x
+    return -(2.0 / (1.0 + a * a)) * (prob.m_minus * (w - ax) / d_minus + prob.m_plus * (w + ax) / d_plus)
 
 
-def energy_columns(x, w, qp, prob: Problem):
-    """G from trusted Q_x and Q_w columns and the four Q' columns, summed left
-    to right; unchecked but for the center ray (``_potential``)."""
+def energy_columns(big_q, qp, prob: Problem):
+    """G from trusted columns of Q and Q' (four each), summed left to right;
+    unchecked but for the collision guard (``_potential``)."""
     xp, yp, zp, wp = qp
     wyz = prob.wyz
-    return xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp + _potential(x, w, prob)
+    return xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp + _potential(*big_q, prob)
 
 
 def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | np.ndarray:
     """Batched ellipsoidal energy G of points Q and tau-velocities Q' of shape (..., 4).
 
-    Raises :class:`CenterRayError` for a point on the projection ray of a
-    center.
+    Raises :class:`NearCollisionError` for a Q within ``COLLISION_GUARD`` of a
+    scaled center (+-a W, 0, 0), the guard of ``INTRINSIC_RHS``.
     """
-    x, _, _, w, *qp_columns = pair_columns(big_q, qp, 4, ("Q", "Q'"))
-    return energy_columns(x, w, qp_columns, prob)
+    cols = pair_columns(big_q, qp, 4, ("Q", "Q'"))
+    return energy_columns(cols[:4], cols[4:], prob)
 
 
 def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """G(lift(q, p)) from validated (..., 3) arrays, without building the (..., 4) ones."""
-    (x, _, _, w), qp = _lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.wyz)
-    return energy_columns(x, w, qp, prob)
+    return energy_columns(*_lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.wyz), prob)
 
 
 # The intrinsic right-hand side, [Q, Q'] -> [Q', Q''], as a template (see codegen):
@@ -213,11 +208,7 @@ def _in_row_blocks(q, p, prob: Problem, evaluate, *tails: tuple[int, ...]):
     for start in range(0, len(q), _ROWS):
         rows = slice(start, start + _ROWS)
         q_rows, p_rows = np.asfortranarray(q[rows]), np.asfortranarray(p[rows])
-        try:
-            values = evaluate(*first_integrals(q_rows, p_rows, prob), _lifted_energy(q_rows, p_rows, prob))
-        except CenterRayError:
-            first_integrals(q[start:], p[start:], prob)  # one pass meets the collision guard first
-            raise
+        values = evaluate(*first_integrals(q_rows, p_rows, prob), _lifted_energy(q_rows, p_rows, prob))
         for out, value in zip(flat, values):
             out[rows] = value
     return outs
@@ -243,7 +234,8 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     about 1e-13 at unit masses.  The columns are scaled to unit norm, so
     the fit keeps full rank at any mass; G then carries roundoff of about
     mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size one)
-    can be recovered.  A rank-deficient draw is resampled up to 5 times.  A
+    can be recovered.  A rank-deficient draw is resampled up to 5 times; a
+    draw whose design or G overflows (E grows as a^2 p^2) is refused.  A
     large draw is evaluated in cache-sized row blocks, bit-identical to one pass,
     and released once its design (4 columns) and G are built: the solve holds
     those and LAPACK's copy of the design, about 80 bytes per sample point.
@@ -257,8 +249,11 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     rng = make_rng(seed)
     for _ in range(5):
         q, p = sample_phase_points(prob, sample_count, rng)
-        design, g = _in_row_blocks(q, p, prob, design_and_g, (4,), ())
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+            design, g = _in_row_blocks(q, p, prob, design_and_g, (4,), ())
         del q, p  # lstsq copies the design: the sample must not be held alongside it
+        if not (np.isfinite(design).all() and np.isfinite(g).all()):
+            raise InvalidInputError(f"(J, E, Theta^2) or G overflows on the fit's sample of {prob}")
         # unit columns: at large masses J and E dwarf Theta^2 and 1, and the
         # unscaled matrix falls below lstsq's rank cut-off
         scale = np.sqrt(np.einsum("ij,ij->j", design, design))  # no (N, 4) temporary

@@ -2,16 +2,16 @@
 
 One bad row anywhere in a large batch must still be refused: a non-finite
 component with :class:`InvalidInputError`, a point inside the collision
-guard with :class:`NearCollisionError`, a projected point on a center ray
-with :class:`CenterRayError`.  The sampler refuses unusable radii and gives
-up after a bounded number of rejection batches instead of spinning.
+guard with :class:`NearCollisionError`, and so, by the same guard, a
+projected point Q within it of a scaled center (+-a W, 0, 0).  The sampler
+refuses unusable radii and gives up after a bounded number of rejection
+batches instead of spinning.
 """
 
 import numpy as np
 import pytest
 
 from twocenter import (
-    CenterRayError,
     InvalidInputError,
     NearCollisionError,
     Problem,
@@ -31,7 +31,7 @@ from twocenter import (
     sample_phase_points,
 )
 from twocenter import projective
-from twocenter.dynamics import COLLISION_GUARD, rotate_about_axis
+from twocenter.dynamics import COLLISION_GUARD, distance_columns, rotate_about_axis
 
 PROB = Problem(1.0, 1.0, 1.0)
 ROWS = 100_000
@@ -105,7 +105,7 @@ def test_one_row_inside_collision_guard_is_refused(batch, name, center):
 def test_batched_energy_refuses_a_center_ray(batch):
     big_q, qp = lift_arrays(*batch, PROB)
     big_q[MIDDLE] = project(np.array([PROB.a, 0.0, 0.0]), PROB)
-    with pytest.raises(CenterRayError):
+    with pytest.raises(NearCollisionError):
         energy_arrays(big_q, qp, PROB)
 
 
@@ -178,13 +178,14 @@ def test_seeds_outside_the_uint64_range_are_refused():
 # --- error order across the row blocks of relation_residual and the fit ----------
 # Both evaluate q and p of one shape in blocks of projective._ROWS rows; they
 # must still raise what one whole-array pass raised: a non-finite component
-# anywhere before any collision-guard row, and a guard row anywhere before a
-# center ray.
+# anywhere before any collision-guard row.  The energy refuses Q within the
+# same guard of a scaled center, with the same error.
 
 BLOCK = projective._ROWS
 BLOCKED = 3 * BLOCK + 7  # three full blocks and a short last one
 FIRST, LAST = 3, BLOCKED - 2
-# Outside the guard, yet its projected point rounds onto the ray of the center at +1.
+# 1.35e-8 from the center at +1 in the slice, so outside the guard there, but
+# its projected point is 9.6e-9 from the scaled center: the energy refuses it.
 CENTER_RAY = (0.9999999881299886, -1.1170000752134424e-09, -6.360766204602685e-09)
 
 
@@ -204,7 +205,9 @@ def test_center_ray_row_is_outside_the_guard():
     q = np.array([CENTER_RAY])
     d_minus, d_plus = center_distances(q, PROB)
     assert min(d_minus[0], d_plus[0]) > COLLISION_GUARD
-    with pytest.raises(CenterRayError):
+    x, y, z, w = project(q, PROB)[0]
+    assert min(distance_columns(x, y, z, PROB.a * w)) < COLLISION_GUARD
+    with pytest.raises(NearCollisionError):
         relation_residual(q, np.zeros((1, 3)), PROB)
 
 
@@ -240,5 +243,5 @@ def test_guard_row_in_last_block_comes_before_center_ray_in_first(blocked_batch,
 def test_center_ray_row_alone_is_refused(blocked_batch, name, row):
     q, p = blocked_batch[0].copy(), blocked_batch[1]
     q[row] = CENTER_RAY
-    with pytest.raises(CenterRayError):
+    with pytest.raises(NearCollisionError):
         blocked_evaluators(q, p)[name]()

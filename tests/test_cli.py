@@ -248,6 +248,10 @@ def test_config_file_with_flag_override(tmp_path):
     assert data[-1, 0] == pytest.approx(1.0, abs=0)  # flag wins over file
 
 
+# exit 2 from a refused evaluation: one "aborted:" line naming the guard
+ABORTED = {"start-at-center", "center-row-input", "near-center-row-input"}
+
+
 def _repeated_rows(prob, n, rng, **kwargs):
     return np.tile([0.0, 2.0, 0.0], (n, 1)), np.tile([0.3, 0.0, 0.6], (n, 1))
 
@@ -293,6 +297,11 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="tau-beyond-t-input"),
         pytest.param(["project", "--input", "{tmp}/overflow_lift.csv", "--out", "{tmp}/x.csv"], 1, False,
                      id="overflowing-lift-input"),
+        # Q within the collision guard of a scaled center: G is refused, as the intrinsic run refuses it
+        pytest.param(["project", "--input", "{tmp}/center.csv", "--out", "{tmp}/x.csv"], 2, False,
+                     id="center-row-input"),
+        pytest.param(["project", "--input", "{tmp}/near_center.csv", "--out", "{tmp}/x.csv"], 2, False,
+                     id="near-center-row-input"),
         pytest.param(["project", "--input", "{tmp}/header_only.csv"], 1, False, id="header-only-input"),
         pytest.param(["project", "--input", "{tmp}/ragged.csv"], 1, False, id="ragged-input"),
         pytest.param(["project", "--input", "{tmp}/malformed.csv"], 1, False, id="malformed-input"),
@@ -300,6 +309,10 @@ def _repeated_rows(prob, n, rng, **kwargs):
         pytest.param(["fit-relation", "--samples", 64], 3, True, id="rank-deficient-fit"),
         pytest.param(["verify-theorem", "--fit", "--samples", 200, "--tau-end", 0.5], 3, True,
                      id="rank-deficient-verify-fit"),
+        # E grows as a^2 p^2: the fit refuses its overflowing design by name, before numpy or LAPACK warns
+        pytest.param(["fit-relation", "--a", 1e154, "--samples", 50], 1, False, id="overflowing-fit"),
+        pytest.param(["verify-theorem", "--a", 1e154, "--fit", "--tau-end", 0.5, "--samples", 50], 1, False,
+                     id="overflowing-verify-fit"),
         pytest.param(["fit-relation", "--seed", -1], 1, False, id="negative-seed"),
         pytest.param(["verify-theorem", "--seed", 2**64], 1, False, id="seed-beyond-uint64"),
         pytest.param(["frobnicate"], 1, False, id="unknown-subcommand"),
@@ -310,7 +323,7 @@ def _repeated_rows(prob, n, rng, **kwargs):
         pytest.param(["simulate", "--t-end"], 1, False, id="flag-without-value"),
     ],
 )
-def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_path, monkeypatch, capsys):
+def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_path, monkeypatch, capsys, request):
     (tmp_path / "bad.cfg").write_text("q0: 1,2\n")
     header = "t,x,y,z,px,py,pz\n"
     (tmp_path / "header_only.csv").write_text(header)
@@ -320,12 +333,16 @@ def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_p
     (tmp_path / "overflow.csv").write_text(header + "0,0,2,0,1e200,0,0\n1,0,2,0,1e200,0,0\n")  # G is inf
     (tmp_path / "tau_beyond_t.csv").write_text(header + "0,0,2,0,1e200,0,0.6\n1,1,2,0,1e200,0,0.6\n")
     (tmp_path / "overflow_lift.csv").write_text(header + "0,0,2,0,1.5e308,0,0.6\n1,0,2,0,1.5e308,0,0.6\n")  # Q' is inf
+    (tmp_path / "center.csv").write_text(header + "0,0,2,0,0.3,0,0.6\n0.1,1,0,0,0,0,0\n")
+    (tmp_path / "near_center.csv").write_text(header + "0,1.000000001,0,0,0,0,0\n")
     if rank_deficient:
         monkeypatch.setattr(projective, "sample_phase_points", _repeated_rows)
     assert run([str(a).format(tmp=tmp_path) for a in args]) == code
     err = capsys.readouterr().err
     if code == 1:
         assert err.startswith("error:") and err.strip().count("\n") == 0
+    if request.node.callspec.id in ABORTED:
+        assert err.startswith("aborted:") and err.strip().count("\n") == 0
 
 
 # Edge values of a: tiny, 1, either side of the largest a whose 1 + a^2 is
@@ -335,20 +352,35 @@ EDGE_HALF_DISTANCES = ["5e-324", "1e-300", "1", "1.34e154", "1.3407807929942596e
 edge_vectors = st.tuples(*[st.floats(-1e308, 1e308).map(repr)] * 3).map(",".join)
 
 
+EDGE_MASSES = ["0", "1e-300", "1", "1e4", "1e160"]
+EDGE_COMMANDS = [
+    ["project", "--t-end", "0.5"],
+    ["verify-theorem", "--tau-end", "0.5", "--samples", "50"],
+    ["fit-relation", "--samples", "50"],
+    ["verify-theorem", "--fit", "--tau-end", "0.5", "--samples", "50"],
+]
+
+
 # Derandomized: a few draws (a fast orbit, say) run for a second or more, so
 # a fixed set of draws keeps the test's time the same from run to run.
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from([["project", "--t-end", "0.5"], ["verify-theorem", "--tau-end", "0.5", "--samples", "50"]]),
+    command=st.sampled_from(EDGE_COMMANDS),
     a=st.sampled_from(EDGE_HALF_DISTANCES),
+    m_minus=st.sampled_from(EDGE_MASSES),
+    m_plus=st.sampled_from(EDGE_MASSES),
     q0=edge_vectors,
     p0=edge_vectors,
 )
-def test_edge_inputs_end_in_documented_exit_codes(command, a, q0, p0):
-    """Any a, q0 and p0 ends in exit code 0 to 3: no traceback, and (pytest
-    turns RuntimeWarning into an error) no numpy warning."""
+def test_edge_inputs_end_in_documented_exit_codes(command, a, m_minus, m_plus, q0, p0):
+    """Any a, masses, q0 and p0 end in exit code 0 to 3: no traceback, and
+    (pytest turns RuntimeWarning into an error) no numpy warning.
+    ``fit-relation`` reads no start, so it gets none."""
+    args = [*command, "--a", a, "--m-minus", m_minus, "--m-plus", m_plus]
+    if command[0] != "fit-relation":
+        args += ["--q0", q0, "--p0", p0]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main([*command, "--a", a, "--q0", q0, "--p0", p0])
+        code = main(args)
     assert code in (0, 1, 2, 3)
 
 

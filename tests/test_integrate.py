@@ -250,7 +250,7 @@ def test_rejected_steps_are_counted(monkeypatch):
 
 
 def test_intrinsic_infall_aborts_cleanly():
-    # falling toward the projected center ray: the run must stop with a
+    # falling toward the scaled center: the run must stop with a
     # partial trajectory, whether the guard or the step floor fires first
     traj = integrate_ellipsoid(PhasePoint(np.array([0.5, 0.0, 0.0]), np.zeros(3)), EQUAL, 10.0)
     assert traj.status in ("collision", "step_underflow")

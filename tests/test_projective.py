@@ -7,13 +7,13 @@ and the energy ``energy_arrays``, whose value at Q' = 0 is the potential.
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from twocenter import (
-    CenterRayError,
     IntegralRelation,
     InvalidInputError,
     NearCollisionError,
@@ -152,8 +152,68 @@ def test_energy_examples():
 
 def test_energy_center_ray_error():
     point = project(np.array([1.0, 0, 0]), EQUAL)
-    with pytest.raises(CenterRayError):
+    with pytest.raises(NearCollisionError):
         energy_arrays(point, np.zeros(4), EQUAL)
+
+
+def test_energy_refuses_the_lifted_center():
+    with pytest.raises(NearCollisionError):
+        energy_arrays(*lift_arrays(np.array([1.0, 0, 0]), np.zeros(3), EQUAL), EQUAL)
+
+
+def u_form_energy(big_q, qp, prob):
+    """The paper's G: |Q'|_*^2 - (2/(1+a^2)) sum_j m_j u_j / sqrt(1 - u_j^2), u_j = (c_j . Q)/sqrt(1+a^2),
+    and the sum of the absolute values of its terms."""
+    a = prob.a
+    x, w = big_q[..., 0], big_q[..., 3]
+    u = np.stack([w - a * x, w + a * x], axis=-1) / np.sqrt(1.0 + a * a)
+    speed = star_norm(qp, prob) ** 2
+    terms = (2.0 / (1.0 + a * a)) * np.array([prob.m_minus, prob.m_plus]) * u / np.sqrt(1.0 - u * u)
+    return speed - np.sum(terms, axis=-1), speed + np.sum(np.abs(terms), axis=-1)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_energy_matches_the_u_form(a):
+    """Away from the centers, where 1 - u_j^2 does not cancel, the distance form
+    the code evaluates and the paper's u-form agree to roundoff."""
+    prob = Problem(1.3, 0.6, a)
+    qs, ps = sample_phase_points(prob, 2000, make_rng(11), min_center_distance=0.2)
+    big_q, qp = lift_arrays(qs, ps, prob)
+    want, size = u_form_energy(big_q, qp, prob)
+    assert np.max(np.abs(energy_arrays(big_q, qp, prob) - want) / size) <= 1e-13
+
+
+def exact_lifted_energy(q, p, prob):
+    """G(lift(q, p)) in 50-digit arithmetic, by the u-form: its cancellation in
+    1 - u_j^2 costs nothing at this precision."""
+    with mpmath.workdps(50):
+        wyz = 1 / (1 + mpmath.mpf(prob.a) ** 2)
+        x, y, z = map(mpmath.mpf, q)
+        px, py, pz = map(mpmath.mpf, p)
+        n = mpmath.sqrt(x * x + wyz * (y * y + z * z) + 1)
+        radial = (x * px + wyz * (y * py + z * pz)) / n
+        xp, yp, zp, wp = px * n - x * radial, py * n - y * radial, pz * n - z * radial, -radial
+        g = xp * xp + wyz * (yp * yp + zp * zp) + wp * wp
+        for m, sign in ((prob.m_minus, -1), (prob.m_plus, 1)):
+            u = (sign * prob.a * x + 1) * mpmath.sqrt(wyz) / n
+            g -= 2 * wyz * m * u / mpmath.sqrt(1 - u * u)
+        return float(g)
+
+
+@pytest.mark.parametrize("distance", [1e-4, 1e-6])
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_energy_near_a_center_is_accurate(distance, a):
+    """Near a center G loses no more than the lift's roundoff, about 1e-10
+    relative at 1e-6; the u-form lost 3.4e-8 at 1e-4 and 4.9e-4 at 1e-6."""
+    prob = Problem(0.8, 1.3, a)
+    rng = make_rng(3)
+    for sign in (-1.0, 1.0):
+        for _ in range(5):
+            direction = rng.normal(size=3)
+            q = np.array([sign * a, 0.0, 0.0]) + distance * direction / np.linalg.norm(direction)
+            p = rng.normal(size=3)
+            want = exact_lifted_energy(q, p, prob)
+            assert abs(energy_arrays(*lift_arrays(q, p, prob), prob) - want) <= 1e-9 * abs(want)
 
 
 def test_potential_examples():
