@@ -22,18 +22,21 @@ compiled on first use: the state and the FSAL stage stay in locals across
 steps, the template is written out at each of the six stage evaluations, and
 for the ellipsoid the integrity check, the residual recording and the
 renormalization follow inline.  The problem's constants and the run's
-limits are arguments, so nothing is compiled per problem or per call.  The
-expressions keep the operation order of a stepper that loops over the
-components and calls the kernel, so trajectories are bit-identical to it
+limits are arguments, so nothing is compiled per problem or per call.  A run
+returns flat Python lists (the times, the states one after another, and the
+ellipsoid's residuals), and ``integrate_planar`` and ``integrate_ellipsoid``
+turn each into an array with one ``np.fromiter``.  The expressions keep the
+operation order of a stepper that loops over the components and calls the
+kernel, so trajectories are bit-identical to it
 (tests/test_step_exactness.py keeps that stepper as the oracle).  The step
 control calls no builtin: ``max(a, b)`` is written ``b if b > a else a`` and
 ``min(a, b)`` ``b if b < a else a``, so a NaN or a signed zero picks the same
 operand, and ``abs(v)`` ``-v if v < 0.0 else v``, whose sign of a zero or
 NaN the error scale atol + rtol * |v| drops.  ``** 2`` stays: ``x ** 2``
 (libm's ``pow``) differs from ``x * x`` for about one double in 1,200.  The
-error norm and ``_rms`` add their squares left to right, where ``sum`` is
-compensated from Python 3.12 on, so a run gives the same bits on Python
-3.10 to 3.13.
+error norm and ``_initial_step`` add their squares left to right, where
+``sum`` is compensated from Python 3.12 on, so a run gives the same bits on
+Python 3.10 to 3.13.
 
 Every evaluation of a right-hand side applies ``dynamics.COLLISION_GUARD``,
 the only near-center distance the integrators know; f(y_new) is evaluated
@@ -132,7 +135,7 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=float)
         if self.times.ndim != 1 or len(self.times) == 0:
             raise InvalidInputError("times must be a nonempty 1-d grid")
-        if np.any(self.times[1:] <= self.times[:-1]):
+        if (self.times[1:] <= self.times[:-1]).any():
             raise InvalidInputError("times must be strictly increasing")
         if self.states.shape[0] != self.times.shape[0]:
             raise InvalidInputError("states and times must have matching length")
@@ -169,39 +172,43 @@ class DriftReport:
 def drift_report(traj: Trajectory) -> DriftReport:
     """Summarize invariant drift, max_t |I(t) - I(0)| / max(1, |I(0)|).
 
-    An invariant with a non-finite sample (an overflow) drifts by inf: its
-    spread is then inf or nan (inf - inf), and ``max`` and ``<=`` pass over nan.
+    Rounding is monotone, so the largest rounded |I - I(0)| is the larger of
+    I_max - I(0) and I(0) - I_min, taken in Python floats: a spread that
+    overflows reads inf without a numpy warning.  An invariant with a
+    non-finite sample (an overflow) drifts by inf: its spread is then inf or
+    nan (inf - inf, or a nan sample, which numpy's max and min propagate).
     """
     values = np.array(list(traj.diagnostics.values()), dtype=float).reshape(-1, len(traj.times))
-    with np.errstate(invalid="ignore"):  # inf - inf
-        spread = values - values[:, :1]
-        spread = np.abs(spread, out=spread).max(axis=1).tolist()
-    drifts = {
-        name: s / max(1.0, abs(v0)) if math.isfinite(s) else math.inf
-        for name, s, v0 in zip(traj.diagnostics, spread, values[:, 0].tolist())
-    }
-    steps = np.diff(traj.times)
+    highs, lows = values.max(axis=1).tolist(), values.min(axis=1).tolist()
+    drifts = {}
+    for name, hi, lo, v0 in zip(traj.diagnostics, highs, lows, values[:, 0].tolist()):
+        spread = abs(max(hi - v0, v0 - lo))  # abs: a zero spread reads +0.0, as |I - I(0)| does
+        drifts[name] = spread / max(1.0, abs(v0)) if math.isfinite(spread) else math.inf
+    steps = traj.times[1:] - traj.times[:-1]
     h_min, h_max = (float(steps.min()), float(steps.max())) if len(steps) else (0.0, 0.0)
     return DriftReport(drifts, len(traj.times) - 1, traj.rejected_steps, h_min, h_max, traj.status)
 
 
-def _rms(values) -> float:
-    total = 0.0
-    for v in values:
-        total += v * v
-    return math.sqrt(total / len(values))
-
-
 def _initial_step(f, y0, f0, t_end, cfg):
-    """Hairer-style starting step from the scaled sizes of y0, f0 and curvature."""
-    scale = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
-    d0 = _rms([v / s for v, s in zip(y0, scale)])
-    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    """Hairer-style starting step from the scaled sizes of y0, f0 and curvature.
+
+    The root-mean-square sizes d0, d1 and d2 add their squares left to right."""
+    atol, rtol, n = cfg.abs_tol, cfg.rel_tol, len(y0)
+    d0 = d1 = 0.0
+    for v, d in zip(y0, f0):
+        s = atol + rtol * abs(v)
+        v, d = v / s, d / s
+        d0 += v * v
+        d1 += d * d
+    d0, d1 = math.sqrt(d0 / n), math.sqrt(d1 / n)
     if not math.isfinite(d1):
         return 0.0  # the derivative overflows its error scale: no step is small enough
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = f([v + h0 * d for v, d in zip(y0, f0)])
-    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    d2 = 0.0
+    for v, a, b in zip(y0, f0, f([v + h0 * d for v, d in zip(y0, f0)])):
+        r = (b - a) / (atol + rtol * abs(v))
+        d2 += r * r
+    d2 = math.sqrt(d2 / n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, 1e-3 * h0)
     else:
@@ -221,7 +228,9 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     Returns ``run(start, t_end, cfg, max_step, max_steps, **params) ->
     (times, states, rejected, status)``, plus the norm and tangency residual
     lists when ``renormalize``; ``start`` is a list of floats and
-    ``params`` the template's parameters.  The run evaluates the compiled
+    ``params`` the template's parameters.  The lists are flat lists of
+    floats: ``states`` holds one state's n components after another's, and
+    the callers reshape it to (-1, n).  The run evaluates the compiled
     kernel at ``start``, outside its abort handling, then steps with the
     state and the FSAL stage in locals and the template written out at each
     of the six stage evaluations.  With ``renormalize`` (the ellipsoid, whose
@@ -250,7 +259,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
         f"    {', '.join(k[0])}, = k1",
         "    t = 0.0",
         "    times = [t]",
-        "    states = [start]",
+        "    states = list(start)",
         '    status = "ok"',
         "    rejected = 0",
         "    errold = 1e-4",
@@ -311,7 +320,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
         lines += [f"{tab}{k[0][i]} = {k[6][i]}" for i in range(n)]
     lines += [
         f"{tab}times.append(t)",
-        f"{tab}states.append([{', '.join(y)}])",
+        f"{tab}states += ({', '.join(y)},)",
         f"{tab}facmax = 1.0 if just_rejected else {_FACMAX!r}",
         f"{tab}fac = facmax if err == 0.0 else {_SAFETY!r} * err ** -{_ALPHA!r} * errold ** {_BETA!r}",
         f"{tab}fac = fac if fac > {_FACMIN!r} else {_FACMIN!r}",
@@ -335,6 +344,11 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     return compile_function(f"{template.name} run", "\n".join(lines) + "\n", "run", namespace)
 
 
+def _floats(values: list) -> np.ndarray:
+    """A run's list of floats as an array, in one pass with no type inference."""
+    return np.fromiter(values, float, len(values))
+
+
 def integrate_planar(
     start: PhasePoint, prob: Problem, t_end: float, cfg: IntegratorConfig | None = None, clock: str = "t"
 ) -> Trajectory:
@@ -351,12 +365,12 @@ def integrate_planar(
     y0 = [*start.q.tolist(), *start.p.tolist()]
     run = _make_run(_CLOCKS[clock])
     times, states, rejected, status = run(y0, t_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
-    states = np.array(states, dtype=float)
+    states = _floats(states).reshape(-1, 6)
     check_finite(states, "states")
     x, y, z, px, py, pz = states.T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
         j, theta, e = integral_columns(x, y, z, px, py, pz, *distance_columns(x, y, z, prob.a), prob)
-    return Trajectory(np.array(times), states, {"J": j, "Theta": theta, "E": e}, prob, status, rejected)
+    return Trajectory(_floats(times), states, {"J": j, "Theta": theta, "E": e}, prob, status, rejected)
 
 
 def integrate_ellipsoid(
@@ -382,12 +396,12 @@ def integrate_ellipsoid(
     y0 = [*project(start.q, prob).tolist(), *qp0.tolist()]
     run = _make_run(INTRINSIC_RHS, renormalize=True)
     times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
-    states = np.array(states, dtype=float)
+    states = _floats(states).reshape(-1, 8)
     check_finite(states, "states")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
         g = energy_columns(states.T[:4], states.T[4:], prob)
-    diagnostics = {"G": g, "norm_residual": np.array(norms), "tangency_residual": np.array(tangencies)}
-    return Trajectory(np.array(times), states, diagnostics, prob, status, rejected)
+    diagnostics = {"G": g, "norm_residual": _floats(norms), "tangency_residual": _floats(tangencies)}
+    return Trajectory(_floats(times), states, diagnostics, prob, status, rejected)
 
 
 def cubic_hermite(

@@ -257,6 +257,8 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
         # unit columns: at large masses J and E dwarf Theta^2 and 1, and the
         # unscaled matrix falls below lstsq's rank cut-off
         scale = np.sqrt(np.einsum("ij,ij->j", design, design))  # no (N, 4) temporary
+        for col in np.flatnonzero(np.isinf(scale)):  # squares beyond the float range (masses near 1e154 and up)
+            scale[col] = np.abs(design[:, col]).max()
         scale[scale == 0.0] = 1.0  # a zero column (Theta = 0 throughout) stays zero: rank 3
         design /= scale
         coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)

@@ -17,7 +17,7 @@ into one reused buffer, the draws of ``rng.uniform``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twocenter import (
@@ -210,6 +210,15 @@ def batches(draw):
     return draw(problems), q, p
 
 
+# One seeded batch of full-mantissa values, unequal masses and a != 1, run
+# by every hypothesis test below as an explicit example: a reordered sum or
+# product moves the last bit of some of its 200 points, so a change of
+# operation order fails deterministically, not by the luck of the draws
+# (which are derandomized too).
+_SEEDED_Q, _SEEDED_P = np.random.default_rng(2026).uniform(-6.0, 6.0, size=(2, 200, 3))
+SEEDED = (Problem(1.3, 0.7, 1.7), _SEEDED_Q, _SEEDED_P)
+
+
 def with_center_rows(prob, q):
     """q with some rows moved onto a center, to drive the guard paths too."""
     q = q.copy()
@@ -221,8 +230,9 @@ def with_center_rows(prob, q):
 # --- J, Theta, E ---------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(batches(), st.booleans())
+@example(SEEDED, False)
 def test_first_integrals_match_reductions(batch, hit_center):
     prob, q, p = batch
     if hit_center:
@@ -236,8 +246,9 @@ def test_first_integrals_match_reductions(batch, hit_center):
         assert_same(center_distances(q, prob), ref_center_distances(q, prob))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(batches(), st.floats(1e-3, 0.5))
+@example(SEEDED, 0.37)
 def test_kepler_limit_residual_matches_reductions(batch, a_small):
     prob, q, p = batch
     shrunk = Problem(prob.m_minus, prob.m_plus, a_small)
@@ -252,8 +263,9 @@ def test_kepler_limit_residual_matches_reductions(batch, a_small):
 # --- lift and G ----------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(batches(), st.booleans())
+@example(SEEDED, False)
 def test_lift_and_energy_match_reductions(batch, hit_center):
     prob, q, p = batch
     if hit_center:
@@ -265,8 +277,9 @@ def test_lift_and_energy_match_reductions(batch, hit_center):
     assert_same(outcome(energy_arrays, got_q, got_qp, prob), outcome(ref_energy, want_q, want_qp, prob))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(batches())
+@example(SEEDED)
 def test_relation_residual_matches_reductions(batch):
     prob, q, p = batch
     prob = Problem(prob.m_minus, prob.m_plus, 1.0)
@@ -279,8 +292,9 @@ def test_relation_residual_matches_reductions(batch):
     assert_same(outcome(relation_residual, q, p, prob), outcome(ref))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(batches())
+@example(SEEDED)
 def test_lifted_speed_squared_matches_unit_a_expansion(batch):
     _, q, p = batch
     x, y, z = q[..., 0], q[..., 1], q[..., 2]
@@ -503,8 +517,9 @@ def test_single_point_relation_residual_is_a_numpy_float():
         assert got == parent_relation_residual(qs[k], ps[k], prob)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(batches(), st.integers(1, 7))
+@example(SEEDED, 3)
 def test_small_row_blocks_match_one_pass(batch, rows):
     """With blocks of a few rows every block edge and the last short block are hit."""
     prob, q, p = batch

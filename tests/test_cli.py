@@ -352,12 +352,18 @@ EDGE_HALF_DISTANCES = ["5e-324", "1e-300", "1", "1.34e154", "1.3407807929942596e
 edge_vectors = st.tuples(*[st.floats(-1e308, 1e308).map(repr)] * 3).map(",".join)
 
 
-EDGE_MASSES = ["0", "1e-300", "1", "1e4", "1e160"]
+EDGE_MASSES = ["0", "1e-300", "1", "1e4", "1e160", "-1", "nan"]
+EDGE_ENDS = ["0", "-1", "nan", "inf", "1e-300", "0.5"]
+EDGE_TOLERANCES = ["0", "-1e-12", "nan", "1e-300", "1e-12"]
+EDGE_SEEDS = ["0", "-1", str(2**64)]
+# on a center, and inside the collision guard of one
+EDGE_STARTS = ["1,0,0", "1.000000001,0,0"]
+# each command with the flag of its end time, if it integrates
 EDGE_COMMANDS = [
-    ["project", "--t-end", "0.5"],
-    ["verify-theorem", "--tau-end", "0.5", "--samples", "50"],
-    ["fit-relation", "--samples", "50"],
-    ["verify-theorem", "--fit", "--tau-end", "0.5", "--samples", "50"],
+    (["project"], "--t-end"),
+    (["verify-theorem", "--samples", "50"], "--tau-end"),
+    (["fit-relation", "--samples", "50"], None),
+    (["verify-theorem", "--fit", "--samples", "50"], "--tau-end"),
 ]
 
 
@@ -369,16 +375,23 @@ EDGE_COMMANDS = [
     a=st.sampled_from(EDGE_HALF_DISTANCES),
     m_minus=st.sampled_from(EDGE_MASSES),
     m_plus=st.sampled_from(EDGE_MASSES),
-    q0=edge_vectors,
+    q0=edge_vectors | st.sampled_from(EDGE_STARTS),
     p0=edge_vectors,
+    # half the draws take the usable value, so most reach the run and the checks
+    end=st.just("0.5") | st.sampled_from(EDGE_ENDS),
+    rel_tol=st.just("1e-12") | st.sampled_from(EDGE_TOLERANCES),
+    abs_tol=st.just("1e-12") | st.sampled_from(EDGE_TOLERANCES),
+    seed=st.just("42") | st.sampled_from(EDGE_SEEDS),
 )
-def test_edge_inputs_end_in_documented_exit_codes(command, a, m_minus, m_plus, q0, p0):
-    """Any a, masses, q0 and p0 end in exit code 0 to 3: no traceback, and
-    (pytest turns RuntimeWarning into an error) no numpy warning.
-    ``fit-relation`` reads no start, so it gets none."""
-    args = [*command, "--a", a, "--m-minus", m_minus, "--m-plus", m_plus]
-    if command[0] != "fit-relation":
-        args += ["--q0", q0, "--p0", p0]
+def test_edge_inputs_end_in_documented_exit_codes(command, a, m_minus, m_plus, q0, p0, end, rel_tol, abs_tol, seed):
+    """Any a, masses, start, end time, tolerances and seed end in exit code
+    0 to 3: no traceback, and (pytest turns RuntimeWarning into an error) no
+    numpy warning.  ``fit-relation`` reads no start, end or tolerance, so it
+    gets none."""
+    words, end_flag = command
+    args = [*words, "--a", a, "--m-minus", m_minus, "--m-plus", m_plus, "--seed", seed]
+    if end_flag:
+        args += ["--q0", q0, "--p0", p0, end_flag, end, "--rel-tol", rel_tol, "--abs-tol", abs_tol]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(args)
     assert code in (0, 1, 2, 3)
@@ -528,6 +541,16 @@ def test_fit_relation_at_huge_masses_keeps_full_rank(capsys):
     """The design columns are scaled before the solve, so J and E of size 1e16
     no longer push Theta^2 and 1 below the rank cut-off."""
     assert run(["fit-relation", "--m-minus", 1e16, "--m-plus", 1e16, "--samples", 64]) == 0
+    lam = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert abs(float(lam["lambda_J"]) - 1.0) <= 1e-10
+    assert abs(float(lam["lambda_E"]) - 0.5) <= 1e-10
+
+
+def test_fit_relation_where_column_norms_overflow(capsys):
+    """At masses 1e160 the squares of J and E overflow in their column norms;
+    those columns are scaled by their largest entry instead, so the fit keeps
+    full rank (it read the zeroed columns as rank deficiency, exit 3)."""
+    assert run(["fit-relation", "--m-minus", 1e160, "--m-plus", 1e160, "--samples", 50]) == 0
     lam = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
     assert abs(float(lam["lambda_J"]) - 1.0) <= 1e-10
     assert abs(float(lam["lambda_E"]) - 0.5) <= 1e-10

@@ -1,11 +1,12 @@
 """Adaptive integration, constraint handling, and drift diagnostics."""
 
+import math
 import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twocenter import (
     IntegratorConfig,
@@ -276,22 +277,35 @@ def test_drift_report_examples():
     assert any("1e-09" in line or "1.0" in line for line in drift_report(tiny).lines())
 
 
-_SAMPLES = st.floats(-1e300, 1e300) | st.sampled_from([np.inf, -np.inf, np.nan])
+# Samples up to the largest doubles, whose spread overflows, and -0.0, whose
+# spread from 0.0 must read +0.0 as |I - I(0)| does.
+_SAMPLES = st.floats(-1.7e308, 1.7e308) | st.sampled_from([1.7e308, -1.7e308, -0.0, np.inf, -np.inf, np.nan])
 
 
+@settings(derandomize=True)
 @given(st.integers(1, 12).flatmap(lambda n: st.lists(st.lists(_SAMPLES, min_size=n, max_size=n), max_size=4)))
+@example([[0.0, -0.0], [-0.0, 0.0], [1.7e308, -1.7e308]])  # numpy's max of (0.0, -0.0) is -0.0
 def test_drift_report_matches_the_per_invariant_formula(columns):
-    """max |I - I(0)| / max(1, |I(0)|) per invariant, or inf with any non-finite sample."""
+    """max |I - I(0)| / max(1, |I(0)|) per invariant, in Python floats, or inf
+    with any non-finite sample or spread; compared by repr, so a drift of
+    -0.0 for 0.0 fails."""
     n = len(columns[0]) if columns else 1
     names = ["J", "Theta", "E", "G"][: len(columns)]
     traj = Trajectory(np.arange(float(n)), np.zeros((n, 6)), dict(zip(names, map(np.array, columns))), EQUAL)
     want = {}
     for name, values in traj.diagnostics.items():
-        if np.all(np.isfinite(values)):
-            want[name] = float(np.max(np.abs(values - values[0])) / max(1.0, abs(values[0])))
-        else:
-            want[name] = np.inf
-    assert drift_report(traj).drifts == want
+        v0 = float(values[0])
+        spread = max(abs(v - v0) for v in values.tolist()) if np.isfinite(values).all() else math.inf
+        want[name] = repr(spread / max(1.0, abs(v0)) if math.isfinite(spread) else math.inf)
+    assert {name: repr(drift) for name, drift in drift_report(traj).drifts.items()} == want
+
+
+def test_drift_of_an_overflowing_spread_is_inf():
+    """Two finite samples whose difference overflows drift by inf, without a numpy warning."""
+    traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 6)), {"J": np.array([1.7e308, -1.7e308])}, Problem())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert drift_report(traj).drifts == {"J": math.inf}
 
 
 @pytest.mark.parametrize(
@@ -347,7 +361,7 @@ def test_ellipsoid_energy_equals_the_validating_evaluator(a):
 def test_nonfinite_state_from_a_run_is_refused(system, monkeypatch):
     """The diagnostics trust a run's states but for one finiteness check."""
     width, residuals = (8, ([0.0, 0.0], [0.0, 0.0])) if system == "ellipsoid" else (6, ())
-    output = ([0.0, 1.0], [[0.5] * width, [np.nan] * width], 0, "ok", *residuals)
+    output = ([0.0, 1.0], [0.5] * width + [np.nan] * width, 0, "ok", *residuals)  # flat states
     monkeypatch.setattr(integrate, "_make_run", lambda *args, **kwargs: lambda *args, **params: output)
     with pytest.raises(InvalidInputError, match="states must have finite components"):
         if system == "ellipsoid":
