@@ -87,7 +87,7 @@ class ConfigError(Exception):
 def _parse_vector(text: str) -> tuple:
     parts = [part.strip() for part in str(text).split(",")]
     if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated values, got {text!r}")
+        raise ValueError(f"expected three comma-separated values, got {text!r}")
     return tuple(float(part) for part in parts)
 
 
@@ -105,7 +105,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path: str) -> dict:
-    """Parse a plain ``key: value`` file ('#' starts a comment)."""
+    """Parse a plain ``key: value`` file ('#' starts a comment, a key may appear once)."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -119,11 +119,13 @@ def load_config(path: str) -> dict:
                 key = key.strip()
                 if key not in _PARSERS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in values:
+                    raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
                 try:
                     values[key] = _PARSERS[key](value.strip())
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -179,7 +181,7 @@ def _read_planar_csv(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trajectory file {path}: {exc}") from exc
     if not lines:
         raise ConfigError(f"trajectory file {path} is empty")

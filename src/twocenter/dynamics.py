@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codegen import RhsTemplate, compile_kernel
-from .errors import InvalidInputError, NearCollisionError
+from .codegen import Guard, RhsTemplate, compile_columns, compile_kernel
+from .errors import InvalidInputError
 from .geometry import check_finite, columns, pair_columns
 
 # Evaluations closer to a center than this are refused instead of blowing up.
@@ -89,6 +89,12 @@ def kernel(template: RhsTemplate, prob: Problem):
     return compile_kernel(template)(**rhs_params(prob))
 
 
+def on_columns(template: RhsTemplate, prob: Problem, *state) -> tuple:
+    """The outputs of ``template``'s column form (see codegen) for ``prob`` on numpy
+    columns ``state``, unchecked but for the template's collision guard."""
+    return compile_columns(template)(*state, **rhs_params(prob))
+
+
 @dataclass(frozen=True, eq=False)
 class PhasePoint:
     """Position and velocity of the moving particle (p = dq/dt)."""
@@ -107,84 +113,38 @@ class PhasePoint:
         object.__setattr__(self, "p", p)
 
 
-def _angular_momentum(x, y, z, px, py, pz):
-    """Components of q x p from coordinate columns, in np.cross's operation order."""
-    return y * pz - z * py, z * px - x * pz, x * py - y * px
-
-
-def distance_columns(x, y, z, a):
-    """(d_minus, d_plus), the distances to (-a, 0, 0) and (a, 0, 0), from
-    coordinate columns, with no check.
-
-    The sums run left to right, the order numpy reduces a length-3 last
-    axis in, so the result is bit-identical to the (..., 3) form.  ``a`` may
-    be a column too: with a W it gives the distances of a point Q of the
-    ellipsoid to the scaled centers (+-a W, 0, 0), as ``INTRINSIC_RHS`` does.
-    """
-    yy = y * y
-    zz = z * z
-    x_minus = x + a
-    x_plus = x - a
-    return np.sqrt(x_minus * x_minus + yy + zz), np.sqrt(x_plus * x_plus + yy + zz)
-
-
-def center_distances(q: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean distances (d_minus, d_plus) to the two centers, batched."""
-    return distance_columns(*columns(np.asarray(q, dtype=float), 3, "q"), prob.a)
-
-
-def check_guard(d_minus, d_plus) -> None:
-    """The one near-center rule: refuse any distance below ``COLLISION_GUARD``."""
-    if np.any(d_minus < COLLISION_GUARD) or np.any(d_plus < COLLISION_GUARD):
-        raise NearCollisionError(
-            f"point within {COLLISION_GUARD:g} of an attracting center"
-        )
-
-
-def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
-    """Right-hand side of the two-center ODE, -sum_j m_j (q - c_j)/|q - c_j|^3."""
-    q = np.asarray(q, dtype=float)
-    check_finite(q, "q")
-    d_minus, d_plus = center_distances(q, prob)
-    check_guard(d_minus, d_plus)
-    # float_power is libm's pow on every element, as ``**`` is for one point;
-    # ``**`` on an array may take a SIMD pow that differs in the last bit.
-    acc = -prob.m_minus * (q - prob.center_minus) / np.expand_dims(np.float_power(d_minus, 3), -1)
-    acc -= prob.m_plus * (q - prob.center_plus) / np.expand_dims(np.float_power(d_plus, 3), -1)
-    return acc
-
-
-# The planar right-hand side, (q, p) -> (p, acceleration): :func:`acceleration`
-# for one point, with the same collision guard, as a template (see codegen).
-# It checks no finiteness: ``PhasePoint`` refuses a non-finite start, and a
-# non-finite derivative at any stage makes the step's error estimate
-# non-finite, so the integrator rejects the step.  It leaves ``wyz`` unread.
-PLANAR_RHS = RhsTemplate(
-    name="planar t",
-    state=("x", "y", "z", "px", "py", "pz"),
-    params=("a", "m_minus", "m_plus", "wyz", "guard"),
-    body="""\
-x_minus = x + a
-x_plus = x - a
+# Template lines that assign d_minus and d_plus, the distances of (x, y, z) to (-c, 0, 0)
+# and (c, 0, 0) (``.format(c=...)``), summed left to right as numpy reduces a last axis.
+CENTER_DISTANCE_LINES = """\
+x_minus = x + {c}
+x_plus = x - {c}
 yy = y * y
 zz = z * z
 d2_minus = x_minus * x_minus + yy + zz
 d2_plus = x_plus * x_plus + yy + zz
 d_minus = sqrt(d2_minus)
-d_plus = sqrt(d2_plus)
-if d_minus < guard or d_plus < guard:
-    raise NearCollisionError(f"point within {guard:g} of an attracting center")
+d_plus = sqrt(d2_plus)"""
+
+# The one near-center rule of the planar templates, at ``COLLISION_GUARD``.
+CENTER_GUARD = Guard(CENTER_DISTANCE_LINES.format(c="a"), ("d_minus", "d_plus"),
+                     "point within {guard:g} of an attracting center")
+
+# The planar right-hand side, (q, p) -> (p, acceleration), as a template (see
+# codegen); :func:`acceleration` is its column form.  It checks no
+# finiteness: ``PhasePoint`` refuses a non-finite start, and a non-finite
+# derivative at any stage makes the step's error estimate non-finite, so the
+# integrator rejects the step.  It leaves ``wyz`` unread.
+PLANAR_RHS = RhsTemplate(
+    name="planar t",
+    state=("x", "y", "z", "px", "py", "pz"),
+    params=("a", "m_minus", "m_plus", "wyz", "guard"),
+    guard=CENTER_GUARD,
+    body="""\
 k_minus = m_minus / (d2_minus * d_minus)
 k_plus = m_plus / (d2_plus * d_plus)
 nk_minus = -k_minus""",
-    derivative=(
-        "px",
-        "py",
-        "pz",
-        "nk_minus * x_minus - k_plus * x_plus",
-        "nk_minus * y - k_plus * y",
-        "nk_minus * z - k_plus * z",
-    ),
+    derivative=("px", "py", "pz",
+                "nk_minus * x_minus - k_plus * x_plus", "nk_minus * y - k_plus * y", "nk_minus * z - k_plus * z"),
 )
 
 # The same orbit in the intrinsic time, dtau/dt = 1/|q|_*^2, with p still
@@ -193,35 +153,54 @@ PLANAR_TAU_RHS = RhsTemplate(
     name="planar tau",
     state=PLANAR_RHS.state,
     params=PLANAR_RHS.params,
+    guard=CENTER_GUARD,
     body=PLANAR_RHS.body + "\nn2 = x * x + wyz * y * y + wyz * z * z + 1.0",
     derivative=tuple(f"n2 * ({expr})" for expr in PLANAR_RHS.derivative),
 )
 
+# q x p in np.cross's operation order; its x component is Theta.
+_ANGULAR_MOMENTUM = RhsTemplate("q x p", PLANAR_RHS.state, (), """\
+theta = y * pz - z * py
+ly = z * px - x * pz
+lz = x * py - y * px""", ("theta", "ly", "lz"))
+
+# (J, Theta, E) of a planar state, on the distances and under the guard of
+# ``PLANAR_RHS``; :func:`first_integrals` is its column form.
+INTEGRALS = RhsTemplate(
+    name="J, Theta, E",
+    state=PLANAR_RHS.state,
+    params=PLANAR_RHS.params,
+    guard=CENTER_GUARD,
+    body=_ANGULAR_MOMENTUM.body + """
+u_minus = m_minus / d_minus
+u_plus = m_plus / d_plus
+apx = a * px""",
+    derivative=("0.5 * (px * px + py * py + pz * pz) - u_minus - u_plus", "theta",
+                "theta * theta + ly * ly + lz * lz + apx * apx + 2.0 * a * x * (u_minus - u_plus)"),
+)
+
+_DISTANCES = RhsTemplate("center distances", ("x", "y", "z"), PLANAR_RHS.params, CENTER_GUARD.lines,
+                         ("d_minus", "d_plus"))
+
+
+def center_distances(q: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean distances (d_minus, d_plus) to the two centers, batched, unguarded."""
+    return on_columns(_DISTANCES, prob, *columns(np.asarray(q, dtype=float), 3, "q"))
+
+
+def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
+    """Right-hand side of the two-center ODE, -sum_j m_j (q - c_j)/|q - c_j|^3:
+    the column form of ``PLANAR_RHS``, so each row gives the scalar kernel's bits."""
+    q = np.asarray(q, dtype=float)
+    check_finite(q, "q")
+    return np.stack(on_columns(PLANAR_RHS, prob, *columns(q, 3, "q"), 0.0, 0.0, 0.0)[3:], axis=-1)
+
 
 def first_integrals(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J, Theta, E) at once, batched over leading axes.
-
-    q and p are validated once, and the collision guard is applied once to
-    the pair of center distances :func:`integral_columns` then reads;
-    :func:`hamiltonian` and :func:`euler_integral` are views of this.
-    """
-    x, y, z, px, py, pz = pair_columns(q, p)
-    d_minus, d_plus = distance_columns(x, y, z, prob.a)
-    check_guard(d_minus, d_plus)
-    return integral_columns(x, y, z, px, py, pz, d_minus, d_plus, prob)
-
-
-def integral_columns(x, y, z, px, py, pz, d_minus, d_plus, prob: Problem):
-    """(J, Theta, E) of trusted columns of (q, p) and their center distances,
-    unchecked.  Each expression keeps the operation order of the (..., 3)
-    reductions and ``np.cross`` it replaces, so the values are bit-identical."""
-    a = prob.a
-    k_minus = prob.m_minus / d_minus
-    k_plus = prob.m_plus / d_plus
-    j = 0.5 * (px * px + py * py + pz * pz) - k_minus - k_plus
-    theta, ly, lz = _angular_momentum(x, y, z, px, py, pz)
-    e = theta * theta + ly * ly + lz * lz + (a * px) ** 2 + 2.0 * a * x * (k_minus - k_plus)
-    return j, theta, e
+    """(J, Theta, E) at once, batched over leading axes: the column form of
+    ``INTEGRALS`` after one validation of q and p.  :func:`hamiltonian` and
+    :func:`euler_integral` are views of this."""
+    return on_columns(INTEGRALS, prob, *pair_columns(q, p))
 
 
 def hamiltonian(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
@@ -235,8 +214,7 @@ def axial_angular_momentum(q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     The unit axis direction is used for every a; conservation only depends
     on the direction, and relation fits absorb any constant rescaling.
     """
-    _, y, z, _, py, pz = pair_columns(q, p)
-    return y * pz - z * py
+    return compile_columns(_ANGULAR_MOMENTUM)(*pair_columns(q, p))[0]
 
 
 def euler_integral(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
@@ -261,7 +239,7 @@ def kepler_limit_residual(
     if not np.isfinite(a_small) or a_small <= 0.0:
         raise InvalidInputError(f"a_small must be positive, got {a_small!r}")
     shrunk = Problem(prob.m_minus, prob.m_plus, a_small)
-    lx, ly, lz = _angular_momentum(*pair_columns(q, p))
+    lx, ly, lz = compile_columns(_ANGULAR_MOMENTUM)(*pair_columns(q, p))
     return np.abs(euler_integral(q, p, shrunk) - (lx * lx + ly * ly + lz * lz))
 
 

@@ -12,22 +12,18 @@ land on the end time, so a run with status ``"ok"`` ends on it.
 Each run works on Python floats and the ``math`` module.  A state has only
 six or eight components, so the per-step work of a numpy version is call
 overhead, not arithmetic: one ``acceleration`` call on a 3-vector costs
-about fifty times the whole plain-float right-hand side.  The batched numpy
-evaluators stay the public API for arrays and the reference the kernels are
-tested against.  For the same reason no run calls its right-hand side per
-stage either.  Each system defines its right-hand side once, as a template
+about fifty times the whole plain-float right-hand side, and for the same
+reason no run calls its right-hand side per stage either.  Each system
+defines its right-hand side once, as a template
 (``dynamics.PLANAR_RHS`` and ``PLANAR_TAU_RHS``, ``projective.INTRINSIC_RHS``;
 see ``codegen``), and ``_make_run`` generates one adaptive run per system,
 compiled on first use: the state and the FSAL stage stay in locals across
 steps, the template is written out at each of the six stage evaluations, and
 for the ellipsoid the integrity check, the residual recording and the
 renormalization follow inline.  The problem's constants and the run's
-limits are arguments, so nothing is compiled per problem or per call.  A run
-returns flat Python lists (the times, the states one after another, and the
-ellipsoid's residuals), and ``integrate_planar`` and ``integrate_ellipsoid``
-turn each into an array with one ``np.fromiter``.  The expressions keep the
-operation order of a stepper that loops over the components and calls the
-kernel, so trajectories are bit-identical to it
+limits are arguments, so nothing is compiled per problem or per call.  The
+expressions keep the operation order of a stepper that loops over the
+components and calls the kernel, so trajectories are bit-identical to it
 (tests/test_step_exactness.py keeps that stepper as the oracle).  The step
 control calls no builtin: ``max(a, b)`` is written ``b if b > a else a`` and
 ``min(a, b)`` ``b if b < a else a``, so a NaN or a signed zero picks the same
@@ -41,19 +37,18 @@ Python 3.10 to 3.13.
 Every evaluation of a right-hand side applies ``dynamics.COLLISION_GUARD``,
 the only near-center distance the integrators know; f(y_new) is evaluated
 before a step is accepted, so no accepted state lies inside the guard.  So
-the diagnostics skip the public evaluators' validation: the column kernels
-``dynamics.integral_columns`` and ``projective.energy_columns`` run on the
-states after one finiteness check; the guard ``energy_columns`` applies
-cannot trip, since the run tested the same distances at every accepted
-state.  A run evaluates the kernel at the initial state before its first
-step, so a start inside the guard raises for both systems: there is
-nothing partial to return.  Mid-run failures abort
-cleanly: the partial trajectory up to the last good state is returned with
-``status`` set to ``"collision"``, ``"step_underflow"`` (also when the
-initial derivative is too large for any step), ``"integrity"`` or
-``"step_budget"`` (``_MAX_STEPS`` step attempts used up before the end
-time).  Ellipsoid states are projected back onto the constraint manifold
-after every accepted step.
+the diagnostics skip the public evaluators' validation: the column forms of
+``dynamics.INTEGRALS`` and ``projective.ENERGY`` run on the states after one
+finiteness check; their guard, the template's, cannot trip, since the run
+tested the same distances at every accepted state.  A run evaluates the
+kernel at the initial state before its first step, so a start inside the
+guard raises for both systems: there is nothing partial to return.
+Mid-run failures abort cleanly: the partial trajectory up to the last good
+state is returned with ``status`` set to ``"collision"``,
+``"step_underflow"`` (also when the initial derivative is too large for any
+step), ``"integrity"`` or ``"step_budget"`` (``_MAX_STEPS`` step attempts
+used up before the end time).  Ellipsoid states are projected back onto the
+constraint manifold after every accepted step.
 """
 
 from __future__ import annotations
@@ -65,10 +60,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import RhsTemplate, compile_function, compile_kernel
-from .dynamics import PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, distance_columns, integral_columns, rhs_params
+from .dynamics import INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, on_columns, rhs_params
 from .errors import InvalidInputError, NearCollisionError
 from .geometry import check_finite, project
-from .projective import INTRINSIC_RHS, energy_columns, lift_arrays
+from .projective import ENERGY, INTRINSIC_RHS, lift_arrays
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
 _DP_A = (
@@ -367,9 +362,8 @@ def integrate_planar(
     times, states, rejected, status = run(y0, t_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     states = _floats(states).reshape(-1, 6)
     check_finite(states, "states")
-    x, y, z, px, py, pz = states.T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        j, theta, e = integral_columns(x, y, z, px, py, pz, *distance_columns(x, y, z, prob.a), prob)
+        j, theta, e = on_columns(INTEGRALS, prob, *states.T)
     return Trajectory(_floats(times), states, {"J": j, "Theta": theta, "E": e}, prob, status, rejected)
 
 
@@ -399,7 +393,7 @@ def integrate_ellipsoid(
     states = _floats(states).reshape(-1, 8)
     check_finite(states, "states")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        g = energy_columns(states.T[:4], states.T[4:], prob)
+        g, = on_columns(ENERGY, prob, *states.T)
     diagnostics = {"G": g, "norm_residual": _floats(norms), "tangency_residual": _floats(tangencies)}
     return Trajectory(_floats(times), states, diagnostics, prob, status, rejected)
 

@@ -25,7 +25,9 @@ A projected state is held only as the (..., 4) arrays (Q, Q') that
 projection maps the slice one-to-one onto the W > 0 sheet, and its
 differential maps velocities onto the tangent space, so every state on the
 ellipsoid is the lift of exactly one (q, p).  The intrinsic ODE is the
-template ``INTRINSIC_RHS``, evaluated through ``dynamics.kernel``.
+template ``INTRINSIC_RHS``, evaluated through ``dynamics.kernel``; G is the
+template ``ENERGY``, which shares its distance, guard and |Q'|_*^2 lines, on
+numpy columns.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codegen import RhsTemplate
-from .dynamics import Problem, acceleration, check_guard, distance_columns, first_integrals
+from .codegen import Guard, RhsTemplate
+from .dynamics import CENTER_DISTANCE_LINES, Problem, acceleration, first_integrals, on_columns
 from .errors import InvalidInputError, RankDeficientError
 from .geometry import check_finite, check_lift, columns, embed, pair_columns, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
@@ -61,7 +63,7 @@ class IntegralRelation:
 
 
 def _lift_columns(x, y, z, px, py, pz, wyz):
-    """Column form of the lift: ((Q_x, Q_y, Q_z, Q_w), (Q'_x, Q'_y, Q'_z, Q'_w)).
+    """Column form of the lift: (Q_x, Q_y, Q_z, Q_w, Q'_x, Q'_y, Q'_z, Q'_w), the state of ``ENERGY``.
 
     The sums keep the left-to-right order of the weighted (..., 4)
     reductions ``star_norm``/``star_inner`` on the embedded (q, 1) and
@@ -76,7 +78,7 @@ def _lift_columns(x, y, z, px, py, pz, wyz):
     big_q = (x / n, y / n, z / n, 1.0 / n)
     qx, qy, qz, _ = big_q
     radial = qx * px + wyz * qy * py + wyz * qz * pz + 0.0
-    return big_q, (px * n - x * radial, py * n - y * radial, pz * n - z * radial, 0.0 - radial)
+    return (*big_q, px * n - x * radial, py * n - y * radial, pz * n - z * radial, 0.0 - radial)
 
 
 def lift_arrays(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +88,8 @@ def lift_arrays(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray
     (p, 0); returns (Q, Q') with shape (..., 4).  A q whose |(q, 1)|_*
     overflows raises :class:`InvalidInputError`, naming the first such q.
     """
-    big_q, qp = _lift_columns(*pair_columns(q, p), prob.wyz)
-    return np.stack(big_q, axis=-1), np.stack(qp, axis=-1)
+    lifted = _lift_columns(*pair_columns(q, p), prob.wyz)
+    return np.stack(lifted[:4], axis=-1), np.stack(lifted[4:], axis=-1)
 
 
 def lifted_speed_squared(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
@@ -110,38 +112,11 @@ def lifted_speed_squared(q: np.ndarray, p: np.ndarray, prob: Problem) -> float |
     )
 
 
-def _potential(x, y, z, w, prob: Problem):
-    """-(2/(1+a^2)) [m_- (W - a X)/d_- + m_+ (W + a X)/d_+] from the Q columns, with
-    (d_-, d_+) the distances ``INTRINSIC_RHS`` computes; refused within the guard."""
-    a = prob.a
-    d_minus, d_plus = distance_columns(x, y, z, a * w)
-    check_guard(d_minus, d_plus)
-    ax = a * x
-    return -(2.0 / (1.0 + a * a)) * (prob.m_minus * (w - ax) / d_minus + prob.m_plus * (w + ax) / d_plus)
+# The one near-center rule of the ellipsoid templates, at the scaled centers (+-a W, 0, 0).
+SCALED_CENTER_GUARD = Guard("aw = a * w\n" + CENTER_DISTANCE_LINES.format(c="aw"), ("d_minus", "d_plus"),
+                            "ellipsoid point within {guard:g} of a scaled center")
 
-
-def energy_columns(big_q, qp, prob: Problem):
-    """G from trusted columns of Q and Q' (four each), summed left to right;
-    unchecked but for the collision guard (``_potential``)."""
-    xp, yp, zp, wp = qp
-    wyz = prob.wyz
-    return xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp + _potential(*big_q, prob)
-
-
-def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """Batched ellipsoidal energy G of points Q and tau-velocities Q' of shape (..., 4).
-
-    Raises :class:`NearCollisionError` for a Q within ``COLLISION_GUARD`` of a
-    scaled center (+-a W, 0, 0), the guard of ``INTRINSIC_RHS``.
-    """
-    cols = pair_columns(big_q, qp, 4, ("Q", "Q'"))
-    return energy_columns(cols[:4], cols[4:], prob)
-
-
-def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
-    """G(lift(q, p)) from validated (..., 3) arrays, without building the (..., 4) ones."""
-    return energy_columns(*_lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.wyz), prob)
-
+_SPEED2 = "speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp"
 
 # The intrinsic right-hand side, [Q, Q'] -> [Q', Q''], as a template (see codegen):
 #
@@ -152,34 +127,45 @@ def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
 # velocity-independent tangential field; the normal term is forced by
 # differentiating the tangency constraint (Q, Q')_* = 0.  Stage values of an
 # explicit step are not exactly on the ellipsoid, so the projector and the
-# normal closure divide by (Q, Q)_* instead of assuming it is one.  Raises
-# NearCollisionError within ``guard`` of a scaled center.
+# normal closure divide by (Q, Q)_* instead of assuming it is one.
 INTRINSIC_RHS = RhsTemplate(
     name="ellipsoid",
     state=("x", "y", "z", "w", "xp", "yp", "zp", "wp"),
     params=("a", "m_minus", "m_plus", "wyz", "guard"),
-    body="""\
-aw = a * w
-x_minus = x + aw
-x_plus = x - aw
-yy = y * y
-zz = z * z
-d2_minus = x_minus * x_minus + yy + zz
-d2_plus = x_plus * x_plus + yy + zz
-d_minus = sqrt(d2_minus)
-d_plus = sqrt(d2_plus)
-if d_minus < guard or d_plus < guard:
-    raise NearCollisionError(f"ellipsoid point within {guard:g} of a scaled center")
+    guard=SCALED_CENTER_GUARD,
+    body=f"""\
 s_minus = m_minus / (d2_minus * d_minus)
 s_plus = m_plus / (d2_plus * d_plus)
 f_x = a * s_plus - a * s_minus
 f_w = s_minus + s_plus
 qq = x * x + wyz * y * y + wyz * z * z + w * w
-speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp
+{_SPEED2}
 c = (x * f_x + w * f_w + speed2) / qq
 nc = -c""",
     derivative=("xp", "yp", "zp", "wp", "f_x - c * x", "nc * y", "nc * z", "f_w - c * w"),
 )
+
+# G of a state (Q, Q'), on the distances, the guard and the |Q'|_*^2 of
+# ``INTRINSIC_RHS``; :func:`energy_arrays` is its column form.
+ENERGY = RhsTemplate(
+    name="G",
+    state=INTRINSIC_RHS.state,
+    params=INTRINSIC_RHS.params,
+    guard=SCALED_CENTER_GUARD,
+    body=_SPEED2 + "\nax = a * x",
+    derivative=("speed2 - (2.0 / (1.0 + a * a)) * (m_minus * (w - ax) / d_minus + m_plus * (w + ax) / d_plus)",),
+)
+
+
+def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | np.ndarray:
+    """Batched ellipsoidal energy G of points Q and tau-velocities Q' of shape (..., 4);
+    a Q within ``COLLISION_GUARD`` of a scaled center raises :class:`NearCollisionError`."""
+    return on_columns(ENERGY, prob, *pair_columns(big_q, qp, 4, ("Q", "Q'")))[0]
+
+
+def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
+    """G(lift(q, p)) from validated (..., 3) arrays, without building the (..., 4) ones."""
+    return on_columns(ENERGY, prob, *_lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.wyz))[0]
 
 
 def relation_coefficients(a: float) -> tuple[float, float, float, float]:
@@ -194,8 +180,7 @@ def _in_row_blocks(q, p, prob: Problem, evaluate, *tails: tuple[int, ...]):
 
     q and p of one shape with more than ``_ROWS`` rows are validated whole, then
     evaluated a block of rows at a time, copied column-major so that the temporaries
-    stay in cache; bit-identical to one pass.  Broadcast shapes go in one pass:
-    a term of one p row squares by pow there, by product in a block."""
+    stay in cache; bit-identical to one pass.  Broadcast shapes go in one pass."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape != p.shape or q.shape[-1:] != (3,) or q.size <= 3 * _ROWS:

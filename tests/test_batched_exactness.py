@@ -46,7 +46,7 @@ from twocenter import (
     velocity_independence_residual,
 )
 from twocenter import projective, sampling, verify
-from twocenter.dynamics import COLLISION_GUARD, kernel
+from twocenter.dynamics import COLLISION_GUARD, PLANAR_RHS, kernel
 from twocenter.errors import NearCollisionError
 
 
@@ -129,12 +129,9 @@ def ref_sample(prob, n, rng, q_radius, p_radius, min_center_distance):
 
 
 def ref_point_acceleration(q, prob):
-    """The acceleration of one (3,) point; its distances are numpy scalars, so
-    ``d**3`` is libm's pow."""
-    d_minus, d_plus = ref_guarded_distances(q, prob)
-    acc = -prob.m_minus * (q - np.array([-prob.a, 0.0, 0.0])) / np.expand_dims(d_minus**3, -1)
-    acc -= prob.m_plus * (q - np.array([prob.a, 0.0, 0.0])) / np.expand_dims(d_plus**3, -1)
-    return acc
+    """The acceleration of one (3,) point: the scalar kernel of ``PLANAR_RHS``
+    on Python floats, the text whose column form ``acceleration`` is."""
+    return np.array(kernel(PLANAR_RHS, prob)((*q.tolist(), 0.0, 0.0, 0.0))[3:])
 
 
 def ref_point_rk4(q, p, prob, h):

@@ -8,6 +8,8 @@ refuses unusable radii and gives up after a bounded number of rejection
 batches instead of spinning.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from twocenter import (
     sample_phase_points,
 )
 from twocenter import projective
-from twocenter.dynamics import COLLISION_GUARD, distance_columns, rotate_about_axis
+from twocenter.dynamics import COLLISION_GUARD, rotate_about_axis
 
 PROB = Problem(1.0, 1.0, 1.0)
 ROWS = 100_000
@@ -206,7 +208,7 @@ def test_center_ray_row_is_outside_the_guard():
     d_minus, d_plus = center_distances(q, PROB)
     assert min(d_minus[0], d_plus[0]) > COLLISION_GUARD
     x, y, z, w = project(q, PROB)[0]
-    assert min(distance_columns(x, y, z, PROB.a * w)) < COLLISION_GUARD
+    assert min(math.dist((x, y, z), (side * PROB.a * w, 0.0, 0.0)) for side in (-1.0, 1.0)) < COLLISION_GUARD
     with pytest.raises(NearCollisionError):
         relation_residual(q, np.zeros((1, 3)), PROB)
 

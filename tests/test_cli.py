@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -86,7 +87,19 @@ def test_simulate_malformed_config(tmp_path, capsys):
     code = run(["simulate", "--config", cfg])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.strip().count("\n") == 0 and err.startswith("error:")
+    assert err.strip().count("\n") == 0 and err.startswith(f"error: {cfg}:1: expected three comma-separated values")
+
+
+def test_repeated_config_key_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("a: 1\n# the same key again\na: 2\n")
+    assert run(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: repeated key 'a'\n"
+
+
+def test_wrong_length_vector_flag_exits_1(capsys):
+    assert run(["simulate", "--q0", "1,2"]) == 1
+    assert capsys.readouterr().err == "error: expected three comma-separated values, got '1,2'\n"
 
 
 def test_simulate_collision_exit_code(tmp_path):
@@ -395,6 +408,88 @@ def test_edge_inputs_end_in_documented_exit_codes(command, a, m_minus, m_plus, q
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(args)
     assert code in (0, 1, 2, 3)
+
+
+# Well-formed config lines, and the defects a config or trajectory file can carry.
+CONFIG_LINES = ["a: 2", "m_plus: 0.5", "q0: 0,2.5,0", "t_end: 0.5", "# a comment", ""]
+BAD_CONFIG_LINES = ["a 2", "bogus: 1", "q0: 1,2", "p0: 1,2,3,4", "t_end: soon", "seed: 1.5"]
+CSV_COLUMNS = ["t", "x", "y", "z", "px", "py", "pz"]
+CSV_TEXTS = ["x", "one", "1e", "--1", "1.2.3"]
+
+
+@st.composite
+def malformed_configs(draw):
+    """A config file with one defect: a bad line, a repeated key or a non-UTF-8
+    byte.  Returns its bytes and the line the error must name (None: the file)."""
+    lines = draw(st.lists(st.sampled_from(CONFIG_LINES), max_size=4, unique=True))
+    at = draw(st.integers(0, len(lines)))
+    defect = draw(st.sampled_from(["line", "repeated key", "byte"]))
+    if defect == "line":
+        lines.insert(at, draw(st.sampled_from(BAD_CONFIG_LINES)))
+    elif defect == "repeated key":
+        lines.insert(at, "samples: 10")
+        at = draw(st.integers(at + 1, len(lines)))
+        lines.insert(at, "samples: 20")
+    data = "\n".join(lines).encode() + b"\n"
+    if defect == "byte":
+        cut = draw(st.integers(0, len(data) - 1))
+        return data[:cut] + b"\xff" + data[cut:], None
+    return data, at + 1
+
+
+@st.composite
+def malformed_csvs(draw):
+    """A ``project --input`` file with one defect: a short row, a missing
+    column, text in a number field or a non-UTF-8 byte."""
+    header = draw(st.permutations(CSV_COLUMNS + draw(st.lists(st.sampled_from(["J", "Theta", "E"]), unique=True))))
+    width = len(header)
+    rows = draw(st.lists(st.lists(st.floats(-3.0, 3.0).map(repr), min_size=width, max_size=width), min_size=1, max_size=4))
+    row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+    defect = draw(st.sampled_from(["short row", "missing column", "text", "byte"]))
+    if defect == "short row":
+        del rows[row][col]
+    elif defect == "missing column":
+        col = header.index(draw(st.sampled_from(CSV_COLUMNS)))
+        for cells in [header, *rows]:
+            del cells[col]
+    elif defect == "text":
+        rows[row][col] = draw(st.sampled_from(CSV_TEXTS))
+    data = "\n".join(",".join(cells) for cells in [header, *rows]).encode() + b"\n"
+    if defect == "byte":
+        cut = draw(st.integers(0, len(data) - 1))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+def refused_with_one_error_line(args):
+    """The stderr of main(args), which must exit 1 with one "error:" line: no
+    traceback, and no RuntimeWarning (turned into an error here)."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(args)
+    err = stderr.getvalue()
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=malformed_configs())
+def test_malformed_config_files_exit_1_naming_the_line(config, tmp_path_factory):
+    data, line = config
+    path = tmp_path_factory.getbasetemp() / "bad.cfg"
+    path.write_bytes(data)
+    err = refused_with_one_error_line(["simulate", "--config", str(path)])
+    assert err.startswith(f"error: {path}:{line}: " if line else f"error: cannot read config file {path}: ")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=malformed_csvs())
+def test_malformed_project_inputs_exit_1_naming_the_file(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "bad.csv"
+    path.write_bytes(data)
+    err = refused_with_one_error_line(["project", "--input", str(path)])
+    assert f"file {path}" in err
 
 
 @pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"], ["coords", "-h"]])

@@ -113,6 +113,7 @@ def test_nonfinite_derivative_ends_in_step_underflow(bad, monkeypatch):
         params=(*template.params, "bad"),
         body=template.body,
         derivative=tuple(f"bad if x > 0.5 else ({expr})" for expr in template.derivative),
+        guard=template.guard,
     )
     monkeypatch.setitem(integrate._CLOCKS, "t", spoiled)
     monkeypatch.setattr(integrate, "rhs_params", lambda prob: {**real(prob), "bad": bad})

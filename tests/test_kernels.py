@@ -1,15 +1,23 @@
-"""Plain-float right-hand-side kernels against their numpy references.
+"""Plain-float right-hand-side kernels against their numpy forms and references.
 
-The planar kernel is compared with the batched ``acceleration``; the
-intrinsic kernel with a numpy copy of the array right-hand side it replaced.
-Both sides round differently in the last bit (numpy's ``d**3`` is not libm's
-``pow``), and a component that cancels keeps no relative accuracy in either,
-so the relative tolerance is taken against the sum of the magnitudes of the
-terms that form each component: |kernel - reference| <= ATOL + RTOL * scale.
+The batched ``acceleration`` is the column form of ``PLANAR_RHS``, the same
+text as the planar kernel, so the two must agree bit for bit; every other
+template's column form must agree with its kernel the same way.  That
+comparison shares the formula, so the planar field's independent checks are
+elsewhere: the scipy DOP853 run on its own numpy right-hand side in
+``tests/test_trajectory_oracle.py``, and the negative potential gradient in
+``tests/test_dynamics.py``.  The intrinsic kernel is compared with a numpy
+copy of the array right-hand side it replaced.  Both sides round differently
+in the last bit (numpy's ``d**3`` is not libm's ``pow``), and a component
+that cancels keeps no relative accuracy in either, so the relative tolerance
+is taken against the sum of the magnitudes of the terms that form each
+component: |kernel - reference| <= ATOL + RTOL * scale.
 """
 
 import math
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +25,8 @@ from hypothesis import assume, given, strategies as st
 
 from twocenter import NearCollisionError, Problem, acceleration
 from twocenter.codegen import RhsTemplate
-from twocenter.dynamics import COLLISION_GUARD, PLANAR_RHS, PLANAR_TAU_RHS, kernel
-from twocenter.projective import INTRINSIC_RHS
+from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, on_columns
+from twocenter.projective import ENERGY, INTRINSIC_RHS
 
 RTOL = 1e-13
 ATOL = 1e-15
@@ -30,15 +38,6 @@ vectors3 = st.tuples(coords, coords, coords)
 # Offsets of norm below COLLISION_GUARD: each component under guard / 2.
 inside = st.floats(-COLLISION_GUARD / 2, COLLISION_GUARD / 2)
 problems = st.builds(Problem, masses, masses, half_distances)
-
-
-def planar_scale(q, prob):
-    """Per component, sum_j m_j |q - c_j| / |q - c_j|^3 over both centers."""
-    scale = np.zeros(3)
-    for m, cx in ((prob.m_minus, -prob.a), (prob.m_plus, prob.a)):
-        d = q - np.array([cx, 0.0, 0.0])
-        scale += m * np.abs(d) / np.linalg.norm(d) ** 3
-    return scale
 
 
 def reference_intrinsic(y, prob):
@@ -67,8 +66,38 @@ def test_planar_kernel_matches_acceleration(prob, q, p):
     q = np.array(q)
     out = kernel(PLANAR_RHS, prob)((*q.tolist(), *p))
     assert out[:3] == p
-    diff = np.abs(np.array(out[3:]) - acceleration(q, prob))
-    assert np.all(diff <= ATOL + RTOL * planar_scale(q, prob))
+    assert np.array_equal(np.array(out[3:]), acceleration(q, prob))
+
+
+@pytest.mark.parametrize("template", [PLANAR_RHS, PLANAR_TAU_RHS, INTEGRALS, INTRINSIC_RHS, ENERGY], ids=lambda t: t.name)
+def test_column_form_matches_kernel_row_by_row(template):
+    """The column form runs the kernel's text on numpy columns: each row gives
+    the kernel's bits, and a row inside the guard raises the kernel's error."""
+    rng = np.random.default_rng(5)
+    for prob in (Problem(), Problem(1.3, 0.7, 1.7)):
+        states = rng.uniform(-5.0, 5.0, (2000, len(template.state)))
+        rhs = kernel(template, prob)
+        want = np.array([rhs(row) for row in states.tolist()])
+        assert np.array_equal(np.stack(on_columns(template, prob, *states.T), axis=-1), want)
+        scale = states[7, 3] if template.state[3] == "w" else 1.0  # the ellipsoid's centers scale with W
+        states[7, :3] = (-prob.a * scale, 0.0, 0.0)
+        with pytest.raises(NearCollisionError) as in_columns:
+            on_columns(template, prob, *states.T)
+        with pytest.raises(NearCollisionError) as in_kernel:
+            rhs(states[7].tolist())
+        assert str(in_columns.value) == str(in_kernel.value)
+
+
+def test_import_compiles_no_generated_code():
+    """Column forms, kernels and runs are compiled on first use, so importing
+    the package costs none of them."""
+    check = (
+        "import twocenter\n"
+        "from twocenter import codegen, integrate\n"
+        "caches = (codegen.compile_columns, codegen.compile_kernel, integrate._make_run)\n"
+        "assert [c.cache_info().currsize for c in caches] == [0, 0, 0]\n"
+    )
+    subprocess.run([sys.executable, "-c", check], check=True)
 
 
 @given(problems, vectors3, st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + 1e-6]), st.tuples(coords, coords, coords, coords))

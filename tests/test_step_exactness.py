@@ -260,6 +260,7 @@ def spoiled(template, threshold):
         params=(*template.params, "bad"),
         body=template.body,
         derivative=tuple(f"bad if x > {threshold!r} else ({expr})" for expr in template.derivative),
+        guard=template.guard,
     )
 
 
