@@ -17,9 +17,7 @@ from .dynamics import (
     first_integrals,
     hamiltonian,
     kepler_limit_residual,
-    rotate_about_axis,
 )
-from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
 from .geometry import check_finite, embed, project, star_inner, star_norm
 from .integrate import (
@@ -37,7 +35,6 @@ from .projective import (
     fd_tangential_acceleration,
     fit_integral_relation,
     lift_arrays,
-    lifted_speed_squared,
     relation_coefficients,
     relation_residual,
     reparametrize_time,
@@ -49,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DriftReport",
-    "EllipsoidalPosition",
     "IntegralRelation",
     "IntegratorConfig",
     "InvalidInputError",
@@ -70,22 +66,18 @@ __all__ = [
     "fd_tangential_acceleration",
     "first_integrals",
     "fit_integral_relation",
-    "from_ellipsoidal",
     "hamiltonian",
     "integrate_ellipsoid",
     "integrate_planar",
     "kepler_limit_residual",
     "lift_arrays",
-    "lifted_speed_squared",
     "make_rng",
     "project",
     "relation_coefficients",
     "relation_residual",
     "reparametrize_time",
-    "rotate_about_axis",
     "sample_phase_points",
     "star_inner",
     "star_norm",
-    "to_ellipsoidal",
     "velocity_independence_residual",
 ]

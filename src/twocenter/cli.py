@@ -3,12 +3,11 @@
 Subcommands: ``simulate`` (planar trajectory + drift report), ``project``
 (project and reparametrize a planar trajectory), ``verify-theorem``
 (pointwise identity, two-route equivalence, energy drift, velocity
-independence), ``fit-relation`` (general-a coefficients) and ``coords``
-(ellipsoidal coordinate conversion).  ``_COMMANDS`` maps each to its
-handler and the config keys it reads: a subcommand takes ``--config``,
-``--seed``, ``--json`` and one flag per key it reads, nothing else.  An
-optional ``key: value`` config file may set any key, and flags win over
-it.  A run is named by its config and seed, so identical ones give
+independence) and ``fit-relation`` (general-a coefficients).
+``_COMMANDS`` maps each to its handler and the config keys it reads: a
+subcommand takes ``--config``, ``--seed``, ``--json`` and one flag per key
+it reads, nothing else.  An optional ``key: value`` config file may set
+any key, and flags win over it.  A run is named by its config and seed, so identical ones give
 byte-identical output; subcommands that draw nothing ignore the seed.
 Exit codes: 0 ok, 1 usage, config or write error, 2 integration abort or
 a point inside the collision guard (for ``simulate`` and ``project`` also
@@ -29,7 +28,6 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .dynamics import PhasePoint, Problem
-from .ellipsoidal import EllipsoidalPosition, from_ellipsoidal, to_ellipsoidal
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
 from .integrate import IntegratorConfig, drift_report, integrate_ellipsoid, integrate_planar
 from .projective import energy_arrays, fit_integral_relation, lift_arrays, reparametrize_time
@@ -66,9 +64,6 @@ class RunConfig:
     samples: int = 10_000
     out: str | None = None
     json: str | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    theta: float | None = None
 
     def problem(self) -> Problem:
         return Problem(self.m_minus, self.m_plus, self.a)
@@ -91,7 +86,7 @@ def _parse_vector(text: str) -> tuple:
     return tuple(float(part) for part in parts)
 
 
-# each key's parser, from its annotation ("float | None" parses as float)
+# each key's parser, from its annotation ("str | None" parses as str)
 _PARSE = {"float": float, "int": int, "str": str, "tuple": _parse_vector}
 _PARSERS = {f.name: _PARSE[f.type.split(" |")[0]] for f in fields(RunConfig)}
 
@@ -269,25 +264,6 @@ def cmd_fit_relation(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_coords(cfg: RunConfig, inverse: bool) -> int:
-    prob = cfg.problem()
-    if inverse:
-        if cfg.alpha is None or cfg.beta is None or cfg.theta is None:
-            raise ConfigError("inverse conversion needs alpha, beta and theta")
-        position = EllipsoidalPosition(cfg.alpha, cfg.beta, cfg.theta)
-        q = from_ellipsoidal(position, prob)
-        print(f"q = {_fmt(q[0])},{_fmt(q[1])},{_fmt(q[2])}")
-        _write_json(cfg.json, {"command": "coords", "q": [float(v) for v in q]})
-    else:
-        ep = to_ellipsoidal(np.array(cfg.q0), prob)
-        print(f"alpha = {_fmt(ep.alpha)}")
-        print(f"beta = {_fmt(ep.beta)}")
-        print(f"theta = {_fmt(ep.theta)}")
-        print(f"degenerate = {str(ep.degenerate).lower()}")
-        _write_json(cfg.json, {"command": "coords", **asdict(ep)})
-    return 0
-
-
 _TRAJECTORY_KEYS = "m_minus m_plus a q0 p0 rel_tol abs_tol"
 
 # subcommand: (handler, the config keys it reads, None or its own flag, whose value the handler takes second)
@@ -298,8 +274,6 @@ _COMMANDS = {
     "verify-theorem": (cmd_verify_theorem, f"{_TRAJECTORY_KEYS} tau_end samples",
                        ("--fit", {"action": "store_true", "help": "also fit the integral relation"})),
     "fit-relation": (cmd_fit_relation, "m_minus m_plus a samples", None),
-    "coords": (cmd_coords, "a q0 alpha beta theta",
-               ("--inverse", {"action": "store_true", "help": "convert (alpha, beta, theta) to q"})),
 }
 _HELP = {"seed": "override config key seed: a run is named by its config and seed, "
                  "and subcommands that draw nothing ignore it",

@@ -58,14 +58,6 @@ class Problem:
         object.__setattr__(self, "weights", np.array([1.0, wyz, wyz, 1.0]))
 
     @property
-    def center_minus(self) -> np.ndarray:
-        return np.array([-self.a, 0.0, 0.0])
-
-    @property
-    def center_plus(self) -> np.ndarray:
-        return np.array([self.a, 0.0, 0.0])
-
-    @property
     def is_kepler(self) -> bool:
         """True when exactly one mass vanishes (single-center limit)."""
         return (self.m_minus == 0.0) != (self.m_plus == 0.0)
@@ -241,10 +233,3 @@ def kepler_limit_residual(
     shrunk = Problem(prob.m_minus, prob.m_plus, a_small)
     lx, ly, lz = compile_columns(_ANGULAR_MOMENTUM)(*pair_columns(q, p))
     return np.abs(euler_integral(q, p, shrunk) - (lx * lx + ly * ly + lz * lz))
-
-
-def rotate_about_axis(v: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed rotation of 3-vectors about the centers (x) axis."""
-    x, y, z = columns(np.asarray(v, dtype=float), 3, "v")
-    c, s = np.cos(angle), np.sin(angle)
-    return np.stack((x, c * y - s * z, s * y + c * z), axis=-1)

@@ -92,26 +92,6 @@ def lift_arrays(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray
     return np.stack(lifted[:4], axis=-1), np.stack(lifted[4:], axis=-1)
 
 
-def lifted_speed_squared(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """Closed-form |Q'|_*^2 of the lift, bypassing it.
-
-    The weighted Lagrange identity |q|_*^2 |p|_*^2 - (q, p)_*^2 for the
-    embedded (q, 1) and (p, 0), term by term with w = 1/(1+a^2):
-    xd^2 + w yd^2 + w zd^2 + w (x yd - y xd)^2 + w^2 (y zd - z yd)^2
-    + w (z xd - x zd)^2.
-    """
-    x, y, z, xd, yd, zd = pair_columns(q, p)
-    w = prob.wyz
-    return (
-        xd**2
-        + w * yd**2
-        + w * zd**2
-        + w * (x * yd - y * xd) ** 2
-        + w * w * (y * zd - z * yd) ** 2
-        + w * (z * xd - x * zd) ** 2
-    )
-
-
 # The one near-center rule of the ellipsoid templates, at the scaled centers (+-a W, 0, 0).
 SCALED_CENTER_GUARD = Guard("aw = a * w\n" + CENTER_DISTANCE_LINES.format(c="aw"), ("d_minus", "d_plus"),
                             "ellipsoid point within {guard:g} of a scaled center")
@@ -206,7 +186,7 @@ def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np
     lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
 
     def residual(j, theta, e, g):
-        return (g - (lam_j * j + lam_e * e + lam_t2 * theta**2),)
+        return (g - (lam_j * j + lam_e * e + lam_t2 * np.square(theta)),)
 
     return _in_row_blocks(q, p, prob, residual, ())[0]
 
@@ -229,7 +209,7 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
 
     def design_and_g(j, theta, e, g):
-        return np.stack((j, e, theta**2, np.ones_like(j)), axis=-1), g
+        return np.stack((j, e, np.square(theta), np.ones_like(j)), axis=-1), g
 
     rng = make_rng(seed)
     for _ in range(5):

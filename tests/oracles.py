@@ -1,0 +1,26 @@
+"""Closed-form oracles that the tests hold the package's evaluators against."""
+
+import numpy as np
+
+
+def lifted_speed_squared(q, p, prob):
+    """Closed-form |Q'|_*^2 of the lift, bypassing it.
+
+    The weighted Lagrange identity |q|_*^2 |p|_*^2 - (q, p)_*^2 for the
+    embedded (q, 1) and (p, 0), term by term with w = 1/(1+a^2):
+    xd^2 + w yd^2 + w zd^2 + w (x yd - y xd)^2 + w^2 (y zd - z yd)^2
+    + w (z xd - x zd)^2.  ``q`` and ``p`` have shape (..., 3).
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    x, y, z = q[..., 0], q[..., 1], q[..., 2]
+    xd, yd, zd = p[..., 0], p[..., 1], p[..., 2]
+    w = prob.wyz
+    return (
+        xd**2
+        + w * yd**2
+        + w * zd**2
+        + w * (x * yd - y * xd) ** 2
+        + w * w * (y * zd - z * yd) ** 2
+        + w * (z * xd - x * zd) ** 2
+    )

@@ -5,7 +5,8 @@ sampler work on column views with scalar weights.  Each must reproduce, bit
 for bit, the numpy code that reduced over a last axis of length 3 or 4, used
 ``np.cross`` and embedded with ``concatenate``; that code is copied below as
 the oracle, with G written in the distance form the kernel evaluates.  The sampler must also consume the same Philox numbers.  At
-a = 1 the general-a relation residual and speed expansion must reproduce,
+a = 1 the general-a relation residual and the speed-expansion oracle of
+``oracles`` must reproduce,
 bit for bit, the a = 1 forms G - (J + E/2 - Theta^2/4) and the expansion
 with weights 1/2 and 1/4.  The batched finite-difference oracle must
 reproduce, bit for bit, the loop that differenced one state at a time, and
@@ -35,7 +36,6 @@ from twocenter import (
     hamiltonian,
     kepler_limit_residual,
     lift_arrays,
-    lifted_speed_squared,
     make_rng,
     project,
     relation_coefficients,
@@ -48,6 +48,8 @@ from twocenter import (
 from twocenter import projective, sampling, verify
 from twocenter.dynamics import COLLISION_GUARD, PLANAR_RHS, kernel
 from twocenter.errors import NearCollisionError
+
+from oracles import lifted_speed_squared
 
 
 # --- oracle: the (..., k)-reduction forms -----------------------------------
@@ -506,12 +508,15 @@ def test_broadcast_relation_residual_matches_one_pass(n):
 
 
 def test_single_point_relation_residual_is_a_numpy_float():
+    """A single point gives the bits of its row of the batch, also where
+    numpy squares its Theta as a scalar by pow."""
     prob = Problem(1.0, 0.4, 2.0)
     qs, ps, pick = pow_squares_differ(prob, 10)
+    batch = relation_residual(qs, ps, prob)
     for k in pick + list(range(20)):
         got = relation_residual(qs[k], ps[k], prob)
         assert type(got) is np.float64
-        assert got == parent_relation_residual(qs[k], ps[k], prob)
+        assert got == batch[k]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -26,14 +26,13 @@ from twocenter import (
     hamiltonian,
     kepler_limit_residual,
     lift_arrays,
-    lifted_speed_squared,
     make_rng,
     project,
     relation_residual,
     sample_phase_points,
 )
 from twocenter import projective
-from twocenter.dynamics import COLLISION_GUARD, rotate_about_axis
+from twocenter.dynamics import COLLISION_GUARD
 
 PROB = Problem(1.0, 1.0, 1.0)
 ROWS = 100_000
@@ -69,7 +68,6 @@ PAIR_EVALUATORS = {
     "axial_angular_momentum": axial_angular_momentum,
     "kepler_limit_residual": lambda q, p: kepler_limit_residual(q, p, PROB, 0.1),
     "lift_arrays": lambda q, p: lift_arrays(q, p, PROB),
-    "lifted_speed_squared": lambda q, p: lifted_speed_squared(q, p, PROB),
     "relation_residual": lambda q, p: relation_residual(q, p, PROB),
 }
 # Every evaluator of two batches; energy_arrays takes the lifted (Q, Q') of the batch.
@@ -116,13 +114,9 @@ def test_batched_energy_refuses_a_center_ray(batch):
     [((5, 4), (5, 3)), ((5, 3), (5, 2)), ((2,), (3,)), ((5, 2), (5, 2))],
 )
 def test_wrong_last_axis_is_refused(shape_q, shape_p):
-    """Every evaluator of (..., 3) batches, energy_arrays of (..., 4) ones, and rotate_about_axis."""
+    """Every evaluator of (..., 3) batches and energy_arrays of (..., 4) ones."""
     q, p = np.zeros(shape_q), np.ones(shape_p)
-    fns = [
-        *PAIR_EVALUATORS.values(),
-        lambda q, p: energy_arrays(q, p, PROB),
-        lambda q, p: (rotate_about_axis(q, 1.0), rotate_about_axis(p, 1.0)),
-    ]
+    fns = [*PAIR_EVALUATORS.values(), lambda q, p: energy_arrays(q, p, PROB)]
     for fn in fns:
         with pytest.raises(InvalidInputError, match="shape"):
             fn(q, p)

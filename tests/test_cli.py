@@ -227,31 +227,6 @@ def test_fit_uses_at_most_4096_samples(capsys):
     assert capsys.readouterr().out == capped
 
 
-def test_coords_forward(capsys):
-    assert run(["coords", "--q0", "0,1,0"]) == 0
-    printed = capsys.readouterr().out
-    values = dict(line.split(" = ") for line in printed.strip().splitlines())
-    assert float(values["alpha"]) == pytest.approx(np.sqrt(2), abs=1e-15)
-    assert float(values["beta"]) == 0.0
-    assert float(values["theta"]) == pytest.approx(1.5 * np.pi, abs=1e-14)
-    assert values["degenerate"] == "false"
-
-
-@pytest.mark.parametrize("q0, degenerate", [("0,1,0", False), ("0.5,0,0", True)])
-def test_coords_json(q0, degenerate, tmp_path):
-    out = tmp_path / "coords.json"
-    assert run(["coords", "--q0", q0, "--json", out]) == 0
-    assert json.loads(out.read_text())["degenerate"] is degenerate
-
-
-def test_coords_inverse(capsys):
-    assert run(["coords", "--inverse", "--alpha", 2, "--beta", 0.5, "--theta", 0]) == 0
-    printed = capsys.readouterr().out
-    q = [float(v) for v in printed.strip().split(" = ")[1].split(",")]
-    assert q[0] == pytest.approx(1.0, abs=1e-15)  # alpha * beta at a = 1
-    assert run(["coords", "--inverse", "--alpha", 2]) == 1
-
-
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nm_minus: 0\nm_plus: 0\nq0: 0,1,0\np0: 1,0,0\nt_end: 2\n")
@@ -329,6 +304,9 @@ def _repeated_rows(prob, n, rng, **kwargs):
         pytest.param(["fit-relation", "--seed", -1], 1, False, id="negative-seed"),
         pytest.param(["verify-theorem", "--seed", 2**64], 1, False, id="seed-beyond-uint64"),
         pytest.param(["frobnicate"], 1, False, id="unknown-subcommand"),
+        # elliptic coordinates are not part of the construction: no coords subcommand, no alpha key
+        pytest.param(["coords", "--q0", "0,1,0"], 1, False, id="coords-subcommand"),
+        pytest.param(["simulate", "--config", "{tmp}/alpha.cfg"], 1, False, id="alpha-config-key"),
         pytest.param([], 1, False, id="missing-subcommand"),
         pytest.param(["simulate", "--bogus", 1], 1, False, id="unknown-flag"),
         pytest.param(["verify-theorem", "--t-end", 100], 1, False, id="flag-of-another-subcommand"),
@@ -338,6 +316,7 @@ def _repeated_rows(prob, n, rng, **kwargs):
 )
 def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_path, monkeypatch, capsys, request):
     (tmp_path / "bad.cfg").write_text("q0: 1,2\n")
+    (tmp_path / "alpha.cfg").write_text("alpha: 2\n")
     header = "t,x,y,z,px,py,pz\n"
     (tmp_path / "header_only.csv").write_text(header)
     (tmp_path / "ragged.csv").write_text(header + "0,0,2,0,0.3,0,0.6\n0.1,0,2,0\n")
@@ -492,7 +471,7 @@ def test_malformed_project_inputs_exit_1_naming_the_file(data, tmp_path_factory)
     assert f"file {path}" in err
 
 
-@pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"], ["coords", "-h"]])
+@pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"], ["fit-relation", "-h"]])
 def test_help_exits_0(args, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run(args)
@@ -515,7 +494,6 @@ READ_FLAGS = {
     "project": f"{TRAJECTORY_FLAGS} --t-end --out --input",
     "verify-theorem": f"{TRAJECTORY_FLAGS} --tau-end --samples --fit",
     "fit-relation": "--m-minus --m-plus --a --samples",
-    "coords": "--a --q0 --alpha --beta --theta --inverse",
 }
 
 
@@ -523,7 +501,7 @@ def test_each_subcommand_registers_only_the_flags_it_reads():
     flags = registered_flags()
     common = {"--config", "--seed", "--json"}
     assert flags == {name: common | set(read.split()) for name, read in READ_FLAGS.items()}
-    assert sum(len(names) for names in flags.values()) == 54
+    assert sum(len(names) for names in flags.values()) == 45
 
 
 # cheap runs of each subcommand, one per mode; a flag must change the output of at least one
@@ -532,13 +510,11 @@ CHEAP_RUNS = {
     "project": [["--t-end", 0.5, "--out", "{tmp}/out.csv"], ["--input", "{tmp}/orbit.csv", "--out", "{tmp}/out.csv"]],
     "verify-theorem": [["--tau-end", 0.5, "--samples", 64]],
     "fit-relation": [["--samples", 64]],
-    "coords": [[], ["--inverse", "--alpha", 2, "--beta", 0.5, "--theta", 0]],
 }
 CHANGED = {
     "--m-minus": [0.5], "--m-plus": [0.5], "--a": [2], "--q0": ["0,2.5,0"], "--p0": ["0.3,0,0.5"],
     "--rel-tol": [1e-6], "--abs-tol": [1e-6], "--t-end": [0.25], "--tau-end": [0.25], "--samples": [100],
-    "--seed": [7], "--alpha": [3], "--beta": [0.25], "--theta": [1], "--input": ["{tmp}/orbit.csv"],
-    "--fit": [], "--inverse": [],
+    "--seed": [7], "--input": ["{tmp}/orbit.csv"], "--fit": [],
 }
 DRAWS = {"verify-theorem", "fit-relation"}  # the subcommands that read the seed
 
