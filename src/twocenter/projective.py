@@ -155,28 +155,25 @@ def relation_coefficients(a: float) -> tuple[float, float, float, float]:
     return 2.0 / s, 1.0 / s, -(a * a) / (s * s), 0.0
 
 
-def _in_row_blocks(q, p, prob: Problem, evaluate, *tails: tuple[int, ...]):
-    """The arrays ``evaluate(J, Theta, E, G)`` returns for (q, p), of shape (...,) + tail.
+def _row_blocks(q, p, prob: Problem):
+    """Yield (rows, J, Theta, E, G) of (q, p), validated, a block of rows at a time.
 
-    q and p of one shape with more than ``_ROWS`` rows are validated whole, then
-    evaluated a block of rows at a time, copied column-major so that the temporaries
-    stay in cache; bit-identical to one pass.  Broadcast shapes go in one pass."""
+    q and p of one shape with more than ``_ROWS`` rows are checked finite whole,
+    then evaluated in blocks (``rows`` slices their flattened leading axes),
+    copied column-major so that the temporaries stay in cache; bit-identical to
+    one pass.  Other inputs give one block, ``rows`` = ``...``, in one pass."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape != p.shape or q.shape[-1:] != (3,) or q.size <= 3 * _ROWS:
-        return evaluate(*first_integrals(q, p, prob), _lifted_energy(q, p, prob))  # validates q and p
+        yield ..., *first_integrals(q, p, prob), _lifted_energy(q, p, prob)  # validates q and p
+        return
     check_finite(q, "q")
     check_finite(p, "p")
-    outs = [np.empty(q.shape[:-1] + tail) for tail in tails]
-    flat = [out.reshape((-1,) + tail) for out, tail in zip(outs, tails)]
     q, p = q.reshape(-1, 3), p.reshape(-1, 3)
     for start in range(0, len(q), _ROWS):
         rows = slice(start, start + _ROWS)
         q_rows, p_rows = np.asfortranarray(q[rows]), np.asfortranarray(p[rows])
-        values = evaluate(*first_integrals(q_rows, p_rows, prob), _lifted_energy(q_rows, p_rows, prob))
-        for out, value in zip(flat, values):
-            out[rows] = value
-    return outs
+        yield rows, *first_integrals(q_rows, p_rows, prob), _lifted_energy(q_rows, p_rows, prob)
 
 
 def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
@@ -184,11 +181,13 @@ def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np
     the coefficients come from :func:`relation_coefficients`.  Large batches
     are evaluated in cache-sized row blocks, bit-identical to one pass."""
     lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
-
-    def residual(j, theta, e, g):
-        return (g - (lam_j * j + lam_e * e + lam_t2 * np.square(theta)),)
-
-    return _in_row_blocks(q, p, prob, residual, ())[0]
+    out = np.empty(np.shape(q)[:-1])  # filled block by block; one pass returns its own array
+    for rows, j, theta, e, g in _row_blocks(q, p, prob):
+        residual = g - (lam_j * j + lam_e * e + lam_t2 * np.square(theta))
+        if rows is ...:
+            return residual
+        out.reshape(-1)[rows] = residual
+    return out
 
 
 def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> IntegralRelation:
@@ -196,43 +195,44 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
 
     Independent cross-check of :func:`relation_coefficients`: the fit
     residual sits at roundoff and the coefficients match the closed form to
-    about 1e-13 at unit masses.  The columns are scaled to unit norm, so
-    the fit keeps full rank at any mass; G then carries roundoff of about
-    mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size one)
-    can be recovered.  A rank-deficient draw is resampled up to 5 times; a
-    draw whose design or G overflows (E grows as a^2 p^2) is refused.  A
-    large draw is evaluated in cache-sized row blocks, bit-identical to one pass,
-    and released once its design (4 columns) and G are built: the solve holds
-    those and LAPACK's copy of the design, about 80 bytes per sample point.
+    about 1e-13 at unit masses.  Each cache-sized block of rows [J, E,
+    Theta^2, 1, G] (bit-identical to one pass) is reduced to its 5 x 5 QR
+    factor and written over its rows of the fit's own sample, kept for the
+    residual.  The stacked factors have the singular values of the whole
+    design; they are solved with each column scaled by its largest
+    magnitude, so the fit keeps full rank at any mass.  G carries roundoff of
+    about mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size
+    one) can be recovered.  A rank-deficient draw is resampled up to 5 times;
+    a draw whose rows overflow (E grows as a^2 p^2) is refused once every
+    block has passed the collision guard.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
-
-    def design_and_g(j, theta, e, g):
-        return np.stack((j, e, np.square(theta), np.ones_like(j)), axis=-1), g
-
     rng = make_rng(seed)
     for _ in range(5):
         q, p = sample_phase_points(prob, sample_count, rng)
+        factors = []
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
-            design, g = _in_row_blocks(q, p, prob, design_and_g, (4,), ())
-        del q, p  # lstsq copies the design: the sample must not be held alongside it
-        if not (np.isfinite(design).all() and np.isfinite(g).all()):
-            raise InvalidInputError(f"(J, E, Theta^2) or G overflows on the fit's sample of {prob}")
-        # unit columns: at large masses J and E dwarf Theta^2 and 1, and the
-        # unscaled matrix falls below lstsq's rank cut-off
-        scale = np.sqrt(np.einsum("ij,ij->j", design, design))  # no (N, 4) temporary
-        for col in np.flatnonzero(np.isinf(scale)):  # squares beyond the float range (masses near 1e154 and up)
-            scale[col] = np.abs(design[:, col]).max()
-        scale[scale == 0.0] = 1.0  # a zero column (Theta = 0 throughout) stays zero: rank 3
-        design /= scale
-        coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
-        if rank < 4:
-            continue
-        misfit = design @ coeffs
-        misfit -= g
-        residual = float(np.max(np.abs(misfit, out=misfit)))
-        return IntegralRelation(*map(float, coeffs / scale), residual)
+            for rows, j, theta, e, g in _row_blocks(q, p, prob):
+                block = np.stack((j, e, np.square(theta), np.ones_like(j), g), axis=-1)
+                # an overflowing block is refused after the loop, so that a guard row in a later one wins
+                factors.append(np.linalg.qr(block, mode="r") if np.isfinite(block).all() else np.full((1, 5), np.inf))
+                q[rows] = block[:, :3]
+                p[rows, 0] = g
+            r = np.concatenate(factors)
+            if not np.isfinite(r).all():
+                raise InvalidInputError(f"(J, E, Theta^2) or G overflows on the fit's sample of {prob}")
+            # unscaled, the J and E of large masses push Theta^2 and 1 below the rank
+            # cut-off, which is lstsq's own for the whole (n, 4) design: eps * n
+            scale = np.abs(r[:, :4]).max(axis=0)
+            scale[scale == 0.0] = 1.0  # a zero column (Theta = 0 throughout) stays zero: rank 3
+            coeffs, _, rank, _ = np.linalg.lstsq(r[:, :4] / scale, r[:, 4], rcond=np.finfo(float).eps * sample_count)
+            if rank < 4:
+                continue
+            coeffs /= scale
+            residual = max(float(np.max(np.abs(q[k:k + _ROWS] @ coeffs[:3] + coeffs[3] - p[k:k + _ROWS, 0])))
+                           for k in range(0, sample_count, _ROWS))
+        return IntegralRelation(*map(float, coeffs), residual)
     raise RankDeficientError("sample set stayed rank deficient after 5 resampling attempts")
 
 

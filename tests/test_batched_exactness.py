@@ -11,10 +11,14 @@ bit for bit, the a = 1 forms G - (J + E/2 - Theta^2/4) and the expansion
 with weights 1/2 and 1/4.  The batched finite-difference oracle must
 reproduce, bit for bit, the loop that differenced one state at a time, and
 the velocity-independence check's batched field the per-state projection.
-The relation residual and the fit, which evaluate large batches in row
-blocks, must reproduce the whole-array pass, and the sampler, which draws
-into one reused buffer, the draws of ``rng.uniform``.
+The relation residual, which evaluates large batches in row blocks, must
+reproduce the whole-array pass, and so must the rows the fit factors block
+by block; its blocked solve must agree with the whole-design least squares
+to a stated bound.  The sampler, which draws into one reused buffer, must
+reproduce the draws of ``rng.uniform``.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -437,18 +441,20 @@ def parent_relation_residual(q, p, prob):
     return energy_arrays(*lift_arrays(q, p, prob), prob) - (lam_j * j + lam_e * e + lam_t2 * theta**2)
 
 
+def fit_rows(q, p, prob):
+    """The rows [J, E, Theta^2, 1, G] of the fit's design and G, by the whole-array evaluators."""
+    j, theta, e = first_integrals(q, p, prob)
+    g = energy_arrays(*lift_arrays(q, p, prob), prob)
+    return np.column_stack((j, e, theta**2, np.ones_like(j), g))
+
+
 def parent_fit(prob, sample_count, seed):
-    """The whole-array fit; also returns the scaled design matrix and G it solved."""
+    """The whole-design fit, SVD of unit-norm columns; also returns the rows it solved."""
     rng = make_rng(seed)
     for _ in range(5):
         q, p = sample_phase_points(prob, sample_count, rng)
-        j, theta, e = first_integrals(q, p, prob)
-        design = np.empty(j.shape + (4,))
-        design[:, 0] = j
-        design[:, 1] = e
-        design[:, 2] = theta**2
-        design[:, 3] = 1.0
-        g = energy_arrays(*lift_arrays(q, p, prob), prob)
+        rows = fit_rows(q, p, prob)
+        design, g = rows[:, :4].copy(), rows[:, 4]
         scale = np.sqrt(np.einsum("ij,ij->j", design, design))
         scale[scale == 0.0] = 1.0
         design /= scale
@@ -456,8 +462,54 @@ def parent_fit(prob, sample_count, seed):
         if rank < 4:
             continue
         residual = float(np.max(np.abs(design @ coeffs - g)))
-        return IntegralRelation(*map(float, coeffs / scale), residual), design, g
+        return IntegralRelation(*map(float, coeffs / scale), residual), rows
     raise AssertionError("rank deficient")
+
+
+def recorded_fit(prob, sample_count, seed):
+    """fit_integral_relation, with the rows of the blocks it factored and the
+    sample it overwrote, both of its last draw."""
+    blocks, drawn = [], []
+    qr = np.linalg.qr
+
+    def recording_sampler(prob, n, rng):
+        blocks.clear()
+        drawn[:] = sample_phase_points(prob, n, rng)
+        return drawn
+
+    def recording_qr(block, mode):
+        blocks.append(block.copy())
+        return qr(block, mode=mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projective, "sample_phase_points", recording_sampler)
+        patch.setattr(np.linalg, "qr", recording_qr)
+        relation = fit_integral_relation(prob, sample_count, seed)
+    return relation, np.concatenate(blocks), drawn
+
+
+# The blocked QR solve and the whole-design SVD round differently.  Each
+# coefficient's gap, times its column's norm, and the gap of max_residual
+# are bounded relative to the size of G (measured: at most 1.1e-14).
+FIT_BOUND = 1e-12
+
+
+def assert_fit_close(got, want, rows):
+    norms = np.linalg.norm(rows, axis=0)
+    gaps = np.abs(np.subtract(astuple(got)[:4], astuple(want)[:4]))
+    assert np.all(gaps * norms[:4] <= FIT_BOUND * norms[4])
+    assert abs(got.max_residual - want.max_residual) <= FIT_BOUND * np.max(np.abs(rows[:, 4]))
+
+
+def assert_blocked_fit_matches_one_pass(prob, n, seed):
+    """The fit factors the rows, bit for bit, of one whole-array pass, leaves
+    them in its sample, and solves them as the whole design did, to FIT_BOUND."""
+    want, want_rows = parent_fit(prob, n, seed)
+    got, rows, (q, p) = recorded_fit(prob, n, seed)
+    assert rows.shape == (n, 5) and np.array_equal(rows, want_rows)
+    assert np.array_equal(q, rows[:, :3]) and np.array_equal(p[:, 0], rows[:, 4])
+    assert_fit_close(got, want, rows)
+    return got, rows
 
 
 BLOCK_EDGES = [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 7]
@@ -534,21 +586,29 @@ def test_small_row_blocks_match_one_pass(batch, rows):
 
 @pytest.mark.parametrize("n", [8] + BLOCK_EDGES[1:])
 @pytest.mark.parametrize("prob", SWEEP_PROBLEMS, ids=["unit", "a2", "kepler"])
-def test_blocked_fit_matches_one_pass(n, prob, monkeypatch):
-    solved = []
-    lstsq = np.linalg.lstsq
+def test_blocked_fit_matches_one_pass(n, prob):
+    assert_blocked_fit_matches_one_pass(prob, n, seed=n)
 
-    def recording_lstsq(design, g, rcond=None):
-        solved.append((design.copy(), g.copy()))
-        return lstsq(design, g, rcond=rcond)
 
-    want, want_design, want_g = parent_fit(prob, n, seed=n)
-    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
-    got = fit_integral_relation(prob, n, seed=n)
-    design, g = solved[-1]
-    assert design.shape == (n, 4) and np.array_equal(design, want_design)
-    assert np.array_equal(g, want_g)
-    assert got == want  # all four coefficients and max_residual
+@pytest.mark.parametrize("rows", [5, 7])
+@pytest.mark.parametrize("n", [8, 10, 14, 15, 64])
+@pytest.mark.parametrize("prob", SWEEP_PROBLEMS, ids=["unit", "a2", "kepler"])
+def test_small_row_block_fit_matches_one_pass(rows, n, prob, monkeypatch):
+    """Blocks of a few rows: full ones, short last ones, and last ones of fewer rows than columns."""
+    monkeypatch.setattr(projective, "_ROWS", rows)
+    assert_blocked_fit_matches_one_pass(prob, n, seed=n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.25, 4.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.integers(0, 2**32 - 1))
+def test_blocked_fit_recovers_closed_form(a, log2_m_minus, log2_m_plus, seed):
+    """Masses 2^-10 to 2^10, in blocks of 7 rows: the fit stays within FIT_BOUND
+    of the whole-design fit and of the closed form."""
+    prob = Problem(2.0**log2_m_minus, 2.0**log2_m_plus, a)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projective, "_ROWS", 7)
+        got, rows = assert_blocked_fit_matches_one_pass(prob, 64, seed)
+    assert_fit_close(got, IntegralRelation(*relation_coefficients(a), got.max_residual), rows)
 
 
 # --- the sampler's reused draw buffer --------------------------------------------

@@ -55,9 +55,10 @@ def evaluators(q, p):
 
 
 def fit_on(q, p):
-    """fit_integral_relation with its sample draw replaced by (q, p)."""
+    """fit_integral_relation with its sample draw replaced by copies of (q, p),
+    since the fit overwrites its sample."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(projective, "sample_phase_points", lambda prob, n, rng: (q, p))
+        patch.setattr(projective, "sample_phase_points", lambda prob, n, rng: (q.copy(), p.copy()))
         return fit_integral_relation(PROB, ROWS)
 
 
@@ -175,7 +176,8 @@ def test_seeds_outside_the_uint64_range_are_refused():
 # Both evaluate q and p of one shape in blocks of projective._ROWS rows; they
 # must still raise what one whole-array pass raised: a non-finite component
 # anywhere before any collision-guard row.  The energy refuses Q within the
-# same guard of a scaled center, with the same error.
+# same guard of a scaled center, with the same error.  The fit refuses a row
+# whose (J, E, Theta^2) or G overflows only after a guard row in any block.
 
 BLOCK = projective._ROWS
 BLOCKED = 3 * BLOCK + 7  # three full blocks and a short last one
@@ -241,3 +243,22 @@ def test_center_ray_row_alone_is_refused(blocked_batch, name, row):
     q[row] = CENTER_RAY
     with pytest.raises(NearCollisionError):
         blocked_evaluators(q, p)[name]()
+
+
+# E grows as p^2: this row's E overflows, though every component is finite
+OVERFLOW_P = (1e200, 0.0, 0.0)
+
+
+def test_fit_refuses_an_overflow_row_in_a_block(blocked_batch):
+    q, p = blocked_batch[0], blocked_batch[1].copy()
+    p[FIRST] = OVERFLOW_P
+    with pytest.raises(InvalidInputError, match="overflows"):
+        fit_on(q, p)
+
+
+def test_guard_row_in_last_block_comes_before_overflow_row_in_first(blocked_batch):
+    q, p = (arr.copy() for arr in blocked_batch)
+    p[FIRST] = OVERFLOW_P
+    q[LAST] = (-1.0, 0.5 * COLLISION_GUARD, 0.0)
+    with pytest.raises(NearCollisionError):
+        fit_on(q, p)

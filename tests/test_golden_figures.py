@@ -37,7 +37,7 @@ VERIFY_THEOREM = {
     }),
     ("--a", "2", "--fit"): (0, {
         "ellipsoidal-energy-drift": 3.1429303604113557e-12,
-        "fit-relation": 4.973799150320701e-14,
+        "fit-relation": 2.842170943040401e-14,
         "pointwise-relation": 2.842170943040401e-14,
         "two-route-equivalence": 6.033786104385153e-10,
         "velocity-independence": 8.27320961560851e-09,

@@ -1,14 +1,14 @@
 """The million-point path holds each large array once.
 
 The sampler writes its accepted rows straight into the arrays it returns,
-and the fit releases its sample before ``np.linalg.lstsq`` makes its own copy
-of the design.  LAPACK's copy is allocated inside numpy's C wrapper, where
-tracemalloc does not see it, so the fit is checked with weak references to
-the sample instead of a traced peak.
+and the fit factors its sample a block of rows at a time, writing each
+block's (J, E, Theta^2) and G back over the sample's own rows: it holds no
+other array of the sample's length.  Its solve runs on the stacked 5 x 5
+factors of the blocks, so no LAPACK routine copies a whole design outside
+tracemalloc's view, and traced peaks bound both.
 """
 
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -17,23 +17,28 @@ from twocenter import Problem, fit_integral_relation, make_rng, sample_phase_poi
 from twocenter import projective, sampling
 
 
-@pytest.mark.parametrize("n", [64, 3 * projective._ROWS + 5])  # one pass, and row blocks
-def test_fit_releases_its_sample_before_the_solve(n, monkeypatch):
-    sample = []
-    lstsq = np.linalg.lstsq
+def traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), and what it returned."""
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, value
 
-    def recording_sampler(*args, **kwargs):
-        q, p = sample_phase_points(*args, **kwargs)
-        sample.extend((weakref.ref(q), weakref.ref(p)))
-        return q, p
 
-    def checking_lstsq(design, g, rcond=None):
-        assert sample and all(ref() is None for ref in sample), "the sample is still alive at the solve"
-        return lstsq(design, g, rcond=rcond)
-
-    monkeypatch.setattr(projective, "sample_phase_points", recording_sampler)
-    monkeypatch.setattr(np.linalg, "lstsq", checking_lstsq)
-    fit_integral_relation(Problem(1.0, 0.5, 2.0), n, seed=3)
+def test_fit_peak_is_its_sample_and_a_few_blocks():
+    """At 10^6 points the fit holds its 48 MB sample and the temporaries of
+    one block of rows; a design and G of the sample's length would add 40 MB."""
+    n = 1_000_000
+    prob = Problem(1.0, 1.0, 2.0)
+    fit_integral_relation(prob, 64)  # first-call allocations are not the fit's
+    peak, relation = traced_peak(fit_integral_relation, prob, n, 3)
+    assert relation.max_residual <= 1e-8
+    sample_bytes = 2 * n * 3 * np.dtype(float).itemsize
+    block_bytes = projective._ROWS * 5 * np.dtype(float).itemsize  # one block of rows [J, E, Theta^2, 1, G]
+    assert peak <= sample_bytes + 8 * block_bytes
 
 
 @pytest.mark.parametrize("n", [1, 1000, 100_000])
@@ -49,11 +54,6 @@ def test_sampler_peak_is_its_output_and_a_few_blocks():
     about 2.1 n rows per ball instead."""
     n = 1_000_000
     sample_phase_points(Problem(), 16, make_rng(0))  # first-call allocations are not the sampler's
-    tracemalloc.start()
-    try:
-        q, p = sample_phase_points(Problem(), n, make_rng(3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, (q, p) = traced_peak(sample_phase_points, Problem(), n, make_rng(3))
     block_bytes = sampling._BLOCK * 3 * q.itemsize
     assert peak <= q.nbytes + p.nbytes + 3 * block_bytes

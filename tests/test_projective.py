@@ -362,8 +362,9 @@ def test_fit_recovers_closed_form_at_any_mass(log_m_minus, log_m_plus, a, seed):
     drawn = []
 
     def recording_sampler(prob, n, rng):
-        drawn[:] = sample_phase_points(prob, n, rng)
-        return drawn
+        q, p = sample_phase_points(prob, n, rng)
+        drawn[:] = q.copy(), p.copy()  # the fit overwrites its sample
+        return q, p
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(projective, "sample_phase_points", recording_sampler)
