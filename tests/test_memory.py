@@ -5,7 +5,7 @@ and the fit factors its sample a block of rows at a time, writing each
 block's (J, E, Theta^2) and G back over the sample's own rows: it holds no
 other array of the sample's length.  Its solve runs on the stacked 5 x 5
 factors of the blocks, so no LAPACK routine copies a whole design outside
-tracemalloc's view, and traced peaks bound both.
+tracemalloc's view, and traced memory bounds both.
 """
 
 import tracemalloc
@@ -39,6 +39,29 @@ def test_fit_peak_is_its_sample_and_a_few_blocks():
     sample_bytes = 2 * n * 3 * np.dtype(float).itemsize
     block_bytes = projective._ROWS * 5 * np.dtype(float).itemsize  # one block of rows [J, E, Theta^2, 1, G]
     assert peak <= sample_bytes + 8 * block_bytes
+
+
+@pytest.mark.parametrize("n", [64, 3 * projective._ROWS + 5])  # one pass, and row blocks
+def test_fit_releases_its_sample_before_the_solve(n, monkeypatch):
+    """By the solve the phase points are gone: their arrays hold the rows of
+    the design, and what is traced beyond them is the last block's temporaries.
+    lstsq is handed the stacked 5 x 5 factors, not a design of the sample's length."""
+    prob = Problem(1.0, 0.5, 2.0)
+    fit_integral_relation(prob, n, 3)  # first-call allocations are not the fit's
+    blocks = -(-n // projective._ROWS)
+    at_solve = []
+    lstsq = np.linalg.lstsq
+
+    def checking_lstsq(design, g, rcond=None):
+        at_solve.append(tracemalloc.get_traced_memory()[0])
+        assert design.shape == (5 * blocks, 4) and g.shape == (5 * blocks,)
+        return lstsq(design, g, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", checking_lstsq)
+    traced_peak(fit_integral_relation, prob, n, 3)
+    sample_bytes = 2 * n * 3 * np.dtype(float).itemsize
+    block_bytes = min(n, projective._ROWS) * 5 * np.dtype(float).itemsize
+    assert at_solve and at_solve[-1] <= sample_bytes + 2 * block_bytes + 16 * 1024  # 16 KiB of Python objects
 
 
 @pytest.mark.parametrize("n", [1, 1000, 100_000])
