@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import Guard, RhsTemplate
-from .dynamics import CENTER_DISTANCE_LINES, Problem, acceleration, first_integrals, on_columns
+from .dynamics import CENTER_DISTANCE_LINES, INTEGRALS, Problem, acceleration, first_integrals, on_columns
 from .errors import InvalidInputError, RankDeficientError
 from .geometry import check_finite, check_lift, columns, embed, pair_columns, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
@@ -48,7 +48,7 @@ from .sampling import make_rng, sample_phase_points
 _FD_STEP = 1e-5
 _INDEPENDENCE_VELOCITIES = 10
 
-_ROWS = 16384  # rows per block of the relation residual and the fit: temporaries stay in L2
+_ROWS = 16384  # rows per block of the relation residual and per chunk of the fit's draw: temporaries stay in L2
 
 
 @dataclass(frozen=True)
@@ -155,38 +155,31 @@ def relation_coefficients(a: float) -> tuple[float, float, float, float]:
     return 2.0 / s, 1.0 / s, -(a * a) / (s * s), 0.0
 
 
-def _row_blocks(q, p, prob: Problem):
-    """Yield (rows, J, Theta, E, G) of (q, p), validated, a block of rows at a time.
+def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
+    """G(lift(q, p)) - (l_J J + l_E E + l_T2 Theta^2), zero up to roundoff;
+    the coefficients come from :func:`relation_coefficients`.
 
     q and p of one shape with more than ``_ROWS`` rows are checked finite whole,
-    then evaluated in blocks (``rows`` slices their flattened leading axes),
-    copied column-major so that the temporaries stay in cache; bit-identical to
-    one pass.  Other inputs give one block, ``rows`` = ``...``, in one pass."""
+    then a block of rows at a time, copied column-major so that the temporaries
+    stay in cache, goes to the template columns unchecked; bit-identical to one pass."""
+    lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
+
+    def residual(q, p, j, theta, e):
+        return _lifted_energy(q, p, prob) - (lam_j * j + lam_e * e + lam_t2 * np.square(theta))
+
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape != p.shape or q.shape[-1:] != (3,) or q.size <= 3 * _ROWS:
-        yield ..., *first_integrals(q, p, prob), _lifted_energy(q, p, prob)  # validates q and p
-        return
+        return residual(q, p, *first_integrals(q, p, prob))  # validates q and p
     check_finite(q, "q")
     check_finite(p, "p")
+    out = np.empty(q.shape[:-1])
     q, p = q.reshape(-1, 3), p.reshape(-1, 3)
     for start in range(0, len(q), _ROWS):
         rows = slice(start, start + _ROWS)
         q_rows, p_rows = np.asfortranarray(q[rows]), np.asfortranarray(p[rows])
-        yield rows, *first_integrals(q_rows, p_rows, prob), _lifted_energy(q_rows, p_rows, prob)
-
-
-def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """G(lift(q, p)) - (l_J J + l_E E + l_T2 Theta^2), zero up to roundoff;
-    the coefficients come from :func:`relation_coefficients`.  Large batches
-    are evaluated in cache-sized row blocks, bit-identical to one pass."""
-    lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
-    out = np.empty(np.shape(q)[:-1])  # filled block by block; one pass returns its own array
-    for rows, j, theta, e, g in _row_blocks(q, p, prob):
-        residual = g - (lam_j * j + lam_e * e + lam_t2 * np.square(theta))
-        if rows is ...:
-            return residual
-        out.reshape(-1)[rows] = residual
+        integrals = on_columns(INTEGRALS, prob, *columns(q_rows, 3, "q"), *columns(p_rows, 3, "p"))
+        out.reshape(-1)[rows] = residual(q_rows, p_rows, *integrals)
     return out
 
 
@@ -195,30 +188,34 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
 
     Independent cross-check of :func:`relation_coefficients`: the fit
     residual sits at roundoff and the coefficients match the closed form to
-    about 1e-13 at unit masses.  Each cache-sized block of rows [J, E,
-    Theta^2, 1, G] (bit-identical to one pass) is reduced to its 5 x 5 QR
-    factor and written over its rows of the fit's own sample, kept for the
-    residual.  The stacked factors have the singular values of the whole
-    design; they are solved with each column scaled by its largest
+    about 1e-13 at unit masses.  The sample is drawn from one seeded stream
+    in chunks of ``_ROWS`` points, so a fit of at most ``_ROWS`` points draws
+    it with one ``sample_phase_points`` call.  Each chunk is checked, its rows
+    [J, E, Theta^2, 1, G] are reduced to their 5 x 5 QR factor, and its
+    [J, E, Theta^2, G] are kept for the residual, 32 B per point; no array
+    has the sample's length.  The stacked factors have the singular values of
+    the whole design; they are solved with each column scaled by its largest
     magnitude, so the fit keeps full rank at any mass.  G carries roundoff of
     about mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size
-    one) can be recovered.  A rank-deficient draw is resampled up to 5 times;
-    a draw whose rows overflow (E grows as a^2 p^2) is refused once every
-    block has passed the collision guard.
+    one) can be recovered.  A rank-deficient draw is resampled from the same
+    stream up to 5 times; a draw whose rows overflow (E grows as a^2 p^2) is
+    refused once every chunk has passed the collision guard.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
     rng = make_rng(seed)
     for _ in range(5):
-        q, p = sample_phase_points(prob, sample_count, rng)
-        factors = []
+        # kept holds each chunk's rows [J, E, Theta^2, G] for the residual, one array per
+        # chunk: one (n, 4) array, freed by every fit, at times left glibc's heap that much larger
+        factors, kept = [], []
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
-            for rows, j, theta, e, g in _row_blocks(q, p, prob):
-                block = np.stack((j, e, np.square(theta), np.ones_like(j), g), axis=-1)
+            for start in range(0, sample_count, _ROWS):
+                q, p = sample_phase_points(prob, min(_ROWS, sample_count - start), rng)
+                j, theta, e = first_integrals(q, p, prob)  # checks the chunk
+                block = np.stack((j, e, np.square(theta), np.ones_like(j), _lifted_energy(q, p, prob)), axis=-1)
                 # an overflowing block is refused after the loop, so that a guard row in a later one wins
                 factors.append(np.linalg.qr(block, mode="r") if np.isfinite(block).all() else np.full((1, 5), np.inf))
-                q[rows] = block[:, :3]
-                p[rows, 0] = g
+                kept.append(block[:, (0, 1, 2, 4)])
             r = np.concatenate(factors)
             if not np.isfinite(r).all():
                 raise InvalidInputError(f"(J, E, Theta^2) or G overflows on the fit's sample of {prob}")
@@ -230,8 +227,7 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
             if rank < 4:
                 continue
             coeffs /= scale
-            residual = max(float(np.max(np.abs(q[k:k + _ROWS] @ coeffs[:3] + coeffs[3] - p[k:k + _ROWS, 0])))
-                           for k in range(0, sample_count, _ROWS))
+            residual = max(float(np.max(np.abs(rows[:, :3] @ coeffs[:3] + coeffs[3] - rows[:, 3]))) for rows in kept)
         return IntegralRelation(*map(float, coeffs), residual)
     raise RankDeficientError("sample set stayed rank deficient after 5 resampling attempts")
 

@@ -12,12 +12,14 @@ with weights 1/2 and 1/4.  The batched finite-difference oracle must
 reproduce, bit for bit, the loop that differenced one state at a time, and
 the velocity-independence check's batched field the per-state projection.
 The relation residual, which evaluates large batches in row blocks, must
-reproduce the whole-array pass, and so must the rows the fit factors block
-by block; its blocked solve must agree with the whole-design least squares
-to a stated bound.  The sampler, which draws into one reused buffer, must
+reproduce the whole-array pass; the rows the fit factors and keeps, chunk by
+chunk of its draw, must be the whole-array evaluators' on each chunk, and its
+blocked solve must agree with the whole-design least squares to a stated
+bound.  The sampler, which draws into one reused buffer, must
 reproduce the draws of ``rng.uniform``.
 """
 
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -426,10 +428,11 @@ def test_velocity_independence_field_matches_point_loop(a, monkeypatch):
     assert np.array_equal(-seen[-1], looped)
 
 
-# --- row blocks of the relation residual and the fit ------------------------------
-# relation_residual and fit_integral_relation evaluate q and p of one shape
-# in blocks of projective._ROWS rows; the oracle is the whole-array code they
-# replaced, through the public whole-array evaluators.
+# --- row blocks of the relation residual and chunks of the fit ---------------------
+# relation_residual evaluates q and p of one shape in blocks of projective._ROWS
+# rows, and fit_integral_relation draws and evaluates its sample in chunks of as
+# many points; the oracle is the public whole-array evaluators, on the whole
+# batch and on each chunk.
 
 ROWS = projective._ROWS
 
@@ -448,44 +451,45 @@ def fit_rows(q, p, prob):
     return np.column_stack((j, e, theta**2, np.ones_like(j), g))
 
 
-def parent_fit(prob, sample_count, seed):
-    """The whole-design fit, SVD of unit-norm columns; also returns the rows it solved."""
-    rng = make_rng(seed)
-    for _ in range(5):
-        q, p = sample_phase_points(prob, sample_count, rng)
-        rows = fit_rows(q, p, prob)
-        design, g = rows[:, :4].copy(), rows[:, 4]
-        scale = np.sqrt(np.einsum("ij,ij->j", design, design))
-        scale[scale == 0.0] = 1.0
-        design /= scale
-        coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
-        if rank < 4:
-            continue
-        residual = float(np.max(np.abs(design @ coeffs - g)))
-        return IntegralRelation(*map(float, coeffs / scale), residual), rows
-    raise AssertionError("rank deficient")
+def parent_fit(rows):
+    """The whole-design fit of the rows [J, E, Theta^2, 1, G], SVD of unit-norm columns."""
+    design, g = rows[:, :4].copy(), rows[:, 4]
+    scale = np.sqrt(np.einsum("ij,ij->j", design, design))
+    scale[scale == 0.0] = 1.0
+    design /= scale
+    coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
+    assert rank == 4
+    residual = float(np.max(np.abs(design @ coeffs - g)))
+    return IntegralRelation(*map(float, coeffs / scale), residual)
 
 
 def recorded_fit(prob, sample_count, seed):
-    """fit_integral_relation, with the rows of the blocks it factored and the
-    sample it overwrote, both of its last draw."""
-    blocks, drawn = [], []
-    qr = np.linalg.qr
+    """fit_integral_relation, with the chunks its sampler returned (all draws),
+    and of its last draw the blocks it factored and the rows it kept."""
+    chunks, blocks, kept = [], [], []
+    sample, qr, lstsq = sample_phase_points, np.linalg.qr, np.linalg.lstsq
 
     def recording_sampler(prob, n, rng):
-        blocks.clear()
-        drawn[:] = sample_phase_points(prob, n, rng)
-        return drawn
+        q, p = sample(prob, n, rng)
+        chunks.append((q.copy(), p.copy()))
+        return q, p
 
     def recording_qr(block, mode):
         blocks.append(block.copy())
         return qr(block, mode=mode)
 
+    def recording_lstsq(*args, **kwargs):
+        # the fit's rows [J, E, Theta^2, G] of each chunk, complete by its solve; its residual reads them next
+        kept[:] = [sys._getframe(1).f_locals["kept"]]
+        return lstsq(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(projective, "sample_phase_points", recording_sampler)
         patch.setattr(np.linalg, "qr", recording_qr)
+        patch.setattr(np.linalg, "lstsq", recording_lstsq)
         relation = fit_integral_relation(prob, sample_count, seed)
-    return relation, np.concatenate(blocks), drawn
+    per_draw = -(-sample_count // projective._ROWS)
+    return relation, chunks, blocks[-per_draw:], kept[0]
 
 
 # The blocked QR solve and the whole-design SVD round differently.  Each
@@ -502,13 +506,22 @@ def assert_fit_close(got, want, rows):
 
 
 def assert_blocked_fit_matches_one_pass(prob, n, seed):
-    """The fit factors the rows, bit for bit, of one whole-array pass, leaves
-    them in its sample, and solves them as the whole design did, to FIT_BOUND."""
-    want, want_rows = parent_fit(prob, n, seed)
-    got, rows, (q, p) = recorded_fit(prob, n, seed)
-    assert rows.shape == (n, 5) and np.array_equal(rows, want_rows)
-    assert np.array_equal(q, rows[:, :3]) and np.array_equal(p[:, 0], rows[:, 4])
-    assert_fit_close(got, want, rows)
+    """The fit draws its sample in chunks of _ROWS points from one make_rng(seed)
+    stream; it factors, and keeps, the rows that the whole-array evaluators give
+    on each chunk, bit for bit, and solves them as the whole design did, to FIT_BOUND."""
+    got, chunks, blocks, kept = recorded_fit(prob, n, seed)
+    sizes = [min(projective._ROWS, n - start) for start in range(0, n, projective._ROWS)]
+    rng = make_rng(seed)
+    for q, p in chunks:  # every draw, in order, from the one stream
+        want_q, want_p = sample_phase_points(prob, len(q), rng)
+        assert np.array_equal(q, want_q) and np.array_equal(p, want_p)
+    last_draw = chunks[-len(sizes):]
+    assert [len(q) for q, _ in last_draw] == sizes
+    rows = [fit_rows(q, p, prob) for q, p in last_draw]
+    assert len(blocks) == len(rows) and all(np.array_equal(b, r) for b, r in zip(blocks, rows))
+    rows = np.concatenate(rows)
+    assert [len(k) for k in kept] == sizes and np.array_equal(np.concatenate(kept), rows[:, [0, 1, 2, 4]])
+    assert_fit_close(got, parent_fit(rows), rows)
     return got, rows
 
 
@@ -609,6 +622,23 @@ def test_blocked_fit_recovers_closed_form(a, log2_m_minus, log2_m_plus, seed):
         patch.setattr(projective, "_ROWS", 7)
         got, rows = assert_blocked_fit_matches_one_pass(prob, 64, seed)
     assert_fit_close(got, IntegralRelation(*relation_coefficients(a), got.max_residual), rows)
+
+
+@pytest.mark.parametrize("n", [8, 4096, ROWS - 1, ROWS])
+@pytest.mark.parametrize("prob", SWEEP_PROBLEMS, ids=["unit", "a2", "kepler"])
+def test_fit_of_one_chunk_is_the_fit_on_one_draw(n, prob):
+    """Up to _ROWS points (every CLI fit) the fit draws its whole sample with one
+    sample_phase_points call, so it is the fit on that sample, exactly."""
+    q, p = sample_phase_points(prob, n, make_rng(n))
+
+    def the_sample(prob, count, rng):
+        assert count == n
+        return q, p
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projective, "sample_phase_points", the_sample)
+        want = fit_integral_relation(prob, n, n)
+    assert astuple(fit_integral_relation(prob, n, n)) == astuple(want)
 
 
 # --- the sampler's reused draw buffer --------------------------------------------

@@ -55,11 +55,18 @@ def evaluators(q, p):
 
 
 def fit_on(q, p):
-    """fit_integral_relation with its sample draw replaced by copies of (q, p),
-    since the fit overwrites its sample."""
+    """fit_integral_relation on len(q) points, its sampler stubbed to hand out
+    successive slices of (q, p) as the chunks it asks for."""
+    drawn = 0
+
+    def slices(prob, n, rng):
+        nonlocal drawn
+        drawn += n
+        return q[drawn - n:drawn], p[drawn - n:drawn]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(projective, "sample_phase_points", lambda prob, n, rng: (q.copy(), p.copy()))
-        return fit_integral_relation(PROB, ROWS)
+        patch.setattr(projective, "sample_phase_points", slices)
+        return fit_integral_relation(PROB, len(q))
 
 
 PAIR_EVALUATORS = {
@@ -173,11 +180,14 @@ def test_seeds_outside_the_uint64_range_are_refused():
 
 
 # --- error order across the row blocks of relation_residual and the fit ----------
-# Both evaluate q and p of one shape in blocks of projective._ROWS rows; they
-# must still raise what one whole-array pass raised: a non-finite component
-# anywhere before any collision-guard row.  The energy refuses Q within the
-# same guard of a scaled center, with the same error.  The fit refuses a row
-# whose (J, E, Theta^2) or G overflows only after a guard row in any block.
+# relation_residual evaluates q and p of one shape in blocks of projective._ROWS
+# rows; it must still raise what one whole-array pass raised: a non-finite
+# component anywhere before any collision-guard row.  The fit draws its
+# sample in chunks of as many points and checks each chunk before evaluating
+# it, so it refuses a non-finite row before a guard row of the same chunk or a
+# later one.  The energy refuses Q within the same guard of a scaled center,
+# with the same error.  The fit refuses a row whose (J, E, Theta^2) or G
+# overflows only after a guard row in any chunk.
 
 BLOCK = projective._ROWS
 BLOCKED = 3 * BLOCK + 7  # three full blocks and a short last one
@@ -209,7 +219,7 @@ def test_center_ray_row_is_outside_the_guard():
         relation_residual(q, np.zeros((1, 3)), PROB)
 
 
-@pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))
+@pytest.mark.parametrize("name", ["relation_residual"])  # the fit's order is by chunk, below
 @pytest.mark.parametrize("which", ["q", "p"])
 def test_nonfinite_row_in_last_block_comes_before_guard_row_in_first(blocked_batch, name, which):
     q, p = (arr.copy() for arr in blocked_batch)
@@ -217,6 +227,19 @@ def test_nonfinite_row_in_last_block_comes_before_guard_row_in_first(blocked_bat
     (q if which == "q" else p)[LAST, 2] = np.nan
     with pytest.raises(InvalidInputError, match=which):
         blocked_evaluators(q, p)[name]()
+
+
+@pytest.mark.parametrize("row, error", [(FIRST + 1, InvalidInputError), (LAST, NearCollisionError)],
+                         ids=["same-chunk", "later-chunk"])
+@pytest.mark.parametrize("which", ["q", "p"])
+def test_fit_refuses_chunks_in_draw_order(blocked_batch, which, row, error):
+    """A non-finite row comes before a guard row of its own chunk, and after
+    one of an earlier chunk: the fit evaluates a chunk before it draws the next."""
+    q, p = (arr.copy() for arr in blocked_batch)
+    q[FIRST] = (1.0 + 0.5 * COLLISION_GUARD, 0.0, 0.0)
+    (q if which == "q" else p)[row, 2] = np.nan
+    with pytest.raises(error, match=which if error is InvalidInputError else "attracting center"):
+        fit_on(q, p)
 
 
 @pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))

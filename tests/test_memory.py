@@ -1,11 +1,11 @@
 """The million-point path holds each large array once.
 
-The sampler writes its accepted rows straight into the arrays it returns,
-and the fit factors its sample a block of rows at a time, writing each
-block's (J, E, Theta^2) and G back over the sample's own rows: it holds no
-other array of the sample's length.  Its solve runs on the stacked 5 x 5
-factors of the blocks, so no LAPACK routine copies a whole design outside
-tracemalloc's view, and traced memory bounds both.
+The sampler writes its accepted rows straight into the arrays it returns.
+The fit draws its sample a chunk of rows at a time and keeps only each
+chunk's rows [J, E, Theta^2, G], 32 B per point: it makes no array of the
+sample's length.  Its solve runs on the stacked 5 x 5 factors of the
+chunks, so no LAPACK routine copies a whole design outside tracemalloc's
+view, and traced memory bounds both.
 """
 
 import tracemalloc
@@ -28,24 +28,24 @@ def traced_peak(fn, *args):
     return peak, value
 
 
-def test_fit_peak_is_its_sample_and_a_few_blocks():
-    """At 10^6 points the fit holds its 48 MB sample and the temporaries of
-    one block of rows; a design and G of the sample's length would add 40 MB."""
+def test_fit_peak_is_its_kept_rows_and_a_few_chunks():
+    """At 10^6 points the fit holds its 32 MB of kept rows and the temporaries
+    of one chunk; a whole sample of q and p would add 48 MB (measured: 35.8 MB)."""
     n = 1_000_000
     prob = Problem(1.0, 1.0, 2.0)
     fit_integral_relation(prob, 64)  # first-call allocations are not the fit's
     peak, relation = traced_peak(fit_integral_relation, prob, n, 3)
     assert relation.max_residual <= 1e-8
-    sample_bytes = 2 * n * 3 * np.dtype(float).itemsize
-    block_bytes = projective._ROWS * 5 * np.dtype(float).itemsize  # one block of rows [J, E, Theta^2, 1, G]
-    assert peak <= sample_bytes + 8 * block_bytes
+    kept_bytes = n * 4 * np.dtype(float).itemsize  # rows [J, E, Theta^2, G]
+    block_bytes = projective._ROWS * 5 * np.dtype(float).itemsize  # one chunk's rows [J, E, Theta^2, 1, G]
+    assert peak <= kept_bytes + 8 * block_bytes
 
 
-@pytest.mark.parametrize("n", [64, 3 * projective._ROWS + 5])  # one pass, and row blocks
+@pytest.mark.parametrize("n", [64, 3 * projective._ROWS + 5])  # one chunk, and four
 def test_fit_releases_its_sample_before_the_solve(n, monkeypatch):
-    """By the solve the phase points are gone: their arrays hold the rows of
-    the design, and what is traced beyond them is the last block's temporaries.
-    lstsq is handed the stacked 5 x 5 factors, not a design of the sample's length."""
+    """By the solve only the last chunk of the sample is held, beside the kept
+    rows [J, E, Theta^2, G]; lstsq is handed the stacked 5 x 5 factors, not a
+    design of the sample's length."""
     prob = Problem(1.0, 0.5, 2.0)
     fit_integral_relation(prob, n, 3)  # first-call allocations are not the fit's
     blocks = -(-n // projective._ROWS)
@@ -59,9 +59,9 @@ def test_fit_releases_its_sample_before_the_solve(n, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", checking_lstsq)
     traced_peak(fit_integral_relation, prob, n, 3)
-    sample_bytes = 2 * n * 3 * np.dtype(float).itemsize
+    kept_bytes = n * 4 * np.dtype(float).itemsize
     block_bytes = min(n, projective._ROWS) * 5 * np.dtype(float).itemsize
-    assert at_solve and at_solve[-1] <= sample_bytes + 2 * block_bytes + 16 * 1024  # 16 KiB of Python objects
+    assert at_solve and at_solve[-1] <= kept_bytes + 2 * block_bytes + 16 * 1024  # 16 KiB of Python objects
 
 
 @pytest.mark.parametrize("n", [1, 1000, 100_000])

@@ -361,10 +361,9 @@ def test_fit_recovers_closed_form_at_any_mass(log_m_minus, log_m_plus, a, seed):
     prob = Problem(10.0**log_m_minus, 10.0**log_m_plus, a)
     drawn = []
 
-    def recording_sampler(prob, n, rng):
-        q, p = sample_phase_points(prob, n, rng)
-        drawn[:] = q.copy(), p.copy()  # the fit overwrites its sample
-        return q, p
+    def recording_sampler(prob, n, rng):  # 64 points: the fit's one draw
+        drawn[:] = sample_phase_points(prob, n, rng)
+        return drawn
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(projective, "sample_phase_points", recording_sampler)
