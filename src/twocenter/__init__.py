@@ -19,7 +19,7 @@ from .dynamics import (
     kepler_limit_residual,
 )
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
-from .geometry import check_finite, embed, project, star_inner, star_norm
+from .geometry import check_finite, project, star_inner, star_norm
 from .integrate import (
     DriftReport,
     IntegratorConfig,
@@ -60,7 +60,6 @@ __all__ = [
     "check_finite",
     "cubic_hermite",
     "drift_report",
-    "embed",
     "energy_arrays",
     "euler_integral",
     "fd_tangential_acceleration",

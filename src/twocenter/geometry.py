@@ -76,19 +76,22 @@ def star_inner(u: np.ndarray, v: np.ndarray, prob: Problem) -> float | np.ndarra
     return np.sum(prob.weights * u * v, axis=-1)
 
 
-def embed(q3: np.ndarray) -> np.ndarray:
-    """Embed 3-vectors (..., 3) into the affine slice w = 1 of R^4."""
-    q3 = np.asarray(q3, dtype=float)
-    return np.concatenate([q3, np.ones(q3.shape[:-1] + (1,))], axis=-1)
+def project_columns(x, y, z, wyz):
+    """Column form of the projection: ((Q_x, Q_y, Q_z, Q_w), n) for q's columns
+    x, y, z, with n = |(q, 1)|_* and Q = (q, 1)/n, the one division.
 
-
-def check_lift(norm, x, y, z) -> None:
-    """Refuse, naming the first, a q whose |(q, 1)|_* (``norm``, or its square,
-    from q's columns x, y, z) overflowed: its projected point would be lost."""
-    finite = np.isfinite(norm)
+    ``wyz`` is 1/(1+a^2).  The sum keeps the left-to-right order of the
+    weighted reduction ``star_norm`` on (q, 1).  A q whose |(q, 1)|_*^2
+    overflows is refused, naming the first: its projected point would be lost.
+    """
+    with np.errstate(over="ignore"):
+        n2 = x * x + wyz * y * y + wyz * z * z + 1.0
+    finite = np.isfinite(n2)
     if not finite.all():
         row = np.unravel_index(np.argmin(finite), finite.shape)
         raise InvalidInputError(f"|(q, 1)|_* overflows at q = {[float(c[row]) for c in (x, y, z)]}")
+    n = np.sqrt(n2)
+    return (x / n, y / n, z / n, 1.0 / n), n
 
 
 def project(q3: np.ndarray, prob: Problem) -> np.ndarray:
@@ -96,18 +99,9 @@ def project(q3: np.ndarray, prob: Problem) -> np.ndarray:
 
     Each (q, 1) is divided by its norm, which is positive because w = 1, so
     the (..., 4) result lies on the W > 0 sheet; a q whose norm overflows
-    is refused (:func:`check_lift`).  The quotient is divided by
-    its own norm once more.  That moves only last bits, but the recorded
-    figures and trajectory hashes were taken with it: without it for the
-    field points alone, the a = 2 velocity-independence figure moves from
-    8.27320961560851e-09 to 8.27320644726578e-09.
+    is refused (:func:`project_columns`).
     """
     q3 = np.asarray(q3, dtype=float)
     q_columns = columns(q3, 3, "q")
     check_finite(q3, "q")
-    big_q = embed(q3)
-    with np.errstate(over="ignore"):
-        norm = star_norm(big_q, prob)
-    check_lift(norm, *q_columns)
-    big_q = big_q / np.expand_dims(norm, -1)
-    return big_q / np.expand_dims(star_norm(big_q, prob), -1)
+    return np.stack(project_columns(*q_columns, prob.wyz)[0], axis=-1)

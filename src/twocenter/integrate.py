@@ -1,7 +1,7 @@
 """Adaptive explicit integration with invariant-drift diagnostics.
 
 Both the planar two-center system and the intrinsic ellipsoid system are
-integrated with the Dormand-Prince 5(4) embedded pair (seven stages, FSAL)
+integrated with the Dormand-Prince 5(4) pair (seven stages, FSAL)
 under PI step-size control (Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.4-II.5).  The output grid is the accepted steps; each sample carries the
 problem's first integrals (planar runs) or the ellipsoidal energy and
@@ -62,7 +62,7 @@ import numpy as np
 from .codegen import RhsTemplate, compile_function, compile_kernel
 from .dynamics import INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, on_columns, rhs_params
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import check_finite, project
+from .geometry import check_finite
 from .projective import ENERGY, INTRINSIC_RHS, lift_arrays
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
@@ -372,10 +372,10 @@ def integrate_ellipsoid(
 ) -> Trajectory:
     """Integrate the intrinsic ellipsoid system in the reparametrized time.
 
-    The run starts from the lift of the planar ``start``: Q = ``project(q)``
-    and Q' from :func:`lift_arrays`.  The lift refuses a q whose |(q, 1)|_*
-    overflows, as the projected point would be lost, and the run a p whose
-    lifted Q' overflows; neither lets numpy warn.  After every accepted
+    The run starts from the lift of the planar ``start``, (Q, Q') of one
+    :func:`lift_arrays` call, whose Q is ``project(q)``.  The lift refuses a
+    q whose |(q, 1)|_* overflows, as the projected point would be lost, and
+    the run a p whose lifted Q' overflows; neither lets numpy warn.  After every accepted
     step the state is projected back onto the manifold and tangent space;
     the recorded residual diagnostics are the pre-projection values, i.e.
     what the integrator actually produced.
@@ -384,10 +384,10 @@ def integrate_ellipsoid(
     if not math.isfinite(tau_end) or tau_end <= 0.0:
         raise InvalidInputError(f"tau_end must be positive, got {tau_end!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        qp0 = lift_arrays(start.q, start.p, prob)[1]  # refuses a q whose |(q, 1)|_* overflows
+        big_q0, qp0 = lift_arrays(start.q, start.p, prob)  # refuses a q whose |(q, 1)|_* overflows
     if not np.isfinite(qp0).all():
         raise InvalidInputError(f"the lifted velocity Q' overflows at p = {start.p.tolist()}")
-    y0 = [*project(start.q, prob).tolist(), *qp0.tolist()]
+    y0 = [*big_q0.tolist(), *qp0.tolist()]
     run = _make_run(INTRINSIC_RHS, renormalize=True)
     times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     states = _floats(states).reshape(-1, 8)

@@ -25,9 +25,8 @@ A projected state is held only as the (..., 4) arrays (Q, Q') that
 projection maps the slice one-to-one onto the W > 0 sheet, and its
 differential maps velocities onto the tangent space, so every state on the
 ellipsoid is the lift of exactly one (q, p).  The intrinsic ODE is the
-template ``INTRINSIC_RHS``, evaluated through ``dynamics.kernel``; G is the
-template ``ENERGY``, which shares its distance, guard and |Q'|_*^2 lines, on
-numpy columns.
+template ``INTRINSIC_RHS``; G is the template ``ENERGY``, which shares its
+distance, guard and |Q'|_*^2 lines.  Both are evaluated on numpy columns.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 from .codegen import Guard, RhsTemplate
 from .dynamics import CENTER_DISTANCE_LINES, INTEGRALS, Problem, acceleration, first_integrals, on_columns
 from .errors import InvalidInputError, RankDeficientError
-from .geometry import check_finite, check_lift, columns, embed, pair_columns, star_inner, star_norm
+from .geometry import check_finite, columns, pair_columns, project_columns, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
 
 # Finite-difference step in t of the oracle for the tangential field, and the
@@ -65,17 +64,13 @@ class IntegralRelation:
 def _lift_columns(x, y, z, px, py, pz, wyz):
     """Column form of the lift: (Q_x, Q_y, Q_z, Q_w, Q'_x, Q'_y, Q'_z, Q'_w), the state of ``ENERGY``.
 
-    The sums keep the left-to-right order of the weighted (..., 4)
-    reductions ``star_norm``/``star_inner`` on the embedded (q, 1) and
-    (p, 0), so the values are bit-identical to them.  The "+ 0.0" is the W
-    term Q_w * 0 of that sum: it turns a radial part of -0.0 into +0.0.
-    A q whose |(q, 1)|_*^2 overflows is refused (``check_lift``).
+    Q and n = |(q, 1)|_* are :func:`geometry.project_columns`, which refuses
+    a q whose norm overflows.  The radial sum keeps the left-to-right order
+    of the weighted reduction ``star_inner`` on Q and (p, 0), so it is
+    bit-identical to it.  The "+ 0.0" is the W term Q_w * 0 of that sum: it
+    turns a radial part of -0.0 into +0.0.
     """
-    with np.errstate(over="ignore"):
-        n2 = x * x + wyz * y * y + wyz * z * z + 1.0
-    check_lift(n2, x, y, z)
-    n = np.sqrt(n2)
-    big_q = (x / n, y / n, z / n, 1.0 / n)
+    big_q, n = project_columns(x, y, z, wyz)
     qx, qy, qz, _ = big_q
     radial = qx * px + wyz * qy * py + wyz * qz * pz + 0.0
     return (*big_q, px * n - x * radial, py * n - y * radial, pz * n - z * radial, 0.0 - radial)
@@ -84,8 +79,8 @@ def _lift_columns(x, y, z, px, py, pz, wyz):
 def lift_arrays(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Batched projection and tau-velocity: Q = q/|q|_*, Q' = qdot |q|_* - q (Q, qdot)_*.
 
-    ``q`` and ``p`` have shape (..., 3) and are embedded as (q, 1) and
-    (p, 0); returns (Q, Q') with shape (..., 4).  A q whose |(q, 1)|_*
+    ``q`` and ``p`` have shape (..., 3) and stand for (q, 1) and (p, 0)
+    of R^4; returns (Q, Q') with shape (..., 4).  A q whose |(q, 1)|_*
     overflows raises :class:`InvalidInputError`, naming the first such q.
     """
     lifted = _lift_columns(*pair_columns(q, p), prob.wyz)
@@ -250,12 +245,12 @@ def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> n
     """Tangential Q'' obtained by differencing the lifted planar flow.
 
     Independent oracle for the tangential field, ``INTRINSIC_RHS`` at
-    Q' = 0 (``kernel(INTRINSIC_RHS, prob)``): the planar system is
-    advanced by +-``_FD_STEP`` with single RK4 steps, the lifted velocities
-    are centrally differenced in t, and the chain rule dtau/dt = 1/|q|_*^2
-    converts to the intrinsic time.  Batched over (..., 3) states, each
-    bit-identical to evaluating it alone; an overflow (masses near the float
-    range) raises ``FloatingPointError`` instead of returning non-finite values.
+    Q' = 0: the planar system is advanced by +-``_FD_STEP`` with single RK4
+    steps, the lifted velocities are centrally differenced in t, and the
+    chain rule dtau/dt = W^2, the height of the projected Q, converts to the
+    intrinsic time.  Batched over (..., 3) states, each bit-identical to
+    evaluating it alone; an overflow (masses near the float range) raises
+    ``FloatingPointError`` instead of returning non-finite values.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -264,10 +259,9 @@ def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> n
         q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -_FD_STEP)
         _, qp_fwd = lift_arrays(q_fwd, p_fwd, prob)
         _, qp_bwd = lift_arrays(q_bwd, p_bwd, prob)
-        # pow, as the single-point form's float ** 2 was, not a product
-        n2 = np.float_power(star_norm(embed(q), prob), 2)[..., None]
-        qpp = n2 * (qp_fwd - qp_bwd) / (2.0 * _FD_STEP)
         big_q, _ = lift_arrays(q, p, prob)
+        w = big_q[..., 3:]
+        qpp = (qp_fwd - qp_bwd) / (2.0 * _FD_STEP * (w * w))
         return qpp - star_inner(big_q, qpp, prob)[..., None] * big_q
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Problem, kepler_limit_residual, kernel
+from .dynamics import PhasePoint, Problem, kepler_limit_residual, on_columns
 from .errors import InvalidInputError
 from .geometry import project, star_norm
 from .integrate import IntegratorConfig, Trajectory, cubic_hermite, drift_report, integrate_planar
@@ -147,8 +147,9 @@ def check_velocity_independence(prob: Problem, seed: int = 42) -> CheckResult:
     overflow of the finite-difference oracle fails it with measured inf."""
     name = "velocity-independence"
     qs, ps = sample_phase_points(prob, _INDEPENDENCE_STATES, make_rng(seed), q_radius=3.0, min_center_distance=0.5)
-    rhs = kernel(INTRINSIC_RHS, prob)  # at Q' = 0 it is the tangential field
-    field = np.array([rhs((*point, 0.0, 0.0, 0.0, 0.0))[4:] for point in project(qs, prob).tolist()])
+    # the tangential field is INTRINSIC_RHS at Q' = 0; like the scalar kernel, it overflows silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = np.stack(on_columns(INTRINSIC_RHS, prob, *project(qs, prob).T, 0.0, 0.0, 0.0, 0.0)[4:], axis=-1)
     try:
         with np.errstate(over="raise"):
             spread = velocity_independence_residual(np.array([0.0, 1.0, 0.0]), prob, seed=seed)

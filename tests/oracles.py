@@ -24,3 +24,9 @@ def lifted_speed_squared(q, p, prob):
         + w * w * (y * zd - z * yd) ** 2
         + w * (z * xd - x * zd) ** 2
     )
+
+
+def slice_point(q):
+    """(q, 1): points q of shape (..., 3) as points of the slice w = 1 of R^4."""
+    q = np.asarray(q, dtype=float)
+    return np.concatenate([q, np.ones(q.shape[:-1] + (1,))], axis=-1)

@@ -12,7 +12,6 @@ import numpy as np
 from twocenter import (
     PhasePoint,
     Problem,
-    embed,
     energy_arrays,
     fit_integral_relation,
     integrate_ellipsoid,
@@ -37,7 +36,7 @@ from twocenter.verify import (
     check_velocity_independence,
 )
 
-from oracles import lifted_speed_squared
+from oracles import lifted_speed_squared, slice_point
 
 EQUAL = Problem(1.0, 1.0, 1.0)
 DEFAULT_START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
@@ -137,7 +136,7 @@ def test_criterion_8_geometry_suite():
     qs = rng.uniform(-10, 10, size=(1000, 3))
     points = project(qs, prob)
     # duality: the projected height W times the source norm |(q, 1)|_* is 1
-    worst_duality = float(np.max(np.abs(points[:, 3] * star_norm(embed(qs), prob) - 1.0)))
+    worst_duality = float(np.max(np.abs(points[:, 3] * star_norm(slice_point(qs), prob) - 1.0)))
     ok_duality = _report("8a duality residual", worst_duality, 1e-13)
 
     # the inverse projection Q -> Q / W, then project again

@@ -251,11 +251,13 @@ def test_guard_row_in_last_block_is_refused(blocked_batch, name):
 
 
 @pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))
-def test_guard_row_in_last_block_comes_before_center_ray_in_first(blocked_batch, name):
+def test_center_ray_in_first_block_comes_before_guard_row_in_last(blocked_batch, name):
+    """Both evaluators raise the first block's scaled-center refusal, not the
+    planar guard's of the last block."""
     q, p = blocked_batch[0].copy(), blocked_batch[1]
     q[FIRST] = CENTER_RAY
     q[LAST] = (-1.0, 0.5 * COLLISION_GUARD, 0.0)
-    with pytest.raises(NearCollisionError):
+    with pytest.raises(NearCollisionError, match="ellipsoid point within 1e-08 of a scaled center"):
         blocked_evaluators(q, p)[name]()
 
 

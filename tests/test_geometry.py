@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twocenter import InvalidInputError, Problem, embed, project, star_inner, star_norm
+from twocenter import InvalidInputError, Problem, project, star_inner, star_norm
 from twocenter.sampling import make_rng
+
+from oracles import slice_point
 
 A1 = Problem(a=1.0)
 
@@ -21,7 +23,7 @@ coord = st.floats(-10.0, 10.0)
 
 def duality_residual(q3, prob):
     """W |(q, 1)|_* - 1: the projected height times the source norm is one."""
-    return project(q3, prob)[..., 3] * star_norm(embed(q3), prob) - 1.0
+    return project(q3, prob)[..., 3] * star_norm(slice_point(q3), prob) - 1.0
 
 
 def test_metric_weights():
@@ -128,7 +130,7 @@ def test_roundtrip_project_unproject():
 
 def test_duality_examples():
     assert duality_residual(np.array([0.0, 0, 0]), A1) == 0.0
-    # one rounding off: project divides by the norm twice
+    # within one rounding: W is the rounded quotient 1/|(q, 1)|_*
     assert abs(duality_residual(np.array([1.0, 0, 0]), A1)) <= np.finfo(float).eps
 
 

@@ -40,14 +40,14 @@ VERIFY_THEOREM = {
         "fit-relation": 2.842170943040401e-14,
         "pointwise-relation": 2.842170943040401e-14,
         "two-route-equivalence": 6.033786104385153e-10,
-        "velocity-independence": 8.27320961560851e-09,
+        "velocity-independence": 8.273207075961043e-09,
     }),
     ("--m-plus", "0"): (0, {
         "ellipsoidal-energy-drift": 4.0885073104846015e-12,
         "kepler-limit": 9.000000744663339e-10,
         "pointwise-relation": 7.105427357601002e-14,
         "two-route-equivalence": 2.3967636142721837e-10,
-        "velocity-independence": 2.5274170692165846e-09,
+        "velocity-independence": 2.5274170692166624e-09,
     }),
 }
 

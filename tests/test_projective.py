@@ -65,14 +65,25 @@ def potential_at(points, prob):
 
 
 def test_lift_examples():
-    big_q, qp = lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL)
-    assert np.array_equal(big_q, project(np.array([0.0, 1, 0]), EQUAL))
+    _, qp = lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL)
     assert np.allclose(qp, [0, 0, np.sqrt(1.5), 0], atol=1e-15)
     assert star_norm(qp, EQUAL) ** 2 == pytest.approx(0.75, abs=1e-15)
     _, rest = lift_arrays(np.array([0.3, -2.0, 1.1]), np.zeros(3), EQUAL)
     assert np.array_equal(rest, np.zeros(4))
     with pytest.raises(InvalidInputError, match="finite components"):
         lift_arrays(np.array([np.inf, 0.0, 0.0]), np.zeros(3), EQUAL)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_lift_position_is_project(a):
+    """The lift's Q is ``project(q)`` bit for bit: one central projection,
+    on a single point and on a seeded batch."""
+    prob = Problem(1.0, 1.0, a)
+    assert np.array_equal(lift_arrays(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), prob)[0],
+                          project(np.array([0.0, 1, 0]), prob))
+    rng = make_rng(25)
+    qs, ps = rng.uniform(-10, 10, size=(10_000, 3)), rng.uniform(-3, 3, size=(10_000, 3))
+    assert np.array_equal(lift_arrays(qs, ps, prob)[0], project(qs, prob))
 
 
 def test_lift_refuses_an_overflowing_norm():

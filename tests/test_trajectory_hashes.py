@@ -6,7 +6,7 @@ and add their error norms explicitly, left to right, where the builtin
 time grid and states on every supported Python (3.10 to 3.13); each CI job
 checks these hashes.  The ellipsoid run starts from the default planar start
 itself, which ``integrate_ellipsoid`` lifts with numpy's correctly rounded
-arithmetic (``project``, and ``lift_arrays`` for Q').
+arithmetic (one ``lift_arrays`` call, whose Q is ``project(q)``).
 
 ``x ** 2`` and the step controller's ``err ** -0.17`` go through libm's
 ``pow``, so a platform whose libm rounds differently may change a last bit;
