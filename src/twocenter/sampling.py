@@ -1,8 +1,8 @@
 """Reproducible phase-space sampling.
 
-All random sweeps in the package draw from a counter-based Philox
-generator keyed by a 64-bit seed, so fixture values are bit-reproducible
-across platforms and process counts.
+All random sweeps in the package draw from a PCG64 generator seeded by a
+64-bit integer, so fixture values are bit-reproducible across platforms
+and process counts, and a stream can jump ahead (``advance``, ``jumped``).
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ _BLOCK = 65536
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox) for a 64-bit seed, 0 <= seed < 2^64."""
+    """PCG64 for a 64-bit seed, 0 <= seed < 2^64 (named, as ``default_rng``'s generator may change)."""
     if not 0 <= seed < 2**64:
         raise InvalidInputError(f"seed must be in [0, 2^64), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def sample_phase_points(
