@@ -2,11 +2,12 @@
 
 A state of the integrated systems has six or eight components, so a
 right-hand side written as straight-line arithmetic on local variables
-costs less than any function call around it.  Each formula, its collision
-guard included, is written once, as an :class:`RhsTemplate`, and compiled in
+costs less than any function call around it.  Each formula, its guard
+included, is written once, as an :class:`RhsTemplate`, and compiled in
 the form each caller needs: written out at every stage of ``integrate``'s
 generated runs, as a function of one state of floats (:func:`compile_kernel`)
-or of numpy columns, the batched evaluators (:func:`compile_columns`).
+or of numpy columns, the batched evaluators (:func:`compile_columns`).  A
+template may chain others as its stages, so that formulas in sequence are one.
 
 Generated source is compiled on first use, never at import, and registered
 with ``linecache`` under a ``<twocenter generated: ...>`` pseudo-filename,
@@ -20,33 +21,52 @@ import functools
 import linecache
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NearCollisionError
+from .errors import InvalidInputError, NearCollisionError
 
 
 class Guard(NamedTuple):
-    """``lines`` assign the ``distances``; a state where any of them is below
-    the parameter ``guard`` raises ``NearCollisionError(f"<message>")``."""
+    """``lines`` assign the names that ``test`` reads, comparisons joined by ``or``; a
+    state where it holds raises ``error(f"<message>")``.  On numpy columns the lines
+    run with overflow warnings off, as an overflow may be what is refused, the
+    comparisons are joined by ``|`` and hold for the batch if on any row, and the
+    message reads its names at the first such row."""
 
     lines: str
-    distances: tuple[str, ...]
+    test: str
+    error: type[Exception]
     message: str
+
+
+def _assigned(text: str) -> list[str]:
+    """The names that the statements ``text`` assign, one name to a statement."""
+    return re.findall(r"^\s*(\w+) = ", text, re.MULTILINE)
+
+
+def _first_row(refused, *values) -> list[float]:
+    """The ``values``, broadcast to the shape of ``refused``, at its first true row."""
+    row = np.unravel_index(np.argmax(refused), np.shape(refused))
+    return [float(np.broadcast_to(value, np.shape(refused))[row]) for value in values]
 
 
 @dataclass(frozen=True, eq=False)
 class RhsTemplate:
     """Source of a formula y -> f(y), such as a right-hand side y' = f(y).
 
-    The ``guard`` (if any) and then ``body`` are statements that read the
-    state from the names in ``state`` and the problem's constants from those
-    in ``params``, and assign only temporaries; ``derivative`` holds one
-    expression per output in the names they leave, and ``sqrt`` is the
-    form's square root.  ``name`` labels the generated code.  Templates
-    compare by identity: each formula is one module-level object.
+    The ``stages``, the ``guard`` (if any) and then ``body`` are statements
+    that read the state from the names in ``state`` and the problem's
+    constants from those in ``params``, and assign only temporaries;
+    ``derivative`` holds one expression per output in the names they leave,
+    and ``sqrt`` is the form's square root.  A stage (template, values,
+    outputs) reads its state from the names ``values``, assigns its outputs
+    to the names ``outputs`` and prefixes its temporaries with its number
+    (``s1_``, ...), so that no two stages clash.  ``name`` labels the
+    generated code.  Templates compare by identity: each formula is one
+    module-level object.
     """
 
     name: str
@@ -55,22 +75,51 @@ class RhsTemplate:
     body: str
     derivative: tuple[str, ...]
     guard: Guard | None = None
+    stages: tuple[tuple[RhsTemplate, tuple[str, ...], tuple[str, ...]], ...] = ()
+
+    def renamed(self, names: dict[str, str]) -> RhsTemplate:
+        """This template with each key of ``names`` replaced by its value, also in its message."""
+
+        def rename(text: str) -> str:
+            return re.sub(r"\b[A-Za-z_]\w*", lambda m: names.get(m[0], m[0]), text)
+
+        guard = self.guard and Guard(rename(self.guard.lines), rename(self.guard.test), self.guard.error,
+                                     re.sub(r"\{[^}:!]*", lambda m: rename(m[0]), self.guard.message))
+        return replace(self, state=tuple(map(rename, self.state)), body=rename(self.body),
+                       derivative=tuple(map(rename, self.derivative)), guard=guard)
+
+    def lines(self, columns: bool = False) -> list[str]:
+        """The stages, the guard's lines and test, then the body; an entry per line, an ``if`` block whole."""
+        lines = []
+        for k, (template, values, outputs) in enumerate(self.stages, 1):
+            temps = _assigned(template.body + "\n" + (template.guard.lines if template.guard else ""))
+            stage = template.renamed({**{name: f"s{k}_{name}" for name in temps}, **dict(zip(template.state, values))})
+            lines += stage.lines(columns) + [f"{out} = {expr}" for out, expr in zip(outputs, stage.derivative)]
+        if self.guard is not None:
+            guard_lines, test = self.guard.lines.splitlines(), self.guard.test
+            raise_ = f'raise {self.guard.error.__name__}(f"{self.guard.message}")'
+            if columns:
+                test = " | ".join(f"({condition})" for condition in test.split(" or "))
+                fields = " ".join(re.findall(r"\{([^}:!]*)", self.guard.message))
+                read = ", ".join(sorted(set(re.findall(r"\b[A-Za-z_]\w*", fields)) - set(self.params)))
+                raise_ = f"{read}, = first_row({test}, {read})\n    {raise_}" if read else raise_
+                guard_lines = ['with errstate(over="ignore"):', *("    " + line for line in guard_lines)]
+                test = f"({test}).any()"
+            lines += [*guard_lines, f"if {test}:\n    {raise_}"]
+        return lines + self.body.splitlines()
 
     def statements(self, columns: bool = False) -> list[str]:
-        """The guard's lines and test, then the body.  On numpy columns the test
-        is one reduction over the rows, and each temporary is deleted after its
-        last reader: a larger working set of live arrays costs up to 25 % on 10^5 rows."""
-        statements = self.body.splitlines()
-        if self.guard is not None:
-            nearest = functools.reduce("fmin({}, {})".format, self.guard.distances)  # fmin skips a NaN, as ``or`` does
-            test = f"({nearest} < guard).any()" if columns else " or ".join(f"{d} < guard" for d in self.guard.distances)
-            raise_ = f'raise NearCollisionError(f"{self.guard.message}")'
-            statements[:0] = [*self.guard.lines.splitlines(), f"if {test}:\n    {raise_}"]
+        """:meth:`lines`, one line each.  On numpy columns each temporary is deleted
+        after its last reader: a larger working set of live arrays costs up to 25 % on 10^5 rows."""
+        statements = self.lines(columns)
         if columns:
-            temps = {line.split(" = ")[0] for line in statements} - set(re.findall(r"\w+", " ".join(self.derivative)))
+            temps = {name for line in statements for name in _assigned(line)}
+            temps -= set(re.findall(r"\w+", " ".join(self.derivative)))
             last = {name: i for i, line in enumerate(statements) for name in re.findall(r"\w+", line) if name in temps}
-            for i in sorted(set(last.values()), reverse=True):
-                statements.insert(i + 1, "del " + ", ".join(sorted(name for name, j in last.items() if j == i)))
+            for i in sorted(set(last.values()), reverse=True):  # at the reader's indent, so also in a with block
+                indent = statements[i][:len(statements[i]) - len(statements[i].lstrip())]
+                names = ", ".join(sorted(name for name, j in last.items() if j == i))
+                statements.insert(i + 1, f"{indent}del {names}")
         return "\n".join(statements).splitlines()
 
     def inline(self, values, outputs, indent: str) -> list[str]:
@@ -84,10 +133,11 @@ class RhsTemplate:
 def compile_function(label: str, source: str, name: str, namespace: dict):
     """Compile ``source``, registered with ``linecache`` as ``<twocenter generated:
     label>``, and return its function ``name``; ``namespace`` gives its globals,
-    next to ``NearCollisionError`` and ``sqrt`` (``math.sqrt`` unless given)."""
+    next to the guards' errors, ``inf`` and ``sqrt`` (``math.sqrt`` unless given)."""
     filename = f"<twocenter generated: {label}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sqrt": math.sqrt, "NearCollisionError": NearCollisionError, **namespace}
+    namespace = {"sqrt": math.sqrt, "inf": math.inf, "InvalidInputError": InvalidInputError,
+                 "NearCollisionError": NearCollisionError, **namespace}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
@@ -120,5 +170,5 @@ def compile_columns(template: RhsTemplate):
         *("    " + line for line in template.statements(columns=True)),
         f"    return ({', '.join(template.derivative)},)",
     ]
-    namespace = {"sqrt": np.sqrt, "fmin": np.fmin}
+    namespace = {"sqrt": np.sqrt, "errstate": np.errstate, "first_row": _first_row}
     return compile_function(f"{template.name} columns", "\n".join(lines) + "\n", "columns", namespace)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codegen import Guard, RhsTemplate, compile_columns, compile_kernel
-from .errors import InvalidInputError
-from .geometry import check_finite, columns, pair_columns
+from .errors import InvalidInputError, NearCollisionError
+from .geometry import LIFT, check_finite, columns, pair_columns
 
 # Evaluations closer to a center than this are refused instead of blowing up.
 COLLISION_GUARD = 1e-8
@@ -81,10 +81,11 @@ def kernel(template: RhsTemplate, prob: Problem):
     return compile_kernel(template)(**rhs_params(prob))
 
 
-def on_columns(template: RhsTemplate, prob: Problem, *state) -> tuple:
+def on_columns(template: RhsTemplate, prob: Problem, *state, **params) -> tuple:
     """The outputs of ``template``'s column form (see codegen) for ``prob`` on numpy
-    columns ``state``, unchecked but for the template's collision guard."""
-    return compile_columns(template)(*state, **rhs_params(prob))
+    columns ``state``, unchecked but for the template's guard; ``params`` binds
+    constants beyond :func:`rhs_params`."""
+    return compile_columns(template)(*state, **rhs_params(prob), **params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +119,8 @@ d_minus = sqrt(d2_minus)
 d_plus = sqrt(d2_plus)"""
 
 # The one near-center rule of the planar templates, at ``COLLISION_GUARD``.
-CENTER_GUARD = Guard(CENTER_DISTANCE_LINES.format(c="a"), ("d_minus", "d_plus"),
-                     "point within {guard:g} of an attracting center")
+CENTER_GUARD = Guard(CENTER_DISTANCE_LINES.format(c="a"), "d_minus < guard or d_plus < guard",
+                     NearCollisionError, "point within {guard:g} of an attracting center")
 
 # The planar right-hand side, (q, p) -> (p, acceleration), as a template (see
 # codegen); :func:`acceleration` is its column form.  It checks no
@@ -140,13 +141,13 @@ nk_minus = -k_minus""",
 )
 
 # The same orbit in the intrinsic time, dtau/dt = 1/|q|_*^2, with p still
-# dq/dt: every component times |q|_*^2.
+# dq/dt: every component times |q|_*^2, the n2 of ``LIFT``.
 PLANAR_TAU_RHS = RhsTemplate(
     name="planar tau",
     state=PLANAR_RHS.state,
     params=PLANAR_RHS.params,
     guard=CENTER_GUARD,
-    body=PLANAR_RHS.body + "\nn2 = x * x + wyz * y * y + wyz * z * z + 1.0",
+    body=PLANAR_RHS.body + "\n" + LIFT.guard.lines,
     derivative=tuple(f"n2 * ({expr})" for expr in PLANAR_RHS.derivative),
 )
 

@@ -6,7 +6,8 @@ axis-aligned ellipsoid of revolution; points of the affine slice w = 1 are
 carried onto the W > 0 half of that ellipsoid by central projection
 through the origin.  That map is one-to-one, with inverse Q -> Q / W, so a
 point of the ellipsoid is always held as the (..., 4) array of its
-projection, never as an object of its own.  The weights depend on the
+projection, never as an object of its own; with its velocity, it is the
+lift ``LIFT`` of a planar state.  The weights depend on the
 half-distance a alone, so the functions here take the ``dynamics.Problem``
 and read its ``weights``.  All operations here are pure and accept batches
 (leading axes broadcast).
@@ -18,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .codegen import Guard, RhsTemplate, compile_columns
 from .errors import InvalidInputError
 
 if TYPE_CHECKING:  # dynamics imports this module
@@ -76,32 +78,35 @@ def star_inner(u: np.ndarray, v: np.ndarray, prob: Problem) -> float | np.ndarra
     return np.sum(prob.weights * u * v, axis=-1)
 
 
-def project_columns(x, y, z, wyz):
-    """Column form of the projection: ((Q_x, Q_y, Q_z, Q_w), n) for q's columns
-    x, y, z, with n = |(q, 1)|_* and Q = (q, 1)/n, the one division.
-
-    ``wyz`` is 1/(1+a^2).  The sum keeps the left-to-right order of the
-    weighted reduction ``star_norm`` on (q, 1).  A q whose |(q, 1)|_*^2
-    overflows is refused, naming the first: its projected point would be lost.
-    """
-    with np.errstate(over="ignore"):
-        n2 = x * x + wyz * y * y + wyz * z * z + 1.0
-    finite = np.isfinite(n2)
-    if not finite.all():
-        row = np.unravel_index(np.argmin(finite), finite.shape)
-        raise InvalidInputError(f"|(q, 1)|_* overflows at q = {[float(c[row]) for c in (x, y, z)]}")
-    n = np.sqrt(n2)
-    return (x / n, y / n, z / n, 1.0 / n), n
+# The lift of a slice point and its velocity, (q, p) -> (Q, Q'), as a template (see
+# codegen): Q = (q, 1)/n with n = |(q, 1)|_*, the one division, and
+# Q' = (p, 0) n - (q, 1) (Q, (p, 0))_*.  The sums keep the left-to-right order of
+# the weighted reductions ``star_norm`` on (q, 1) and ``star_inner`` on Q and
+# (p, 0), so they are bit-identical to them; the "+ 0.0" is the W term Q_w * 0 of
+# the radial sum, which turns a radial part of -0.0 into +0.0.  A q whose
+# |(q, 1)|_*^2 overflows is refused, naming the first: its projected point would be lost.
+LIFT = RhsTemplate(
+    name="lift",
+    state=("x", "y", "z", "px", "py", "pz"),
+    params=("wyz",),
+    guard=Guard("n2 = x * x + wyz * y * y + wyz * z * z + 1.0", "n2 == inf", InvalidInputError,
+                "|(q, 1)|_* overflows at q = {[x, y, z]}"),
+    body="""\
+n = sqrt(n2)
+qx = x / n
+qy = y / n
+qz = z / n
+radial = qx * px + wyz * qy * py + wyz * qz * pz + 0.0""",
+    derivative=("qx", "qy", "qz", "1.0 / n", "px * n - x * radial", "py * n - y * radial", "pz * n - z * radial",
+                "0.0 - radial"),
+)
 
 
 def project(q3: np.ndarray, prob: Problem) -> np.ndarray:
     """Centrally project points q of the slice w = 1, given as (..., 3), onto the ellipsoid.
 
     Each (q, 1) is divided by its norm, which is positive because w = 1, so
-    the (..., 4) result lies on the W > 0 sheet; a q whose norm overflows
-    is refused (:func:`project_columns`).
+    the (..., 4) result lies on the W > 0 sheet: the Q half of ``LIFT`` at
+    p = 0, which refuses a q whose norm overflows.
     """
-    q3 = np.asarray(q3, dtype=float)
-    q_columns = columns(q3, 3, "q")
-    check_finite(q3, "q")
-    return np.stack(project_columns(*q_columns, prob.wyz)[0], axis=-1)
+    return np.stack(compile_columns(LIFT)(*pair_columns(q3, np.zeros(3)), prob.wyz)[:4], axis=-1)

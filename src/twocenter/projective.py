@@ -17,16 +17,18 @@ distances and the collision guard of ``INTRINSIC_RHS`` and no cancellation,
 
 At every phase point, whatever the masses, G = (2J + E)/(1+a^2) -
 a^2 Theta^2/(1+a^2)^2 in the planar first integrals (J + E/2 - Theta^2/4
-for a = 1; :func:`relation_coefficients`).  The test suite proves this
-symbolically; :func:`fit_integral_relation` recovers it independently.
+for a = 1; :func:`relation_coefficients`): the residual of the chain of
+templates ``RELATION``.  The test suite proves this symbolically;
+:func:`fit_integral_relation` recovers it independently.
 
 A projected state is held only as the (..., 4) arrays (Q, Q') that
 :func:`lift_arrays` makes from a planar (q, p).  That loses nothing: the
 projection maps the slice one-to-one onto the W > 0 sheet, and its
 differential maps velocities onto the tangent space, so every state on the
-ellipsoid is the lift of exactly one (q, p).  The intrinsic ODE is the
-template ``INTRINSIC_RHS``; G is the template ``ENERGY``, which shares its
-distance, guard and |Q'|_*^2 lines.  Both are evaluated on numpy columns.
+ellipsoid is the lift of exactly one (q, p), the template ``geometry.LIFT``.
+The intrinsic ODE is the template ``INTRINSIC_RHS``; G is the template
+``ENERGY``, which shares its distance, guard and |Q'|_*^2 lines.  All are
+evaluated on numpy columns.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codegen import Guard, RhsTemplate
-from .dynamics import CENTER_DISTANCE_LINES, INTEGRALS, Problem, acceleration, first_integrals, on_columns
+from .codegen import RhsTemplate, compile_columns
+from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, Problem, acceleration, on_columns
 from .errors import InvalidInputError, RankDeficientError
-from .geometry import check_finite, columns, pair_columns, project_columns, star_inner, star_norm
+from .geometry import LIFT, check_finite, pair_columns, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
 
 # Finite-difference step in t of the oracle for the tangential field, and the
@@ -61,35 +63,21 @@ class IntegralRelation:
     max_residual: float
 
 
-def _lift_columns(x, y, z, px, py, pz, wyz):
-    """Column form of the lift: (Q_x, Q_y, Q_z, Q_w, Q'_x, Q'_y, Q'_z, Q'_w), the state of ``ENERGY``.
-
-    Q and n = |(q, 1)|_* are :func:`geometry.project_columns`, which refuses
-    a q whose norm overflows.  The radial sum keeps the left-to-right order
-    of the weighted reduction ``star_inner`` on Q and (p, 0), so it is
-    bit-identical to it.  The "+ 0.0" is the W term Q_w * 0 of that sum: it
-    turns a radial part of -0.0 into +0.0.
-    """
-    big_q, n = project_columns(x, y, z, wyz)
-    qx, qy, qz, _ = big_q
-    radial = qx * px + wyz * qy * py + wyz * qz * pz + 0.0
-    return (*big_q, px * n - x * radial, py * n - y * radial, pz * n - z * radial, 0.0 - radial)
-
-
 def lift_arrays(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Batched projection and tau-velocity: Q = q/|q|_*, Q' = qdot |q|_* - q (Q, qdot)_*.
 
     ``q`` and ``p`` have shape (..., 3) and stand for (q, 1) and (p, 0)
     of R^4; returns (Q, Q') with shape (..., 4).  A q whose |(q, 1)|_*
-    overflows raises :class:`InvalidInputError`, naming the first such q.
+    overflows raises :class:`InvalidInputError`, naming the first such q:
+    the column form of ``LIFT``.
     """
-    lifted = _lift_columns(*pair_columns(q, p), prob.wyz)
+    lifted = compile_columns(LIFT)(*pair_columns(q, p), prob.wyz)
     return np.stack(lifted[:4], axis=-1), np.stack(lifted[4:], axis=-1)
 
 
 # The one near-center rule of the ellipsoid templates, at the scaled centers (+-a W, 0, 0).
-SCALED_CENTER_GUARD = Guard("aw = a * w\n" + CENTER_DISTANCE_LINES.format(c="aw"), ("d_minus", "d_plus"),
-                            "ellipsoid point within {guard:g} of a scaled center")
+SCALED_CENTER_GUARD = CENTER_GUARD._replace(lines="aw = a * w\n" + CENTER_DISTANCE_LINES.format(c="aw"),
+                                            message="ellipsoid point within {guard:g} of a scaled center")
 
 _SPEED2 = "speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp"
 
@@ -138,11 +126,6 @@ def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | n
     return on_columns(ENERGY, prob, *pair_columns(big_q, qp, 4, ("Q", "Q'")))[0]
 
 
-def _lifted_energy(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
-    """G(lift(q, p)) from validated (..., 3) arrays, without building the (..., 4) ones."""
-    return on_columns(ENERGY, prob, *_lift_columns(*columns(q, 3, "q"), *columns(p, 3, "p"), prob.wyz))[0]
-
-
 def relation_coefficients(a: float) -> tuple[float, float, float, float]:
     """(l_J, l_E, l_T2, l_0) = (2/(1+a^2), 1/(1+a^2), -a^2/(1+a^2)^2, 0) of
     G = l_J J + l_E E + l_T2 Theta^2 + l_0; exactly (1, 1/2, -1/4, 0) at a = 1."""
@@ -150,32 +133,46 @@ def relation_coefficients(a: float) -> tuple[float, float, float, float]:
     return 2.0 / s, 1.0 / s, -(a * a) / (s * s), 0.0
 
 
-def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """G(lift(q, p)) - (l_J J + l_E E + l_T2 Theta^2), zero up to roundoff;
-    the coefficients come from :func:`relation_coefficients`.
+# The relation at a planar (q, p), a chain of templates (see codegen): (J, Theta, E),
+# the lift (Q, Q') and its G, each stage under its guard, then the residual in the
+# coefficients lam_*; (J, E, Theta^2, G) are the fit's columns.
+_LIFTED = tuple(f"lift_{name}" for name in ENERGY.state)
+RELATION = RhsTemplate(
+    name="relation",
+    state=INTEGRALS.state,
+    params=(*INTEGRALS.params, "lam_j", "lam_e", "lam_t2"),
+    stages=((INTEGRALS, INTEGRALS.state, ("j", "theta", "e")),
+            (LIFT, INTEGRALS.state, _LIFTED),
+            (ENERGY, _LIFTED, ("g",))),
+    body="theta2 = theta * theta",
+    derivative=("j", "e", "theta2", "g", "g - (lam_j * j + lam_e * e + lam_t2 * theta2)"),
+)
 
-    q and p of one shape with more than ``_ROWS`` rows are checked finite whole,
-    then a block of rows at a time, copied column-major so that the temporaries
-    stay in cache, goes to the template columns unchecked; bit-identical to one pass."""
+
+def _relation(prob: Problem, *state) -> tuple:
+    """``RELATION``'s outputs on the numpy columns ``state``, unchecked but for its guards."""
     lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
+    return on_columns(RELATION, prob, *state, lam_j=lam_j, lam_e=lam_e, lam_t2=lam_t2)
 
-    def residual(q, p, j, theta, e):
-        return _lifted_energy(q, p, prob) - (lam_j * j + lam_e * e + lam_t2 * np.square(theta))
 
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.shape != p.shape or q.shape[-1:] != (3,) or q.size <= 3 * _ROWS:
-        return residual(q, p, *first_integrals(q, p, prob))  # validates q and p
-    check_finite(q, "q")
-    check_finite(p, "p")
+def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
+    """G(lift(q, p)) - (l_J J + l_E E + l_T2 Theta^2), zero up to roundoff, in the
+    coefficients of :func:`relation_coefficients`; a numpy float for one point.
+
+    q and p of any shapes that broadcast are checked finite whole, then go
+    through ``RELATION`` a block of ``_ROWS`` rows at a time, copied
+    column-major so that the temporaries stay in cache: bit-identical to one
+    pass, with each block's refusals in the chain's order.  A residual that
+    overflows (E grows as a^2 p^2) reads inf or nan, without a numpy warning."""
+    pair_columns(q, p)  # validates q and p
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     out = np.empty(q.shape[:-1])
-    q, p = q.reshape(-1, 3), p.reshape(-1, 3)
-    for start in range(0, len(q), _ROWS):
-        rows = slice(start, start + _ROWS)
-        q_rows, p_rows = np.asfortranarray(q[rows]), np.asfortranarray(p[rows])
-        integrals = on_columns(INTEGRALS, prob, *columns(q_rows, 3, "q"), *columns(p_rows, 3, "p"))
-        out.reshape(-1)[rows] = residual(q_rows, p_rows, *integrals)
-    return out
+    q, p, flat = q.reshape(-1, 3), p.reshape(-1, 3), out.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+        for start in range(0, len(flat), _ROWS):
+            rows = slice(start, start + _ROWS)
+            flat[rows] = _relation(prob, *np.asfortranarray(q[rows]).T, *np.asfortranarray(p[rows]).T)[4]
+    return out if out.ndim else out[()]
 
 
 def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> IntegralRelation:
@@ -185,16 +182,16 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     residual sits at roundoff and the coefficients match the closed form to
     about 1e-13 at unit masses.  The sample is drawn from one seeded stream
     in chunks of ``_ROWS`` points, so a fit of at most ``_ROWS`` points draws
-    it with one ``sample_phase_points`` call.  Each chunk is checked, its rows
-    [J, E, Theta^2, 1, G] are reduced to their 5 x 5 QR factor, and its
-    [J, E, Theta^2, G] are kept for the residual, 32 B per point; no array
-    has the sample's length.  The stacked factors have the singular values of
+    it with one ``sample_phase_points`` call.  Each chunk is checked, its
+    ``RELATION`` rows [J, E, Theta^2, 1, G] are reduced to their 5 x 5 QR
+    factor, and its [J, E, Theta^2, G] are kept for the residual, 32 B per
+    point; no array has the sample's length.  The stacked factors have the singular values of
     the whole design; they are solved with each column scaled by its largest
     magnitude, so the fit keeps full rank at any mass.  G carries roundoff of
     about mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size
     one) can be recovered.  A rank-deficient draw is resampled from the same
     stream up to 5 times; a draw whose rows overflow (E grows as a^2 p^2) is
-    refused once every chunk has passed the collision guard.
+    refused once every chunk has passed the guards.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
@@ -206,8 +203,8 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
             for start in range(0, sample_count, _ROWS):
                 q, p = sample_phase_points(prob, min(_ROWS, sample_count - start), rng)
-                j, theta, e = first_integrals(q, p, prob)  # checks the chunk
-                block = np.stack((j, e, np.square(theta), np.ones_like(j), _lifted_energy(q, p, prob)), axis=-1)
+                j, e, theta2, g, _ = _relation(prob, *pair_columns(q, p))  # checks the chunk
+                block = np.stack((j, e, theta2, np.ones_like(j), g), axis=-1)
                 # an overflowing block is refused after the loop, so that a guard row in a later one wins
                 factors.append(np.linalg.qr(block, mode="r") if np.isfinite(block).all() else np.full((1, 5), np.inf))
                 kept.append(block[:, (0, 1, 2, 4)])
@@ -284,6 +281,11 @@ def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0)
         return float(np.max(star_norm(accs[:, None] - accs[None], prob)))
 
 
+# |(q, 1)|_*^2, the n2 of ``LIFT``, refused on overflow in the quadrature's words.
+_SLICE_NORM2 = RhsTemplate("|(q, 1)|_*^2", LIFT.state[:3], LIFT.params, "", ("n2",),
+                           LIFT.guard._replace(message="|q|_*^2 overflows on the grid"))
+
+
 def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """Map the t grid of a planar trajectory to the intrinsic time tau.
 
@@ -312,13 +314,11 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Pr
     x, y, z = q.T
     px, py, pz = p.T
     with np.errstate(over="ignore", invalid="ignore"):
-        n2 = x * x + wyz * (y * y + z * z) + 1.0
+        n2, = compile_columns(_SLICE_NORM2)(x, y, z, wyz)
         g = 1.0 / n2
         gdot = -2.0 * (x * px + wyz * (y * py + z * pz)) / (n2 * n2)
         h = np.diff(times)
         dtau = 0.5 * h * (g[:-1] + g[1:]) + (h * h / 12.0) * (gdot[:-1] - gdot[1:])
-    if not np.all(np.isfinite(n2)):
-        raise InvalidInputError("|q|_*^2 overflows on the grid")
     if not np.all(np.isfinite(dtau) & (dtau > 0.0)):
         raise InvalidInputError("quadrature produced a nonincreasing or non-finite tau grid")
     longer = np.flatnonzero(dtau > h)

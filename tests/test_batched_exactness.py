@@ -11,7 +11,7 @@ bit for bit, the a = 1 forms G - (J + E/2 - Theta^2/4) and the expansion
 with weights 1/2 and 1/4.  The batched finite-difference oracle must
 reproduce, bit for bit, the loop that differenced one state at a time, and
 the velocity-independence check's batched field the per-state projection.
-The relation residual, which evaluates large batches in row blocks, must
+The relation residual, which evaluates every batch in row blocks, must
 reproduce the whole-array pass; the rows the fit factors and keeps, chunk by
 chunk of its draw, must be the whole-array evaluators' on each chunk, and its
 blocked solve must agree with the whole-design least squares to a stated
@@ -415,7 +415,7 @@ def test_velocity_independence_field_matches_point_loop(a, monkeypatch):
 
 
 # --- row blocks of the relation residual and chunks of the fit ---------------------
-# relation_residual evaluates q and p of one shape in blocks of projective._ROWS
+# relation_residual evaluates q and p of any shapes in blocks of projective._ROWS
 # rows, and fit_integral_relation draws and evaluates its sample in chunks of as
 # many points; the oracle is the public whole-array evaluators, on the whole
 # batch and on each chunk.

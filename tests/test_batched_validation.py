@@ -180,7 +180,7 @@ def test_seeds_outside_the_uint64_range_are_refused():
 
 
 # --- error order across the row blocks of relation_residual and the fit ----------
-# relation_residual evaluates q and p of one shape in blocks of projective._ROWS
+# relation_residual evaluates q and p of any shapes in blocks of projective._ROWS
 # rows; it must still raise what one whole-array pass raised: a non-finite
 # component anywhere before any collision-guard row.  The fit draws its
 # sample in chunks of as many points and checks each chunk before evaluating

@@ -100,6 +100,21 @@ def test_lift_refuses_an_overflowing_norm():
             lift_arrays(batch, np.ones(3), EQUAL)
 
 
+@pytest.mark.parametrize("n", [10, 3 * projective._ROWS + 7])  # one block, and the row in a short last one
+def test_relation_residual_refuses_an_overflowing_norm_without_warning(n):
+    """A q whose |(q, 1)|_* overflows is refused by name before numpy can
+    warn; a p whose residual overflows reads nan in its row, without a warning."""
+    q, p = sample_phase_points(EQUAL, n, make_rng(n))
+    p[-1] = (1e200, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = relation_residual(q, p, EQUAL)
+        assert np.isnan(residual[-1]) and np.all(np.abs(residual[:-1]) <= 1e-10)
+        q[-1] = (1e155, 0.0, 0.0)
+        with pytest.raises(InvalidInputError, match=r"^\|\(q, 1\)\|_\* overflows at q = \[1e\+155, 0\.0, 0\.0\]$"):
+            relation_residual(q, p, EQUAL)
+
+
 def test_lift_is_tangent():
     rng = make_rng(2)
     for prob in (EQUAL, Problem(a=2.0)):

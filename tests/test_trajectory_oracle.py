@@ -1,5 +1,5 @@
-"""Both integrators, and route A of the two-route check, against scipy's
-DOP853 at tight tolerance.
+"""Both integrators, route A of the two-route check and the tau quadrature
+against scipy's DOP853 at tight tolerance.
 
 The oracle's right-hand sides are written here with numpy and share no code
 with twocenter's kernels or stepper; only the ODEs are the same.
@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from twocenter import PhasePoint, Problem, integrate_ellipsoid, integrate_planar, lift_arrays
+from twocenter import PhasePoint, Problem, integrate_ellipsoid, integrate_planar, lift_arrays, reparametrize_time
 from twocenter.verify import planar_route
 
 START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
 PROBLEMS = [Problem(1.0, m_plus, a) for a in (1.0, 2.0) for m_plus in (1.0, 0.5)]
 ORACLE_TOL = 1e-13
 MAX_STATE_DIFF = 1e-9
+MAX_TAU_DIFF = 1e-8  # measured on the default orbit at t = 50: 1.0e-9
 
 
 def planar_rhs(t, y, prob):
@@ -87,3 +88,25 @@ def test_planar_route_ends_on_tau_end(prob):
     lifted_q, lifted_qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob)
     assert np.array_equal(tau, traj.times)
     assert np.array_equal(big_q, lifted_q) and np.array_equal(qp, lifted_qp)
+
+
+def planar_clock_rhs(t, y, prob):
+    """The planar system with tau as a seventh component: dtau/dt = 1/|q|_*^2."""
+    q = y[:3]
+    n2 = q[0] ** 2 + (q[1] ** 2 + q[2] ** 2) / (1.0 + prob.a**2) + 1.0
+    return np.append(planar_rhs(t, y[:6], prob), 1.0 / n2)
+
+
+def test_tau_quadrature_matches_dop853():
+    """tau(t) of ``reparametrize_time`` on the default orbit's grid, to t = 50,
+    against the oracle's tau integrated with the orbit."""
+    prob = Problem()
+    traj = integrate_planar(START, prob, 50.0)
+    assert traj.status == "ok"
+    tau = reparametrize_time(traj.times, traj.states[:, :3], traj.states[:, 3:], prob)
+    sol = solve_ivp(
+        planar_clock_rhs, (0.0, 50.0), np.concatenate([START.q, START.p, [0.0]]), method="DOP853",
+        rtol=ORACLE_TOL, atol=ORACLE_TOL, args=(prob,),
+    )
+    assert sol.success
+    assert abs(tau[-1] - sol.y[6, -1]) <= MAX_TAU_DIFF
