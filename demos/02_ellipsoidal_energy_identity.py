@@ -19,10 +19,8 @@ import numpy as np
 
 from twocenter import (
     Problem,
-    axial_angular_momentum,
     energy_arrays,
-    euler_integral,
-    hamiltonian,
+    first_integrals,
     lift_arrays,
     relation_coefficients,
     relation_residual,
@@ -36,9 +34,7 @@ q = np.array([0.0, 1.0, 0.0])
 p = np.array([0.0, 0.0, 1.0])
 big_q, qp = lift_arrays(q, p, prob)  # the projected point Q and its tau-velocity Q'
 G = energy_arrays(big_q, qp, prob)
-J = hamiltonian(q, p, prob)
-E = euler_integral(q, p, prob)
-Th = axial_angular_momentum(q, p)
+J, Th, E = first_integrals(q, p, prob)
 print(f"G                    = {G:+.15f}")
 print(f"J + E/2 - Theta^2/4  = {J + E / 2 - Th**2 / 4:+.15f}")
 

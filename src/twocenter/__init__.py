@@ -13,9 +13,7 @@ from .dynamics import (
     acceleration,
     axial_angular_momentum,
     center_distances,
-    euler_integral,
     first_integrals,
-    hamiltonian,
     kepler_limit_residual,
 )
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
@@ -61,11 +59,9 @@ __all__ = [
     "cubic_hermite",
     "drift_report",
     "energy_arrays",
-    "euler_integral",
     "fd_tangential_acceleration",
     "first_integrals",
     "fit_integral_relation",
-    "hamiltonian",
     "integrate_ellipsoid",
     "integrate_planar",
     "kepler_limit_residual",

@@ -13,7 +13,7 @@ Exit codes: 0 ok, 1 usage, config or write error, 2 integration abort or
 a point inside the collision guard (for ``simulate`` and ``project`` also
 an invariant that overflowed along the run: the rows are still written,
 and one stderr line names it), 3 verification failure (including a fit
-whose samples stay rank deficient).
+whose sample is rank deficient).
 """
 
 from __future__ import annotations

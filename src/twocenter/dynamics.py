@@ -191,14 +191,8 @@ def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
 
 def first_integrals(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(J, Theta, E) at once, batched over leading axes: the column form of
-    ``INTEGRALS`` after one validation of q and p.  :func:`hamiltonian` and
-    :func:`euler_integral` are views of this."""
+    ``INTEGRALS`` after one validation of q and p."""
     return on_columns(INTEGRALS, prob, *pair_columns(q, p))
-
-
-def hamiltonian(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """Total energy |p|^2/2 - m_minus/|q + c| - m_plus/|q - c|."""
-    return first_integrals(q, p, prob)[0]
 
 
 def axial_angular_momentum(q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
@@ -208,15 +202,6 @@ def axial_angular_momentum(q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     on the direction, and relation fits absorb any constant rescaling.
     """
     return compile_columns(_ANGULAR_MOMENTUM)(*pair_columns(q, p))[0]
-
-
-def euler_integral(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """The nontrivial quadratic first integral of the two-center problem.
-
-    Uses c = (a, 0, 0).  Conservation along numerically integrated
-    trajectories is verified by the test suite rather than assumed.
-    """
-    return first_integrals(q, p, prob)[2]
 
 
 def kepler_limit_residual(
@@ -233,4 +218,4 @@ def kepler_limit_residual(
         raise InvalidInputError(f"a_small must be positive, got {a_small!r}")
     shrunk = Problem(prob.m_minus, prob.m_plus, a_small)
     lx, ly, lz = compile_columns(_ANGULAR_MOMENTUM)(*pair_columns(q, p))
-    return np.abs(euler_integral(q, p, shrunk) - (lx * lx + ly * ly + lz * lz))
+    return np.abs(first_integrals(q, p, shrunk)[2] - (lx * lx + ly * ly + lz * lz))

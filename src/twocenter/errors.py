@@ -10,4 +10,4 @@ class NearCollisionError(RuntimeError):
 
 
 class RankDeficientError(RuntimeError):
-    """Least-squares sample set remained rank deficient after resampling."""
+    """Least-squares sample set is rank deficient."""

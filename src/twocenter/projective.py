@@ -17,9 +17,9 @@ distances and the collision guard of ``INTRINSIC_RHS`` and no cancellation,
 
 At every phase point, whatever the masses, G = (2J + E)/(1+a^2) -
 a^2 Theta^2/(1+a^2)^2 in the planar first integrals (J + E/2 - Theta^2/4
-for a = 1; :func:`relation_coefficients`): the residual of the chain of
-templates ``RELATION``.  The test suite proves this symbolically;
-:func:`fit_integral_relation` recovers it independently.
+for a = 1; :func:`relation_coefficients`), in the outputs (J, E, Theta^2,
+G) of the chain of templates ``RELATION``.  The test suite proves this
+symbolically; :func:`fit_integral_relation` recovers it independently.
 
 A projected state is held only as the (..., 4) arrays (Q, Q') that
 :func:`lift_arrays` makes from a planar (q, p).  That loses nothing: the
@@ -133,26 +133,20 @@ def relation_coefficients(a: float) -> tuple[float, float, float, float]:
     return 2.0 / s, 1.0 / s, -(a * a) / (s * s), 0.0
 
 
-# The relation at a planar (q, p), a chain of templates (see codegen): (J, Theta, E),
-# the lift (Q, Q') and its G, each stage under its guard, then the residual in the
-# coefficients lam_*; (J, E, Theta^2, G) are the fit's columns.
+# (J, E, Theta^2, G) at a planar (q, p), a chain of templates (see codegen): (J, Theta, E),
+# the lift (Q, Q') and its G, each stage under its guard; the fit's columns, and the
+# residual's terms in :func:`relation_coefficients`.
 _LIFTED = tuple(f"lift_{name}" for name in ENERGY.state)
 RELATION = RhsTemplate(
     name="relation",
     state=INTEGRALS.state,
-    params=(*INTEGRALS.params, "lam_j", "lam_e", "lam_t2"),
+    params=INTEGRALS.params,
     stages=((INTEGRALS, INTEGRALS.state, ("j", "theta", "e")),
             (LIFT, INTEGRALS.state, _LIFTED),
             (ENERGY, _LIFTED, ("g",))),
     body="theta2 = theta * theta",
-    derivative=("j", "e", "theta2", "g", "g - (lam_j * j + lam_e * e + lam_t2 * theta2)"),
+    derivative=("j", "e", "theta2", "g"),
 )
-
-
-def _relation(prob: Problem, *state) -> tuple:
-    """``RELATION``'s outputs on the numpy columns ``state``, unchecked but for its guards."""
-    lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
-    return on_columns(RELATION, prob, *state, lam_j=lam_j, lam_e=lam_e, lam_t2=lam_t2)
 
 
 def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
@@ -166,12 +160,15 @@ def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np
     overflows (E grows as a^2 p^2) reads inf or nan, without a numpy warning."""
     pair_columns(q, p)  # validates q and p
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+    lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
     out = np.empty(q.shape[:-1])
     q, p, flat = q.reshape(-1, 3), p.reshape(-1, 3), out.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
         for start in range(0, len(flat), _ROWS):
             rows = slice(start, start + _ROWS)
-            flat[rows] = _relation(prob, *np.asfortranarray(q[rows]).T, *np.asfortranarray(p[rows]).T)[4]
+            j, e, theta2, g = on_columns(RELATION, prob, *np.asfortranarray(q[rows]).T, *np.asfortranarray(p[rows]).T)
+            flat[rows] = g - (lam_j * j + lam_e * e + lam_t2 * theta2)
+            del j, e, theta2, g  # not held while the next block runs
     return out if out.ndim else out[()]
 
 
@@ -189,39 +186,37 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     the whole design; they are solved with each column scaled by its largest
     magnitude, so the fit keeps full rank at any mass.  G carries roundoff of
     about mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size
-    one) can be recovered.  A rank-deficient draw is resampled from the same
-    stream up to 5 times; a draw whose rows overflow (E grows as a^2 p^2) is
-    refused once every chunk has passed the guards.
+    one) can be recovered.  A rank-deficient draw raises
+    :class:`RankDeficientError`; a draw whose rows overflow (E grows as
+    a^2 p^2) is refused once every chunk has passed the guards.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
     rng = make_rng(seed)
-    for _ in range(5):
-        # kept holds each chunk's rows [J, E, Theta^2, G] for the residual, one array per
-        # chunk: one (n, 4) array, freed by every fit, at times left glibc's heap that much larger
-        factors, kept = [], []
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
-            for start in range(0, sample_count, _ROWS):
-                q, p = sample_phase_points(prob, min(_ROWS, sample_count - start), rng)
-                j, e, theta2, g, _ = _relation(prob, *pair_columns(q, p))  # checks the chunk
-                block = np.stack((j, e, theta2, np.ones_like(j), g), axis=-1)
-                # an overflowing block is refused after the loop, so that a guard row in a later one wins
-                factors.append(np.linalg.qr(block, mode="r") if np.isfinite(block).all() else np.full((1, 5), np.inf))
-                kept.append(block[:, (0, 1, 2, 4)])
-            r = np.concatenate(factors)
-            if not np.isfinite(r).all():
-                raise InvalidInputError(f"(J, E, Theta^2) or G overflows on the fit's sample of {prob}")
-            # unscaled, the J and E of large masses push Theta^2 and 1 below the rank
-            # cut-off, which is lstsq's own for the whole (n, 4) design: eps * n
-            scale = np.abs(r[:, :4]).max(axis=0)
-            scale[scale == 0.0] = 1.0  # a zero column (Theta = 0 throughout) stays zero: rank 3
-            coeffs, _, rank, _ = np.linalg.lstsq(r[:, :4] / scale, r[:, 4], rcond=np.finfo(float).eps * sample_count)
-            if rank < 4:
-                continue
-            coeffs /= scale
-            residual = max(float(np.max(np.abs(rows[:, :3] @ coeffs[:3] + coeffs[3] - rows[:, 3]))) for rows in kept)
-        return IntegralRelation(*map(float, coeffs), residual)
-    raise RankDeficientError("sample set stayed rank deficient after 5 resampling attempts")
+    # kept holds each chunk's rows [J, E, Theta^2, G] for the residual, one array per
+    # chunk: one (n, 4) array, freed by every fit, at times left glibc's heap that much larger
+    factors, kept = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        for start in range(0, sample_count, _ROWS):
+            q, p = sample_phase_points(prob, min(_ROWS, sample_count - start), rng)
+            j, e, theta2, g = on_columns(RELATION, prob, *pair_columns(q, p))  # checks the chunk
+            block = np.stack((j, e, theta2, np.ones_like(j), g), axis=-1)
+            # an overflowing block is refused after the loop, so that a guard row in a later one wins
+            factors.append(np.linalg.qr(block, mode="r") if np.isfinite(block).all() else np.full((1, 5), np.inf))
+            kept.append(block[:, (0, 1, 2, 4)])
+        r = np.concatenate(factors)
+        if not np.isfinite(r).all():
+            raise InvalidInputError(f"(J, E, Theta^2) or G overflows on the fit's sample of {prob}")
+        # unscaled, the J and E of large masses push Theta^2 and 1 below the rank
+        # cut-off, which is lstsq's own for the whole (n, 4) design: eps * n
+        scale = np.abs(r[:, :4]).max(axis=0)
+        scale[scale == 0.0] = 1.0  # a zero column (Theta = 0 throughout) stays zero: rank 3
+        coeffs, _, rank, _ = np.linalg.lstsq(r[:, :4] / scale, r[:, 4], rcond=np.finfo(float).eps * sample_count)
+        if rank < 4:
+            raise RankDeficientError(f"the fit's sample of {sample_count} points is rank deficient (rank {rank} of 4)")
+        coeffs /= scale
+        residual = max(float(np.max(np.abs(rows[:, :3] @ coeffs[:3] + coeffs[3] - rows[:, 3]))) for rows in kept)
+    return IntegralRelation(*map(float, coeffs), residual)
 
 
 def _rk4_planar_step(

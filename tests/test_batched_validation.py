@@ -20,10 +20,8 @@ from twocenter import (
     axial_angular_momentum,
     center_distances,
     energy_arrays,
-    euler_integral,
     first_integrals,
     fit_integral_relation,
-    hamiltonian,
     kepler_limit_residual,
     lift_arrays,
     make_rng,
@@ -45,10 +43,11 @@ def batch():
 
 
 def evaluators(q, p):
-    """The batched entry points that apply the collision guard, fit_integral_relation through its sample draw."""
+    """The batched entry points that apply the collision guard, fit_integral_relation through its sample draw;
+    the Hamiltonian J and the Euler integral E are read from ``first_integrals``."""
     return {
-        "hamiltonian": lambda: hamiltonian(q, p, PROB),
-        "euler_integral": lambda: euler_integral(q, p, PROB),
+        "hamiltonian": lambda: first_integrals(q, p, PROB)[0],
+        "euler_integral": lambda: first_integrals(q, p, PROB)[2],
         "relation_residual": lambda: relation_residual(q, p, PROB),
         "fit_integral_relation": lambda: fit_on(q, p),
     }
@@ -71,8 +70,8 @@ def fit_on(q, p):
 
 PAIR_EVALUATORS = {
     "first_integrals": lambda q, p: first_integrals(q, p, PROB),
-    "hamiltonian": lambda q, p: hamiltonian(q, p, PROB),
-    "euler_integral": lambda q, p: euler_integral(q, p, PROB),
+    "hamiltonian": lambda q, p: first_integrals(q, p, PROB)[0],
+    "euler_integral": lambda q, p: first_integrals(q, p, PROB)[2],
     "axial_angular_momentum": axial_angular_momentum,
     "kepler_limit_residual": lambda q, p: kepler_limit_residual(q, p, PROB, 0.1),
     "lift_arrays": lambda q, p: lift_arrays(q, p, PROB),

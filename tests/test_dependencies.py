@@ -11,7 +11,7 @@ SRC = Path(twocenter.__file__).resolve().parent.parent
 SCRIPT = """
 import importlib, pkgutil, sys
 
-REFUSED = {"scipy", "sympy", "hypothesis", "pytest"}
+REFUSED = {"scipy", "sympy", "mpmath", "hypothesis", "pytest"}
 
 
 class Refuse:

@@ -10,8 +10,7 @@ from twocenter import (
     Problem,
     acceleration,
     axial_angular_momentum,
-    euler_integral,
-    hamiltonian,
+    first_integrals,
     kepler_limit_residual,
 )
 from twocenter.sampling import make_rng, sample_phase_points
@@ -50,17 +49,18 @@ def test_near_collision_guard():
     with pytest.raises(NearCollisionError):
         acceleration(np.array([1.0, 0.0, 0.0]), EQUAL)
     with pytest.raises(NearCollisionError):
-        hamiltonian(np.array([-1.0, 1e-9, 0.0]), np.zeros(3), EQUAL)
+        first_integrals(np.array([-1.0, 1e-9, 0.0]), np.zeros(3), EQUAL)
     with pytest.raises(NearCollisionError):
-        euler_integral(np.array([1.0, 0.0, 1e-10]), np.zeros(3), EQUAL)
+        first_integrals(np.array([1.0, 0.0, 1e-10]), np.zeros(3), EQUAL)
 
 
 def test_hamiltonian_examples():
-    assert hamiltonian(np.zeros(3), np.zeros(3), EQUAL) == -2.0
-    value = hamiltonian(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL)
+    """J, the energy, of ``first_integrals``."""
+    assert first_integrals(np.zeros(3), np.zeros(3), EQUAL)[0] == -2.0
+    value = first_integrals(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL)[0]
     assert value == pytest.approx(0.5 - np.sqrt(2), abs=1e-15)
     free = Problem(0.0, 0.0, 1.0)
-    assert hamiltonian(np.array([0.0, 1, 0]), np.array([1.0, 1, 0]), free) == 1.0
+    assert first_integrals(np.array([0.0, 1, 0]), np.array([1.0, 1, 0]), free)[0] == 1.0
 
 
 def test_axial_angular_momentum_examples():
@@ -71,10 +71,11 @@ def test_axial_angular_momentum_examples():
 
 
 def test_euler_integral_examples():
-    assert euler_integral(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL) == 1.0
-    assert euler_integral(np.array([0.0, 1, 0]), np.zeros(3), Problem(0.7, 2.3, 1.0)) == 0.0
+    """E, the Euler integral, of ``first_integrals``."""
+    assert first_integrals(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]), EQUAL)[2] == 1.0
+    assert first_integrals(np.array([0.0, 1, 0]), np.zeros(3), Problem(0.7, 2.3, 1.0))[2] == 0.0
     free = Problem(0.0, 0.0, 1.0)
-    assert euler_integral(np.array([0.0, 1, 0]), np.array([1.0, 0, 0]), free) == 2.0
+    assert first_integrals(np.array([0.0, 1, 0]), np.array([1.0, 0, 0]), free)[2] == 2.0
 
 
 def test_acceleration_is_negative_potential_gradient():
@@ -105,9 +106,10 @@ def test_rotational_symmetry_of_invariants():
     angles = rng.uniform(0, 2 * np.pi, size=50)
     for q, p, angle in zip(qs, ps, angles):
         qr, pr = rotate_about_axis(q, angle), rotate_about_axis(p, angle)
-        assert abs(hamiltonian(qr, pr, prob) - hamiltonian(q, p, prob)) <= 1e-12
+        (j_r, _, e_r), (j, _, e) = first_integrals(qr, pr, prob), first_integrals(q, p, prob)
+        assert abs(j_r - j) <= 1e-12
         assert abs(axial_angular_momentum(qr, pr) - axial_angular_momentum(q, p)) <= 1e-12
-        assert abs(euler_integral(qr, pr, prob) - euler_integral(q, p, prob)) <= 1e-12
+        assert abs(e_r - e) <= 1e-12
 
 
 def test_single_mass_reduction():
@@ -121,7 +123,7 @@ def test_single_mass_reduction():
         one_center = (
             cross @ cross + (c @ p) ** 2 + 2 * (q @ c) * prob.m_minus / np.linalg.norm(q + c)
         )
-        assert abs(euler_integral(q, p, prob) - one_center) <= 1e-12
+        assert abs(first_integrals(q, p, prob)[2] - one_center) <= 1e-12
 
 
 def test_kepler_limit_examples():

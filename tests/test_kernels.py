@@ -27,7 +27,7 @@ from twocenter import InvalidInputError, NearCollisionError, Problem, accelerati
 from twocenter.codegen import RhsTemplate, compile_columns, compile_kernel
 from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, on_columns, rhs_params
 from twocenter.geometry import LIFT
-from twocenter.projective import ENERGY, INTRINSIC_RHS, RELATION, relation_coefficients
+from twocenter.projective import ENERGY, INTRINSIC_RHS, RELATION
 
 RTOL = 1e-13
 ATOL = 1e-15
@@ -96,8 +96,7 @@ def test_lift_and_relation_column_forms_match_kernels_row_by_row(template):
     both with one message, the column form naming the first such row."""
     rng = np.random.default_rng(6)
     for prob in (Problem(), Problem(1.3, 0.7, 1.7)):
-        lambdas = dict(zip(("lam_j", "lam_e", "lam_t2"), relation_coefficients(prob.a)))
-        params = {"wyz": prob.wyz} if template is LIFT else {**rhs_params(prob), **lambdas}
+        params = {"wyz": prob.wyz} if template is LIFT else rhs_params(prob)
         states = rng.uniform(-5.0, 5.0, (2000, 6))
         rhs, columns = compile_kernel(template)(**params), compile_columns(template)
         want = np.array([rhs(row) for row in states.tolist()])

@@ -30,7 +30,7 @@ def traced_peak(fn, *args):
 
 def test_fit_peak_is_its_kept_rows_and_a_few_chunks():
     """At 10^6 points the fit holds its 32 MB of kept rows and the temporaries
-    of one chunk; a whole sample of q and p would add 48 MB (measured: 36.0 MB)."""
+    of one chunk; a whole sample of q and p would add 48 MB (measured: 35.9 MB)."""
     n = 1_000_000
     prob = Problem(1.0, 1.0, 2.0)
     fit_integral_relation(prob, 64)  # first-call allocations are not the fit's

@@ -368,13 +368,19 @@ def test_fit_rejects_small_sample():
 
 
 def test_fit_rank_deficiency(monkeypatch):
+    """A rank-deficient draw is refused at once: a degenerate sampler stays
+    degenerate, so drawing again could not help."""
+    draws = []
+
     def zero_velocity_sampler(prob, n, rng):
+        draws.append(n)
         qs, _ = sample_phase_points(prob, n, rng)
         return qs, np.zeros_like(qs)  # Theta column identically zero
 
     monkeypatch.setattr(projective, "sample_phase_points", zero_velocity_sampler)
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(RankDeficientError, match=r"^the fit's sample of 64 points is rank deficient \(rank 3 of 4\)$"):
         fit_integral_relation(EQUAL, 64, seed=3)
+    assert draws == [64]
 
 
 @settings(max_examples=60, deadline=None)
