@@ -6,8 +6,7 @@ costs less than any function call around it.  Each formula, its guard
 included, is written once, as an :class:`RhsTemplate`, and compiled in
 the form each caller needs: written out at every stage of ``integrate``'s
 generated runs, as a function of one state of floats (:func:`compile_kernel`)
-or of numpy columns, the batched evaluators (:func:`compile_columns`).  A
-template may chain others as its stages, so that formulas in sequence are one.
+or of numpy columns, the batched evaluators (:func:`compile_columns`).
 
 Generated source is compiled on first use, never at import, and registered
 with ``linecache`` under a ``<twocenter generated: ...>`` pseudo-filename,
@@ -21,7 +20,7 @@ import functools
 import linecache
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,16 +56,12 @@ def _first_row(refused, *values) -> list[float]:
 class RhsTemplate:
     """Source of a formula y -> f(y), such as a right-hand side y' = f(y).
 
-    The ``stages``, the ``guard`` (if any) and then ``body`` are statements
-    that read the state from the names in ``state`` and the problem's
-    constants from those in ``params``, and assign only temporaries;
-    ``derivative`` holds one expression per output in the names they leave,
-    and ``sqrt`` is the form's square root.  A stage (template, values,
-    outputs) reads its state from the names ``values``, assigns its outputs
-    to the names ``outputs`` and prefixes its temporaries with its number
-    (``s1_``, ...), so that no two stages clash.  ``name`` labels the
-    generated code.  Templates compare by identity: each formula is one
-    module-level object.
+    The ``guard`` (if any) and then ``body`` are statements that read the
+    state from the names in ``state`` and the problem's constants from those
+    in ``params``, and assign only temporaries; ``derivative`` holds one
+    expression per output in the names they leave, and ``sqrt`` is the
+    form's square root.  ``name`` labels the generated code.  Templates
+    compare by identity: each formula is one module-level object.
     """
 
     name: str
@@ -75,26 +70,10 @@ class RhsTemplate:
     body: str
     derivative: tuple[str, ...]
     guard: Guard | None = None
-    stages: tuple[tuple[RhsTemplate, tuple[str, ...], tuple[str, ...]], ...] = ()
-
-    def renamed(self, names: dict[str, str]) -> RhsTemplate:
-        """This template with each key of ``names`` replaced by its value, also in its message."""
-
-        def rename(text: str) -> str:
-            return re.sub(r"\b[A-Za-z_]\w*", lambda m: names.get(m[0], m[0]), text)
-
-        guard = self.guard and Guard(rename(self.guard.lines), rename(self.guard.test), self.guard.error,
-                                     re.sub(r"\{[^}:!]*", lambda m: rename(m[0]), self.guard.message))
-        return replace(self, state=tuple(map(rename, self.state)), body=rename(self.body),
-                       derivative=tuple(map(rename, self.derivative)), guard=guard)
 
     def lines(self, columns: bool = False) -> list[str]:
-        """The stages, the guard's lines and test, then the body; an entry per line, an ``if`` block whole."""
+        """The guard's lines and test, then the body; an entry per line, an ``if`` block whole."""
         lines = []
-        for k, (template, values, outputs) in enumerate(self.stages, 1):
-            temps = _assigned(template.body + "\n" + (template.guard.lines if template.guard else ""))
-            stage = template.renamed({**{name: f"s{k}_{name}" for name in temps}, **dict(zip(template.state, values))})
-            lines += stage.lines(columns) + [f"{out} = {expr}" for out, expr in zip(outputs, stage.derivative)]
         if self.guard is not None:
             guard_lines, test = self.guard.lines.splitlines(), self.guard.test
             raise_ = f'raise {self.guard.error.__name__}(f"{self.guard.message}")'

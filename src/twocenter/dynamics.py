@@ -81,11 +81,10 @@ def kernel(template: RhsTemplate, prob: Problem):
     return compile_kernel(template)(**rhs_params(prob))
 
 
-def on_columns(template: RhsTemplate, prob: Problem, *state, **params) -> tuple:
+def on_columns(template: RhsTemplate, prob: Problem, *state) -> tuple:
     """The outputs of ``template``'s column form (see codegen) for ``prob`` on numpy
-    columns ``state``, unchecked but for the template's guard; ``params`` binds
-    constants beyond :func:`rhs_params`."""
-    return compile_columns(template)(*state, **rhs_params(prob), **params)
+    columns ``state``, unchecked but for the template's guard."""
+    return compile_columns(template)(*state, **rhs_params(prob))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,9 +17,10 @@ distances and the collision guard of ``INTRINSIC_RHS`` and no cancellation,
 
 At every phase point, whatever the masses, G = (2J + E)/(1+a^2) -
 a^2 Theta^2/(1+a^2)^2 in the planar first integrals (J + E/2 - Theta^2/4
-for a = 1; :func:`relation_coefficients`), in the outputs (J, E, Theta^2,
-G) of the chain of templates ``RELATION``.  The test suite proves this
-symbolically; :func:`fit_integral_relation` recovers it independently.
+for a = 1; :func:`relation_coefficients`): the templates ``INTEGRALS``,
+``LIFT`` and ``ENERGY`` evaluated in turn give (J, E, Theta^2, G).  The test
+suite proves this symbolically; :func:`fit_integral_relation` recovers it
+independently.
 
 A projected state is held only as the (..., 4) arrays (Q, Q') that
 :func:`lift_arrays` makes from a planar (q, p).  That loses nothing: the
@@ -133,20 +134,13 @@ def relation_coefficients(a: float) -> tuple[float, float, float, float]:
     return 2.0 / s, 1.0 / s, -(a * a) / (s * s), 0.0
 
 
-# (J, E, Theta^2, G) at a planar (q, p), a chain of templates (see codegen): (J, Theta, E),
-# the lift (Q, Q') and its G, each stage under its guard; the fit's columns, and the
-# residual's terms in :func:`relation_coefficients`.
-_LIFTED = tuple(f"lift_{name}" for name in ENERGY.state)
-RELATION = RhsTemplate(
-    name="relation",
-    state=INTEGRALS.state,
-    params=INTEGRALS.params,
-    stages=((INTEGRALS, INTEGRALS.state, ("j", "theta", "e")),
-            (LIFT, INTEGRALS.state, _LIFTED),
-            (ENERGY, _LIFTED, ("g",))),
-    body="theta2 = theta * theta",
-    derivative=("j", "e", "theta2", "g"),
-)
+def _relation(prob: Problem, x, y, z, px, py, pz) -> tuple:
+    """(J, E, Theta^2, G) on the planar columns (q, p): ``INTEGRALS``, then ``ENERGY``
+    at their lift ``LIFT``, each refusing under its guard in that order.  The fit's
+    columns, and the residual's terms in :func:`relation_coefficients`."""
+    j, theta, e = on_columns(INTEGRALS, prob, x, y, z, px, py, pz)
+    g, = on_columns(ENERGY, prob, *compile_columns(LIFT)(x, y, z, px, py, pz, prob.wyz))
+    return j, e, theta * theta, g
 
 
 def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np.ndarray:
@@ -154,10 +148,11 @@ def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np
     coefficients of :func:`relation_coefficients`; a numpy float for one point.
 
     q and p of any shapes that broadcast are checked finite whole, then go
-    through ``RELATION`` a block of ``_ROWS`` rows at a time, copied
-    column-major so that the temporaries stay in cache: bit-identical to one
-    pass, with each block's refusals in the chain's order.  A residual that
-    overflows (E grows as a^2 p^2) reads inf or nan, without a numpy warning."""
+    through ``INTEGRALS``, ``LIFT`` and ``ENERGY`` a block of ``_ROWS`` rows
+    at a time, copied column-major so that the temporaries stay in cache:
+    bit-identical to one pass, with each block's refusals in that order.  A
+    residual that overflows (E grows as a^2 p^2) reads inf or nan, without a
+    numpy warning."""
     pair_columns(q, p)  # validates q and p
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
@@ -166,7 +161,7 @@ def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
         for start in range(0, len(flat), _ROWS):
             rows = slice(start, start + _ROWS)
-            j, e, theta2, g = on_columns(RELATION, prob, *np.asfortranarray(q[rows]).T, *np.asfortranarray(p[rows]).T)
+            j, e, theta2, g = _relation(prob, *np.asfortranarray(q[rows]).T, *np.asfortranarray(p[rows]).T)
             flat[rows] = g - (lam_j * j + lam_e * e + lam_t2 * theta2)
             del j, e, theta2, g  # not held while the next block runs
     return out if out.ndim else out[()]
@@ -180,15 +175,16 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     about 1e-13 at unit masses.  The sample is drawn from one seeded stream
     in chunks of ``_ROWS`` points, so a fit of at most ``_ROWS`` points draws
     it with one ``sample_phase_points`` call.  Each chunk is checked, its
-    ``RELATION`` rows [J, E, Theta^2, 1, G] are reduced to their 5 x 5 QR
-    factor, and its [J, E, Theta^2, G] are kept for the residual, 32 B per
-    point; no array has the sample's length.  The stacked factors have the singular values of
-    the whole design; they are solved with each column scaled by its largest
-    magnitude, so the fit keeps full rank at any mass.  G carries roundoff of
-    about mass x 1e-16, which bounds how well l_T2 and l_0 (columns of size
-    one) can be recovered.  A rank-deficient draw raises
-    :class:`RankDeficientError`; a draw whose rows overflow (E grows as
-    a^2 p^2) is refused once every chunk has passed the guards.
+    rows [J, E, Theta^2, 1, G] are reduced to their 5 x 5 QR factor, its
+    [J, E, Theta^2, G] are kept for the residual, 32 B per point, and the
+    rest is freed before the next draw; no array has the sample's length.
+    The stacked factors have the singular values of the whole design; they
+    are solved with each column scaled by its largest magnitude, so the fit
+    keeps full rank at any mass.  G carries roundoff of about mass x 1e-16,
+    which bounds how well l_T2 and l_0 (columns of size one) can be
+    recovered.  A rank-deficient draw raises :class:`RankDeficientError`; a
+    draw whose rows overflow (E grows as a^2 p^2) is refused once every
+    chunk has passed the guards.
     """
     if sample_count < 8:
         raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
@@ -199,11 +195,12 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
         for start in range(0, sample_count, _ROWS):
             q, p = sample_phase_points(prob, min(_ROWS, sample_count - start), rng)
-            j, e, theta2, g = on_columns(RELATION, prob, *pair_columns(q, p))  # checks the chunk
+            j, e, theta2, g = _relation(prob, *pair_columns(q, p))  # checks the chunk
             block = np.stack((j, e, theta2, np.ones_like(j), g), axis=-1)
             # an overflowing block is refused after the loop, so that a guard row in a later one wins
             factors.append(np.linalg.qr(block, mode="r") if np.isfinite(block).all() else np.full((1, 5), np.inf))
             kept.append(block[:, (0, 1, 2, 4)])
+            del q, p, j, e, theta2, g, block  # not held while the next chunk is drawn
         r = np.concatenate(factors)
         if not np.isfinite(r).all():
             raise InvalidInputError(f"(J, E, Theta^2) or G overflows on the fit's sample of {prob}")

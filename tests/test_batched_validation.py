@@ -9,6 +9,7 @@ batches instead of spinning.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,28 @@ def test_center_ray_row_alone_is_refused(blocked_batch, name, row):
     q, p = blocked_batch[0].copy(), blocked_batch[1]
     q[row] = CENTER_RAY
     with pytest.raises(NearCollisionError):
+        blocked_evaluators(q, p)[name]()
+
+
+# Within one block the rows go through INTEGRALS, LIFT and ENERGY in turn, each
+# refusing under its guard: a planar guard row anywhere in the block comes before
+# a q whose |(q, 1)|_* overflows, and that before a point on a center's ray.
+GUARD_ROW = (1.0 + 0.5 * COLLISION_GUARD, 0.0, 0.0)
+LIFT_OVERFLOW_ROW = (1e155, 0.0, 0.0)  # outside the planar guard; its |(q, 1)|_*^2 overflows
+
+
+@pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))
+@pytest.mark.parametrize(
+    "row_3, row_10, error, message",
+    [(LIFT_OVERFLOW_ROW, GUARD_ROW, NearCollisionError, "attracting center"),
+     (CENTER_RAY, LIFT_OVERFLOW_ROW, InvalidInputError, re.escape("overflows at q = [1e+155, 0.0, 0.0]")),
+     (GUARD_ROW, CENTER_RAY, NearCollisionError, "attracting center")],
+    ids=["overflow-then-guard", "center-ray-then-overflow", "guard-then-center-ray"],
+)
+def test_refusals_within_one_block_follow_the_chain(batch, name, row_3, row_10, error, message):
+    q, p = batch[0][:100].copy(), batch[1][:100]
+    q[3], q[10] = row_3, row_10
+    with pytest.raises(error, match=message):
         blocked_evaluators(q, p)[name]()
 
 

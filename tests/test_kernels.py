@@ -23,11 +23,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from twocenter import InvalidInputError, NearCollisionError, Problem, acceleration
+from twocenter import InvalidInputError, NearCollisionError, Problem, acceleration, projective
 from twocenter.codegen import RhsTemplate, compile_columns, compile_kernel
-from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, on_columns, rhs_params
+from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, on_columns
 from twocenter.geometry import LIFT
-from twocenter.projective import ENERGY, INTRINSIC_RHS, RELATION
+from twocenter.projective import ENERGY, INTRINSIC_RHS
 
 RTOL = 1e-13
 ATOL = 1e-15
@@ -89,21 +89,41 @@ def test_column_form_matches_kernel_row_by_row(template):
         assert str(in_columns.value) == str(in_kernel.value)
 
 
-@pytest.mark.parametrize("template", [LIFT, RELATION], ids=lambda t: t.name)
-def test_lift_and_relation_column_forms_match_kernels_row_by_row(template):
-    """``LIFT`` and the chain ``RELATION`` through it: each row of the column form
-    gives the kernel's bits, and a q whose |(q, 1)|_* overflows is refused by
+def relation_kernel(prob):
+    """(J, E, Theta^2, G) of one planar state: the kernels of ``INTEGRALS``, ``LIFT``
+    and ``ENERGY`` composed, the row form of ``projective._relation``."""
+    integrals, lift, energy = kernel(INTEGRALS, prob), compile_kernel(LIFT)(prob.wyz), kernel(ENERGY, prob)
+
+    def rhs(state):
+        j, theta, e = integrals(state)
+        g, = energy(lift(state))
+        return j, e, theta * theta, g
+
+    return rhs
+
+
+# (kernel, column form) of each, for a problem
+ROW_AND_COLUMN_FORMS = {
+    "lift": lambda prob: (compile_kernel(LIFT)(wyz=prob.wyz),
+                          lambda *states: compile_columns(LIFT)(*states, wyz=prob.wyz)),
+    "relation": lambda prob: (relation_kernel(prob), lambda *states: projective._relation(prob, *states)),
+}
+
+
+@pytest.mark.parametrize("form", list(ROW_AND_COLUMN_FORMS))
+def test_lift_and_relation_column_forms_match_kernels_row_by_row(form):
+    """``LIFT`` and ``projective._relation`` through it: each row of the column form
+    gives the kernels' bits, and a q whose |(q, 1)|_* overflows is refused by
     both with one message, the column form naming the first such row."""
     rng = np.random.default_rng(6)
     for prob in (Problem(), Problem(1.3, 0.7, 1.7)):
-        params = {"wyz": prob.wyz} if template is LIFT else rhs_params(prob)
         states = rng.uniform(-5.0, 5.0, (2000, 6))
-        rhs, columns = compile_kernel(template)(**params), compile_columns(template)
+        rhs, columns = ROW_AND_COLUMN_FORMS[form](prob)
         want = np.array([rhs(row) for row in states.tolist()])
-        assert np.array_equal(np.stack(columns(*states.T, **params), axis=-1), want)
+        assert np.array_equal(np.stack(columns(*states.T), axis=-1), want)
         states[[7, 9], 1] = (3e200, -2e200)
         with pytest.raises(InvalidInputError) as in_columns, np.errstate(over="ignore", invalid="ignore"):
-            columns(*states.T, **params)  # RELATION's E overflows before the lift refuses
+            columns(*states.T)  # the relation's E overflows before the lift refuses
         with pytest.raises(InvalidInputError) as in_kernel:
             rhs(states[7].tolist())
         assert str(in_columns.value) == str(in_kernel.value) == f"|(q, 1)|_* overflows at q = {states[7, :3].tolist()}"
