@@ -40,7 +40,8 @@ def columns(v: np.ndarray, size: int, name: str) -> tuple[np.ndarray, ...]:
 
 
 def pair_columns(q, p, size: int = 3, names: tuple[str, str] = ("q", "p")) -> tuple[np.ndarray, ...]:
-    """The 2 x ``size`` column views of two (..., size) batches, q's then p's.
+    """The 2 x ``size`` column views of two (..., size) batches, q's then p's,
+    broadcast to one shape, as the in-place column forms need (see codegen).
 
     The one validation rule of the public evaluators of two batches: the
     last axis of q, then of p, then that the shapes broadcast, then that q
@@ -56,7 +57,7 @@ def pair_columns(q, p, size: int = 3, names: tuple[str, str] = ("q", "p")) -> tu
         raise InvalidInputError(f"{shapes} do not broadcast") from None
     check_finite(q, names[0])
     check_finite(p, names[1])
-    return views
+    return views if q.shape == p.shape else tuple(np.broadcast_arrays(*views))
 
 
 def star_norm(v: np.ndarray, prob: Problem) -> float | np.ndarray:

@@ -174,8 +174,9 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     residual sits at roundoff and the coefficients match the closed form to
     about 1e-13 at unit masses.  The sample is drawn from one seeded stream
     in chunks of ``_ROWS`` points, so a fit of at most ``_ROWS`` points draws
-    it with one ``sample_phase_points`` call.  Each chunk is checked, its
-    rows [J, E, Theta^2, 1, G] are reduced to their 5 x 5 QR factor, its
+    it with one ``sample_phase_points`` call.  Each chunk is checked and
+    copied column-major, as in :func:`relation_residual`; its rows
+    [J, E, Theta^2, 1, G] are reduced to their 5 x 5 QR factor, its
     [J, E, Theta^2, G] are kept for the residual, 32 B per point, and the
     rest is freed before the next draw; no array has the sample's length.
     The stacked factors have the singular values of the whole design; they
@@ -195,11 +196,13 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
         for start in range(0, sample_count, _ROWS):
             q, p = sample_phase_points(prob, min(_ROWS, sample_count - start), rng)
-            j, e, theta2, g = _relation(prob, *pair_columns(q, p))  # checks the chunk
+            pair_columns(q, p)  # checks the chunk
+            q, p = np.asfortranarray(q), np.asfortranarray(p)  # the C-ordered draw is freed here
+            j, e, theta2, g = _relation(prob, *q.T, *p.T)
             block = np.stack((j, e, theta2, np.ones_like(j), g), axis=-1)
             # an overflowing block is refused after the loop, so that a guard row in a later one wins
             factors.append(np.linalg.qr(block, mode="r") if np.isfinite(block).all() else np.full((1, 5), np.inf))
-            kept.append(block[:, (0, 1, 2, 4)])
+            kept.append(np.stack((j, e, theta2, g), axis=-1))
             del q, p, j, e, theta2, g, block  # not held while the next chunk is drawn
         r = np.concatenate(factors)
         if not np.isfinite(r).all():

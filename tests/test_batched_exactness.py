@@ -367,6 +367,28 @@ def test_batched_acceleration_matches_point_evaluation(a):
     assert np.array_equal(acceleration(q, prob), np.array([ref_point_acceleration(row, prob) for row in q]))
 
 
+def by_rows(fn, a, b, prob):
+    """fn at each row of a and b broadcast, stacked: the per-point evaluation."""
+    rows = [fn(x, y, prob) for x, y in zip(*np.broadcast_arrays(a, b))]
+    return tuple(map(np.stack, zip(*rows))) if isinstance(rows[0], tuple) else np.stack(rows)
+
+
+@pytest.mark.parametrize("one", [np.s_[0], np.s_[:1]], ids=["(3,)", "(1, 3)"])
+@pytest.mark.parametrize("which", ["p", "q"])
+def test_broadcast_evaluators_match_point_evaluation(which, one):
+    """The evaluators of two batches broadcast them to one shape before the
+    in-place column forms run (see codegen): a q or p of one row against a
+    batch gives each row's bits alone, and so does ``acceleration``, whose
+    velocities are the float 0.0."""
+    prob = Problem(1.3, 0.7, 1.7)
+    q, p = make_rng(4).uniform(-5.0, 5.0, size=(2, 300, 3))
+    big_q, qp = lift_arrays(q, p, prob)
+    for fn, a, b in [(first_integrals, q, p), (lift_arrays, q, p), (energy_arrays, big_q, qp)]:
+        a, b = (a, b[one]) if which == "p" else (a[one], b)
+        assert_same(fn(a, b, prob), by_rows(fn, a, b, prob))
+    assert np.array_equal(acceleration(q, prob), np.stack([acceleration(row, prob) for row in q]))
+
+
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_batched_fd_oracle_matches_point_loop(a):
     """50 sampled states, as check_velocity_independence draws them, and 10

@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from twocenter import InvalidInputError, NearCollisionError, Problem, acceleration, projective
+from twocenter import InvalidInputError, NearCollisionError, Problem, acceleration, dynamics, geometry, projective
 from twocenter.codegen import RhsTemplate, compile_columns, compile_kernel
-from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, on_columns
+from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, on_columns, rhs_params
 from twocenter.geometry import LIFT
 from twocenter.projective import ENERGY, INTRINSIC_RHS
 
@@ -127,6 +127,36 @@ def test_lift_and_relation_column_forms_match_kernels_row_by_row(form):
         with pytest.raises(InvalidInputError) as in_kernel:
             rhs(states[7].tolist())
         assert str(in_columns.value) == str(in_kernel.value) == f"|(q, 1)|_* overflows at q = {states[7, :3].tolist()}"
+
+
+# Every formula of the package, each once.
+TEMPLATES = list({id(value): value for module in (dynamics, geometry, projective)
+                  for value in vars(module).values() if isinstance(value, RhsTemplate)}.values())
+
+
+def read_only(values):
+    values = np.array(values)
+    values.flags.writeable = False
+    return values
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
+def test_column_forms_never_write_their_inputs(template):
+    """A column form accumulates only into its own temporaries (see codegen): on
+    read-only columns, where a write into an input raises, it gives the kernel's
+    bits row by row for one point (0-d columns), a batch, and one array passed as
+    every column."""
+    prob = Problem(1.3, 0.7, 1.7)
+    params = {name: value for name, value in rhs_params(prob).items() if name in template.params}
+    rhs = compile_kernel(template)(**params)
+    states = np.random.default_rng(7).uniform(0.5, 5.0, (50, len(template.state)))  # off every center
+    shared = read_only(states[:, 0])
+    for state in ([read_only(value) for value in states[0]], [read_only(column) for column in states.T],
+                  [shared] * len(template.state)):
+        got = compile_columns(template)(*state, **params)
+        rows = np.stack(np.broadcast_arrays(*state), axis=-1).reshape(-1, len(template.state))
+        want = np.array([rhs(row) for row in rows.tolist()])
+        assert np.array_equal(np.stack(np.broadcast_arrays(*got), axis=-1).reshape(want.shape), want)
 
 
 def test_import_compiles_no_generated_code():
