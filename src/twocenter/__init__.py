@@ -11,13 +11,11 @@ from .dynamics import (
     PhasePoint,
     Problem,
     acceleration,
-    axial_angular_momentum,
-    center_distances,
     first_integrals,
     kepler_limit_residual,
 )
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
-from .geometry import check_finite, project, star_inner, star_norm
+from .geometry import project, star_inner, star_norm
 from .integrate import (
     DriftReport,
     IntegratorConfig,
@@ -53,9 +51,6 @@ __all__ = [
     "RankDeficientError",
     "Trajectory",
     "acceleration",
-    "axial_angular_momentum",
-    "center_distances",
-    "check_finite",
     "cubic_hermite",
     "drift_report",
     "energy_arrays",

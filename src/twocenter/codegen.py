@@ -8,15 +8,19 @@ the form each caller needs: written out at every stage of ``integrate``'s
 generated runs, as a function of one state of floats (:func:`compile_kernel`)
 or of numpy columns, the batched evaluators (:func:`compile_columns`).
 
-On numpy columns each line is written in three-address form: the first
-array operation of an expression allocates a temporary, and every later one
-whose left operand is that temporary accumulates into it by augmented
-assignment (``t += u``), as does a ``+`` or ``*`` of a scalar and it
-(``s * t`` as ``t *= s``, the same bits, signed zeros included), so each row
-keeps the kernel's bits.  A numpy scalar rebinds under augmented assignment,
-so one point needs no special case.  No input is ever written, and the array
-columns must share one shape, as a temporary cannot grow.  Each temporary is
-deleted after its last reader.
+The column form is the kernel's statements, parsed once and rewritten as a
+syntax tree.  The guard's lines run with overflow warnings off, as an overflow
+may be what is refused, or harmless, as in the center distances of a far q.
+Its ``or`` becomes ``|``, and a batch where the test holds on any row goes to
+the kernel at the first such row in C order, which raises the guard's error.
+Each assignment is written in three-address form: the first array operation of
+an expression allocates a temporary, and every later one whose left operand is
+that temporary accumulates into it by augmented assignment (``t += u``), as
+does a ``+`` or ``*`` of a scalar and it (``s * t`` as ``t *= s``, the same
+bits, signed zeros included), so each row keeps the kernel's bits.  A numpy
+scalar rebinds under augmented assignment, so one point needs no special case.
+No input is ever written, and the array columns must share one shape, as a
+temporary cannot grow.  Each temporary is deleted after its last reader.
 
 Generated source is compiled on first use, never at import, and registered
 with ``linecache`` under a ``<twocenter generated: ...>`` pseudo-filename,
@@ -27,11 +31,11 @@ lines.  ``namedtuple`` uses the same ``exec`` technique.
 from __future__ import annotations
 
 import ast
+import copy
 import functools
 import itertools
 import linecache
 import math
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,10 +46,8 @@ from .errors import InvalidInputError, NearCollisionError
 
 class Guard(NamedTuple):
     """``lines`` assign the names that ``test`` reads, comparisons joined by ``or``; a
-    state where it holds raises ``error(f"<message>")``.  On numpy columns the lines
-    run with overflow warnings off, as an overflow may be what is refused, the
-    comparisons are joined by ``|`` and hold for the batch if on any row, and the
-    message reads its names at the first such row."""
+    state where it holds raises ``error(f"<message>")``, on numpy columns through
+    the kernel at the first such row (see above)."""
 
     lines: str
     test: str
@@ -53,50 +55,52 @@ class Guard(NamedTuple):
     message: str
 
 
-def _assigned(text: str) -> list[str]:
-    """The names that the statements ``text`` assign, one name to a statement."""
-    return re.findall(r"^\s*(\w+) = ", text, re.MULTILINE)
+def _refuse(template, refused, state, params):
+    """Run ``template``'s kernel, bound to ``params``, on the first row of the columns
+    ``state`` where ``refused`` holds, in C order: it raises the guard's error."""
+    refused, *state = np.broadcast_arrays(refused, *state)
+    row = np.unravel_index(np.argmax(refused), refused.shape)
+    compile_kernel(template)(*params)([float(column[row]) for column in state])
+    raise AssertionError(f"the {template.name} kernel passes a row that its column form refuses")
 
 
-def _first_row(refused, *values) -> list[float]:
-    """The ``values``, broadcast to the shape of ``refused``, at its first true row."""
-    row = np.unravel_index(np.argmax(refused), np.shape(refused))
-    return [float(np.broadcast_to(value, np.shape(refused))[row]) for value in values]
+def _names(node: ast.AST, found: set[str]) -> set[str]:
+    """``found``, plus the names in ``node``: those ``ast.walk`` finds, at about half its cost."""
+    if isinstance(node, ast.Name):
+        found.add(node.id)
+    elif isinstance(node, ast.AST):
+        for field in node._fields:
+            value = getattr(node, field, None)
+            for child in value if isinstance(value, list) else (value,):
+                _names(child, found)
+    return found
 
 
-_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-
-
-def _in_place(line: str, scalars: set[str], temps) -> list[str]:
+def _three_address(statement: ast.stmt, scalars: set[str], temps) -> list[ast.stmt]:
     """An assignment ``target = expr`` on numpy columns in three-address form (see
     above), with temporaries named from ``temps``; a subexpression of ``scalars``
-    and literals alone stays one Python float.  Any other line is kept."""
-    match = re.fullmatch(r"(\s*)(\w+) = (.*)", line)
-    if not match:
-        return [line]
-    indent, target, expr = match.groups()
+    and literals alone stays one Python float.  Any other statement is kept."""
     lines = []
 
-    def scalar(node) -> bool:
-        return all(name.id in scalars for name in ast.walk(node) if isinstance(name, ast.Name))
-
-    def operand(node) -> tuple[str, bool]:
-        """The text of ``node``'s value, and whether it is a fresh temporary."""
-        if scalar(node) or not (isinstance(node, ast.BinOp) and type(node.op) in _SYMBOLS):
-            text = ast.unparse(node)
-            return (text if isinstance(node, (ast.Name, ast.Constant)) else f"({text})"), False
+    def operand(node):
+        """``node``'s value, and whether it is a fresh temporary (True), a scalar (None) or another array."""
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))):
+            return node, None if _names(node, set()) <= scalars else False
         (left, fresh_left), (right, fresh_right) = operand(node.left), operand(node.right)
-        op = _SYMBOLS[type(node.op)]
-        if fresh_left or fresh_right and op in "+*" and scalar(node.left):
+        if fresh_left is None and fresh_right is None:
+            return node, None
+        if fresh_left or fresh_right and fresh_left is None and isinstance(node.op, (ast.Add, ast.Mult)):
             into, other = (left, right) if fresh_left else (right, left)
-            lines.append(f"{into} {op}= {other}")
+            lines.append(ast.AugAssign(into, node.op, other))
             return into, True
-        temp = next(temps)
-        lines.append(f"{temp} = {left} {op} {right}")
+        temp, node.left, node.right = ast.Name(next(temps)), left, right
+        lines.append(ast.Assign([temp], node, lineno=statement.lineno))  # ast.unparse reads an Assign's lineno
         return temp, True
 
-    value, fresh = operand(ast.parse(expr, mode="eval").body)
-    return [indent + re.sub(rf"\b{value}\b", target, line) for line in lines] if fresh else [line]
+    value, fresh = operand(statement.value) if isinstance(statement, ast.Assign) else (None, False)
+    if fresh:
+        value.id = statement.targets[0].id  # one node for each temporary, so this renames it in every line
+    return lines if fresh else [statement]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,40 +122,36 @@ class RhsTemplate:
     derivative: tuple[str, ...]
     guard: Guard | None = None
 
-    def lines(self, columns: bool = False) -> list[str]:
-        """The guard's lines and test, then the body; an entry per line, an ``if`` block whole."""
-        lines = []
-        if self.guard is not None:
-            guard_lines, test = self.guard.lines.splitlines(), self.guard.test
-            raise_ = f'raise {self.guard.error.__name__}(f"{self.guard.message}")'
-            if columns:
-                test = " | ".join(f"({condition})" for condition in test.split(" or "))
-                fields = " ".join(re.findall(r"\{([^}:!]*)", self.guard.message))
-                read = ", ".join(sorted(set(re.findall(r"\b[A-Za-z_]\w*", fields)) - set(self.params)))
-                raise_ = f"{read}, = first_row({test}, {read})\n    {raise_}" if read else raise_
-                guard_lines = ['with errstate(over="ignore"):', *("    " + line for line in guard_lines)]
-                test = f"({test}).any()"
-            lines += [*guard_lines, f"if {test}:\n    {raise_}"]
-        return lines + self.body.splitlines()
-
     def statements(self, columns: bool = False) -> list[str]:
-        """:meth:`lines`, one line each.  On numpy columns the derivative follows as
-        ``_out{i}`` lines, every line is in three-address form, and each temporary
-        is deleted after its last reader: a larger working set of live arrays costs
-        up to 25 % on 10^5 rows."""
-        statements = self.lines(columns)
-        if columns:
-            outputs = [f"_out{i}" for i in range(len(self.derivative))]
-            fresh = (f"_t{i}" for i in itertools.count())
-            statements += [f"{out} = {expr}" for out, expr in zip(outputs, self.derivative)]
-            statements = [new for line in statements for new in _in_place(line, set(self.params), fresh)]
-            temps = {name for line in statements for name in _assigned(line)} - set(outputs)
-            last = {name: i for i, line in enumerate(statements) for name in re.findall(r"\w+", line) if name in temps}
-            for i in sorted(set(last.values()), reverse=True):  # at the reader's indent, so also in a with block
-                indent = statements[i][:len(statements[i]) - len(statements[i].lstrip())]
-                names = ", ".join(sorted(name for name, j in last.items() if j == i))
-                statements.insert(i + 1, f"{indent}del {names}")
-        return "\n".join(statements).splitlines()
+        """The guard's lines and test, then the body, one line each; on numpy columns also
+        the derivative as ``_out{i}`` lines, all parsed, rewritten (see above) and unparsed
+        once.  Without the ``del`` lines, more live arrays cost up to 25 % on 10^5 rows."""
+        lines = self.body.splitlines()
+        if self.guard is not None:
+            raise_ = f'    raise {self.guard.error.__name__}(f"{self.guard.message}")'
+            lines = [*self.guard.lines.splitlines(), f"if {self.guard.test}:", raise_, *lines]
+        if not columns:
+            return lines
+        outputs = [f"_out{i}" for i in range(len(self.derivative))]
+        tree = ast.parse("\n".join(lines + [f"{out} = {expr}" for out, expr in zip(outputs, self.derivative)]))
+        fresh = (f"_t{i}" for i in itertools.count())
+        body = [new for statement in tree.body for new in _three_address(statement, set(self.params), fresh)]
+        temps = {statement.targets[0].id for statement in body if isinstance(statement, ast.Assign)} - set(outputs)
+        for i in reversed(range(len(body))):  # from the end, a temporary's first reader is its last
+            names = sorted(temps & _names(body[i], set()))
+            if names:
+                body.insert(i + 1, ast.Delete([ast.Name(name) for name in names]))
+                temps -= set(names)
+        if self.guard is not None:
+            at = next(i for i, statement in enumerate(body) if isinstance(statement, ast.If))
+            check, errstate = body[at], ast.parse('with errstate(over="ignore"): pass').body[0]
+            conditions = check.test.values if isinstance(check.test, ast.BoolOp) else [check.test]
+            refused = functools.reduce(lambda left, right: ast.BinOp(left, ast.BitOr(), right), conditions)
+            arguments = [ast.List([ast.Name(name) for name in names]) for names in (self.state, self.params)]
+            refuse = ast.Call(ast.Name("refuse"), [copy.copy(refused), *arguments], [])  # unparse keeps .any's parens
+            check.test, check.body = ast.Call(ast.Attribute(refused, "any"), [], []), [ast.Expr(refuse)]
+            errstate.body, body[:at] = body[:at], [errstate]
+        return ast.unparse(ast.Module(body, [])).splitlines()
 
     def inline(self, values, outputs, indent: str) -> list[str]:
         """Lines that evaluate f at the expressions ``values`` into the names ``outputs``."""
@@ -201,5 +201,5 @@ def compile_columns(template: RhsTemplate):
         *("    " + line for line in template.statements(columns=True)),
         f"    return ({', '.join(f'_out{i}' for i in range(len(template.derivative)))},)",
     ]
-    namespace = {"sqrt": np.sqrt, "errstate": np.errstate, "first_row": _first_row}
+    namespace = {"sqrt": np.sqrt, "errstate": np.errstate, "refuse": functools.partial(_refuse, template)}
     return compile_function(f"{template.name} columns", "\n".join(lines) + "\n", "columns", namespace)

@@ -31,8 +31,6 @@ from twocenter import (
     IntegralRelation,
     Problem,
     acceleration,
-    axial_angular_momentum,
-    center_distances,
     energy_arrays,
     fd_tangential_acceleration,
     first_integrals,
@@ -49,7 +47,7 @@ from twocenter import (
     velocity_independence_residual,
 )
 from twocenter import projective, sampling, verify
-from twocenter.dynamics import COLLISION_GUARD, PLANAR_RHS, kernel
+from twocenter.dynamics import COLLISION_GUARD, PLANAR_RHS, axial_angular_momentum, center_distances, kernel
 from twocenter.errors import NearCollisionError
 
 from oracles import lifted_speed_squared

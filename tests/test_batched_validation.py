@@ -18,8 +18,6 @@ from twocenter import (
     InvalidInputError,
     NearCollisionError,
     Problem,
-    axial_angular_momentum,
-    center_distances,
     energy_arrays,
     first_integrals,
     fit_integral_relation,
@@ -31,7 +29,7 @@ from twocenter import (
     sample_phase_points,
 )
 from twocenter import projective
-from twocenter.dynamics import COLLISION_GUARD
+from twocenter.dynamics import COLLISION_GUARD, axial_angular_momentum, center_distances
 
 PROB = Problem(1.0, 1.0, 1.0)
 ROWS = 100_000

@@ -9,10 +9,10 @@ from twocenter import (
     PhasePoint,
     Problem,
     acceleration,
-    axial_angular_momentum,
     first_integrals,
     kepler_limit_residual,
 )
+from twocenter.dynamics import axial_angular_momentum
 from twocenter.sampling import make_rng, sample_phase_points
 
 EQUAL = Problem(1.0, 1.0, 1.0)

@@ -14,18 +14,21 @@ is taken against the sum of the magnitudes of the terms that form each
 component: |kernel - reference| <= ATOL + RTOL * scale.
 """
 
+import ast
 import math
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from twocenter import InvalidInputError, NearCollisionError, Problem, acceleration, dynamics, geometry, projective
+from twocenter import (InvalidInputError, NearCollisionError, Problem, acceleration, codegen, dynamics, energy_arrays,
+                       first_integrals, geometry, projective)
 from twocenter.codegen import RhsTemplate, compile_columns, compile_kernel
-from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, on_columns, rhs_params
+from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, rhs_params
 from twocenter.geometry import LIFT
 from twocenter.projective import ENERGY, INTRINSIC_RHS
 
@@ -70,23 +73,101 @@ def test_planar_kernel_matches_acceleration(prob, q, p):
     assert np.array_equal(np.array(out[3:]), acceleration(q, prob))
 
 
-@pytest.mark.parametrize("template", [PLANAR_RHS, PLANAR_TAU_RHS, INTEGRALS, INTRINSIC_RHS, ENERGY], ids=lambda t: t.name)
+# Every formula of the package, each once, and those with a guard.
+TEMPLATES = list({id(value): value for module in (dynamics, geometry, projective)
+                  for value in vars(module).values() if isinstance(value, RhsTemplate)}.values())
+GUARDED = [template for template in TEMPLATES if template.guard is not None]
+
+
+def bound(template, prob):
+    """``template``'s kernel and column form, bound to the constants of ``prob`` it reads."""
+    params = {name: value for name, value in rhs_params(prob).items() if name in template.params}
+    return compile_kernel(template)(**params), lambda *state: compile_columns(template)(*state, **params)
+
+
+def refused(template, rhs, row, a, far):
+    """``row`` moved where ``template``'s kernel ``rhs`` refuses it: onto the center
+    (-a, 0, 0), scaled by w on the ellipsoid, or else out to y = ``far``."""
+    w = row[template.state.index("w")] if "w" in template.state else 1.0
+    for moved in ([-a * w, 0.0, 0.0], [row[0], far, row[2]]):
+        try:
+            rhs(moved + row[3:])
+        except template.guard.error:
+            return moved + row[3:]
+    pytest.fail(f"no row tried trips the guard of {template.name}")
+
+
+@pytest.mark.parametrize("template", GUARDED, ids=lambda t: t.name)
 def test_column_form_matches_kernel_row_by_row(template):
     """The column form runs the kernel's text on numpy columns: each row gives
-    the kernel's bits, and a row inside the guard raises the kernel's error."""
+    the kernel's bits, and a batch with refused rows raises the kernel's error
+    and message at the first of them in C order, for a (4, 25) batch and for one
+    point (0-d columns).  ``LIFT``'s message names the row's q, so it tells the
+    rows apart."""
     rng = np.random.default_rng(5)
+    size = len(template.state)
     for prob in (Problem(), Problem(1.3, 0.7, 1.7)):
-        states = rng.uniform(-5.0, 5.0, (2000, len(template.state)))
-        rhs = kernel(template, prob)
-        want = np.array([rhs(row) for row in states.tolist()])
-        assert np.array_equal(np.stack(on_columns(template, prob, *states.T), axis=-1), want)
-        scale = states[7, 3] if template.state[3] == "w" else 1.0  # the ellipsoid's centers scale with W
-        states[7, :3] = (-prob.a * scale, 0.0, 0.0)
-        with pytest.raises(NearCollisionError) as in_columns:
-            on_columns(template, prob, *states.T)
-        with pytest.raises(NearCollisionError) as in_kernel:
-            rhs(states[7].tolist())
-        assert str(in_columns.value) == str(in_kernel.value)
+        rhs, columns = bound(template, prob)
+        states = rng.uniform(-5.0, 5.0, (80, 25, size))
+        want = np.array([rhs(row) for row in states.reshape(-1, size).tolist()])
+        got = np.stack(np.broadcast_arrays(*columns(*np.moveaxis(states, -1, 0))), axis=-1)
+        assert np.array_equal(got.reshape(want.shape), want)
+        batch = states[:4].copy()
+        batch[3, 1] = refused(template, rhs, batch[3, 1].tolist(), prob.a, -2e200)  # first in F order
+        batch[2, 7] = refused(template, rhs, batch[2, 7].tolist(), prob.a, 3e200)  # first in C order
+        for state, first in ((np.moveaxis(batch, -1, 0), batch[2, 7]), (list(map(np.array, batch[3, 1])), batch[3, 1])):
+            with pytest.raises(template.guard.error) as in_columns:
+                columns(*state)
+            with pytest.raises(template.guard.error) as in_kernel:
+                rhs(first.tolist())
+            assert str(in_columns.value) == str(in_kernel.value)
+
+
+def test_a_refusal_the_kernel_does_not_share_is_an_assertion():
+    """A column form refuses a row by running the kernel on it, which raises the
+    guard's error; were the kernel to pass that row, the column form would be at
+    fault, and it raises ``AssertionError`` instead of returning."""
+    state = [np.array([0.5, 1.5])] * len(LIFT.state)
+    with pytest.raises(AssertionError, match="lift kernel passes"):
+        codegen._refuse(LIFT, np.array([False, True]), state, [0.2])
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
+def test_column_form_deletes_each_temporary_after_its_last_reader(template):
+    """Each name that a column form assigns, but its outputs ``_out*``, is deleted
+    exactly once, by the statement right after the last one that reads it, in the
+    guard's ``with`` block or out of it."""
+    tree = ast.parse("\n".join(template.statements(columns=True)))
+    flat = [leaf for statement in tree.body  # the guard's with block opened
+            for leaf in (statement.body if isinstance(statement, ast.With) else [statement])]
+    names = [{node.id for node in ast.walk(statement) if isinstance(node, ast.Name)} for statement in flat]
+    assigned = {statement.targets[0].id for statement in flat if isinstance(statement, ast.Assign)}
+    deleted = [(i, target.id) for i, statement in enumerate(flat) if isinstance(statement, ast.Delete)
+               for target in statement.targets]
+    assert sorted(name for _, name in deleted) == sorted(name for name in assigned if not name.startswith("_out"))
+    for i, name in deleted:
+        readers = [j for j, statement in enumerate(flat) if name in names[j] and not isinstance(statement, ast.Delete)]
+        assert readers[-1] == i - 1, (name, ast.unparse(flat[i]))
+
+
+# A q far from both centers, where the center distances overflow and no guard refuses.
+FAR = np.array([1e200, 0.0, 0.0])
+FAR_FROM_CENTERS = {
+    "acceleration": lambda prob: (acceleration(FAR, prob), (-0.0, -0.0, -0.0)),
+    "first_integrals": lambda prob: (first_integrals(FAR, np.zeros(3), prob), (0.0, 0.0, 0.0)),
+    "energy_arrays": lambda prob: (energy_arrays(np.append(FAR, 1.0), np.zeros(4), prob), 0.0),
+}
+
+
+@pytest.mark.parametrize("call", list(FAR_FROM_CENTERS))
+def test_guard_lines_run_without_overflow_warnings(call):
+    """Every guard's lines run with overflow warnings off, not only those of
+    ``LIFT``'s overflow guard: the center distances of a far q overflow to inf,
+    which no guard refuses, and each evaluator returns with no ``RuntimeWarning``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, want = FAR_FROM_CENTERS[call](Problem())
+    assert np.array_equal(got, want)
 
 
 def relation_kernel(prob):
@@ -129,11 +210,6 @@ def test_lift_and_relation_column_forms_match_kernels_row_by_row(form):
         assert str(in_columns.value) == str(in_kernel.value) == f"|(q, 1)|_* overflows at q = {states[7, :3].tolist()}"
 
 
-# Every formula of the package, each once.
-TEMPLATES = list({id(value): value for module in (dynamics, geometry, projective)
-                  for value in vars(module).values() if isinstance(value, RhsTemplate)}.values())
-
-
 def read_only(values):
     values = np.array(values)
     values.flags.writeable = False
@@ -146,14 +222,12 @@ def test_column_forms_never_write_their_inputs(template):
     read-only columns, where a write into an input raises, it gives the kernel's
     bits row by row for one point (0-d columns), a batch, and one array passed as
     every column."""
-    prob = Problem(1.3, 0.7, 1.7)
-    params = {name: value for name, value in rhs_params(prob).items() if name in template.params}
-    rhs = compile_kernel(template)(**params)
+    rhs, columns = bound(template, Problem(1.3, 0.7, 1.7))
     states = np.random.default_rng(7).uniform(0.5, 5.0, (50, len(template.state)))  # off every center
     shared = read_only(states[:, 0])
     for state in ([read_only(value) for value in states[0]], [read_only(column) for column in states.T],
                   [shared] * len(template.state)):
-        got = compile_columns(template)(*state, **params)
+        got = columns(*state)
         rows = np.stack(np.broadcast_arrays(*state), axis=-1).reshape(-1, len(template.state))
         want = np.array([rhs(row) for row in rows.tolist()])
         assert np.array_equal(np.stack(np.broadcast_arrays(*got), axis=-1).reshape(want.shape), want)
