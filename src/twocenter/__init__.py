@@ -17,7 +17,6 @@ from .dynamics import (
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
 from .geometry import project, star_inner, star_norm
 from .integrate import (
-    DriftReport,
     IntegratorConfig,
     Trajectory,
     cubic_hermite,
@@ -41,7 +40,6 @@ from .sampling import make_rng, sample_phase_points
 __version__ = "0.1.0"
 
 __all__ = [
-    "DriftReport",
     "IntegralRelation",
     "IntegratorConfig",
     "InvalidInputError",

@@ -24,8 +24,9 @@ temporary cannot grow.  Each temporary is deleted after its last reader.
 
 Generated source is compiled on first use, never at import, and registered
 with ``linecache`` under a ``<twocenter generated: ...>`` pseudo-filename,
-so tracebacks, ``inspect.getsource``, ``cProfile`` and ``pdb`` show its
-lines.  ``namedtuple`` uses the same ``exec`` technique.
+so ``traceback``, ``inspect.getsource``, ``cProfile`` and ``pdb`` show its lines;
+so does the interpreter's own printer of an uncaught error from Python 3.13 on
+(up to 3.12 it reads files only).  ``namedtuple`` uses the same ``exec`` technique.
 """
 
 from __future__ import annotations

@@ -177,14 +177,12 @@ _DISTANCES = RhsTemplate("center distances", ("x", "y", "z"), PLANAR_RHS.params,
 
 def center_distances(q: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean distances (d_minus, d_plus) to the two centers, batched, unguarded."""
-    return on_columns(_DISTANCES, prob, *columns(np.asarray(q, dtype=float), 3, "q"))
+    return on_columns(_DISTANCES, prob, *columns(q, 3, "q"))
 
 
 def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
     """Right-hand side of the two-center ODE, -sum_j m_j (q - c_j)/|q - c_j|^3:
     the column form of ``PLANAR_RHS``, so each row gives the scalar kernel's bits."""
-    q = np.asarray(q, dtype=float)
-    check_finite(q, "q")
     return np.stack(on_columns(PLANAR_RHS, prob, *columns(q, 3, "q"), 0.0, 0.0, 0.0)[3:], axis=-1)
 
 

@@ -32,51 +32,57 @@ def check_finite(arr: np.ndarray, name: str) -> None:
         raise InvalidInputError(f"{name} must have finite components")
 
 
-def columns(v: np.ndarray, size: int, name: str) -> tuple[np.ndarray, ...]:
-    """Views of the components of a (..., size) array, for column-by-column kernels."""
+def columns(v, size: int, name: str) -> tuple[np.ndarray, ...]:
+    """Views of the components of a (..., size) batch, for column-by-column kernels, by
+    the one validation rule of a batch: ``v`` as a float array, then its last axis, then
+    its finiteness, each refused with :class:`InvalidInputError` naming ``name``."""
+    v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (size,):
         raise InvalidInputError(f"{name} must have shape (..., {size}), got {v.shape}")
+    check_finite(v, name)
     return tuple(v[..., i] for i in range(size))
 
 
 def pair_columns(q, p, size: int = 3, names: tuple[str, str] = ("q", "p")) -> tuple[np.ndarray, ...]:
-    """The 2 x ``size`` column views of two (..., size) batches, q's then p's,
-    broadcast to one shape, as the in-place column forms need (see codegen).
-
-    The one validation rule of the public evaluators of two batches: the
-    last axis of q, then of p, then that the shapes broadcast, then that q
-    and then p are finite, each refused with :class:`InvalidInputError`.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
+    """The 2 x ``size`` column views of two (..., size) batches, q's then p's, broadcast to
+    one shape, as the in-place column forms need (see codegen), by the one validation rule
+    of two batches: q by the rule of :func:`columns` (its last axis, then its finiteness),
+    then p by it, then that the two shapes broadcast, each refused with :class:`InvalidInputError`."""
     views = columns(q, size, names[0]) + columns(p, size, names[1])
+    if views[0].shape == views[size].shape:
+        return views
     try:
-        np.broadcast_shapes(q.shape, p.shape)
+        return tuple(np.broadcast_arrays(*views))
     except ValueError:
-        shapes = f"{names[0]} of shape {q.shape} and {names[1]} of shape {p.shape}"
+        shapes = f"{names[0]} of shape {(*views[0].shape, size)} and {names[1]} of shape {(*views[size].shape, size)}"
         raise InvalidInputError(f"{shapes} do not broadcast") from None
-    check_finite(q, names[0])
-    check_finite(p, names[1])
-    return views if q.shape == p.shape else tuple(np.broadcast_arrays(*views))
+
+
+def check_grid(times) -> np.ndarray:
+    """``times`` as a float array, by the one validation rule of a time grid: 1-d and
+    nonempty, then finite, then strictly increasing, each refused with :class:`InvalidInputError`."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise InvalidInputError("times must be a nonempty 1-d grid")
+    check_finite(times, "times")
+    if (times[1:] <= times[:-1]).any():
+        raise InvalidInputError("times must be strictly increasing")
+    return times
 
 
 def star_norm(v: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """Weighted norm sqrt(x^2 + y^2/(1+a^2) + z^2/(1+a^2) + w^2), a = ``prob.a``.
-
-    ``v`` has shape (..., 4); the norm is taken over the last axis.
-    """
+    """Weighted norm sqrt(x^2 + y^2/(1+a^2) + z^2/(1+a^2) + w^2), a = ``prob.a``, over
+    the last axis of a (..., 4) ``v``, checked by :func:`columns`."""
     v = np.asarray(v, dtype=float)
-    check_finite(v, "v")
+    columns(v, 4, "v")
     return np.sqrt(np.sum(prob.weights * v * v, axis=-1))
 
 
 def star_inner(u: np.ndarray, v: np.ndarray, prob: Problem) -> float | np.ndarray:
-    """Symmetric bilinear form associated with :func:`star_norm`."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    check_finite(u, "u")
-    check_finite(v, "v")
-    return np.sum(prob.weights * u * v, axis=-1)
+    """Symmetric bilinear form associated with :func:`star_norm`, on (..., 4) batches
+    that broadcast, checked by :func:`pair_columns`."""
+    pair_columns(u, v, 4, ("u", "v"))
+    return np.sum(prob.weights * np.asarray(u, dtype=float) * np.asarray(v, dtype=float), axis=-1)
 
 
 # The lift of a slice point and its velocity, (q, p) -> (Q, Q'), as a template (see
@@ -108,6 +114,6 @@ def project(q3: np.ndarray, prob: Problem) -> np.ndarray:
 
     Each (q, 1) is divided by its norm, which is positive because w = 1, so
     the (..., 4) result lies on the W > 0 sheet: the Q half of ``LIFT`` at
-    p = 0, which refuses a q whose norm overflows.
+    p = 0, which refuses a q whose norm overflows; q is checked by :func:`columns`.
     """
-    return np.stack(compile_columns(LIFT)(*pair_columns(q3, np.zeros(3)), prob.wyz)[:4], axis=-1)
+    return np.stack(compile_columns(LIFT)(*columns(q3, 3, "q"), 0.0, 0.0, 0.0, prob.wyz)[:4], axis=-1)

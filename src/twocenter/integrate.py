@@ -62,7 +62,7 @@ import numpy as np
 from .codegen import RhsTemplate, compile_function, compile_kernel
 from .dynamics import INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, on_columns, rhs_params
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import check_finite
+from .geometry import check_finite, check_grid
 from .projective import ENERGY, INTRINSIC_RHS, lift_arrays
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
@@ -116,7 +116,8 @@ _DEFAULT_CONFIG = IntegratorConfig()
 
 @dataclass
 class Trajectory:
-    """Accepted-step grid with states and per-sample diagnostics."""
+    """Accepted-step grid with states and per-sample diagnostics, a row of each per time;
+    the grid is checked by ``geometry.check_grid``, as in ``reparametrize_time``."""
 
     times: np.ndarray
     states: np.ndarray
@@ -126,12 +127,8 @@ class Trajectory:
     rejected_steps: int = 0
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = check_grid(self.times)
         self.states = np.asarray(self.states, dtype=float)
-        if self.times.ndim != 1 or len(self.times) == 0:
-            raise InvalidInputError("times must be a nonempty 1-d grid")
-        if (self.times[1:] <= self.times[:-1]).any():
-            raise InvalidInputError("times must be strictly increasing")
         if self.states.shape[0] != self.times.shape[0]:
             raise InvalidInputError("states and times must have matching length")
         for name, values in self.diagnostics.items():

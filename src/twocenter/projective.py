@@ -34,6 +34,7 @@ evaluated on numpy columns.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 from .codegen import RhsTemplate, compile_columns
 from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, Problem, acceleration, on_columns
 from .errors import InvalidInputError, RankDeficientError
-from .geometry import LIFT, check_finite, pair_columns, star_inner, star_norm
+from .geometry import LIFT, check_grid, pair_columns, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
 
 # Finite-difference step in t of the oracle for the tangential field, and the
@@ -187,8 +188,8 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     draw whose rows overflow (E grows as a^2 p^2) is refused once every
     chunk has passed the guards.
     """
-    if sample_count < 8:
-        raise InvalidInputError(f"sample_count must be >= 8, got {sample_count}")
+    if not isinstance(sample_count, numbers.Integral) or sample_count < 8:
+        raise InvalidInputError(f"sample_count must be an integer >= 8, got {sample_count}")
     rng = make_rng(seed)
     # kept holds each chunk's rows [J, E, Theta^2, G] for the residual, one array per
     # chunk: one (n, 4) array, freed by every fit, at times left glibc's heap that much larger
@@ -284,8 +285,8 @@ _SLICE_NORM2 = RhsTemplate("|(q, 1)|_*^2", LIFT.state[:3], LIFT.params, "", ("n2
 def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """Map the t grid of a planar trajectory to the intrinsic time tau.
 
-    ``times`` is a finite, strictly increasing t grid and ``q``, ``p`` the
-    (N, 3) positions and velocities dq/dt on it.  tau(t) = integral of
+    ``times`` is a t grid (``geometry.check_grid``) and ``q``, ``p`` the (N, 3)
+    positions and velocities dq/dt on it (``geometry.pair_columns``).  tau(t) = integral of
     W(s)^2 ds with W = 1/|q(s)|_*, evaluated by the derivative-corrected
     trapezoid rule (two-point Hermite quadrature, fourth order on smooth
     data).  Returns tau at the nodes; strictly increasing, and tau(t) <= t
@@ -293,21 +294,12 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Pr
     t step breaks that bound, which happens only when p is not dq/dt (the
     derivative term grows with p): it raises, naming the first such row.
     """
-    times = np.asarray(times, dtype=float)
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise InvalidInputError("times must be a nonempty 1-d grid")
+    times = check_grid(times)
     for name, values in (("q", q), ("p", p)):
-        if values.shape != (len(times), 3):
-            raise InvalidInputError(f"{name} must have shape ({len(times)}, 3), got {values.shape}")
-    check_finite(times, "times")
-    if np.any(np.diff(times) <= 0.0):
-        raise InvalidInputError("times must be strictly increasing")
-    check_finite(np.stack([q, p]), "q and p")
+        if np.shape(values) != (len(times), 3):
+            raise InvalidInputError(f"{name} must have shape ({len(times)}, 3), got {np.shape(values)}")
+    x, y, z, px, py, pz = pair_columns(q, p)
     wyz = prob.wyz
-    x, y, z = q.T
-    px, py, pz = p.T
     with np.errstate(over="ignore", invalid="ignore"):
         n2, = compile_columns(_SLICE_NORM2)(x, y, z, wyz)
         g = 1.0 / n2

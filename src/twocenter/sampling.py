@@ -7,6 +7,8 @@ and process counts, and a stream can jump ahead (``advance``, ``jumped``).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .dynamics import Problem, center_distances
@@ -21,8 +23,8 @@ _BLOCK = 65536
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 for a 64-bit seed, 0 <= seed < 2^64 (named, as ``default_rng``'s generator may change)."""
-    if not 0 <= seed < 2**64:
-        raise InvalidInputError(f"seed must be in [0, 2^64), got {seed!r}")
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:  # numpy integers are Integral
+        raise InvalidInputError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -39,13 +41,13 @@ def sample_phase_points(
     Positions are rejection-sampled from the cube into the ball of radius
     ``q_radius`` and kept only when farther than ``min_center_distance``
     from both centers; velocities fill the ball of radius ``p_radius``.
-    Returns arrays of shape (n, 3).  Raises :class:`InvalidInputError` for
-    radii that are not positive or have no finite diameter, a negative or
+    Returns arrays of shape (n, 3).  Raises :class:`InvalidInputError` for an n that is not
+    an integer >= 1, radii that are not positive or have no finite diameter, a negative or
     non-finite ``min_center_distance``, or when ``MAX_BATCHES`` batches
     yield fewer than n positions (too little room away from the centers).
     """
-    if n < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidInputError(f"sample count must be an integer >= 1, got {n}")
     for name, radius in (("q_radius", q_radius), ("p_radius", p_radius)):
         if not 0.0 < radius <= 0.5 * np.finfo(float).max:  # the cube is drawn as -r + 2r u
             raise InvalidInputError(f"{name} must be positive with a finite diameter, got {radius!r}")

@@ -138,6 +138,24 @@ def test_shapes_that_do_not_broadcast_are_refused(name, rows_q, rows_p):
         PAIR_EVALUATORS[name](q, p)
 
 
+@pytest.mark.parametrize("name", list(PAIR_EVALUATORS))
+@pytest.mark.parametrize(
+    "shape_q, q_last, shape_p, p_last, message",
+    [((5, 3), np.nan, (5, 2), 0.5, "^q must have finite"),  # q whole before p's last axis
+     ((5, 3), 2.0, (4, 3), np.inf, "^p must have finite"),  # p whole before the broadcast
+     ((5, 2), 2.0, (5, 3), np.nan, r"^q must have shape \(\.\.\., 3\)")],
+    ids=["q-nonfinite-then-p-axis", "p-nonfinite-then-broadcast", "q-axis-then-p-nonfinite"],
+)
+def test_pair_rule_refuses_in_its_documented_order(name, shape_q, q_last, shape_p, p_last, message):
+    """``pair_columns`` checks q by the rule of ``columns`` (last axis, then
+    finiteness), then p, then that the shapes broadcast: of two faults, the first
+    in that order is the one named."""
+    q, p = np.full(shape_q, 2.0), np.full(shape_p, 0.5)
+    q[-1, 0], p[-1, 0] = q_last, p_last
+    with pytest.raises(InvalidInputError, match=message):
+        PAIR_EVALUATORS[name](q, p)
+
+
 def test_sampler_gives_up_when_no_point_clears_the_centers():
     # every point of the radius-0.5 ball lies within 0.75 of a center at +-0.25
     with pytest.raises(InvalidInputError, match="batches"):
@@ -168,6 +186,28 @@ def test_sampler_refuses_bad_radii(kwargs):
 def test_sampler_accepts_zero_min_center_distance():
     q, p = sample_phase_points(PROB, 16, make_rng(0), min_center_distance=0.0)
     assert q.shape == p.shape == (16, 3)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda: sample_phase_points(PROB, 10.0, make_rng(1)), "sample count"),
+     (lambda: sample_phase_points(PROB, "10", make_rng(1)), "sample count"),
+     (lambda: fit_integral_relation(PROB, 50.5), "sample_count"),
+     (lambda: fit_integral_relation(PROB, 64, seed=1.0), "seed"),
+     (lambda: make_rng(1.5), "seed"),
+     (lambda: make_rng(np.float64(2.0)), "seed")],
+    ids=["sample-float", "sample-str", "fit-count-float", "fit-seed-float", "seed-float", "seed-numpy-float"],
+)
+def test_counts_and_seeds_that_are_not_integers_are_refused(call, name):
+    """Refused by name at the range check, not with a ``TypeError`` traceback; numpy integers pass (below)."""
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_counts_and_seeds_pass():
+    q, _ = sample_phase_points(PROB, np.int64(16), make_rng(np.uint64(3)))
+    assert np.array_equal(q, sample_phase_points(PROB, 16, make_rng(3))[0])
+    assert fit_integral_relation(PROB, np.int32(64), np.int8(2)) == fit_integral_relation(PROB, 64, 2)
 
 
 def test_seeds_outside_the_uint64_range_are_refused():

@@ -4,6 +4,7 @@ A projected point is the (..., 4) array ``project`` returns; its inverse
 Q -> Q / W and the duality W |(q, 1)|_* = 1 are computed here from it.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -59,6 +60,22 @@ def test_nonfinite_rejected():
         star_norm(bad, A1)
     with pytest.raises(InvalidInputError):
         star_inner(bad, np.ones(4), A1)
+
+
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        (lambda: star_norm(np.zeros((5, 4, 1)), A1), (5, 4, 1)),  # not read as 5 x 4 norms over the wrong axis
+        (lambda: star_norm(np.zeros((5, 3)), A1), (5, 3)),
+        (lambda: star_inner(np.zeros(4), np.zeros(3), A1), (3,)),
+        (lambda: star_inner(np.zeros((5, 2)), np.zeros(4), A1), (5, 2)),
+    ],
+    ids=["norm-trailing-axis", "norm-3", "inner-v-3", "inner-u-2"],
+)
+def test_wrong_last_axis_is_refused_by_name(call, shape):
+    """The norm and the inner product validate by the rule of ``columns``, not numpy's ValueError."""
+    with pytest.raises(InvalidInputError, match=rf"must have shape \(\.\.\., 4\), got {re.escape(str(shape))}$"):
+        call()
 
 
 @given(u=st.tuples(coord, coord, coord, coord), v=st.tuples(coord, coord, coord, coord))

@@ -23,6 +23,7 @@ from twocenter import (
     integrate_planar,
     lift_arrays,
     project,
+    reparametrize_time,
     star_inner,
     star_norm,
 )
@@ -380,6 +381,19 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 6)), {}, EQUAL)
     with pytest.raises(InvalidInputError):
         Trajectory(np.array([0.0, 1.0]), np.zeros((2, 6)), {"J": np.zeros(3)}, EQUAL)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectory_refuses_a_nonfinite_grid_as_reparametrize_time_does(bad):
+    """One rule for a time grid: a NaN or an infinite time is refused with the
+    message of ``reparametrize_time``, not kept for ``drift_report`` to read
+    as h in [nan, nan]."""
+    times = np.array([0.0, 1.0, bad])
+    with pytest.raises(InvalidInputError) as in_trajectory:
+        Trajectory(times, np.zeros((3, 6)), {}, EQUAL)
+    with pytest.raises(InvalidInputError) as in_reparametrize:
+        reparametrize_time(times, np.zeros((3, 3)), np.zeros((3, 3)), EQUAL)
+    assert str(in_trajectory.value) == str(in_reparametrize.value) == "times must have finite components"
 
 
 def test_config_validation():

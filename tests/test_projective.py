@@ -473,6 +473,8 @@ def test_reparametrize_fourth_order_convergence():
         pytest.param(np.array([0.0, 0.0]), (2, 3), (2, 3), "strictly increasing", id="repeated-time"),
         pytest.param(np.array([1.0, 0.0]), (2, 3), (2, 3), "strictly increasing", id="decreasing-time"),
         pytest.param(np.array([0.0, np.nan, 1.0]), (3, 3), (3, 3), "finite", id="nan-time"),
+        # the grid's rule comes first, then the rows of q and p
+        pytest.param(np.array([0.0, np.nan]), (3, 3), (2, 3), "^times must have finite", id="nan-time-before-q-rows"),
     ],
 )
 def test_reparametrize_refuses_misshaped_input(times, q_shape, p_shape, message):
@@ -483,7 +485,8 @@ def test_reparametrize_refuses_misshaped_input(times, q_shape, p_shape, message)
 @pytest.mark.parametrize(
     "times, q, p, message",
     [
-        pytest.param([0.0, 1.0], [[np.nan, 0.0, 0.0]] * 2, [[0.0] * 3] * 2, "q and p must have finite", id="nan-q"),
+        pytest.param([0.0, 1.0], [[np.nan, 0.0, 0.0]] * 2, [[0.0] * 3] * 2, "^q must have finite", id="nan-q"),
+        pytest.param([0.0, 1.0], [[0.0] * 3] * 2, [[0.0, np.inf, 0.0]] * 2, "^p must have finite", id="inf-p"),
         pytest.param([0.0, 1.0], [[1e155, 0.0, 0.0]] * 2, [[0.0] * 3] * 2, r"\|q\|_\*\^2 overflows", id="huge-q"),
         pytest.param([0.0, 1.0], [[1e10, 0.0, 0.0]] * 2, [[1e300, 0.0, 0.0]] * 2, "non-finite", id="huge-q-dot-p"),
         pytest.param([0.0, 1e200], [[1.0, 0.0, 0.0]] * 2, [[0.0] * 3] * 2, "non-finite", id="huge-step"),
