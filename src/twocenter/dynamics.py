@@ -30,15 +30,14 @@ COLLISION_GUARD = 1e-8
 class Problem:
     """Masses and half-distance of the two fixed centers.
 
-    a also fixes the ellipsoid: the unit set of the norm with ``weights``
-    (1, wyz, wyz, 1), wyz = 1/(1+a^2), so (1, 1/2, 1/2, 1) at a = 1.
-    ``wyz`` is a Python float, as the kernels need."""
+    a also fixes the ellipsoid: the unit set of the norm with weights
+    (1, wyz, wyz, 1), wyz = 1/(1+a^2), so (1, 1/2, 1/2, 1) at a = 1
+    (``geometry.star``).  ``wyz`` is a Python float, as the kernels need."""
 
     m_minus: float = 1.0
     m_plus: float = 1.0
     a: float = 1.0
     wyz: float = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("m_minus", "m_plus", "a"):
@@ -53,9 +52,7 @@ class Problem:
             raise InvalidInputError(f"half-distance a must be positive, got {a!r}")
         if not np.isfinite(1.0 + a * a):  # above about 1.34e154 the norm would lose y and z
             raise InvalidInputError(f"half-distance a must keep 1 + a^2 finite, got {a!r}")
-        wyz = 1.0 / (1.0 + a * a)
-        object.__setattr__(self, "wyz", wyz)
-        object.__setattr__(self, "weights", np.array([1.0, wyz, wyz, 1.0]))
+        object.__setattr__(self, "wyz", 1.0 / (1.0 + a * a))
 
     @property
     def is_kepler(self) -> bool:

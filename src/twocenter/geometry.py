@@ -7,10 +7,10 @@ carried onto the W > 0 half of that ellipsoid by central projection
 through the origin.  That map is one-to-one, with inverse Q -> Q / W, so a
 point of the ellipsoid is always held as the (..., 4) array of its
 projection, never as an object of its own; with its velocity, it is the
-lift ``LIFT`` of a planar state.  The weights depend on the
-half-distance a alone, so the functions here take the ``dynamics.Problem``
-and read its ``weights``.  All operations here are pure and accept batches
-(leading axes broadcast).
+lift ``LIFT`` of a planar state.  The weights depend on a alone, through
+``wyz`` = 1/(1+a^2) of the ``dynamics.Problem``, and :func:`star` spells the
+product (u, v)_* for every template.  All operations here are pure and
+accept batches (leading axes broadcast).
 """
 
 from __future__ import annotations
@@ -70,28 +70,36 @@ def check_grid(times) -> np.ndarray:
     return times
 
 
+def star(u, v) -> str:
+    """Source of (u, v)_* = u0 v0 + wyz u1 v1 + wyz u2 v2 + u3 v3 on the names ``u`` and ``v``."""
+    return f"{u[0]} * {v[0]} + wyz * {u[1]} * {v[1]} + wyz * {u[2]} * {v[2]} + {u[3]} * {v[3]}"
+
+
+# (u, v)_* of two (..., 4) batches, as a template (see codegen).  It adds the terms onto
+# +0.0, as numpy's reduction of a last axis does, so a sum of four -0.0 reads +0.0.
+_U, _V = ("u0", "u1", "u2", "u3"), ("v0", "v1", "v2", "v3")
+STAR = RhsTemplate("(u, v)_*", _U + _V, ("wyz",), "", ("0.0 + " + star(_U, _V),))
+
+
 def star_norm(v: np.ndarray, prob: Problem) -> float | np.ndarray:
     """Weighted norm sqrt(x^2 + y^2/(1+a^2) + z^2/(1+a^2) + w^2), a = ``prob.a``, over
-    the last axis of a (..., 4) ``v``, checked by :func:`columns`."""
-    v = np.asarray(v, dtype=float)
-    columns(v, 4, "v")
-    return np.sqrt(np.sum(prob.weights * v * v, axis=-1))
+    the last axis of a (..., 4) ``v``, checked by :func:`columns`: the root of ``STAR`` on (v, v)."""
+    v = columns(v, 4, "v")
+    return np.sqrt(compile_columns(STAR)(*v, *v, prob.wyz)[0])
 
 
 def star_inner(u: np.ndarray, v: np.ndarray, prob: Problem) -> float | np.ndarray:
     """Symmetric bilinear form associated with :func:`star_norm`, on (..., 4) batches
-    that broadcast, checked by :func:`pair_columns`."""
-    pair_columns(u, v, 4, ("u", "v"))
-    return np.sum(prob.weights * np.asarray(u, dtype=float) * np.asarray(v, dtype=float), axis=-1)
+    that broadcast, checked by :func:`pair_columns`: the column form of ``STAR``."""
+    return compile_columns(STAR)(*pair_columns(u, v, 4, ("u", "v")), prob.wyz)[0]
 
 
 # The lift of a slice point and its velocity, (q, p) -> (Q, Q'), as a template (see
 # codegen): Q = (q, 1)/n with n = |(q, 1)|_*, the one division, and
-# Q' = (p, 0) n - (q, 1) (Q, (p, 0))_*.  The sums keep the left-to-right order of
-# the weighted reductions ``star_norm`` on (q, 1) and ``star_inner`` on Q and
-# (p, 0), so they are bit-identical to them; the "+ 0.0" is the W term Q_w * 0 of
-# the radial sum, which turns a radial part of -0.0 into +0.0.  A q whose
-# |(q, 1)|_*^2 overflows is refused, naming the first: its projected point would be lost.
+# Q' = (p, 0) n - (q, 1) (Q, (p, 0))_*.  The sums are ``star`` on (q, 1) and on Q and
+# (p, 0), folded where a factor is the literal 1 (1 * u is u) or 0: the "+ 0.0" is the
+# W term Q_w * 0 of the radial sum, which turns a radial part of -0.0 into +0.0.  A q
+# whose |(q, 1)|_*^2 overflows is refused, naming the first: its projected point would be lost.
 LIFT = RhsTemplate(
     name="lift",
     state=("x", "y", "z", "px", "py", "pz"),

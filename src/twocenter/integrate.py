@@ -62,7 +62,7 @@ import numpy as np
 from .codegen import RhsTemplate, compile_function, compile_kernel
 from .dynamics import INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, on_columns, rhs_params
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import check_finite, check_grid
+from .geometry import check_finite, check_grid, star
 from .projective import ENERGY, INTRINSIC_RHS, lift_arrays
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
@@ -208,11 +208,6 @@ def _initial_step(f, y0, f0, t_end, cfg):
     return min(100.0 * h0, h1, _MAX_STEP, t_end)
 
 
-def _star(u, v):
-    """Source of (u, v)_* = u0 v0 + wyz u1 v1 + wyz u2 v2 + u3 v3, summed left to right."""
-    return f"{u[0]} * {v[0]} + wyz * {u[1]} * {v[1]} + wyz * {u[2]} * {v[2]} + {u[3]} * {v[3]}"
-
-
 @functools.cache
 def _make_run(template: RhsTemplate, renormalize: bool = False):
     """The adaptive Dormand-Prince run of ``template``, compiled on first use.
@@ -258,8 +253,8 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     ]
     if renormalize:
         lines += [
-            f"    norm_residuals = [abs(sqrt({_star(y, y)}) - 1.0)]",
-            f"    tangency_residuals = [abs({_star(y, y[4:])})]",
+            f"    norm_residuals = [abs(sqrt({star(y, y)}) - 1.0)]",
+            f"    tangency_residuals = [abs({star(y, y[4:])})]",
         ]
     lines += [
         "    try:",
@@ -291,13 +286,13 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     tab = " " * 16
     if renormalize:
         lines += [
-            f"{tab}norm = sqrt({_star(u, u)})",
-            f"{tab}tangency = {_star(u, u[4:])}",
+            f"{tab}norm = sqrt({star(u, u)})",
+            f"{tab}tangency = {star(u, u[4:])}",
             f"{tab}if abs(norm - 1.0) > {_INTEGRITY_LIMIT!r} or abs(tangency) > {_INTEGRITY_LIMIT!r}:",
             f'{tab}    status = "integrity"',
             f"{tab}    break",
             *(f"{tab}{y[i]} = {u[i]} / norm" for i in range(4)),
-            f"{tab}radial = {_star(y, u[4:])}",
+            f"{tab}radial = {star(y, u[4:])}",
             *(f"{tab}{y[i]} = {u[i]} - radial * {y[i - 4]}" for i in range(4, 8)),
             *(f"{tab}ys{i} = -{y[i]} if {y[i]} < 0.0 else {y[i]}" for i in range(n)),
         ]
@@ -401,9 +396,9 @@ def cubic_hermite(
     """Piecewise-cubic Hermite evaluation of (ts, ys, dys) at t_query.
 
     Local error is O(h^4), sufficient for the 1e-6 route comparisons on
-    tolerance-driven grids.
+    tolerance-driven grids.  The nodes ``ts`` are checked by ``geometry.check_grid``.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = check_grid(ts)
     ys = np.asarray(ys, dtype=float)
     dys = np.asarray(dys, dtype=float)
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))

@@ -42,7 +42,7 @@ import numpy as np
 from .codegen import RhsTemplate, compile_columns
 from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, Problem, acceleration, on_columns
 from .errors import InvalidInputError, RankDeficientError
-from .geometry import LIFT, check_grid, pair_columns, star_inner, star_norm
+from .geometry import LIFT, check_grid, pair_columns, star, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
 
 # Finite-difference step in t of the oracle for the tangential field, and the
@@ -81,7 +81,9 @@ def lift_arrays(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray
 SCALED_CENTER_GUARD = CENTER_GUARD._replace(lines="aw = a * w\n" + CENTER_DISTANCE_LINES.format(c="aw"),
                                             message="ellipsoid point within {guard:g} of a scaled center")
 
-_SPEED2 = "speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp"
+# A state (Q, Q') of the ellipsoid templates, and |Q'|_*^2 on it.
+_STATE = ("x", "y", "z", "w", "xp", "yp", "zp", "wp")
+_SPEED2 = f"speed2 = {star(_STATE[4:], _STATE[4:])}"
 
 # The intrinsic right-hand side, [Q, Q'] -> [Q', Q''], as a template (see codegen):
 #
@@ -95,7 +97,7 @@ _SPEED2 = "speed2 = xp * xp + wyz * yp * yp + wyz * zp * zp + wp * wp"
 # normal closure divide by (Q, Q)_* instead of assuming it is one.
 INTRINSIC_RHS = RhsTemplate(
     name="ellipsoid",
-    state=("x", "y", "z", "w", "xp", "yp", "zp", "wp"),
+    state=_STATE,
     params=("a", "m_minus", "m_plus", "wyz", "guard"),
     guard=SCALED_CENTER_GUARD,
     body=f"""\
@@ -103,7 +105,7 @@ s_minus = m_minus / (d2_minus * d_minus)
 s_plus = m_plus / (d2_plus * d_plus)
 f_x = a * s_plus - a * s_minus
 f_w = s_minus + s_plus
-qq = x * x + wyz * y * y + wyz * z * z + w * w
+qq = {star(_STATE[:4], _STATE[:4])}
 {_SPEED2}
 c = (x * f_x + w * f_w + speed2) / qq
 nc = -c""",
@@ -241,12 +243,12 @@ def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> n
     Q' = 0: the planar system is advanced by +-``_FD_STEP`` with single RK4
     steps, the lifted velocities are centrally differenced in t, and the
     chain rule dtau/dt = W^2, the height of the projected Q, converts to the
-    intrinsic time.  Batched over (..., 3) states, each bit-identical to
-    evaluating it alone; an overflow (masses near the float range) raises
-    ``FloatingPointError`` instead of returning non-finite values.
+    intrinsic time.  Batched over (..., 3) states checked by ``geometry.pair_columns``,
+    each bit-identical to evaluating it alone; an overflow (masses near the float
+    range) raises ``FloatingPointError`` instead of returning non-finite values.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
+    pair_columns(q, p)  # validates q and p
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     with np.errstate(over="raise"):
         q_fwd, p_fwd = _rk4_planar_step(q, p, prob, _FD_STEP)
         q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -_FD_STEP)

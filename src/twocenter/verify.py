@@ -5,8 +5,8 @@ value and the tolerance it was judged against, so reports always quote the
 documented thresholds.  The functions here are shared by the command-line
 front end and the acceptance test suite.
 The caller makes one intrinsic (ellipsoid) run and passes it to both
-:func:`check_two_routes` and :func:`check_energy_drift`; route A runs in
-the same time tau (:func:`planar_route`).
+:func:`check_two_routes` and :func:`check_energy_drift`; a planar run's
+``integrate.drift_report`` is judged against ``TOL_FIRST_INTEGRAL_DRIFT``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import PhasePoint, Problem, kepler_limit_residual, on_columns
 from .errors import InvalidInputError
 from .geometry import project, star_norm
-from .integrate import IntegratorConfig, Trajectory, cubic_hermite, drift_report, integrate_planar
+from .integrate import IntegratorConfig, Trajectory, cubic_hermite, integrate_planar
 from .projective import (
     INTRINSIC_RHS,
     IntegralRelation,
@@ -75,18 +75,6 @@ def check_pointwise_relation(prob: Problem, samples: int = 10_000, seed: int = 4
     return CheckResult("pointwise-relation", worst, TOL_POINTWISE_RELATION, detail)
 
 
-def check_first_integral_drift(
-    start: PhasePoint, prob: Problem, t_end: float = 50.0, cfg: IntegratorConfig | None = None
-) -> CheckResult:
-    """Relative drift of J, Theta, E along one planar trajectory."""
-    traj = integrate_planar(start, prob, t_end, cfg)
-    if traj.status != "ok":
-        return CheckResult("first-integral-drift", np.inf, TOL_FIRST_INTEGRAL_DRIFT, traj.status)
-    drifts = drift_report(traj).drifts
-    detail = ", ".join(f"{name} {drifts[name]:.2g}" for name in ("J", "Theta", "E"))
-    return CheckResult("first-integral-drift", max(drifts.values()), TOL_FIRST_INTEGRAL_DRIFT, detail)
-
-
 def check_fitted_relation(fitted: IntegralRelation, prob: Problem) -> CheckResult:
     """The least-squares fit against the closed form: the larger of its
     residual and its largest coefficient gap to :func:`relation_coefficients`."""
@@ -96,37 +84,21 @@ def check_fitted_relation(fitted: IntegralRelation, prob: Problem) -> CheckResul
     return CheckResult("fit-relation", max(fitted.max_residual, gap), TOL_FIT_RESIDUAL, detail)
 
 
-def planar_route(
-    q0: np.ndarray,
-    p0: np.ndarray,
-    prob: Problem,
-    tau_end: float,
-    cfg: IntegratorConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route A: the planar orbit run in the intrinsic time up to tau_end, projected.
-
-    One integration of dq/dtau = |q|_*^2 p, dp/dtau = |q|_*^2 a(q)
-    (``integrate_planar`` with ``clock="tau"``) that ends on tau_end unless
-    it aborts.  Returns (tau, Q, Q') on its accepted grid, Q' = dQ/dtau.
-    """
-    traj = integrate_planar(PhasePoint(q0, p0), prob, tau_end, cfg, clock="tau")
-    big_q, qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob)
-    return traj.times, big_q, qp
-
-
 def check_two_routes(start: PhasePoint, intrinsic: Trajectory, cfg: IntegratorConfig | None = None) -> CheckResult:
-    """Max star-distance between route A from ``start`` and ``intrinsic``, the
-    ellipsoid run lifted from ``start``, over the intrinsic run's tau range."""
+    """Max star-distance between route A, the planar run from ``start`` in the time tau
+    (``clock="tau"``) lifted to (Q, dQ/dtau), and ``intrinsic``, the ellipsoid run lifted
+    from ``start``, over the intrinsic run's tau range, on which route A ends unless it aborts."""
     name = "two-route-equivalence"
     if intrinsic.status != "ok":
         return CheckResult(name, np.inf, TOL_TWO_ROUTES, intrinsic.status)
     prob = intrinsic.problem
     tau_end = float(intrinsic.times[-1])
-    tau_a, q_a, qp_a = planar_route(start.q, start.p, prob, tau_end, cfg)
-    if tau_a[-1] < tau_end:
-        return CheckResult(name, np.inf, TOL_TWO_ROUTES, f"planar route stopped at tau = {tau_a[-1]:.3g}")
+    route = integrate_planar(start, prob, tau_end, cfg, clock="tau")
+    q_a, qp_a = lift_arrays(route.states[:, :3], route.states[:, 3:], prob)
+    if route.times[-1] < tau_end:
+        return CheckResult(name, np.inf, TOL_TWO_ROUTES, f"planar route stopped at tau = {route.times[-1]:.3g}")
     queries = np.linspace(0.0, tau_end, _TWO_ROUTE_QUERIES)
-    curve_a = cubic_hermite(tau_a, q_a, qp_a, queries)
+    curve_a = cubic_hermite(route.times, q_a, qp_a, queries)
     curve_b = cubic_hermite(intrinsic.times, intrinsic.states[:, :4], intrinsic.states[:, 4:], queries)
     worst = float(np.max(star_norm(curve_a - curve_b, prob)))
     return CheckResult(name, worst, TOL_TWO_ROUTES, f"tau in [0, {tau_end:.3g}]")

@@ -26,6 +26,13 @@ def lifted_speed_squared(q, p, prob):
     )
 
 
+def star_weights(prob):
+    """The weights (1, 1/(1+a^2), 1/(1+a^2), 1) of |.|_*, from ``prob.a`` alone, for
+    numpy reductions over a last axis of size 4."""
+    wyz = 1.0 / (1.0 + prob.a * prob.a)
+    return np.array([1.0, wyz, wyz, 1.0])
+
+
 def slice_point(q):
     """(q, 1): points q of shape (..., 3) as points of the slice w = 1 of R^4."""
     q = np.asarray(q, dtype=float)

@@ -50,7 +50,7 @@ from twocenter import projective, sampling, verify
 from twocenter.dynamics import COLLISION_GUARD, PLANAR_RHS, axial_angular_momentum, center_distances, kernel
 from twocenter.errors import NearCollisionError
 
-from oracles import lifted_speed_squared
+from oracles import lifted_speed_squared, star_weights
 
 
 # --- oracle: the (..., k)-reduction forms -----------------------------------
@@ -92,9 +92,9 @@ def ref_euler_integral(q, p, prob):
 def ref_lift(q, p, prob):
     q4 = np.concatenate([q, np.ones(q.shape[:-1] + (1,))], axis=-1)
     qdot4 = np.concatenate([p, np.zeros(q4.shape[:-1] + (1,))], axis=-1)
-    n = np.sqrt(np.sum(prob.weights * q4 * q4, axis=-1))
+    n = np.sqrt(np.sum(star_weights(prob) * q4 * q4, axis=-1))
     big_q = q4 / np.expand_dims(n, -1)
-    radial = np.sum(prob.weights * big_q * qdot4, axis=-1)
+    radial = np.sum(star_weights(prob) * big_q * qdot4, axis=-1)
     return big_q, qdot4 * np.expand_dims(n, -1) - q4 * np.expand_dims(radial, -1)
 
 
@@ -110,7 +110,7 @@ def ref_energy(big_q, qp, prob):
         raise NearCollisionError("guard")
     masses = np.array([prob.m_minus, prob.m_plus])
     potential = -(2.0 / (1.0 + a * a)) * np.sum(masses * np.sum(c * q2, axis=-1) / d, axis=-1)
-    return np.sum(prob.weights * qp * qp, axis=-1) + potential
+    return np.sum(star_weights(prob) * qp * qp, axis=-1) + potential
 
 
 def ref_sample(prob, n, rng, q_radius, p_radius, min_center_distance):

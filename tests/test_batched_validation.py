@@ -19,6 +19,7 @@ from twocenter import (
     NearCollisionError,
     Problem,
     energy_arrays,
+    fd_tangential_acceleration,
     first_integrals,
     fit_integral_relation,
     kepler_limit_residual,
@@ -75,6 +76,7 @@ PAIR_EVALUATORS = {
     "kepler_limit_residual": lambda q, p: kepler_limit_residual(q, p, PROB, 0.1),
     "lift_arrays": lambda q, p: lift_arrays(q, p, PROB),
     "relation_residual": lambda q, p: relation_residual(q, p, PROB),
+    "fd_tangential_acceleration": lambda q, p: fd_tangential_acceleration(q, p, PROB),
 }
 # Every evaluator of two batches; energy_arrays takes the lifted (Q, Q') of the batch.
 BATCH_EVALUATORS = {

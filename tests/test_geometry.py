@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from twocenter import InvalidInputError, Problem, project, star_inner, star_norm
 from twocenter.sampling import make_rng
 
-from oracles import slice_point
+from oracles import slice_point, star_weights
 
 A1 = Problem(a=1.0)
 
@@ -28,11 +28,28 @@ def duality_residual(q3, prob):
 
 
 def test_metric_weights():
-    assert np.allclose(A1.weights, [1.0, 0.5, 0.5, 1.0], atol=0)
+    """The weights of (u, v)_* are its values on the unit vectors: (1, 1/(1+a^2), 1/(1+a^2), 1)."""
+    unit = np.eye(4)
+    assert np.array_equal(star_inner(unit, unit, A1), [1.0, 0.5, 0.5, 1.0])
     m2 = Problem(a=2.0)
-    assert np.allclose(m2.weights, [1.0, 0.2, 0.2, 1.0], atol=1e-16)
+    assert np.array_equal(star_inner(unit, unit, m2), [1.0, 0.2, 0.2, 1.0])
     assert Problem(a=1e150).wyz == 1e-300  # 1 + a^2 is finite up to about 1.34e154
     assert type(m2.wyz) is float  # the kernels close over it: a numpy scalar would slow them
+
+
+def test_star_inner_is_the_weighted_reduction_bit_for_bit():
+    """(u, v)_* adds its terms left to right onto +0.0, as numpy's reduction of a last
+    axis does: the same bits on values with signed zeros, subnormals and overflows, so
+    a sum of four -0.0 terms reads +0.0."""
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, 3.3, -2.2e-300])
+    rng = np.random.default_rng(3)
+    u, v = rng.choice(values, size=(2, 20_000, 4))
+    for prob in (A1, Problem(a=1.7)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = star_inner(u, v, prob), np.sum(star_weights(prob) * u * v, axis=-1)
+            one = [star_inner(a, b, prob) for a, b in zip(u[:500], v[:500])]
+        assert got.tobytes() == want.tobytes() and np.array(one).tobytes() == want[:500].tobytes()
+    assert repr(star_inner(np.zeros(4), -np.ones(4), A1)) == repr(np.float64(0.0))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, 1.35e154, 1e300])

@@ -30,7 +30,7 @@ from twocenter import (
 from twocenter import dynamics, integrate, verify
 from twocenter.cli import main
 from twocenter.codegen import RhsTemplate
-from twocenter.verify import check_energy_drift, check_first_integral_drift, check_two_routes
+from twocenter.verify import check_energy_drift, check_two_routes
 
 EQUAL = Problem(1.0, 1.0, 1.0)
 DEFAULT_START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
@@ -313,30 +313,27 @@ def test_drift_of_an_overflowing_spread_is_inf():
 @pytest.mark.parametrize(
     "e_column", [[1.0, 2.0, np.inf], [np.inf, 2.0, 3.0], [1.0, -np.inf, np.nan], [np.inf, np.inf, np.inf]]
 )
-def test_nonfinite_invariant_fails_the_drift_check(e_column, monkeypatch):
+def test_nonfinite_invariant_fails_the_drift_check(e_column):
     """An overflowed invariant drifts by inf, with no warning, and fails the
-    check; as nan, ``max`` over J, Theta and E passed over it when it came last."""
+    drift tolerance; as nan, ``max`` over J, Theta and E passed over it when it came last."""
     diagnostics = {"J": np.ones(3), "Theta": np.ones(3), "E": np.array(e_column)}
     traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.zeros((3, 6)), diagnostics, EQUAL)
     report = drift_report(traj)
     assert report.drifts == {"J": 0.0, "Theta": 0.0, "E": np.inf}
     assert "E: max relative drift inf" in report.lines()
-    monkeypatch.setattr(verify, "integrate_planar", lambda *args: traj)
-    result = check_first_integral_drift(DEFAULT_START, EQUAL, t_end=1.0)
-    assert result.measured == np.inf and not result.passed
-    assert result.detail == "J 0, Theta 0, E inf"
+    assert not max(report.drifts.values()) <= verify.TOL_FIRST_INTEGRAL_DRIFT
 
 
-def test_first_integral_drift_check_reports_the_largest_drift(monkeypatch):
-    result = check_first_integral_drift(DEFAULT_START, EQUAL, t_end=10.0)
-    drifts = drift_report(integrate_planar(DEFAULT_START, EQUAL, 10.0)).drifts
-    assert drifts["E"] > drifts["J"]  # so a check reporting only J would differ
-    assert result.measured == max(drifts.values())
-    assert all(name in result.detail for name in ("J", "Theta", "E"))
+def test_planar_drift_report_covers_every_integral(monkeypatch):
+    """The report of a planar run drifts by each of J, Theta and E, so a judge of their
+    largest drift, as the acceptance test makes, sees E's; an aborted run says why."""
+    report = drift_report(integrate_planar(DEFAULT_START, EQUAL, 10.0))
+    assert list(report.drifts) == ["J", "Theta", "E"]
+    assert report.drifts["E"] > report.drifts["J"]  # so a judge of J alone would differ
+    assert max(report.drifts.values()) <= verify.TOL_FIRST_INTEGRAL_DRIFT and report.status == "ok"
     monkeypatch.setattr(integrate, "_MAX_STEPS", 5)
-    aborted = check_first_integral_drift(DEFAULT_START, EQUAL, t_end=10.0)
-    assert aborted.measured == np.inf and not aborted.passed
-    assert aborted.detail == "step_budget"
+    aborted = drift_report(integrate_planar(DEFAULT_START, EQUAL, 10.0))
+    assert aborted.status == "step_budget" and aborted.accepted_steps <= 5
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
@@ -410,6 +407,17 @@ def test_cubic_hermite_reproduces_cubics():
     assert np.max(np.abs(cubic_hermite(ts, ys, dys, queries) - exact)) <= 1e-13
     with pytest.raises(InvalidInputError):
         cubic_hermite(ts, ys, dys, np.array([2.5]))
+
+
+@pytest.mark.parametrize(
+    "ts, message", [([0.0, 1.0, 1.0], "strictly increasing"), ([0.0, np.nan, 2.0], "finite")], ids=["repeated", "nan"]
+)
+def test_cubic_hermite_refuses_bad_nodes(ts, message):
+    """Nodes are a time grid (``geometry.check_grid``): a repeated or NaN node is
+    refused by name, not turned into NaN rows, with or without a numpy warning."""
+    ys = dys = np.zeros((3, 2))
+    with pytest.raises(InvalidInputError, match=message):
+        cubic_hermite(np.array(ts), ys, dys, np.array([0.5]))
 
 
 def test_two_route_check_fails_when_a_route_stops_early():

@@ -283,7 +283,7 @@ def test_tau_kernel_scales_t_kernel_by_star_norm_squared(prob, q, p):
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_kernels_return_python_floats(a):
     """Python floats in, Python floats out: a kernel that closes over a numpy
-    scalar (an element of ``prob.weights`` is one) runs every stage on numpy scalars,
+    scalar (an element of a numpy array is one) runs every stage on numpy scalars,
     about twice as slowly, and numpy scalars are floats to isinstance."""
     prob = Problem(1.0, 0.5, a)
     planar = [0.1, 2.0, -0.3, 0.3, 0.1, 0.6]

@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from twocenter import PhasePoint, Problem, integrate_ellipsoid, integrate_planar, lift_arrays, reparametrize_time
-from twocenter.verify import planar_route
+
+from oracles import star_weights
 
 START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
 PROBLEMS = [Problem(1.0, m_plus, a) for a in (1.0, 2.0) for m_plus in (1.0, 0.5)]
@@ -81,13 +82,14 @@ def test_tau_clock_planar_run_matches_dop853(prob):
 
 
 @pytest.mark.parametrize("prob", PROBLEMS, ids=lambda p: f"a{p.a:g}-m{p.m_plus:g}")
-def test_planar_route_ends_on_tau_end(prob):
-    tau, big_q, qp = planar_route(START.q, START.p, prob, 5.0)
-    assert tau[0] == 0.0 and tau[-1] == 5.0
+def test_route_a_ends_on_tau_end(prob):
+    """Route A of the two-route check, the planar run in tau, lands on tau_end, and its
+    lift, the curve that the check compares, lies on the ellipsoid and is tangent to it."""
     traj = integrate_planar(START, prob, 5.0, clock="tau")
-    lifted_q, lifted_qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob)
-    assert np.array_equal(tau, traj.times)
-    assert np.array_equal(big_q, lifted_q) and np.array_equal(qp, lifted_qp)
+    assert traj.status == "ok" and traj.times[0] == 0.0 and traj.times[-1] == 5.0
+    big_q, qp = lift_arrays(traj.states[:, :3], traj.states[:, 3:], prob)
+    assert np.max(np.abs(big_q * big_q @ star_weights(prob) - 1.0)) <= 1e-15
+    assert np.max(np.abs(big_q * qp @ star_weights(prob))) <= 1e-14 * np.max(np.abs(qp))
 
 
 def planar_clock_rhs(t, y, prob):
