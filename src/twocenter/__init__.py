@@ -17,7 +17,6 @@ from .dynamics import (
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
 from .geometry import project, star_inner, star_norm
 from .integrate import (
-    IntegratorConfig,
     Trajectory,
     cubic_hermite,
     drift_report,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntegralRelation",
-    "IntegratorConfig",
     "InvalidInputError",
     "NearCollisionError",
     "PhasePoint",

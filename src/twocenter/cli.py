@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import PhasePoint, Problem
 from .errors import InvalidInputError, NearCollisionError, RankDeficientError
-from .integrate import IntegratorConfig, drift_report, integrate_ellipsoid, integrate_planar
+from .integrate import DEFAULT_TOL, drift_report, integrate_ellipsoid, integrate_planar
 from .projective import energy_arrays, fit_integral_relation, lift_arrays, reparametrize_time
 from .verify import (
     check_energy_drift,
@@ -47,8 +47,8 @@ _FIT_SAMPLES = 4096  # the fit's cap on ``samples``; the pointwise-relation chec
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every config key and its default.  A config file may set any key; each
-    subcommand reads only the keys ``_COMMANDS`` lists for it.  A key's
+    """Every config key and its default; ``tol`` is the runs' relative and absolute tolerance both.  A config
+    file may set any key; each subcommand reads only the keys ``_COMMANDS`` lists for it.  A key's
     annotation names the parser of its text (``tuple``: an ``x,y,z`` vector)."""
 
     m_minus: float = 1.0
@@ -58,8 +58,7 @@ class RunConfig:
     p0: tuple = (0.3, 0.0, 0.6)
     t_end: float = 50.0
     tau_end: float = 5.0
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
+    tol: float = DEFAULT_TOL
     seed: int = 42
     samples: int = 10_000
     out: str | None = None
@@ -67,9 +66,6 @@ class RunConfig:
 
     def problem(self) -> Problem:
         return Problem(self.m_minus, self.m_plus, self.a)
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
     def start(self) -> PhasePoint:
         return PhasePoint(np.array(self.q0), np.array(self.p0))
@@ -157,7 +153,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    traj = integrate_planar(cfg.start(), cfg.problem(), cfg.t_end, cfg.integrator())
+    traj = integrate_planar(cfg.start(), cfg.problem(), cfg.t_end, cfg.tol)
     diag = traj.diagnostics
     table = np.column_stack([traj.times, traj.states, diag["J"], diag["Theta"], diag["E"]])
     _write_rows(cfg.out, _SIMULATE_HEADER, table)
@@ -200,7 +196,7 @@ def _read_planar_csv(path: str) -> np.ndarray:
 def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
     prob = cfg.problem()
     if input_path is None:
-        traj = integrate_planar(cfg.start(), prob, cfg.t_end, cfg.integrator())
+        traj = integrate_planar(cfg.start(), prob, cfg.t_end, cfg.tol)
         if traj.status != "ok":
             print(f"planar integration aborted: {traj.status}", file=sys.stderr)
             return 2
@@ -223,12 +219,11 @@ def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
 
 def cmd_verify_theorem(cfg: RunConfig, do_fit: bool) -> int:
     prob = cfg.problem()
-    integrator = cfg.integrator()
     start = cfg.start()
-    intrinsic = integrate_ellipsoid(start, prob, cfg.tau_end, integrator)
+    intrinsic = integrate_ellipsoid(start, prob, cfg.tau_end, cfg.tol)
     results = [
         check_pointwise_relation(prob, cfg.samples, cfg.seed),
-        check_two_routes(start, intrinsic, integrator),
+        check_two_routes(start, intrinsic, cfg.tol),
         check_energy_drift(intrinsic),
         check_velocity_independence(prob, seed=cfg.seed),
     ]
@@ -264,7 +259,7 @@ def cmd_fit_relation(cfg: RunConfig) -> int:
     return 0
 
 
-_TRAJECTORY_KEYS = "m_minus m_plus a q0 p0 rel_tol abs_tol"
+_TRAJECTORY_KEYS = "m_minus m_plus a q0 p0 tol"
 
 # subcommand: (handler, the config keys it reads, None or its own flag, whose value the handler takes second)
 _COMMANDS = {

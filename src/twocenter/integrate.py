@@ -28,7 +28,7 @@ components and calls the kernel, so trajectories are bit-identical to it
 control calls no builtin: ``max(a, b)`` is written ``b if b > a else a`` and
 ``min(a, b)`` ``b if b < a else a``, so a NaN or a signed zero picks the same
 operand, and ``abs(v)`` ``-v if v < 0.0 else v``, whose sign of a zero or
-NaN the error scale atol + rtol * |v| drops.  ``** 2`` stays: ``x ** 2``
+NaN the error scale tol + tol * |v| drops.  ``** 2`` stays: ``x ** 2``
 (libm's ``pow``) differs from ``x * x`` for about one double in 1,200.  The
 error norm and ``_initial_step`` add their squares left to right, where
 ``sum`` is compensated from Python 3.12 on, so a run gives the same bits on
@@ -88,30 +88,14 @@ _FACMAX = 10.0
 _MAX_STEPS = 250_000
 # Largest step h, in t or in tau.
 _MAX_STEP = 0.1
+# The runs' error tolerance, relative and absolute both: a step's error scale is tol + tol * |y_i|.
+DEFAULT_TOL = 1e-12
 
 # Constraint residual beyond which an ellipsoid run is declared corrupted.
 _INTEGRITY_LIMIT = 1e-6
 
 # The planar template of each clock.
 _CLOCKS = {"t": PLANAR_RHS, "tau": PLANAR_TAU_RHS}
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Error tolerances of the adaptive runs."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
-                raise InvalidInputError(f"{name} must be positive, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-
-
-_DEFAULT_CONFIG = IntegratorConfig()
 
 
 @dataclass
@@ -181,14 +165,14 @@ def drift_report(traj: Trajectory) -> DriftReport:
     return DriftReport(drifts, len(traj.times) - 1, traj.rejected_steps, h_min, h_max, traj.status)
 
 
-def _initial_step(f, y0, f0, t_end, cfg):
+def _initial_step(f, y0, f0, t_end, tol, max_step):
     """Hairer-style starting step from the scaled sizes of y0, f0 and curvature.
 
     The root-mean-square sizes d0, d1 and d2 add their squares left to right."""
-    atol, rtol, n = cfg.abs_tol, cfg.rel_tol, len(y0)
+    n = len(y0)
     d0 = d1 = 0.0
     for v, d in zip(y0, f0):
-        s = atol + rtol * abs(v)
+        s = tol + tol * abs(v)
         v, d = v / s, d / s
         d0 += v * v
         d1 += d * d
@@ -198,26 +182,26 @@ def _initial_step(f, y0, f0, t_end, cfg):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     d2 = 0.0
     for v, a, b in zip(y0, f0, f([v + h0 * d for v, d in zip(y0, f0)])):
-        r = (b - a) / (atol + rtol * abs(v))
+        r = (b - a) / (tol + tol * abs(v))
         d2 += r * r
     d2 = math.sqrt(d2 / n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, 1e-3 * h0)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, _MAX_STEP, t_end)
+    return min(100.0 * h0, h1, max_step, t_end)
 
 
 @functools.cache
 def _make_run(template: RhsTemplate, renormalize: bool = False):
     """The adaptive Dormand-Prince run of ``template``, compiled on first use.
 
-    Returns ``run(start, t_end, cfg, max_step, max_steps, **params) ->
+    Returns ``run(start, t_end, tol, max_step, max_steps, **params) ->
     (times, states, rejected, status)``, plus the norm and tangency residual
     lists when ``renormalize``; ``start`` is a list of floats and
     ``params`` the template's parameters.  The lists are flat lists of
     floats: ``states`` holds one state's n components after another's, and
-    the callers reshape it to (-1, n).  The run evaluates the compiled
+    ``_integrate`` reshapes it to (-1, n).  The run evaluates the compiled
     kernel at ``start``, outside its abort handling, then steps with the
     state and the FSAL stage in locals and the template written out at each
     of the six stage evaluations.  With ``renormalize`` (the ellipsoid, whose
@@ -237,8 +221,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
         return " + ".join(f"{w!r} * {k[s][i]}" for s, w in enumerate(weights) if w != 0.0)
 
     lines = [
-        f"def run(start, t_end, cfg, max_step, max_steps, {', '.join(template.params)}):",
-        "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
+        f"def run(start, t_end, tol, max_step, max_steps, {', '.join(template.params)}):",
         f"    {', '.join(y)}, = start",
         *(f"    ys{i} = -{y[i]} if {y[i]} < 0.0 else {y[i]}" for i in range(n)),
         f"    f = kernel({', '.join(template.params)})",
@@ -258,7 +241,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
         ]
     lines += [
         "    try:",
-        "        h = initial_step(f, start, k1, t_end, cfg)",
+        "        h = initial_step(f, start, k1, t_end, tol, max_step)",
         "        just_rejected = False",
         "        for _ in range(max_steps):",
         "            if t >= t_end:",
@@ -276,7 +259,7 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
         lines += template.inline(values, k[stage], tab)
     lines += [f"{tab}us{i} = -{u[i]} if {u[i]} < 0.0 else {u[i]}" for i in range(n)]
     terms = " + ".join(
-        f"(h * ({combination(_DP_ERR, i)}) / (atol + rtol * (us{i} if us{i} > ys{i} else ys{i}))) ** 2" for i in range(n)
+        f"(h * ({combination(_DP_ERR, i)}) / (tol + tol * (us{i} if us{i} > ys{i} else ys{i}))) ** 2" for i in range(n)
     )
     lines += [
         f"{tab}err = sqrt(({terms}) / {n})",
@@ -331,37 +314,43 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     return compile_function(f"{template.name} run", "\n".join(lines) + "\n", "run", namespace)
 
 
-def _floats(values: list) -> np.ndarray:
-    """A run's list of floats as an array, in one pass with no type inference."""
-    return np.fromiter(values, float, len(values))
+def _check_limits(tol, end: float, name: str) -> None:
+    """Refuse a ``tol`` that is not a positive finite float, then an end time ``name`` not positive and finite."""
+    if not isinstance(tol, float) or not 0.0 < tol < math.inf:
+        raise InvalidInputError(f"tol must be positive, got {tol!r}")
+    if not math.isfinite(end) or end <= 0.0:
+        raise InvalidInputError(f"{name} must be positive, got {end!r}")
+
+
+def _integrate(template, y0, t_end, tol, prob, diagnostics, names, renormalize=False) -> Trajectory:
+    """Run ``template`` at ``float(tol)``; ``names`` label the ``diagnostics`` columns, then the residual lists."""
+    run = _make_run(template, renormalize)
+    times, states, rejected, status, *lists = run(y0, t_end, float(tol), _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
+    times = np.fromiter(times, float, len(times))  # each list in one pass, with no type inference
+    states = np.fromiter(states, float, len(states)).reshape(-1, len(y0))
+    lists = [np.fromiter(values, float, len(values)) for values in lists]
+    check_finite(states, "states")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
+        columns = [*on_columns(diagnostics, prob, *states.T), *lists]
+    return Trajectory(times, states, dict(zip(names, columns)), prob, status, rejected)
 
 
 def integrate_planar(
-    start: PhasePoint, prob: Problem, t_end: float, cfg: IntegratorConfig | None = None, clock: str = "t"
+    start: PhasePoint, prob: Problem, t_end: float, tol: float = DEFAULT_TOL, clock: str = "t"
 ) -> Trajectory:
     """Integrate the two-center system, sampling J, Theta and E along the way.
 
     With ``clock="tau"`` it steps dq/dtau = |q|_*^2 p, dp/dtau = |q|_*^2 a(q):
     ``t_end`` and the grid are then tau, and the states are still (q, dq/dt).
     """
-    cfg = cfg or _DEFAULT_CONFIG
-    if not math.isfinite(t_end) or t_end <= 0.0:
-        raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
+    _check_limits(tol, t_end, "t_end")
     if clock not in _CLOCKS:
         raise InvalidInputError(f"clock must be 't' or 'tau', got {clock!r}")
     y0 = [*start.q.tolist(), *start.p.tolist()]
-    run = _make_run(_CLOCKS[clock])
-    times, states, rejected, status = run(y0, t_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
-    states = _floats(states).reshape(-1, 6)
-    check_finite(states, "states")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        j, theta, e = on_columns(INTEGRALS, prob, *states.T)
-    return Trajectory(_floats(times), states, {"J": j, "Theta": theta, "E": e}, prob, status, rejected)
+    return _integrate(_CLOCKS[clock], y0, t_end, tol, prob, INTEGRALS, ("J", "Theta", "E"))
 
 
-def integrate_ellipsoid(
-    start: PhasePoint, prob: Problem, tau_end: float, cfg: IntegratorConfig | None = None
-) -> Trajectory:
+def integrate_ellipsoid(start: PhasePoint, prob: Problem, tau_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
     """Integrate the intrinsic ellipsoid system in the reparametrized time.
 
     The run starts from the lift of the planar ``start``, (Q, Q') of one
@@ -372,22 +361,13 @@ def integrate_ellipsoid(
     the recorded residual diagnostics are the pre-projection values, i.e.
     what the integrator actually produced.
     """
-    cfg = cfg or _DEFAULT_CONFIG
-    if not math.isfinite(tau_end) or tau_end <= 0.0:
-        raise InvalidInputError(f"tau_end must be positive, got {tau_end!r}")
+    _check_limits(tol, tau_end, "tau_end")
     with np.errstate(over="ignore", invalid="ignore"):
         big_q0, qp0 = lift_arrays(start.q, start.p, prob)  # refuses a q whose |(q, 1)|_* overflows
     if not np.isfinite(qp0).all():
         raise InvalidInputError(f"the lifted velocity Q' overflows at p = {start.p.tolist()}")
     y0 = [*big_q0.tolist(), *qp0.tolist()]
-    run = _make_run(INTRINSIC_RHS, renormalize=True)
-    times, states, rejected, status, norms, tangencies = run(y0, tau_end, cfg, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
-    states = _floats(states).reshape(-1, 8)
-    check_finite(states, "states")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        g, = on_columns(ENERGY, prob, *states.T)
-    diagnostics = {"G": g, "norm_residual": _floats(norms), "tangency_residual": _floats(tangencies)}
-    return Trajectory(_floats(times), states, diagnostics, prob, status, rejected)
+    return _integrate(INTRINSIC_RHS, y0, tau_end, tol, prob, ENERGY, ("G", "norm_residual", "tangency_residual"), True)
 
 
 def cubic_hermite(
@@ -399,10 +379,11 @@ def cubic_hermite(
     tolerance-driven grids.  The nodes ``ts`` are checked by ``geometry.check_grid``.
     """
     ts = check_grid(ts)
-    ys = np.asarray(ys, dtype=float)
-    dys = np.asarray(dys, dtype=float)
+    ys, dys = np.asarray(ys, dtype=float), np.asarray(dys, dtype=float)
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
-    if np.any(t_query < ts[0]) or np.any(t_query > ts[-1]):
+    if len(ts) < 2 or ys.ndim != 2 or len(ys) != len(ts) or dys.shape != ys.shape:
+        raise InvalidInputError("cubic_hermite needs two or more nodes, 2-d ys with one row per node, dys of its shape")
+    if not ((ts[0] <= t_query) & (t_query <= ts[-1])).all():  # a NaN query lies outside too
         raise InvalidInputError("query times outside the data range")
     idx = np.clip(np.searchsorted(ts, t_query, side="right") - 1, 0, len(ts) - 2)
     h = (ts[idx + 1] - ts[idx])[:, None]

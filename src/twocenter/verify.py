@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import PhasePoint, Problem, kepler_limit_residual, on_columns
 from .errors import InvalidInputError
 from .geometry import project, star_norm
-from .integrate import IntegratorConfig, Trajectory, cubic_hermite, integrate_planar
+from .integrate import DEFAULT_TOL, Trajectory, cubic_hermite, integrate_planar
 from .projective import (
     INTRINSIC_RHS,
     IntegralRelation,
@@ -84,16 +84,16 @@ def check_fitted_relation(fitted: IntegralRelation, prob: Problem) -> CheckResul
     return CheckResult("fit-relation", max(fitted.max_residual, gap), TOL_FIT_RESIDUAL, detail)
 
 
-def check_two_routes(start: PhasePoint, intrinsic: Trajectory, cfg: IntegratorConfig | None = None) -> CheckResult:
-    """Max star-distance between route A, the planar run from ``start`` in the time tau
-    (``clock="tau"``) lifted to (Q, dQ/dtau), and ``intrinsic``, the ellipsoid run lifted
-    from ``start``, over the intrinsic run's tau range, on which route A ends unless it aborts."""
+def check_two_routes(start: PhasePoint, intrinsic: Trajectory, tol: float = DEFAULT_TOL) -> CheckResult:
+    """Max star-distance between route A, the planar run from ``start`` in the time tau (``clock="tau"``,
+    at tolerance ``tol``) lifted to (Q, dQ/dtau), and ``intrinsic``, the ellipsoid run lifted from
+    ``start``, over the intrinsic run's tau range, on which route A ends unless it aborts."""
     name = "two-route-equivalence"
     if intrinsic.status != "ok":
         return CheckResult(name, np.inf, TOL_TWO_ROUTES, intrinsic.status)
     prob = intrinsic.problem
     tau_end = float(intrinsic.times[-1])
-    route = integrate_planar(start, prob, tau_end, cfg, clock="tau")
+    route = integrate_planar(start, prob, tau_end, tol, clock="tau")
     q_a, qp_a = lift_arrays(route.states[:, :3], route.states[:, 3:], prob)
     if route.times[-1] < tau_end:
         return CheckResult(name, np.inf, TOL_TWO_ROUTES, f"planar route stopped at tau = {route.times[-1]:.3g}")

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twocenter import (
     PhasePoint,
@@ -307,6 +307,11 @@ def _repeated_rows(prob, n, rng, **kwargs):
         # elliptic coordinates are not part of the construction: no coords subcommand, no alpha key
         pytest.param(["coords", "--q0", "0,1,0"], 1, False, id="coords-subcommand"),
         pytest.param(["simulate", "--config", "{tmp}/alpha.cfg"], 1, False, id="alpha-config-key"),
+        # one tolerance, relative and absolute both: the two retired keys and flags are unknown
+        pytest.param(["simulate", "--config", "{tmp}/rel_tol.cfg"], 1, False, id="retired-tolerance-key"),
+        pytest.param(["simulate", "--rel-tol", 1e-6, "--t-end", 1, "--out", "{tmp}/x.csv"], 1, False,
+                     id="retired-tolerance-flag"),
+        pytest.param(["verify-theorem", "--tol", 0, "--tau-end", 1, "--samples", 50], 1, False, id="zero-tolerance"),
         pytest.param([], 1, False, id="missing-subcommand"),
         pytest.param(["simulate", "--bogus", 1], 1, False, id="unknown-flag"),
         pytest.param(["verify-theorem", "--t-end", 100], 1, False, id="flag-of-another-subcommand"),
@@ -317,6 +322,7 @@ def _repeated_rows(prob, n, rng, **kwargs):
 def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_path, monkeypatch, capsys, request):
     (tmp_path / "bad.cfg").write_text("q0: 1,2\n")
     (tmp_path / "alpha.cfg").write_text("alpha: 2\n")
+    (tmp_path / "rel_tol.cfg").write_text("rel_tol: 1e-6\n")
     header = "t,x,y,z,px,py,pz\n"
     (tmp_path / "header_only.csv").write_text(header)
     (tmp_path / "ragged.csv").write_text(header + "0,0,2,0,0.3,0,0.6\n0.1,0,2,0\n")
@@ -359,9 +365,20 @@ EDGE_COMMANDS = [
 ]
 
 
+# Usable values of every drawn input: each command exits 0 on them, so a flag
+# the parser does not know (exit 1, which the draws accept) fails the examples.
+USABLE = {"a": "1", "m_minus": "1", "m_plus": "0.5", "q0": "0,2,0", "p0": "0.3,0,0.6", "end": "0.5",
+          "tol": "1e-12", "seed": "42"}
+
+
 # Derandomized: a few draws (a fast orbit, say) run for a second or more, so
 # a fixed set of draws keeps the test's time the same from run to run.
 @settings(max_examples=500, deadline=None, derandomize=True)
+@example(command=(["simulate"], "--t-end"), **USABLE)
+@example(command=EDGE_COMMANDS[0], **USABLE)
+@example(command=EDGE_COMMANDS[1], **USABLE)
+@example(command=EDGE_COMMANDS[2], **USABLE)
+@example(command=EDGE_COMMANDS[3], **USABLE)
 @given(
     command=st.sampled_from(EDGE_COMMANDS),
     a=st.sampled_from(EDGE_HALF_DISTANCES),
@@ -371,22 +388,23 @@ EDGE_COMMANDS = [
     p0=edge_vectors,
     # half the draws take the usable value, so most reach the run and the checks
     end=st.just("0.5") | st.sampled_from(EDGE_ENDS),
-    rel_tol=st.just("1e-12") | st.sampled_from(EDGE_TOLERANCES),
-    abs_tol=st.just("1e-12") | st.sampled_from(EDGE_TOLERANCES),
+    tol=st.just("1e-12") | st.sampled_from(EDGE_TOLERANCES),
     seed=st.just("42") | st.sampled_from(EDGE_SEEDS),
 )
-def test_edge_inputs_end_in_documented_exit_codes(command, a, m_minus, m_plus, q0, p0, end, rel_tol, abs_tol, seed):
-    """Any a, masses, start, end time, tolerances and seed end in exit code
+def test_edge_inputs_end_in_documented_exit_codes(command, a, m_minus, m_plus, q0, p0, end, tol, seed):
+    """Any a, masses, start, end time, tolerance and seed end in exit code
     0 to 3: no traceback, and (pytest turns RuntimeWarning into an error) no
     numpy warning.  ``fit-relation`` reads no start, end or tolerance, so it
-    gets none."""
+    gets none.  On the ``USABLE`` values every command exits 0."""
     words, end_flag = command
     args = [*words, "--a", a, "--m-minus", m_minus, "--m-plus", m_plus, "--seed", seed]
     if end_flag:
-        args += ["--q0", q0, "--p0", p0, end_flag, end, "--rel-tol", rel_tol, "--abs-tol", abs_tol]
+        args += ["--q0", q0, "--p0", p0, end_flag, end, "--tol", tol]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(args)
     assert code in (0, 1, 2, 3)
+    if dict(a=a, m_minus=m_minus, m_plus=m_plus, q0=q0, p0=p0, end=end, tol=tol, seed=seed) == USABLE:
+        assert code == 0, args
 
 
 # Well-formed config lines, and the defects a config or trajectory file can carry.
@@ -488,7 +506,7 @@ def registered_flags():
     }
 
 
-TRAJECTORY_FLAGS = "--m-minus --m-plus --a --q0 --p0 --rel-tol --abs-tol"
+TRAJECTORY_FLAGS = "--m-minus --m-plus --a --q0 --p0 --tol"
 READ_FLAGS = {
     "simulate": f"{TRAJECTORY_FLAGS} --t-end --out",
     "project": f"{TRAJECTORY_FLAGS} --t-end --out --input",
@@ -501,7 +519,7 @@ def test_each_subcommand_registers_only_the_flags_it_reads():
     flags = registered_flags()
     common = {"--config", "--seed", "--json"}
     assert flags == {name: common | set(read.split()) for name, read in READ_FLAGS.items()}
-    assert sum(len(names) for names in flags.values()) == 45
+    assert sum(len(names) for names in flags.values()) == 42
 
 
 # cheap runs of each subcommand, one per mode; a flag must change the output of at least one
@@ -513,7 +531,7 @@ CHEAP_RUNS = {
 }
 CHANGED = {
     "--m-minus": [0.5], "--m-plus": [0.5], "--a": [2], "--q0": ["0,2.5,0"], "--p0": ["0.3,0,0.5"],
-    "--rel-tol": [1e-6], "--abs-tol": [1e-6], "--t-end": [0.25], "--tau-end": [0.25], "--samples": [100],
+    "--tol": [1e-6], "--t-end": [0.25], "--tau-end": [0.25], "--samples": [100],
     "--seed": [7], "--input": ["{tmp}/orbit.csv"], "--fit": [],
 }
 DRAWS = {"verify-theorem", "fit-relation"}  # the subcommands that read the seed

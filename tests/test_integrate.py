@@ -1,6 +1,7 @@
 """Adaptive integration, constraint handling, and drift diagnostics."""
 
 import math
+import re
 import time
 import warnings
 
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from twocenter import (
-    IntegratorConfig,
     InvalidInputError,
     NearCollisionError,
     PhasePoint,
@@ -150,11 +150,11 @@ def test_unknown_clock_is_rejected():
 
 def test_fifth_order_convergence(monkeypatch):
     """Forced constant steps via huge tolerances; error ratio ~ 2^5."""
-    ref = integrate_planar(DEFAULT_START, EQUAL, 1.0, IntegratorConfig(rel_tol=1e-14, abs_tol=1e-14))
+    ref = integrate_planar(DEFAULT_START, EQUAL, 1.0, 1e-14)
     errors = []
     for h in (0.2, 0.1):
         monkeypatch.setattr(integrate, "_MAX_STEP", h)
-        traj = integrate_planar(DEFAULT_START, EQUAL, 1.0, IntegratorConfig(rel_tol=10.0, abs_tol=10.0))
+        traj = integrate_planar(DEFAULT_START, EQUAL, 1.0, 10.0)
         assert np.allclose(np.diff(traj.times), h, atol=1e-12)
         errors.append(np.max(np.abs(traj.states[-1] - ref.states[-1])))
     assert 24.0 <= errors[0] / errors[1] <= 45.0
@@ -169,10 +169,10 @@ def test_reversibility():
 
 
 def test_tolerance_scaling_improves_accuracy():
-    ref = integrate_planar(DEFAULT_START, EQUAL, 5.0, IntegratorConfig(rel_tol=1e-14, abs_tol=1e-14))
+    ref = integrate_planar(DEFAULT_START, EQUAL, 5.0, 1e-14)
     errs = []
     for tol in (1e-6, 1e-9):
-        traj = integrate_planar(DEFAULT_START, EQUAL, 5.0, IntegratorConfig(rel_tol=tol, abs_tol=tol))
+        traj = integrate_planar(DEFAULT_START, EQUAL, 5.0, tol)
         errs.append(np.max(np.abs(traj.states[-1] - ref.states[-1])))
     assert errs[1] < errs[0] * 1e-1
 
@@ -240,14 +240,14 @@ def test_lifted_orbit_constraints_and_energy():
 def test_integrity_abort_on_loose_unrenormalized_run(monkeypatch):
     # the residuals are judged on each step's result, before it is renormalized
     monkeypatch.setattr(integrate, "_MAX_STEP", 0.5)
-    traj = integrate_ellipsoid(DEFAULT_START, EQUAL, 50.0, IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3))
+    traj = integrate_ellipsoid(DEFAULT_START, EQUAL, 50.0, 1e-3)
     assert traj.status == "integrity"
     assert traj.times[-1] < 50.0
 
 
 def test_rejected_steps_are_counted(monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_STEP", 5.0)
-    traj = integrate_planar(DEFAULT_START, EQUAL, 20.0, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6))
+    traj = integrate_planar(DEFAULT_START, EQUAL, 20.0, 1e-6)
     assert traj.status == "ok"
     assert traj.rejected_steps > 0
 
@@ -393,9 +393,32 @@ def test_trajectory_refuses_a_nonfinite_grid_as_reparametrize_time_does(bad):
     assert str(in_trajectory.value) == str(in_reparametrize.value) == "times must have finite components"
 
 
-def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        IntegratorConfig(rel_tol=0.0)
+@pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, np.inf, "1e-6", None])
+def test_config_validation(tol):
+    """One tolerance, refused unless a positive finite float, by both runs and before
+    anything else: a bad end time, a bad clock or a start whose lift overflows."""
+    message = re.escape(f"tol must be positive, got {tol!r}")
+    far = PhasePoint(np.array([1e155, 0.0, 0.0]), np.zeros(3))
+    for call in (
+        lambda: integrate_planar(DEFAULT_START, EQUAL, 1.0, tol),
+        lambda: integrate_planar(DEFAULT_START, EQUAL, 0.0, tol, clock="s"),
+        lambda: integrate_ellipsoid(DEFAULT_START, EQUAL, 1.0, tol),
+        lambda: integrate_ellipsoid(far, EQUAL, -1.0, tol),
+    ):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            call()
+
+
+def test_numpy_tolerance_runs_as_a_python_float():
+    """A numpy float tolerance gives the Python float's bits, and no numpy warning
+    where the initial derivative overflows the error scale."""
+    want = integrate_planar(DEFAULT_START, EQUAL, 1.0, 1e-6)
+    got = integrate_planar(DEFAULT_START, EQUAL, 1.0, np.float64(1e-6))
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.states, want.states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_planar(DEFAULT_START, Problem(1e160, 1e160, 1.0), 1.0, np.float64(1e-12))
+    assert traj.status == "step_underflow"
 
 
 def test_cubic_hermite_reproduces_cubics():
@@ -418,6 +441,28 @@ def test_cubic_hermite_refuses_bad_nodes(ts, message):
     ys = dys = np.zeros((3, 2))
     with pytest.raises(InvalidInputError, match=message):
         cubic_hermite(np.array(ts), ys, dys, np.array([0.5]))
+
+
+@pytest.mark.parametrize(
+    "ts, ys_shape, dys_shape, query, message",
+    [
+        ([0.0], (1, 2), (1, 2), 0.0, "two or more nodes"),
+        ([0.0, 1.0, 2.0], (2, 2), (3, 2), 0.5, "2-d ys with one row per node"),
+        ([0.0, 1.0, 2.0], (3, 2), (4, 2), 0.5, "dys of its shape"),
+        ([0.0, 1.0, 2.0], (3, 2), (3, 3), 0.5, "dys of its shape"),
+        ([0.0, 1.0, 2.0], (3,), (3,), 0.5, "2-d ys with one row per node"),
+        ([0.0, 1.0, 2.0], (3, 2), (3, 2), np.nan, "outside the data range"),
+    ],
+    ids=["one-node", "short-ys", "long-dys", "dys-columns", "one-dimensional-ys", "nan-query"],
+)
+def test_cubic_hermite_refuses_input_holes(ts, ys_shape, dys_shape, query, message):
+    """One node, ys rows that are not one per node, a dys not of ys's shape, a 1-d
+    ys and a NaN query are refused by name, not turned into a NaN row, a numpy
+    warning or error, an IndexError or a silently broadcast (queries, queries) array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=message):
+            cubic_hermite(np.array(ts), np.zeros(ys_shape), np.zeros(dys_shape), np.array([query]))
 
 
 def test_two_route_check_fails_when_a_route_stops_early():

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twocenter import (
-    IntegratorConfig,
     PhasePoint,
     Problem,
     Trajectory,
@@ -62,8 +61,7 @@ class AbortRun(Exception):
 E1, _, E3, E4, E5, E6, E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
-    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, integrate._MAX_STEP
+def ref_dopri5(f, y0, t_end, tol, max_step, postprocess=None):
     n = len(y0)
     t = 0.0
     y = list(y0)
@@ -74,7 +72,7 @@ def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
     errold = 1e-4
     k1 = f(y)
     try:
-        h = integrate._initial_step(f, y, k1, t_end, cfg)
+        h = integrate._initial_step(f, y, k1, t_end, tol, max_step)
         just_rejected = False
         for _ in range(integrate._MAX_STEPS):
             if t >= t_end:
@@ -101,7 +99,7 @@ def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
             k7 = f(y_new)
             total = 0.0  # added left to right, as the generated run does: no compensated sum
             for v, u, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                total += (h * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * k) / (atol + rtol * max(abs(v), abs(u)))) ** 2
+                total += (h * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * k) / (tol + tol * max(abs(v), abs(u)))) ** 2
             err = math.sqrt(total / n)
             if err <= 1.0:
                 t += h
@@ -132,16 +130,15 @@ def ref_dopri5(f, y0, t_end, cfg, postprocess=None):
     return np.array(times), np.array(states, dtype=float), rejected, status
 
 
-def reference(system, start, prob, end, cfg=None):
+def reference(system, start, prob, end, tol=integrate.DEFAULT_TOL):
     """The run of ``integrate_planar``/``integrate_ellipsoid`` through the oracle
     stepper, with the kernel compiled from the system template and bound to the
     constants that ``integrate`` reads (either possibly patched)."""
-    cfg = cfg or IntegratorConfig()
     template = integrate.INTRINSIC_RHS if system == "ellipsoid" else integrate._CLOCKS[system]
     f = compile_kernel(template)(**integrate.rhs_params(prob))
     if system != "ellipsoid":
         y0 = [*start.q.tolist(), *start.p.tolist()]
-        times, states, rejected, status = ref_dopri5(f, y0, end, cfg)
+        times, states, rejected, status = ref_dopri5(f, y0, end, tol, integrate._MAX_STEP)
         j, theta, e = first_integrals(states[:, :3], states[:, 3:], prob)
         diagnostics = {"J": np.atleast_1d(j), "Theta": np.atleast_1d(theta), "E": np.atleast_1d(e)}
         return Trajectory(times, states, diagnostics, prob, status, rejected)
@@ -167,7 +164,7 @@ def reference(system, start, prob, end, cfg=None):
         radial = star(big_q, qp)
         return big_q + [v - radial * u for v, u in zip(qp, big_q)]
 
-    times, states, rejected, status = ref_dopri5(f, y0, end, cfg, cleanup)
+    times, states, rejected, status = ref_dopri5(f, y0, end, tol, integrate._MAX_STEP, cleanup)
     n = len(times)
     diagnostics = {
         "G": np.atleast_1d(energy_arrays(states[:, :4], states[:, 4:], prob)),
@@ -183,18 +180,18 @@ START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
 INFALL = PhasePoint(np.array([0.5, 0.0, 0.0]), np.zeros(3))
 EQUAL = Problem()
 SYSTEMS = ["t", "tau", "ellipsoid"]
-# (tolerances, step cap): the loose runs take longer steps and reject some
-CONFIGS = [(IntegratorConfig(), 0.1), (IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6), 0.5)]
+# (tolerance, step cap): the loose runs take longer steps and reject some
+CONFIGS = [(integrate.DEFAULT_TOL, 0.1), (1e-6, 0.5)]
 
 
-def generated(system, start, prob, end, cfg=None):
+def generated(system, start, prob, end, tol=integrate.DEFAULT_TOL):
     if system == "ellipsoid":
-        return integrate_ellipsoid(start, prob, end, cfg)
-    return integrate_planar(start, prob, end, cfg, clock=system)
+        return integrate_ellipsoid(start, prob, end, tol)
+    return integrate_planar(start, prob, end, tol, clock=system)
 
 
-def both_steppers(system, start, prob, end, cfg=None):
-    return generated(system, start, prob, end, cfg), reference(system, start, prob, end, cfg)
+def both_steppers(system, start, prob, end, tol=integrate.DEFAULT_TOL):
+    return generated(system, start, prob, end, tol), reference(system, start, prob, end, tol)
 
 
 def assert_same_run(got, want):
@@ -207,21 +204,21 @@ def assert_same_run(got, want):
         assert np.array_equal(got.diagnostics[name], values)
 
 
-@pytest.mark.parametrize("cfg, max_step", CONFIGS, ids=["tight", "loose"])
+@pytest.mark.parametrize("tol, max_step", CONFIGS, ids=["tight", "loose"])
 @pytest.mark.parametrize("a", [1.0, 2.0])
 @pytest.mark.parametrize("clock", ["t", "tau"])
-def test_planar_runs_match_loop_stepper(clock, a, cfg, max_step, monkeypatch):
+def test_planar_runs_match_loop_stepper(clock, a, tol, max_step, monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_STEP", max_step)
-    got, want = both_steppers(clock, START, Problem(1.0, 0.7, a), 10.0, cfg)
+    got, want = both_steppers(clock, START, Problem(1.0, 0.7, a), 10.0, tol)
     assert got.status == "ok" and len(got) > 10
     assert_same_run(got, want)
 
 
-@pytest.mark.parametrize("cfg, max_step", CONFIGS, ids=["tight", "loose"])
+@pytest.mark.parametrize("tol, max_step", CONFIGS, ids=["tight", "loose"])
 @pytest.mark.parametrize("a", [1.0, 2.0])
-def test_ellipsoid_runs_match_loop_stepper(a, cfg, max_step, monkeypatch):
+def test_ellipsoid_runs_match_loop_stepper(a, tol, max_step, monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_STEP", max_step)
-    got, want = both_steppers("ellipsoid", START, Problem(1.0, 0.7, a), 3.0, cfg)
+    got, want = both_steppers("ellipsoid", START, Problem(1.0, 0.7, a), 3.0, tol)
     assert got.status == "ok" and len(got) > 10
     assert_same_run(got, want)
 
@@ -287,7 +284,7 @@ def test_nonfinite_derivative_mid_run_matches_loop_stepper(system, bad, monkeypa
 def test_integrity_matches_loop_stepper(monkeypatch):
     # the residuals are judged on each step's result, before it is renormalized
     monkeypatch.setattr(integrate, "_MAX_STEP", 0.5)
-    got, want = both_steppers("ellipsoid", START, EQUAL, 50.0, IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3))
+    got, want = both_steppers("ellipsoid", START, EQUAL, 50.0, 1e-3)
     assert got.status == "integrity" and len(got) > 1
     assert_same_run(got, want)
 
@@ -309,14 +306,14 @@ def linear_systems(draw):
     entries = st.floats(-2.0, 2.0, allow_subnormal=False)
     matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
     y0 = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=n, max_size=n))
-    rel_tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
-    return matrix, y0, IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol)
+    tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    return matrix, y0, tol
 
 
 @settings(max_examples=60, deadline=None)
 @given(linear_systems())
 def test_linear_systems_match_loop_stepper(system):
-    matrix, y0, cfg = system
+    matrix, y0, tol = system
     names = [f"s{j}" for j in range(len(y0))]
     template = RhsTemplate(
         name="linear",
@@ -329,10 +326,8 @@ def test_linear_systems_match_loop_stepper(system):
     def f(y):
         return [sum(m * v for m, v in zip(row, y)) for row in matrix]
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(integrate, "_MAX_STEP", 0.5)
-        times, states, rejected, status = integrate._make_run(template)(list(y0), 2.0, cfg, 0.5, integrate._MAX_STEPS)
-        want = ref_dopri5(f, y0, 2.0, cfg)
+    times, states, rejected, status = integrate._make_run(template)(list(y0), 2.0, tol, 0.5, integrate._MAX_STEPS)
+    want = ref_dopri5(f, y0, 2.0, tol, 0.5)
     assert (rejected, status) == want[2:]
     assert np.array_equal(times, want[0])
     assert np.array_equal(np.array(states).reshape(-1, len(y0)), want[1])  # a run returns its states flat
@@ -357,7 +352,7 @@ def test_generated_source_is_shown_in_tracebacks():
     run = integrate._make_run(INTRINSIC_RHS, renormalize=True)
     assert run.__code__.co_filename == "<twocenter generated: ellipsoid run>"
     source = inspect.getsource(run)
-    assert source.startswith("def run(start, t_end, cfg, max_step, max_steps, a, m_minus, m_plus, wyz, guard):")
+    assert source.startswith("def run(start, t_end, tol, max_step, max_steps, a, m_minus, m_plus, wyz, guard):")
     assert "norm_residuals.append(abs(norm - 1.0))" in source
     rhs = kernel(PLANAR_RHS, EQUAL)
     assert inspect.getsource(rhs).startswith("    def rhs(state):")
