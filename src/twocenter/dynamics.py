@@ -20,7 +20,7 @@ import numpy as np
 
 from .codegen import Guard, RhsTemplate, compile_columns, compile_kernel
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import LIFT, check_finite, columns, pair_columns
+from .geometry import LIFT, check_finite, check_number, columns, pair_columns
 
 # Evaluations closer to a center than this are refused instead of blowing up.
 COLLISION_GUARD = 1e-8
@@ -40,16 +40,9 @@ class Problem:
     wyz: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("m_minus", "m_plus", "a"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-        if self.m_minus < 0.0 or self.m_plus < 0.0:
-            raise InvalidInputError("masses must be nonnegative")
+        for name in ("m_minus", "m_plus", "a"):  # masses may vanish, a may not
+            object.__setattr__(self, name, check_number(getattr(self, name), name, closed=name != "a"))
         a = self.a
-        if a <= 0.0:
-            raise InvalidInputError(f"half-distance a must be positive, got {a!r}")
         if not np.isfinite(1.0 + a * a):  # above about 1.34e154 the norm would lose y and z
             raise InvalidInputError(f"half-distance a must keep 1 + a^2 finite, got {a!r}")
         object.__setattr__(self, "wyz", 1.0 / (1.0 + a * a))
@@ -198,9 +191,7 @@ def axial_angular_momentum(q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     return compile_columns(_ANGULAR_MOMENTUM)(*pair_columns(q, p))[0]
 
 
-def kepler_limit_residual(
-    q: np.ndarray, p: np.ndarray, prob: Problem, a_small: float
-) -> float | np.ndarray:
+def kepler_limit_residual(q: np.ndarray, p: np.ndarray, prob: Problem, a_small: float) -> float | np.ndarray:
     """|E(a_small) - |q x p|^2|, the defect of the merged-centers limit.
 
     As the centers merge the Euler integral degenerates to the squared
@@ -208,8 +199,6 @@ def kepler_limit_residual(
     visible only when the linear term 2 a x (m_minus/d - m_plus/d) does not
     cancel (x != 0 and unequal masses, or a single center off x = 0).
     """
-    if not np.isfinite(a_small) or a_small <= 0.0:
-        raise InvalidInputError(f"a_small must be positive, got {a_small!r}")
-    shrunk = Problem(prob.m_minus, prob.m_plus, a_small)
+    shrunk = Problem(prob.m_minus, prob.m_plus, check_number(a_small, "a_small"))
     lx, ly, lz = compile_columns(_ANGULAR_MOMENTUM)(*pair_columns(q, p))
     return np.abs(first_integrals(q, p, shrunk)[2] - (lx * lx + ly * ly + lz * lz))

@@ -9,12 +9,12 @@ constraint residuals (ellipsoid runs).  Planar runs step in t or, with
 ``clock="tau"``, in the ellipsoid runs' time tau.  The last step is cut to
 land on the end time, so a run with status ``"ok"`` ends on it.
 
-Each run works on Python floats and the ``math`` module.  A state has only
-six or eight components, so the per-step work of a numpy version is call
-overhead, not arithmetic: one ``acceleration`` call on a 3-vector costs
-about fifty times the whole plain-float right-hand side, and for the same
-reason no run calls its right-hand side per stage either.  Each system
-defines its right-hand side once, as a template
+Each run works on Python floats, ``tol`` and the end time too (``geometry.check_number``),
+and the ``math`` module.  A state has only six or eight components, so the per-step work
+of a numpy version is call overhead, not arithmetic: one ``acceleration`` call on a
+3-vector costs about fifty times the whole plain-float right-hand side, and for the same
+reason no run calls its right-hand side per stage either.  Each system defines its
+right-hand side once, as a template
 (``dynamics.PLANAR_RHS`` and ``PLANAR_TAU_RHS``, ``projective.INTRINSIC_RHS``;
 see ``codegen``), and ``_make_run`` generates one adaptive run per system,
 compiled on first use: the state and the FSAL stage stay in locals across
@@ -62,7 +62,7 @@ import numpy as np
 from .codegen import RhsTemplate, compile_function, compile_kernel
 from .dynamics import INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, on_columns, rhs_params
 from .errors import InvalidInputError, NearCollisionError
-from .geometry import check_finite, check_grid, star
+from .geometry import check_finite, check_grid, check_number, star
 from .projective import ENERGY, INTRINSIC_RHS, lift_arrays
 
 # Dormand-Prince 5(4): propagating weights are the last coupling row (FSAL).
@@ -314,18 +314,10 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     return compile_function(f"{template.name} run", "\n".join(lines) + "\n", "run", namespace)
 
 
-def _check_limits(tol, end: float, name: str) -> None:
-    """Refuse a ``tol`` that is not a positive finite float, then an end time ``name`` not positive and finite."""
-    if not isinstance(tol, float) or not 0.0 < tol < math.inf:
-        raise InvalidInputError(f"tol must be positive, got {tol!r}")
-    if not math.isfinite(end) or end <= 0.0:
-        raise InvalidInputError(f"{name} must be positive, got {end!r}")
-
-
 def _integrate(template, y0, t_end, tol, prob, diagnostics, names, renormalize=False) -> Trajectory:
-    """Run ``template`` at ``float(tol)``; ``names`` label the ``diagnostics`` columns, then the residual lists."""
+    """Run ``template`` at ``tol``; ``names`` label the ``diagnostics`` columns, then the residual lists."""
     run = _make_run(template, renormalize)
-    times, states, rejected, status, *lists = run(y0, t_end, float(tol), _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
+    times, states, rejected, status, *lists = run(y0, t_end, tol, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     times = np.fromiter(times, float, len(times))  # each list in one pass, with no type inference
     states = np.fromiter(states, float, len(states)).reshape(-1, len(y0))
     lists = [np.fromiter(values, float, len(values)) for values in lists]
@@ -343,7 +335,7 @@ def integrate_planar(
     With ``clock="tau"`` it steps dq/dtau = |q|_*^2 p, dp/dtau = |q|_*^2 a(q):
     ``t_end`` and the grid are then tau, and the states are still (q, dq/dt).
     """
-    _check_limits(tol, t_end, "t_end")
+    tol, t_end = check_number(tol, "tol"), check_number(t_end, "t_end")
     if clock not in _CLOCKS:
         raise InvalidInputError(f"clock must be 't' or 'tau', got {clock!r}")
     y0 = [*start.q.tolist(), *start.p.tolist()]
@@ -361,7 +353,7 @@ def integrate_ellipsoid(start: PhasePoint, prob: Problem, tau_end: float, tol: f
     the recorded residual diagnostics are the pre-projection values, i.e.
     what the integrator actually produced.
     """
-    _check_limits(tol, tau_end, "tau_end")
+    tol, tau_end = check_number(tol, "tol"), check_number(tau_end, "tau_end")
     with np.errstate(over="ignore", invalid="ignore"):
         big_q0, qp0 = lift_arrays(start.q, start.p, prob)  # refuses a q whose |(q, 1)|_* overflows
     if not np.isfinite(qp0).all():

@@ -34,7 +34,6 @@ evaluated on numpy columns.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from .codegen import RhsTemplate, compile_columns
 from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, Problem, acceleration, on_columns
 from .errors import InvalidInputError, RankDeficientError
-from .geometry import LIFT, check_grid, pair_columns, star, star_inner, star_norm
+from .geometry import LIFT, check_count, check_grid, pair_columns, star, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
 
 # Finite-difference step in t of the oracle for the tangential field, and the
@@ -190,8 +189,7 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     draw whose rows overflow (E grows as a^2 p^2) is refused once every
     chunk has passed the guards.
     """
-    if not isinstance(sample_count, numbers.Integral) or sample_count < 8:
-        raise InvalidInputError(f"sample_count must be an integer >= 8, got {sample_count}")
+    sample_count = check_count(sample_count, "sample_count", 8)
     rng = make_rng(seed)
     # kept holds each chunk's rows [J, E, Theta^2, G] for the residual, one array per
     # chunk: one (n, 4) array, freed by every fit, at times left glibc's heap that much larger

@@ -7,12 +7,11 @@ and process counts, and a stream can jump ahead (``advance``, ``jumped``).
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .dynamics import Problem, center_distances
 from .errors import InvalidInputError
+from .geometry import check_count, check_number
 
 # Rejection batches of 2n + 16 candidates drawn before giving up on n points.
 MAX_BATCHES = 100
@@ -23,9 +22,7 @@ _BLOCK = 65536
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 for a 64-bit seed, 0 <= seed < 2^64 (named, as ``default_rng``'s generator may change)."""
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:  # numpy integers are Integral
-        raise InvalidInputError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(check_count(seed, "seed", 0, 64)))
 
 
 def sample_phase_points(
@@ -41,20 +38,14 @@ def sample_phase_points(
     Positions are rejection-sampled from the cube into the ball of radius
     ``q_radius`` and kept only when farther than ``min_center_distance``
     from both centers; velocities fill the ball of radius ``p_radius``.
-    Returns arrays of shape (n, 3).  Raises :class:`InvalidInputError` for an n that is not
-    an integer >= 1, radii that are not positive or have no finite diameter, a negative or
-    non-finite ``min_center_distance``, or when ``MAX_BATCHES`` batches
-    yield fewer than n positions (too little room away from the centers).
+    Returns arrays of shape (n, 3).  Raises :class:`InvalidInputError` for an n not an integer in [1, 2^63),
+    radii not positive or with no finite diameter, a negative or non-finite ``min_center_distance``, or when
+    ``MAX_BATCHES`` batches yield fewer than n positions (too little room away from the centers).
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidInputError(f"sample count must be an integer >= 1, got {n}")
-    for name, radius in (("q_radius", q_radius), ("p_radius", p_radius)):
-        if not 0.0 < radius <= 0.5 * np.finfo(float).max:  # the cube is drawn as -r + 2r u
-            raise InvalidInputError(f"{name} must be positive with a finite diameter, got {radius!r}")
-    if not 0.0 <= min_center_distance < np.inf:
-        raise InvalidInputError(
-            f"min_center_distance must be finite and nonnegative, got {min_center_distance!r}"
-        )
+    n = check_count(n, "sample count", 1)
+    half_max = 0.5 * float(np.finfo(float).max)  # the cube is drawn as -r + 2r u: a radius needs a finite diameter
+    q_radius, p_radius = check_number(q_radius, "q_radius", half_max), check_number(p_radius, "p_radius", half_max)
+    min_center_distance = check_number(min_center_distance, "min_center_distance", closed=True)
 
     def clear_of_centers(batch):
         d_minus, d_plus = center_distances(batch, prob)

@@ -235,6 +235,7 @@ FIRST, LAST = 3, BLOCKED - 2
 # 1.35e-8 from the center at +1 in the slice, so outside the guard there, but
 # its projected point is 9.6e-9 from the scaled center: the energy refuses it.
 CENTER_RAY = (0.9999999881299886, -1.1170000752134424e-09, -6.360766204602685e-09)
+LIFT_OVERFLOW_ROW = (1e155, 0.0, 0.0)  # outside the planar guard; its |(q, 1)|_*^2 overflows
 
 
 @pytest.fixture(scope="module")
@@ -283,10 +284,17 @@ def test_fit_refuses_chunks_in_draw_order(blocked_batch, which, row, error):
 
 
 @pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))
-def test_guard_row_in_last_block_is_refused(blocked_batch, name):
+@pytest.mark.parametrize(
+    "row, error, message",
+    [((-1.0, 0.5 * COLLISION_GUARD, 0.0), NearCollisionError, "attracting center"),
+     (LIFT_OVERFLOW_ROW, InvalidInputError, re.escape("|(q, 1)|_* overflows at q = [1e+155, 0.0, 0.0]"))],
+    ids=["guard", "lift-overflow"],
+)
+def test_guard_row_in_last_block_is_refused(blocked_batch, name, row, error, message):
+    """A row of the short last block that a guard refuses is refused by name, with no numpy warning."""
     q, p = blocked_batch[0].copy(), blocked_batch[1]
-    q[LAST] = (-1.0, 0.5 * COLLISION_GUARD, 0.0)
-    with pytest.raises(NearCollisionError):
+    q[LAST] = row
+    with pytest.raises(error, match=message):
         blocked_evaluators(q, p)[name]()
 
 
@@ -314,7 +322,6 @@ def test_center_ray_row_alone_is_refused(blocked_batch, name, row):
 # refusing under its guard: a planar guard row anywhere in the block comes before
 # a q whose |(q, 1)|_* overflows, and that before a point on a center's ray.
 GUARD_ROW = (1.0 + 0.5 * COLLISION_GUARD, 0.0, 0.0)
-LIFT_OVERFLOW_ROW = (1e155, 0.0, 0.0)  # outside the planar guard; its |(q, 1)|_*^2 overflows
 
 
 @pytest.mark.parametrize("name", list(blocked_evaluators(None, None)))

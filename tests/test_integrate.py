@@ -1,7 +1,6 @@
 """Adaptive integration, constraint handling, and drift diagnostics."""
 
 import math
-import re
 import time
 import warnings
 
@@ -19,11 +18,15 @@ from twocenter import (
     drift_report,
     energy_arrays,
     first_integrals,
+    fit_integral_relation,
     integrate_ellipsoid,
     integrate_planar,
+    kepler_limit_residual,
     lift_arrays,
+    make_rng,
     project,
     reparametrize_time,
+    sample_phase_points,
     star_inner,
     star_norm,
 )
@@ -393,32 +396,74 @@ def test_trajectory_refuses_a_nonfinite_grid_as_reparametrize_time_does(bad):
     assert str(in_trajectory.value) == str(in_reparametrize.value) == "times must have finite components"
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, np.inf, "1e-6", None])
-def test_config_validation(tol):
-    """One tolerance, refused unless a positive finite float, by both runs and before
-    anything else: a bad end time, a bad clock or a start whose lift overflows."""
-    message = re.escape(f"tol must be positive, got {tol!r}")
-    far = PhasePoint(np.array([1e155, 0.0, 0.0]), np.zeros(3))
-    for call in (
-        lambda: integrate_planar(DEFAULT_START, EQUAL, 1.0, tol),
-        lambda: integrate_planar(DEFAULT_START, EQUAL, 0.0, tol, clock="s"),
-        lambda: integrate_ellipsoid(DEFAULT_START, EQUAL, 1.0, tol),
-        lambda: integrate_ellipsoid(far, EQUAL, -1.0, tol),
-    ):
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            call()
+FAR = PhasePoint(np.array([1e155, 0.0, 0.0]), np.zeros(3))  # its lift overflows
+
+# Every public scalar input: its name in the refusal, a call that passes it the value v (with
+# each input refused after it also bad, so the call shows the refusal order), and a value out
+# of its range.  The counts and the seed are integers; every other input is a finite real.
+SCALAR_INPUTS = [
+    pytest.param("tol", lambda v: integrate_planar(DEFAULT_START, EQUAL, -1.0, v, clock="s"), 0.0, id="tol-planar"),
+    pytest.param("tol", lambda v: integrate_ellipsoid(FAR, EQUAL, -1.0, v), -1e-12, id="tol-ellipsoid"),
+    pytest.param("t_end", lambda v: integrate_planar(DEFAULT_START, EQUAL, v, clock="s"), 0.0, id="t_end"),
+    pytest.param("tau_end", lambda v: integrate_ellipsoid(FAR, EQUAL, v), -1.0, id="tau_end"),
+    pytest.param("a_small", lambda v: kepler_limit_residual(np.ones(3), np.ones(3), EQUAL, v), 0.0, id="a_small"),
+    pytest.param("m_minus", lambda v: Problem(v, -1.0, 0.0), -1.0, id="m_minus"),
+    pytest.param("m_plus", lambda v: Problem(1.0, v, 0.0), -1e-300, id="m_plus"),
+    pytest.param("a", lambda v: Problem(1.0, 1.0, v), 0.0, id="a"),
+    pytest.param("q_radius", lambda v: sample_phase_points(EQUAL, 4, make_rng(0), v, -1.0, -1.0), 1e308, id="q_radius"),
+    pytest.param("p_radius", lambda v: sample_phase_points(EQUAL, 4, make_rng(0), 5.0, v, -1.0), 0.0, id="p_radius"),
+    pytest.param("min_center_distance", lambda v: sample_phase_points(EQUAL, 4, make_rng(0), min_center_distance=v),
+                 -0.1, id="min_center_distance"),
+    pytest.param("sample count", lambda v: sample_phase_points(EQUAL, v, make_rng(0), -1.0), 0, id="n"),
+    pytest.param("sample_count", lambda v: fit_integral_relation(EQUAL, v, -1), 7, id="sample_count"),
+    pytest.param("seed", make_rng, 2**64, id="seed"),
+]
+COUNTS = ("sample count", "sample_count", "seed")
+
+
+@pytest.mark.parametrize("kind", ["str", "None", "bool", "nan", "inf", "out-of-range", "int-beyond-float"])
+@pytest.mark.parametrize("name, call, out_of_range", SCALAR_INPUTS)
+def test_config_validation(name, call, out_of_range, kind):
+    """One rule per kind of scalar (``geometry.check_number`` and ``check_count``): every
+    public scalar input refuses each kind of bad value with ``InvalidInputError`` naming the
+    input and the value, never a ``TypeError`` or an ``OverflowError``, and in the documented
+    order: tol before the end time, the clock and the lift, the masses before a, the counts
+    before the radii and the seed.  An infinite real is refused as not finite."""
+    value = {"str": "5", "None": None, "bool": True, "nan": math.nan, "inf": math.inf,
+             "out-of-range": out_of_range, "int-beyond-float": 10**400}[kind]
+    shown = "an int beyond the float range" if kind == "int-beyond-float" else repr(value)
+    with pytest.raises(InvalidInputError) as refused:
+        call(value)
+    message = str(refused.value)
+    assert message.startswith(f"{name} must be ") and message.endswith(f", got {shown}"), message
+    if name in COUNTS:
+        assert message.startswith(f"{name} must be an integer in ["), message
+    elif kind in ("inf", "int-beyond-float"):
+        assert message == f"{name} must be finite, got {shown}"
+    elif name == "tol":
+        assert message == f"tol must be positive, got {shown}"
 
 
 def test_numpy_tolerance_runs_as_a_python_float():
-    """A numpy float tolerance gives the Python float's bits, and no numpy warning
+    """A numpy float or an int tolerance gives the Python float's bits, and no numpy warning
     where the initial derivative overflows the error scale."""
-    want = integrate_planar(DEFAULT_START, EQUAL, 1.0, 1e-6)
-    got = integrate_planar(DEFAULT_START, EQUAL, 1.0, np.float64(1e-6))
-    assert np.array_equal(got.times, want.times) and np.array_equal(got.states, want.states)
+    for tol, numpy_tol in ((1e-6, np.float64(1e-6)), (1.0, 1), (1.0, np.int64(1))):  # an int tol runs too
+        want = integrate_planar(DEFAULT_START, EQUAL, 1.0, tol)
+        got = integrate_planar(DEFAULT_START, EQUAL, 1.0, numpy_tol)
+        assert np.array_equal(got.times, want.times) and np.array_equal(got.states, want.states)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate_planar(DEFAULT_START, Problem(1e160, 1e160, 1.0), 1.0, np.float64(1e-12))
     assert traj.status == "step_underflow"
+
+
+@pytest.mark.parametrize("entry", [integrate_planar, integrate_ellipsoid], ids=["planar", "ellipsoid"])
+@pytest.mark.parametrize("end", [np.float32(5.0), np.float64(5.0), np.int64(5), 5], ids=["f32", "f64", "i64", "int"])
+def test_numpy_end_times_run_as_python_floats(entry, end):
+    """An end time runs as the Python float: a float32 one ran the step control in
+    float32 (260 planar grid points against 232 for 5.0, and other states)."""
+    want, got = entry(DEFAULT_START, EQUAL, 5.0), entry(DEFAULT_START, EQUAL, end)
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.states, want.states)
 
 
 def test_cubic_hermite_reproduces_cubics():

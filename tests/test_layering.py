@@ -1,4 +1,5 @@
-"""No module of the package imports another module's private helpers."""
+"""No module of the package imports another module's private helpers, and only ``geometry``
+imports ``numbers``, for its scalar validation rules."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,16 @@ def test_sources_found():
 def test_no_cross_module_private_imports():
     offenders = [line for path in SOURCES for line in private_imports(path)]
     assert offenders == []
+
+
+def test_only_geometry_imports_numbers():
+    """Scalar inputs have one validation rule per kind, ``geometry.check_number`` and
+    ``check_count``: a module that imports ``numbers`` is growing a scalar check of its own."""
+    importers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names) or (
+                isinstance(node, ast.ImportFrom) and node.module == "numbers"
+            ):
+                importers.append(path.name)
+    assert importers == ["geometry.py"]

@@ -1,8 +1,9 @@
-"""Every operator swap in a formula template fails a physics check.
+"""Every operator swap and every scaled literal in a formula template fails a physics check.
 
 The mutants are read from the live templates with ``ast``: each ``+`` <-> ``-``
-and ``*`` <-> ``/`` of the body, the guard's lines and each derivative
-expression, one swap at a time, in the six system templates (``PLANAR_RHS``,
+and ``*`` <-> ``/``, and each nonzero number literal scaled by 1 + 1e-9 (a zero
+scales to itself), of the body, the guard's lines and each derivative
+expression, one edit at a time, in the six system templates (``PLANAR_RHS``,
 ``PLANAR_TAU_RHS``, ``INTEGRALS``, ``LIFT``, ``INTRINSIC_RHS``, ``ENERGY``)
 and the weighted product ``STAR``, so there is no list of mutants to keep.
 Each mutant is rebound wherever the package holds its template, a dict
@@ -12,6 +13,8 @@ cleared, and the checks below run:
 - the pointwise relation on 500 sampled points, at two mass pairs and
   a = 1 and 2, and its exact image under the mirror y -> -y;
 - the lift of those points on the ellipsoid and tangent to it;
+- the tau clock: the planar tau kernel at a start is the planar t kernel
+  times |(q, 1)|_*^2;
 - the planar drift of J, Theta and E at t = 5;
 - the G drift and the two-route check of an ellipsoid run at tau = 1;
 - the velocity independence of the tangential field;
@@ -72,6 +75,7 @@ SURVIVORS = {
 }
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
+SCALE = 1.0 + 1e-9  # of a literal
 PROBLEMS = (Problem(1.0, 0.7, 1.0), Problem(0.6, 1.3, 2.0))
 START = PhasePoint(np.array([0.3, 2.0, 0.1]), np.array([0.3, -0.1, 0.6]))
 MIRROR_Y = np.array([1.0, -1.0, 1.0])
@@ -83,9 +87,10 @@ REFUSALS = (ArithmeticError, ValueError, NearCollisionError, RankDeficientError)
 COMPILE = codegen.compile_function
 
 
-def swaps(text, mode):
-    """(``text`` with one operator swapped, the statement or expression it is in), for each
-    ``+``, ``-``, ``*`` and ``/`` in turn; ``mode`` is ``"exec"`` for lines, ``"eval"`` for one expression."""
+def edits(text, mode):
+    """(``text`` with one edit, the statement or expression it is in), for each ``+``, ``-``,
+    ``*`` and ``/`` swapped and each nonzero number literal scaled by ``SCALE`` in turn;
+    ``mode`` is ``"exec"`` for lines, ``"eval"`` for one expression."""
     tree = ast.parse(text, mode=mode)
     for part in tree.body if mode == "exec" else [tree]:
         for node in ast.walk(part):
@@ -93,18 +98,22 @@ def swaps(text, mode):
                 op, node.op = node.op, SWAPS[type(node.op)]()
                 yield ast.unparse(tree), ast.unparse(part)
                 node.op = op
+            elif isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value != 0:
+                value, node.value = node.value, node.value * SCALE
+                yield ast.unparse(tree), ast.unparse(part)
+                node.value = value
 
 
 def mutants(template):
-    """{id: mutant} of ``template``, the id naming the field and the swapped line."""
+    """{id: mutant} of ``template``, the id naming the field and the edited line."""
     found = {}
-    for text, line in swaps(template.body, "exec"):
+    for text, line in edits(template.body, "exec"):
         found[f"{template.name} body: {line}"] = dataclasses.replace(template, body=text)
     if template.guard is not None:
-        for text, line in swaps(template.guard.lines, "exec"):
+        for text, line in edits(template.guard.lines, "exec"):
             found[f"{template.name} guard: {line}"] = dataclasses.replace(template, guard=template.guard._replace(lines=text))
     for i, expr in enumerate(template.derivative):
-        for text, line in swaps(expr, "eval"):
+        for text, line in edits(expr, "eval"):
             derivative = (*template.derivative[:i], text, *template.derivative[i + 1:])
             found[f"{template.name} derivative {i}: {line}"] = dataclasses.replace(template, derivative=derivative)
     return found
@@ -136,6 +145,16 @@ def closure_holds(prob):
     return abs(float(weights @ (np.array(state[:4]) * qpp)) + speed2) <= 1e-13 * max(1.0, speed2)
 
 
+def tau_clock_holds(prob):
+    """The planar tau kernel at ``START`` against the planar t kernel times |(q, 1)|_*^2,
+    in the weights of the test's oracle, to 1e-14 relative."""
+    state = [*START.q.tolist(), *START.p.tolist()]
+    n2 = float(star_weights(prob) @ np.append(START.q, 1.0) ** 2)
+    want = n2 * np.array(dynamics.kernel(dynamics.PLANAR_RHS, prob)(state))
+    got = np.array(dynamics.kernel(dynamics.PLANAR_TAU_RHS, prob)(state))
+    return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def first_failure():
     """The name of the first check that fails, or None when every one passes."""
     for prob in PROBLEMS:
@@ -149,6 +168,8 @@ def first_failure():
         if not (np.max(np.abs(star_norm(big_q, prob) - 1.0)) <= 1e-14
                 and np.max(np.abs(star_inner(big_q, qp, prob))) <= 1e-14 * np.max(np.abs(qp))):
             return "lift on the ellipsoid"
+        if not tau_clock_holds(prob):
+            return "tau clock"
         planar = drift_report(integrate_planar(START, prob, 5.0))
         if planar.status != "ok" or not max(planar.drifts.values()) <= TOL_FIRST_INTEGRAL_DRIFT:
             return "planar drift"
@@ -195,7 +216,7 @@ def originals():
 
 
 @pytest.mark.parametrize("original", TEMPLATES, ids=lambda template: template.name)
-def test_every_operator_swap_fails_a_physics_check(original, originals):
+def test_every_mutant_fails_a_physics_check(original, originals):
     labels = {f"{original.name} {form}" for form in ("kernel", "columns", "run")}
     found = mutants(original)
     assert found, f"{original.name} has no operator to swap"
