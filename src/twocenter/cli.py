@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         handler, _, flag = _COMMANDS[args.command]
         cfg = build_config(args)
         return handler(cfg) if flag is None else handler(cfg, args.extra)
-    except (ConfigError, InvalidInputError, ValueError, OSError) as exc:
+    except (ConfigError, InvalidInputError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NearCollisionError as exc:

@@ -161,13 +161,9 @@ apx = a * px""",
                 "theta * theta + ly * ly + lz * lz + apx * apx + 2.0 * a * x * (u_minus - u_plus)"),
 )
 
-_DISTANCES = RhsTemplate("center distances", ("x", "y", "z"), PLANAR_RHS.params, CENTER_GUARD.lines,
-                         ("d_minus", "d_plus"))
-
-
-def center_distances(q: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean distances (d_minus, d_plus) to the two centers, batched, unguarded."""
-    return on_columns(_DISTANCES, prob, *columns(q, 3, "q"))
+# The Euclidean distances (d_minus, d_plus) of (x, y, z) to the two centers, unguarded.
+CENTER_DISTANCES = RhsTemplate("center distances", ("x", "y", "z"), PLANAR_RHS.params, CENTER_GUARD.lines,
+                               ("d_minus", "d_plus"))
 
 
 def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Problem, center_distances
+from .dynamics import CENTER_DISTANCES, Problem, on_columns
 from .errors import InvalidInputError
 from .geometry import check_count, check_number
 
@@ -38,17 +38,17 @@ def sample_phase_points(
     Positions are rejection-sampled from the cube into the ball of radius
     ``q_radius`` and kept only when farther than ``min_center_distance``
     from both centers; velocities fill the ball of radius ``p_radius``.
-    Returns arrays of shape (n, 3).  Raises :class:`InvalidInputError` for an n not an integer in [1, 2^63),
+    Returns arrays of shape (n, 3).  Raises :class:`InvalidInputError` for an n not an integer in [1, 2^58),
     radii not positive or with no finite diameter, a negative or non-finite ``min_center_distance``, or when
     ``MAX_BATCHES`` batches yield fewer than n positions (too little room away from the centers).
     """
-    n = check_count(n, "sample count", 1)
+    n = check_count(n, "sample count", 1, 58)  # the (n, 3) output's 24 n bytes stay below numpy's 2^63
     half_max = 0.5 * float(np.finfo(float).max)  # the cube is drawn as -r + 2r u: a radius needs a finite diameter
     q_radius, p_radius = check_number(q_radius, "q_radius", half_max), check_number(p_radius, "p_radius", half_max)
     min_center_distance = check_number(min_center_distance, "min_center_distance", closed=True)
 
     def clear_of_centers(batch):
-        d_minus, d_plus = center_distances(batch, prob)
+        d_minus, d_plus = on_columns(CENTER_DISTANCES, prob, *batch.T)  # drawn here: finite, (m, 3)
         return (d_minus > min_center_distance) & (d_plus > min_center_distance)
 
     qs = _ball_points(rng, n, q_radius, clear_of_centers)

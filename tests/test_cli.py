@@ -21,6 +21,7 @@ from twocenter import (
     make_rng,
     projective,
     reparametrize_time,
+    verify,
 )
 from twocenter.cli import _write_rows, main, make_parser
 
@@ -303,6 +304,8 @@ def _repeated_rows(prob, n, rng, **kwargs):
                      id="overflowing-verify-fit"),
         pytest.param(["fit-relation", "--seed", -1], 1, False, id="negative-seed"),
         pytest.param(["verify-theorem", "--seed", 2**64], 1, False, id="seed-beyond-uint64"),
+        # a numpy index, but not the bytes of its (n, 3) draw: refused by name before anything is allocated
+        pytest.param(["verify-theorem", "--samples", 2**62, "--tau-end", 0.1], 1, False, id="samples-beyond-bytes"),
         pytest.param(["frobnicate"], 1, False, id="unknown-subcommand"),
         # elliptic coordinates are not part of the construction: no coords subcommand, no alpha key
         pytest.param(["coords", "--q0", "0,1,0"], 1, False, id="coords-subcommand"),
@@ -343,6 +346,19 @@ def test_failures_end_in_documented_exit_codes(args, code, rank_deficient, tmp_p
         assert err.startswith("aborted:") and err.strip().count("\n") == 0
 
 
+def test_draw_too_large_to_allocate_is_one_error_line(monkeypatch, capsys):
+    """A count below the sampler's bound that memory cannot hold ends in one ``error:``
+    line, exit 1, not a traceback.  The draw is stubbed: attempting it could allocate."""
+    message = "Unable to allocate 2.18 TiB for an array with shape (100000000000, 3) and data type float64"
+
+    def unallocatable(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(verify, "sample_phase_points", unallocatable)
+    assert run(["verify-theorem", "--samples", 10**11, "--tau-end", 0.1]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Edge values of a: tiny, 1, either side of the largest a whose 1 + a^2 is
 # finite (about 1.34e154), beyond it, and the values Problem refuses outright.
 EDGE_HALF_DISTANCES = ["5e-324", "1e-300", "1", "1.34e154", "1.3407807929942596e154", "1.35e154", "1e300",
@@ -354,21 +370,24 @@ EDGE_MASSES = ["0", "1e-300", "1", "1e4", "1e160", "-1", "nan"]
 EDGE_ENDS = ["0", "-1", "nan", "inf", "1e-300", "0.5"]
 EDGE_TOLERANCES = ["0", "-1e-12", "nan", "1e-300", "1e-12"]
 EDGE_SEEDS = ["0", "-1", str(2**64)]
+# the fit's least count and one short of it, a numpy index whose (n, 3) draw is not, and non-counts;
+# never a count that fits the bound but not memory: under overcommit its draw would allocate
+EDGE_SAMPLES = ["0", "7", "8", str(2**62), "1e3", "-1"]
 # on a center, and inside the collision guard of one
 EDGE_STARTS = ["1,0,0", "1.000000001,0,0"]
 # each command with the flag of its end time, if it integrates
 EDGE_COMMANDS = [
     (["project"], "--t-end"),
-    (["verify-theorem", "--samples", "50"], "--tau-end"),
-    (["fit-relation", "--samples", "50"], None),
-    (["verify-theorem", "--fit", "--samples", "50"], "--tau-end"),
+    (["verify-theorem"], "--tau-end"),
+    (["fit-relation"], None),
+    (["verify-theorem", "--fit"], "--tau-end"),
 ]
 
 
 # Usable values of every drawn input: each command exits 0 on them, so a flag
 # the parser does not know (exit 1, which the draws accept) fails the examples.
 USABLE = {"a": "1", "m_minus": "1", "m_plus": "0.5", "q0": "0,2,0", "p0": "0.3,0,0.6", "end": "0.5",
-          "tol": "1e-12", "seed": "42"}
+          "tol": "1e-12", "seed": "42", "samples": "50"}
 
 
 # Derandomized: a few draws (a fast orbit, say) run for a second or more, so
@@ -390,20 +409,28 @@ USABLE = {"a": "1", "m_minus": "1", "m_plus": "0.5", "q0": "0,2,0", "p0": "0.3,0
     end=st.just("0.5") | st.sampled_from(EDGE_ENDS),
     tol=st.just("1e-12") | st.sampled_from(EDGE_TOLERANCES),
     seed=st.just("42") | st.sampled_from(EDGE_SEEDS),
+    samples=st.just("50") | st.sampled_from(EDGE_SAMPLES),
 )
-def test_edge_inputs_end_in_documented_exit_codes(command, a, m_minus, m_plus, q0, p0, end, tol, seed):
-    """Any a, masses, start, end time, tolerance and seed end in exit code
-    0 to 3: no traceback, and (pytest turns RuntimeWarning into an error) no
-    numpy warning.  ``fit-relation`` reads no start, end or tolerance, so it
-    gets none.  On the ``USABLE`` values every command exits 0."""
+def test_edge_inputs_end_in_documented_exit_codes(command, a, m_minus, m_plus, q0, p0, end, tol, seed, samples):
+    """Any a, masses, start, end time, tolerance, seed and sample count end in
+    exit code 0 to 3: no traceback, and (pytest turns RuntimeWarning into an
+    error) no numpy warning; exit 1 prints one ``error:`` line.  ``simulate``
+    and ``project`` draw nothing, and ``fit-relation`` reads no start, end or
+    tolerance, so they get none.  On the ``USABLE`` values every command exits 0."""
     words, end_flag = command
     args = [*words, "--a", a, "--m-minus", m_minus, "--m-plus", m_plus, "--seed", seed]
     if end_flag:
         args += ["--q0", q0, "--p0", p0, end_flag, end, "--tol", tol]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    if words[0] in ("verify-theorem", "fit-relation"):
+        args += ["--samples", samples]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(args)
     assert code in (0, 1, 2, 3)
-    if dict(a=a, m_minus=m_minus, m_plus=m_plus, q0=q0, p0=p0, end=end, tol=tol, seed=seed) == USABLE:
+    if code == 1:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (args, err.getvalue())
+    if dict(a=a, m_minus=m_minus, m_plus=m_plus, q0=q0, p0=p0, end=end, tol=tol, seed=seed,
+            samples=samples) == USABLE:
         assert code == 0, args
 
 

@@ -33,7 +33,8 @@ from twocenter import (
 from twocenter import dynamics, integrate, verify
 from twocenter.cli import main
 from twocenter.codegen import RhsTemplate
-from twocenter.verify import check_energy_drift, check_two_routes
+from twocenter.geometry import check_number
+from twocenter.verify import check_energy_drift, check_kepler_limit, check_two_routes
 
 EQUAL = Problem(1.0, 1.0, 1.0)
 DEFAULT_START = PhasePoint(np.array([0.0, 2.0, 0.0]), np.array([0.3, 0.0, 0.6]))
@@ -415,13 +416,16 @@ SCALAR_INPUTS = [
     pytest.param("min_center_distance", lambda v: sample_phase_points(EQUAL, 4, make_rng(0), min_center_distance=v),
                  -0.1, id="min_center_distance"),
     pytest.param("sample count", lambda v: sample_phase_points(EQUAL, v, make_rng(0), -1.0), 0, id="n"),
+    # a numpy index, but 24 n bytes of (n, 3) output are not: refused before anything is allocated
+    pytest.param("sample count", lambda v: sample_phase_points(EQUAL, v, make_rng(0), -1.0), 2**62, id="n-bytes"),
     pytest.param("sample_count", lambda v: fit_integral_relation(EQUAL, v, -1), 7, id="sample_count"),
     pytest.param("seed", make_rng, 2**64, id="seed"),
 ]
 COUNTS = ("sample count", "sample_count", "seed")
 
 
-@pytest.mark.parametrize("kind", ["str", "None", "bool", "nan", "inf", "out-of-range", "int-beyond-float"])
+@pytest.mark.parametrize("kind", ["str", "None", "bool", "nan", "inf", "out-of-range", "int-beyond-float",
+                                  "2^1024", "-2^1024"])
 @pytest.mark.parametrize("name, call, out_of_range", SCALAR_INPUTS)
 def test_config_validation(name, call, out_of_range, kind):
     """One rule per kind of scalar (``geometry.check_number`` and ``check_count``): every
@@ -430,18 +434,25 @@ def test_config_validation(name, call, out_of_range, kind):
     order: tol before the end time, the clock and the lift, the masses before a, the counts
     before the radii and the seed.  An infinite real is refused as not finite."""
     value = {"str": "5", "None": None, "bool": True, "nan": math.nan, "inf": math.inf,
-             "out-of-range": out_of_range, "int-beyond-float": 10**400}[kind]
-    shown = "an int beyond the float range" if kind == "int-beyond-float" else repr(value)
+             "out-of-range": out_of_range, "int-beyond-float": 10**400, "2^1024": 2**1024, "-2^1024": -2**1024}[kind]
+    beyond_float = kind in ("int-beyond-float", "2^1024", "-2^1024")  # +-2**1024 bound the ints shown by name
+    shown = "an int beyond the float range" if beyond_float else repr(value)
     with pytest.raises(InvalidInputError) as refused:
         call(value)
     message = str(refused.value)
     assert message.startswith(f"{name} must be ") and message.endswith(f", got {shown}"), message
     if name in COUNTS:
         assert message.startswith(f"{name} must be an integer in ["), message
-    elif kind in ("inf", "int-beyond-float"):
+    elif kind in ("inf", "int-beyond-float", "2^1024"):
         assert message == f"{name} must be finite, got {shown}"
     elif name == "tol":
         assert message == f"tol must be positive, got {shown}"
+
+
+def test_real_at_its_bound_is_accepted():
+    """A real equal to its ``high`` is accepted as itself: ``high`` is the largest value allowed."""
+    half_max = 0.5 * float(np.finfo(float).max)
+    assert check_number(half_max, "q_radius", half_max) == half_max
 
 
 def test_numpy_tolerance_runs_as_a_python_float():
@@ -467,12 +478,13 @@ def test_numpy_end_times_run_as_python_floats(entry, end):
 
 
 def test_cubic_hermite_reproduces_cubics():
-    ts = np.linspace(0.0, 2.0, 9)
-    ys = (ts**3 - 2 * ts**2 + ts)[:, None]
-    dys = (3 * ts**2 - 4 * ts + 1)[:, None]
     queries = np.linspace(0.0, 2.0, 101)
     exact = (queries**3 - 2 * queries**2 + queries)[:, None]
-    assert np.max(np.abs(cubic_hermite(ts, ys, dys, queries) - exact)) <= 1e-13
+    for nodes in (9, 2):  # two nodes, the fewest it takes, hold a cubic too
+        ts = np.linspace(0.0, 2.0, nodes)
+        ys = (ts**3 - 2 * ts**2 + ts)[:, None]
+        dys = (3 * ts**2 - 4 * ts + 1)[:, None]
+        assert np.max(np.abs(cubic_hermite(ts, ys, dys, queries) - exact)) <= 1e-13
     with pytest.raises(InvalidInputError):
         cubic_hermite(ts, ys, dys, np.array([2.5]))
 
@@ -508,6 +520,12 @@ def test_cubic_hermite_refuses_input_holes(ts, ys_shape, dys_shape, query, messa
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=message):
             cubic_hermite(np.array(ts), np.zeros(ys_shape), np.zeros(dys_shape), np.array([query]))
+
+
+def test_kepler_limit_check_refuses_two_centers():
+    """The merged-centers check needs exactly one nonzero mass (the CLI runs it only then)."""
+    with pytest.raises(InvalidInputError, match="exactly one nonzero mass"):
+        check_kepler_limit(DEFAULT_START, EQUAL)
 
 
 def test_two_route_check_fails_when_a_route_stops_early():

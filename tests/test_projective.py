@@ -310,6 +310,8 @@ def test_fitted_relation_check_judges_gap_and_residual():
     assert not a1_form.passed and a1_form.measured == pytest.approx(0.6)
     loose = check_fitted_relation(IntegralRelation(0.4, 0.2, -0.16, 0.0, 1e-6), prob)
     assert not loose.passed and loose.measured == 1e-6
+    at_tolerance = check_fitted_relation(IntegralRelation(0.4, 0.2, -0.16, 0.0, 1e-8), prob)
+    assert at_tolerance.passed and at_tolerance.measured == at_tolerance.tolerance == 1e-8
 
 
 @pytest.mark.parametrize("mass", [1e4, 1e6, 1e100])
