@@ -76,15 +76,26 @@ class ConfigError(Exception):
 
 
 def _parse_vector(text: str) -> tuple:
-    parts = [part.strip() for part in str(text).split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated values, got {text!r}")
-    return tuple(float(part) for part in parts)
+    values = tuple(map(float, text.split(",")))  # float() strips the blanks around each value
+    if len(values) != 3:
+        raise ValueError
+    return values
 
 
-# each key's parser, from its annotation ("str | None" parses as str)
-_PARSE = {"float": float, "int": int, "str": str, "tuple": _parse_vector}
+# each key's parser and what it reads, from its annotation ("str | None" parses as str)
+_PARSE = {"float": (float, "a number"), "int": (int, "an integer"), "str": (str, "text"),
+          "tuple": (_parse_vector, "three comma-separated numbers")}
 _PARSERS = {f.name: _PARSE[f.type.split(" |")[0]] for f in fields(RunConfig)}
+
+
+def _parse(key: str, text: str, name: str):
+    """``text`` as the value of config key ``key``, by the key's parser; text that does not
+    parse is refused with a :class:`ConfigError` naming ``name``, the flag or the config key."""
+    parse, reads = _PARSERS[key]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be {reads}, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,10 +123,7 @@ def load_config(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 if key in values:
                     raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
-                try:
-                    values[key] = _PARSERS[key](value.strip())
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                values[key] = _parse(key, value.strip(), f"{path}:{lineno}: {key}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -124,8 +132,8 @@ def load_config(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then the flags the subcommand registered."""
     cfg = replace(RunConfig(), **load_config(args.config)) if args.config else RunConfig()
-    flags = {key: getattr(args, key, None) for key in _PARSERS}
-    return replace(cfg, **{key: _PARSERS[key](text) for key, text in flags.items() if text is not None})
+    flags = {key: text for key in _PARSERS if (text := getattr(args, key, None)) is not None}
+    return replace(cfg, **{key: _parse(key, text, "--" + key.replace("_", "-")) for key, text in flags.items()})
 
 
 def _fmt(value: float) -> str:

@@ -65,18 +65,6 @@ def _refuse(template, refused, state, params):
     raise AssertionError(f"the {template.name} kernel passes a row that its column form refuses")
 
 
-def _names(node: ast.AST, found: set[str]) -> set[str]:
-    """``found``, plus the names in ``node``: those ``ast.walk`` finds, at about half its cost."""
-    if isinstance(node, ast.Name):
-        found.add(node.id)
-    elif isinstance(node, ast.AST):
-        for field in node._fields:
-            value = getattr(node, field, None)
-            for child in value if isinstance(value, list) else (value,):
-                _names(child, found)
-    return found
-
-
 def _three_address(statement: ast.stmt, scalars: set[str], temps) -> list[ast.stmt]:
     """An assignment ``target = expr`` on numpy columns in three-address form (see
     above), with temporaries named from ``temps``; a subexpression of ``scalars``
@@ -86,7 +74,7 @@ def _three_address(statement: ast.stmt, scalars: set[str], temps) -> list[ast.st
     def operand(node):
         """``node``'s value, and whether it is a fresh temporary (True), a scalar (None) or another array."""
         if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))):
-            return node, None if _names(node, set()) <= scalars else False
+            return node, None if {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} <= scalars else False
         (left, fresh_left), (right, fresh_right) = operand(node.left), operand(node.right)
         if fresh_left is None and fresh_right is None:
             return node, None
@@ -139,7 +127,7 @@ class RhsTemplate:
         body = [new for statement in tree.body for new in _three_address(statement, set(self.params), fresh)]
         temps = {statement.targets[0].id for statement in body if isinstance(statement, ast.Assign)} - set(outputs)
         for i in reversed(range(len(body))):  # from the end, a temporary's first reader is its last
-            names = sorted(temps & _names(body[i], set()))
+            names = sorted(temps & {n.id for n in ast.walk(body[i]) if isinstance(n, ast.Name)})
             if names:
                 body.insert(i + 1, ast.Delete([ast.Name(name) for name in names]))
                 temps -= set(names)

@@ -14,6 +14,8 @@ whole sweeps go through the same code path as single points.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +42,11 @@ class Problem:
     wyz: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("m_minus", "m_plus", "a"):  # masses may vanish, a may not
-            object.__setattr__(self, name, check_number(getattr(self, name), name, closed=name != "a"))
-        a = self.a
-        if not np.isfinite(1.0 + a * a):  # above about 1.34e154 the norm would lose y and z
-            raise InvalidInputError(f"half-distance a must keep 1 + a^2 finite, got {a!r}")
-        object.__setattr__(self, "wyz", 1.0 / (1.0 + a * a))
+        for name in ("m_minus", "m_plus"):  # masses may vanish, a may not
+            object.__setattr__(self, name, check_number(getattr(self, name), name, closed=True))
+        # 1 + a^2 is finite up to sqrt(float max) and overflows above it: the norm would lose y and z
+        object.__setattr__(self, "a", check_number(self.a, "a", math.sqrt(sys.float_info.max)))
+        object.__setattr__(self, "wyz", 1.0 / (1.0 + self.a * self.a))
 
     @property
     def is_kepler(self) -> bool:

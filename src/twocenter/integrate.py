@@ -193,26 +193,27 @@ def _initial_step(f, y0, f0, t_end, tol, max_step):
 
 
 @functools.cache
-def _make_run(template: RhsTemplate, renormalize: bool = False):
+def _make_run(template: RhsTemplate):
     """The adaptive Dormand-Prince run of ``template``, compiled on first use.
 
     Returns ``run(start, t_end, tol, max_step, max_steps, **params) ->
     (times, states, rejected, status)``, plus the norm and tangency residual
-    lists when ``renormalize``; ``start`` is a list of floats and
+    lists for ``INTRINSIC_RHS``; ``start`` is a list of floats and
     ``params`` the template's parameters.  The lists are flat lists of
     floats: ``states`` holds one state's n components after another's, and
     ``_integrate`` reshapes it to (-1, n).  The run evaluates the compiled
     kernel at ``start``, outside its abort handling, then steps with the
     state and the FSAL stage in locals and the template written out at each
-    of the six stage evaluations.  With ``renormalize`` (the ellipsoid, whose
+    of the six stage evaluations.  For ``INTRINSIC_RHS`` (the ellipsoid, whose
     state is (Q, Q') and whose template has the parameter ``wyz``) every
     accepted state is checked against ``_INTEGRITY_LIMIT``, projected back
     onto the manifold and tangent space, and f is evaluated there.  Zero
     tableau coefficients are skipped; each stage keeps the operation order
     ``v + h * (a1 * k1 + a2 * k2 + ...)`` of a loop over the components.
-    The error scale's |y_i| is taken once per accepted state: without
-    ``renormalize`` it is the step's |u_i|.
+    The error scale's |y_i| is taken once per accepted state: for the planar
+    runs it is the step's |u_i|.
     """
+    renormalize = template is INTRINSIC_RHS
     n = len(template.state)
     y, u = [f"y{i}" for i in range(n)], template.state
     k = [[f"k{stage}_{i}" for i in range(n)] for stage in range(1, 8)]
@@ -314,9 +315,9 @@ def _make_run(template: RhsTemplate, renormalize: bool = False):
     return compile_function(f"{template.name} run", "\n".join(lines) + "\n", "run", namespace)
 
 
-def _integrate(template, y0, t_end, tol, prob, diagnostics, names, renormalize=False) -> Trajectory:
+def _integrate(template, y0, t_end, tol, prob, diagnostics, names) -> Trajectory:
     """Run ``template`` at ``tol``; ``names`` label the ``diagnostics`` columns, then the residual lists."""
-    run = _make_run(template, renormalize)
+    run = _make_run(template)
     times, states, rejected, status, *lists = run(y0, t_end, tol, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
     times = np.fromiter(times, float, len(times))  # each list in one pass, with no type inference
     states = np.fromiter(states, float, len(states)).reshape(-1, len(y0))
@@ -359,7 +360,7 @@ def integrate_ellipsoid(start: PhasePoint, prob: Problem, tau_end: float, tol: f
     if not np.isfinite(qp0).all():
         raise InvalidInputError(f"the lifted velocity Q' overflows at p = {start.p.tolist()}")
     y0 = [*big_q0.tolist(), *qp0.tolist()]
-    return _integrate(INTRINSIC_RHS, y0, tau_end, tol, prob, ENERGY, ("G", "norm_residual", "tangency_residual"), True)
+    return _integrate(INTRINSIC_RHS, y0, tau_end, tol, prob, ENERGY, ("G", "norm_residual", "tangency_residual"))
 
 
 def cubic_hermite(

@@ -277,9 +277,11 @@ def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0)
         return float(np.max(star_norm(accs[:, None] - accs[None], prob)))
 
 
-# |(q, 1)|_*^2, the n2 of ``LIFT``, refused on overflow in the quadrature's words.
-_SLICE_NORM2 = RhsTemplate("|(q, 1)|_*^2", LIFT.state[:3], LIFT.params, "", ("n2",),
-                           LIFT.guard._replace(message="|q|_*^2 overflows on the grid"))
+# The tau rate g = dtau/dt = 1/|(q, 1)|_*^2 on the n2 of ``LIFT``, refused on overflow in the
+# quadrature's words, and its t rate dg/dt = -2 ((q, 1), (p, 0))_* g^2 for p = dq/dt.
+_TAU_RATE = RhsTemplate("tau rate", LIFT.state, LIFT.params, "",
+                        ("1.0 / n2", "-2.0 * (x * px + wyz * (y * py + z * pz)) / (n2 * n2)"),
+                        LIFT.guard._replace(message="|q|_*^2 overflows on the grid"))
 
 
 def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
@@ -289,21 +291,18 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Pr
     positions and velocities dq/dt on it (``geometry.pair_columns``).  tau(t) = integral of
     W(s)^2 ds with W = 1/|q(s)|_*, evaluated by the derivative-corrected
     trapezoid rule (two-point Hermite quadrature, fourth order on smooth
-    data).  Returns tau at the nodes; strictly increasing, and tau(t) <= t
-    because |q|_* >= 1 on the slice.  A step whose tau increment exceeds its
-    t step breaks that bound, which happens only when p is not dq/dt (the
-    derivative term grows with p): it raises, naming the first such row.
+    data) on W^2 and its t rate, the column form of ``_TAU_RATE``.  Returns
+    tau at the nodes; strictly increasing, and tau(t) <= t because |q|_* >= 1
+    on the slice.  A step whose tau increment exceeds its t step breaks that
+    bound, which happens only when p is not dq/dt (the derivative term grows
+    with p): it raises, naming the first such row.
     """
     times = check_grid(times)
     for name, values in (("q", q), ("p", p)):
         if np.shape(values) != (len(times), 3):
             raise InvalidInputError(f"{name} must have shape ({len(times)}, 3), got {np.shape(values)}")
-    x, y, z, px, py, pz = pair_columns(q, p)
-    wyz = prob.wyz
     with np.errstate(over="ignore", invalid="ignore"):
-        n2, = compile_columns(_SLICE_NORM2)(x, y, z, wyz)
-        g = 1.0 / n2
-        gdot = -2.0 * (x * px + wyz * (y * py + z * pz)) / (n2 * n2)
+        g, gdot = compile_columns(_TAU_RATE)(*pair_columns(q, p), prob.wyz)
         h = np.diff(times)
         dtau = 0.5 * h * (g[:-1] + g[1:]) + (h * h / 12.0) * (gdot[:-1] - gdot[1:])
     if not np.all(np.isfinite(dtau) & (dtau > 0.0)):

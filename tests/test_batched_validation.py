@@ -10,6 +10,7 @@ batches instead of spinning.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_sampler_gives_up_when_no_point_clears_the_centers():
         {"q_radius": np.nan},
         {"q_radius": np.inf},
         {"q_radius": 0.0},
-        {"q_radius": 1e308},  # finite, but the cube side 2r overflows
+        {"q_radius": 1e308},  # finite, but its square overflows the ball test
         {"p_radius": np.float64(1e308)},
         {"p_radius": -1.0},
         {"p_radius": np.nan},
@@ -183,6 +184,24 @@ def test_sampler_refuses_bad_radii(kwargs):
     name = next(iter(kwargs))
     with pytest.raises(InvalidInputError, match=name):
         sample_phase_points(PROB, 4, make_rng(0), **kwargs)
+
+
+def test_sampler_radius_bound_keeps_the_ball_test_finite():
+    """At the largest radius, 7.741001517595155e153, the largest r whose r * r + r * r + r * r is
+    finite, and the largest a, whose center distances overflow there (an inf distance is clear of
+    both centers), the draw runs without a numpy warning and every q and p passes the ball test in
+    the sampler's arithmetic; the next float up is refused, naming the radius."""
+    radius, prob = 7.741001517595155e153, Problem(1.0, 1.0, math.sqrt(np.finfo(float).max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, p = sample_phase_points(prob, 2000, make_rng(1), q_radius=radius, p_radius=radius)
+        for points in (q, p):
+            x, y, z = points.T
+            assert (x * x + y * y + z * z <= radius * radius).all()
+    for name in ("q_radius", "p_radius"):
+        refusal = re.escape(f"{name} must be positive and at most {radius!r}, got ")
+        with pytest.raises(InvalidInputError, match=refusal):
+            sample_phase_points(prob, 2000, make_rng(1), **{name: math.nextafter(radius, math.inf)})
 
 
 def test_sampler_accepts_zero_min_center_distance():

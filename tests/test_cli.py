@@ -83,12 +83,12 @@ def test_parser_is_built_once_and_each_call_parses_afresh(tmp_path, capsys):
 
 
 def test_simulate_malformed_config(tmp_path, capsys):
+    """A config value that does not parse is refused on one line naming the file, the line and the key."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("q0: 1,2\n")
     code = run(["simulate", "--config", cfg])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.strip().count("\n") == 0 and err.startswith(f"error: {cfg}:1: expected three comma-separated values")
+    assert capsys.readouterr().err == f"error: {cfg}:1: q0 must be three comma-separated numbers, got '1,2'\n"
 
 
 def test_repeated_config_key_is_refused(tmp_path, capsys):
@@ -98,9 +98,14 @@ def test_repeated_config_key_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}:3: repeated key 'a'\n"
 
 
-def test_wrong_length_vector_flag_exits_1(capsys):
-    assert run(["simulate", "--q0", "1,2"]) == 1
-    assert capsys.readouterr().err == "error: expected three comma-separated values, got '1,2'\n"
+@pytest.mark.parametrize("args, refusal", [
+    pytest.param(["simulate", "--m-minus", "abc"], "--m-minus must be a number, got 'abc'", id="float"),
+    pytest.param(["simulate", "--q0", "1,2"], "--q0 must be three comma-separated numbers, got '1,2'", id="vector"),
+    pytest.param(["fit-relation", "--samples", "1e3"], "--samples must be an integer, got '1e3'", id="int"),
+])
+def test_unparsable_flag_value_names_the_flag(args, refusal, capsys):
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
 def test_simulate_collision_exit_code(tmp_path):

@@ -1,5 +1,8 @@
 """Vector field, first integrals, and their symmetries."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -154,9 +157,13 @@ def test_problem_validation():
         Problem(-1.0, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
         Problem(1.0, 1.0, 0.0)
-    with pytest.raises(InvalidInputError, match="1 \\+ a\\^2"):
-        Problem(1.0, 1.0, 1e300)  # the ellipsoid would lose y and z
-    assert Problem(1.0, 1.0, 1e150).a == 1e150
+    # a is at most sqrt(float max), where 1 + a^2 is finite; at the next float the ellipsoid would lose y and z
+    largest = math.sqrt(sys.float_info.max)
+    assert Problem(1.0, 1.0, largest).a == largest and math.isfinite(1.0 + largest * largest)
+    for a in (math.nextafter(largest, math.inf), 1e300):
+        with pytest.raises(InvalidInputError) as refused:
+            Problem(1.0, 1.0, a)
+        assert str(refused.value) == f"a must be positive and at most {largest!r}, got {a!r}"
     assert Problem(1.0, 0.0, 1.0).is_kepler
     assert not Problem(1.0, 1.0, 1.0).is_kepler
     assert not Problem(0.0, 0.0, 1.0).is_kepler

@@ -256,6 +256,48 @@ def test_rejected_steps_are_counted(monkeypatch):
     assert traj.rejected_steps > 0
 
 
+# The step-control limits, each pinned by a run where it binds, by value rather than read from
+# ``integrate``.  Free motion: every error estimate is zero up to roundoff, so each step grows
+# by the full cap until the largest step binds.
+FREE = (PhasePoint(np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])), Problem(0.0, 0.0, 1.0))
+
+
+def test_largest_step_is_a_tenth():
+    """``_MAX_STEP``: the steps of a massless run to t = 2 reach 0.1 and no further."""
+    steps = np.diff(integrate_planar(*FREE, 2.0).times)
+    assert steps.max() == pytest.approx(0.1, rel=1e-12)
+
+
+def test_step_grows_at_most_tenfold():
+    """``_FACMAX``: the second step of a massless run is ten times its first (0.0019, then 0.019)."""
+    steps = np.diff(integrate_planar(*FREE, 2.0).times)
+    assert steps[1] / steps[0] == pytest.approx(10.0, rel=1e-12)
+
+
+def test_rejection_far_over_tolerance_shrinks_the_step_fivefold(monkeypatch):
+    """``_FACMIN``: a first step of 1.0 across a jump of f from 1 to 1e6 at s = 0.5 has an error
+    estimate of 6.9e10, whose controller factor 0.013 is clipped to 0.2; the retry of 0.2 stops
+    short of the jump and is accepted.  Two step attempts, on a run compiled outside the cache."""
+    monkeypatch.setattr(integrate, "_initial_step", lambda f, y0, f0, t_end, tol, max_step: max_step)
+    jump = RhsTemplate("jump", ("s",), (), "", ("1.0 if s < 0.5 else 1e6",))
+    times, _, rejected, status = integrate._make_run.__wrapped__(jump)([0.0], 10.0, 1e-12, 1.0, 2)
+    assert (times, rejected, status) == ([0.0, 0.2], 1, "step_budget")
+
+
+def test_integrity_limit_is_one_in_a_million():
+    """``_INTEGRITY_LIMIT``: on the default start to tau = 5, where the largest step binds, the
+    largest constraint residual (the tangency's) rises with tol.  At tol 1.1e-6 it is 9.40e-7 and
+    the run ends "ok"; at 1.25e-6 it would reach 1.061e-6, and the run aborts "integrity" where it
+    first passes 1e-6, recording only residuals below it.  A limit 6 % lower or higher changes
+    one of the two statuses."""
+    below = integrate_ellipsoid(DEFAULT_START, EQUAL, 5.0, 1.1e-6)
+    assert below.status == "ok"
+    assert 0.93e-6 < below.diagnostics["tangency_residual"].max() < 1e-6
+    above = integrate_ellipsoid(DEFAULT_START, EQUAL, 5.0, 1.25e-6)
+    assert above.status == "integrity" and above.times[-1] < 5.0
+    assert above.diagnostics["tangency_residual"].max() <= 1e-6
+
+
 def test_intrinsic_infall_aborts_cleanly():
     # falling toward the scaled center: the run must stop with a
     # partial trajectory, whether the guard or the step floor fires first

@@ -349,7 +349,7 @@ def test_run_is_compiled_once_per_system():
 
 
 def test_generated_source_is_shown_in_tracebacks():
-    run = integrate._make_run(INTRINSIC_RHS, renormalize=True)
+    run = integrate._make_run(INTRINSIC_RHS)
     assert run.__code__.co_filename == "<twocenter generated: ellipsoid run>"
     source = inspect.getsource(run)
     assert source.startswith("def run(start, t_end, tol, max_step, max_steps, a, m_minus, m_plus, wyz, guard):")

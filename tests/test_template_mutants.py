@@ -4,8 +4,9 @@ The mutants are read from the live templates with ``ast``: each ``+`` <-> ``-``
 and ``*`` <-> ``/``, and each nonzero number literal scaled by 1 + 1e-9 (a zero
 scales to itself), of the body, the guard's lines and each derivative
 expression, one edit at a time, in the six system templates (``PLANAR_RHS``,
-``PLANAR_TAU_RHS``, ``INTEGRALS``, ``LIFT``, ``INTRINSIC_RHS``, ``ENERGY``)
-and the weighted product ``STAR``, so there is no list of mutants to keep.
+``PLANAR_TAU_RHS``, ``INTEGRALS``, ``LIFT``, ``INTRINSIC_RHS``, ``ENERGY``),
+the weighted product ``STAR`` and the tau rate of ``reparametrize_time``, so
+there is no list of mutants to keep.
 Each mutant is rebound wherever the package holds its template, a dict
 such as ``integrate._CLOCKS`` included, the caches of compiled code are
 cleared, and the checks below run:
@@ -15,6 +16,8 @@ cleared, and the checks below run:
 - the lift of those points on the ellipsoid and tangent to it;
 - the tau clock: the planar tau kernel at a start is the planar t kernel
   times |(q, 1)|_*^2;
+- the tau rate: ``reparametrize_time`` integrates g = 1/|(q, 1)|_*^2 and
+  reads its t rate along p;
 - the planar drift of J, Theta and E at t = 5;
 - the G drift and the two-route check of an ellipsoid run at tau = 1;
 - the velocity independence of the tangential field;
@@ -51,6 +54,7 @@ from twocenter import (
     make_rng,
     projective,
     relation_residual,
+    reparametrize_time,
     sample_phase_points,
     star_inner,
     star_norm,
@@ -67,7 +71,7 @@ from twocenter.verify import (
 from oracles import star_weights
 
 TEMPLATES = (dynamics.PLANAR_RHS, dynamics.PLANAR_TAU_RHS, dynamics.INTEGRALS, geometry.LIFT,
-             projective.INTRINSIC_RHS, projective.ENERGY, geometry.STAR)
+             projective.INTRINSIC_RHS, projective.ENERGY, geometry.STAR, projective._TAU_RATE)
 # The mutants that no check kills, each with its reason; every other mutant must fail a check.
 SURVIVORS = {
     "lift body: radial = qx * px + wyz * qy * py + wyz * qz * pz - 0.0":
@@ -155,6 +159,20 @@ def tau_clock_holds(prob):
     return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def tau_rate_holds(prob):
+    """The tau rate of ``reparametrize_time`` at ``START`` against g = 1/|(q, 1)|_*^2 in the weights of
+    the test's oracle, to 1e-14 relative, and against its complex-step derivative along p, exact to
+    roundoff, to 1e-12 relative.  On the nodes t = 0 and 1 with the state repeated, the quadrature's
+    tau(1) is g; with p reversed at the second node it is g + (dg/dt) / 6."""
+    weights, nodes = star_weights(prob), [START.q, START.q]
+    g = reparametrize_time([0.0, 1.0], nodes, [START.p, START.p], prob)[1]
+    gdot = 6.0 * (reparametrize_time([0.0, 1.0], nodes, [START.p, -START.p], prob)[1] - g)
+    want = 1.0 / (weights @ np.append(START.q, 1.0) ** 2)
+    step = 1e-30  # the complex step: no difference is taken, so it can be this small
+    want_dot = (1.0 / (weights @ np.append(START.q + 1j * step * START.p, 1.0) ** 2)).imag / step
+    return abs(g - want) <= 1e-14 * want and abs(gdot - want_dot) <= 1e-12 * abs(want_dot)
+
+
 def first_failure():
     """The name of the first check that fails, or None when every one passes."""
     for prob in PROBLEMS:
@@ -170,6 +188,8 @@ def first_failure():
             return "lift on the ellipsoid"
         if not tau_clock_holds(prob):
             return "tau clock"
+        if not tau_rate_holds(prob):
+            return "tau rate"
         planar = drift_report(integrate_planar(START, prob, 5.0))
         if planar.status != "ok" or not max(planar.drifts.values()) <= TOL_FIRST_INTEGRAL_DRIFT:
             return "planar drift"
