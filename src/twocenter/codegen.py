@@ -56,12 +56,12 @@ class Guard(NamedTuple):
     message: str
 
 
-def _refuse(template, refused, state, params):
-    """Run ``template``'s kernel, bound to ``params``, on the first row of the columns
+def _refuse(template, refused, state, prob):
+    """Run ``template``'s kernel, bound to ``prob``, on the first row of the columns
     ``state`` where ``refused`` holds, in C order: it raises the guard's error."""
     refused, *state = np.broadcast_arrays(refused, *state)
     row = np.unravel_index(np.argmax(refused), refused.shape)
-    compile_kernel(template)(*params)([float(column[row]) for column in state])
+    compile_kernel(template)(prob)([float(column[row]) for column in state])
     raise AssertionError(f"the {template.name} kernel passes a row that its column form refuses")
 
 
@@ -100,8 +100,9 @@ class RhsTemplate:
     state from the names in ``state`` and the problem's constants from those
     in ``params``, and assign only temporaries, each once; ``derivative`` holds one
     expression per output in the names they leave, and ``sqrt`` is the
-    form's square root.  ``name`` labels the generated code.  Templates
-    compare by identity: each formula is one module-level object.
+    form's square root.  ``params`` are exactly the constants it reads, attributes of
+    the problem that each compiled form takes last (:meth:`header`).  ``name`` labels
+    the generated code.  Templates compare by identity: each formula is one object.
     """
 
     name: str
@@ -136,11 +137,18 @@ class RhsTemplate:
             check, errstate = body[at], ast.parse('with errstate(over="ignore"): pass').body[0]
             conditions = check.test.values if isinstance(check.test, ast.BoolOp) else [check.test]
             refused = functools.reduce(lambda left, right: ast.BinOp(left, ast.BitOr(), right), conditions)
-            arguments = [ast.List([ast.Name(name) for name in names]) for names in (self.state, self.params)]
+            arguments = [ast.List([ast.Name(name) for name in self.state]), ast.Name("prob")]
             refuse = ast.Call(ast.Name("refuse"), [copy.copy(refused), *arguments], [])  # unparse keeps .any's parens
             check.test, check.body = ast.Call(ast.Attribute(refused, "any"), [], []), [ast.Expr(refuse)]
             errstate.body, body[:at] = body[:at], [errstate]
         return ast.unparse(ast.Module(body, [])).splitlines()
+
+    def header(self, function: str, arguments) -> list[str]:
+        """``def function(*arguments, prob):``, ``prob=None`` if the template reads no
+        constant, then one line per name of ``params`` that reads it from ``prob``."""
+        prob = "prob" if self.params else "prob=None"
+        reads = [f"    {name} = prob.{name}" for name in self.params]
+        return [f"def {function}({', '.join([*arguments, prob])}):", *reads]
 
     def inline(self, values, outputs, indent: str) -> list[str]:
         """Lines that evaluate f at the expressions ``values`` into the names ``outputs``."""
@@ -164,14 +172,14 @@ def compile_function(label: str, source: str, name: str, namespace: dict):
 
 @functools.cache
 def compile_kernel(template: RhsTemplate):
-    """``bind(*params) -> rhs``: the template as a function of one state.
+    """``bind(prob) -> rhs``: the template as a function of one state.
 
     ``rhs(state)`` maps a sequence of floats to the tuple of derivative
-    components, with the parameters bound in the order of
-    ``template.params``.  Compiled once per template.
+    components, with the constants of ``template.params`` read from ``prob``
+    once, at binding.  Compiled once per template.
     """
     lines = [
-        f"def bind({', '.join(template.params)}):",
+        *template.header("bind", ()),
         "    def rhs(state):",
         f"        {', '.join(template.state)}, = state",
         *("        " + line for line in template.statements()),
@@ -183,10 +191,10 @@ def compile_kernel(template: RhsTemplate):
 
 @functools.cache
 def compile_columns(template: RhsTemplate):
-    """``columns(*state, *params) -> outputs``: the template on numpy columns, in the
+    """``columns(*state, prob) -> outputs``: the template on numpy columns, in the
     kernel's arithmetic, so each row gives the kernel's bits.  Compiled once per template."""
     lines = [
-        f"def columns({', '.join(template.state + template.params)}):",
+        *template.header("columns", template.state),
         *("    " + line for line in template.statements(columns=True)),
         f"    return ({', '.join(f'_out{i}' for i in range(len(template.derivative)))},)",
     ]

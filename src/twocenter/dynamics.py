@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codegen import Guard, RhsTemplate, compile_columns, compile_kernel
+from .codegen import Guard, RhsTemplate, compile_columns
 from .errors import InvalidInputError, NearCollisionError
 from .geometry import LIFT, check_finite, check_number, columns, pair_columns
 
@@ -34,7 +34,8 @@ class Problem:
 
     a also fixes the ellipsoid: the unit set of the norm with weights
     (1, wyz, wyz, 1), wyz = 1/(1+a^2), so (1, 1/2, 1/2, 1) at a = 1
-    (``geometry.star``).  ``wyz`` is a Python float, as the kernels need."""
+    (``geometry.star``).  The compiled templates read these and :attr:`guard` by
+    name (see codegen), as Python floats: a numpy scalar would slow every stage."""
 
     m_minus: float = 1.0
     m_plus: float = 1.0
@@ -49,33 +50,14 @@ class Problem:
         object.__setattr__(self, "wyz", 1.0 / (1.0 + self.a * self.a))
 
     @property
+    def guard(self) -> float:
+        """``COLLISION_GUARD``, read at call time: the near-center distance of the guarded templates."""
+        return COLLISION_GUARD
+
+    @property
     def is_kepler(self) -> bool:
         """True when exactly one mass vanishes (single-center limit)."""
         return (self.m_minus == 0.0) != (self.m_plus == 0.0)
-
-
-def rhs_params(prob: Problem) -> dict[str, float]:
-    """The constants of the right-hand-side templates for ``prob``, by name.
-
-    Each system template lists all of these names as its ``params``, read or
-    not, so this one dict binds every kernel and generated run.  The values
-    are Python floats: a numpy scalar would slow every stage.
-    ``COLLISION_GUARD`` is read here, at call time.
-    """
-    return {"a": prob.a, "m_minus": prob.m_minus, "m_plus": prob.m_plus,
-            "wyz": prob.wyz, "guard": COLLISION_GUARD}
-
-
-def kernel(template: RhsTemplate, prob: Problem):
-    """``rhs(state)``: ``template`` compiled (once, see codegen) and bound to
-    ``prob``; it maps a sequence of floats to the tuple of derivative components."""
-    return compile_kernel(template)(**rhs_params(prob))
-
-
-def on_columns(template: RhsTemplate, prob: Problem, *state) -> tuple:
-    """The outputs of ``template``'s column form (see codegen) for ``prob`` on numpy
-    columns ``state``, unchecked but for the template's guard."""
-    return compile_columns(template)(*state, **rhs_params(prob))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +98,11 @@ CENTER_GUARD = Guard(CENTER_DISTANCE_LINES.format(c="a"), "d_minus < guard or d_
 # codegen); :func:`acceleration` is its column form.  It checks no
 # finiteness: ``PhasePoint`` refuses a non-finite start, and a non-finite
 # derivative at any stage makes the step's error estimate non-finite, so the
-# integrator rejects the step.  It leaves ``wyz`` unread.
+# integrator rejects the step.
 PLANAR_RHS = RhsTemplate(
     name="planar t",
     state=("x", "y", "z", "px", "py", "pz"),
-    params=("a", "m_minus", "m_plus", "wyz", "guard"),
+    params=("a", "m_minus", "m_plus", "guard"),
     guard=CENTER_GUARD,
     body="""\
 k_minus = m_minus / (d2_minus * d_minus)
@@ -135,7 +117,7 @@ nk_minus = -k_minus""",
 PLANAR_TAU_RHS = RhsTemplate(
     name="planar tau",
     state=PLANAR_RHS.state,
-    params=PLANAR_RHS.params,
+    params=(*PLANAR_RHS.params, "wyz"),
     guard=CENTER_GUARD,
     body=PLANAR_RHS.body + "\n" + LIFT.guard.lines,
     derivative=tuple(f"n2 * ({expr})" for expr in PLANAR_RHS.derivative),
@@ -163,20 +145,19 @@ apx = a * px""",
 )
 
 # The Euclidean distances (d_minus, d_plus) of (x, y, z) to the two centers, unguarded.
-CENTER_DISTANCES = RhsTemplate("center distances", ("x", "y", "z"), PLANAR_RHS.params, CENTER_GUARD.lines,
-                               ("d_minus", "d_plus"))
+CENTER_DISTANCES = RhsTemplate("center distances", ("x", "y", "z"), ("a",), CENTER_GUARD.lines, ("d_minus", "d_plus"))
 
 
 def acceleration(q: np.ndarray, prob: Problem) -> np.ndarray:
     """Right-hand side of the two-center ODE, -sum_j m_j (q - c_j)/|q - c_j|^3:
     the column form of ``PLANAR_RHS``, so each row gives the scalar kernel's bits."""
-    return np.stack(on_columns(PLANAR_RHS, prob, *columns(q, 3, "q"), 0.0, 0.0, 0.0)[3:], axis=-1)
+    return np.stack(compile_columns(PLANAR_RHS)(*columns(q, 3, "q"), 0.0, 0.0, 0.0, prob)[3:], axis=-1)
 
 
 def first_integrals(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(J, Theta, E) at once, batched over leading axes: the column form of
     ``INTEGRALS`` after one validation of q and p."""
-    return on_columns(INTEGRALS, prob, *pair_columns(q, p))
+    return compile_columns(INTEGRALS)(*pair_columns(q, p), prob)
 
 
 def axial_angular_momentum(q: np.ndarray, p: np.ndarray) -> float | np.ndarray:

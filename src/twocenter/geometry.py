@@ -113,13 +113,13 @@ def star_norm(v: np.ndarray, prob: Problem) -> float | np.ndarray:
     """Weighted norm sqrt(x^2 + y^2/(1+a^2) + z^2/(1+a^2) + w^2), a = ``prob.a``, over
     the last axis of a (..., 4) ``v``, checked by :func:`columns`: the root of ``STAR`` on (v, v)."""
     v = columns(v, 4, "v")
-    return np.sqrt(compile_columns(STAR)(*v, *v, prob.wyz)[0])
+    return np.sqrt(compile_columns(STAR)(*v, *v, prob)[0])
 
 
 def star_inner(u: np.ndarray, v: np.ndarray, prob: Problem) -> float | np.ndarray:
     """Symmetric bilinear form associated with :func:`star_norm`, on (..., 4) batches
     that broadcast, checked by :func:`pair_columns`: the column form of ``STAR``."""
-    return compile_columns(STAR)(*pair_columns(u, v, 4, ("u", "v")), prob.wyz)[0]
+    return compile_columns(STAR)(*pair_columns(u, v, 4, ("u", "v")), prob)[0]
 
 
 # The lift of a slice point and its velocity, (q, p) -> (Q, Q'), as a template (see
@@ -152,4 +152,4 @@ def project(q3: np.ndarray, prob: Problem) -> np.ndarray:
     the (..., 4) result lies on the W > 0 sheet: the Q half of ``LIFT`` at
     p = 0, which refuses a q whose norm overflows; q is checked by :func:`columns`.
     """
-    return np.stack(compile_columns(LIFT)(*columns(q3, 3, "q"), 0.0, 0.0, 0.0, prob.wyz)[:4], axis=-1)
+    return np.stack(compile_columns(LIFT)(*columns(q3, 3, "q"), 0.0, 0.0, 0.0, prob)[:4], axis=-1)

@@ -7,7 +7,8 @@ II.4-II.5).  The output grid is the accepted steps; each sample carries the
 problem's first integrals (planar runs) or the ellipsoidal energy and
 constraint residuals (ellipsoid runs).  Planar runs step in t or, with
 ``clock="tau"``, in the ellipsoid runs' time tau.  The last step is cut to
-land on the end time, so a run with status ``"ok"`` ends on it.
+h = t_end - t and, as t + h may round an ulp off t_end, lands on t_end itself,
+so a run with status ``"ok"`` ends on it.
 
 Each run works on Python floats, ``tol`` and the end time too (``geometry.check_number``),
 and the ``math`` module.  A state has only six or eight components, so the per-step work
@@ -20,8 +21,8 @@ see ``codegen``), and ``_make_run`` generates one adaptive run per system,
 compiled on first use: the state and the FSAL stage stay in locals across
 steps, the template is written out at each of the six stage evaluations, and
 for the ellipsoid the integrity check, the residual recording and the
-renormalization follow inline.  The problem's constants and the run's
-limits are arguments, so nothing is compiled per problem or per call.  The
+renormalization follow inline.  The problem and the run's limits are
+arguments, so nothing is compiled per problem or per call.  The
 expressions keep the operation order of a stepper that loops over the
 components and calls the kernel, so trajectories are bit-identical to it
 (tests/test_step_exactness.py keeps that stepper as the oracle).  The step
@@ -59,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codegen import RhsTemplate, compile_function, compile_kernel
-from .dynamics import INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem, on_columns, rhs_params
+from .codegen import RhsTemplate, compile_columns, compile_function, compile_kernel
+from .dynamics import INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, PhasePoint, Problem
 from .errors import InvalidInputError, NearCollisionError
 from .geometry import check_finite, check_grid, check_number, star
 from .projective import ENERGY, INTRINSIC_RHS, lift_arrays
@@ -196,13 +197,13 @@ def _initial_step(f, y0, f0, t_end, tol, max_step):
 def _make_run(template: RhsTemplate):
     """The adaptive Dormand-Prince run of ``template``, compiled on first use.
 
-    Returns ``run(start, t_end, tol, max_step, max_steps, **params) ->
+    Returns ``run(start, t_end, tol, max_step, max_steps, prob) ->
     (times, states, rejected, status)``, plus the norm and tangency residual
-    lists for ``INTRINSIC_RHS``; ``start`` is a list of floats and
-    ``params`` the template's parameters.  The lists are flat lists of
-    floats: ``states`` holds one state's n components after another's, and
-    ``_integrate`` reshapes it to (-1, n).  The run evaluates the compiled
-    kernel at ``start``, outside its abort handling, then steps with the
+    lists for ``INTRINSIC_RHS``; ``start`` is a list of floats and ``prob`` carries
+    the constants the template reads (``codegen.RhsTemplate``).  The lists are
+    flat lists of floats: ``states`` holds one state's n components after
+    another's, and ``_integrate`` reshapes it to (-1, n).  The run evaluates the
+    compiled kernel at ``start``, outside its abort handling, then steps with the
     state and the FSAL stage in locals and the template written out at each
     of the six stage evaluations.  For ``INTRINSIC_RHS`` (the ellipsoid, whose
     state is (Q, Q') and whose template has the parameter ``wyz``) every
@@ -222,10 +223,10 @@ def _make_run(template: RhsTemplate):
         return " + ".join(f"{w!r} * {k[s][i]}" for s, w in enumerate(weights) if w != 0.0)
 
     lines = [
-        f"def run(start, t_end, tol, max_step, max_steps, {', '.join(template.params)}):",
+        *template.header("run", ("start", "t_end", "tol", "max_step", "max_steps")),
         f"    {', '.join(y)}, = start",
         *(f"    ys{i} = -{y[i]} if {y[i]} < 0.0 else {y[i]}" for i in range(n)),
-        f"    f = kernel({', '.join(template.params)})",
+        "    f = kernel(prob)",
         "    k1 = f(start)  # a start inside the collision guard raises",
         f"    {', '.join(k[0])}, = k1",
         "    t = 0.0",
@@ -265,7 +266,7 @@ def _make_run(template: RhsTemplate):
     lines += [
         f"{tab}err = sqrt(({terms}) / {n})",
         f"{tab}if err <= 1.0:",
-        f"{tab}    t += h",
+        f"{tab}    t = t_end if h == t_end - t else t + h",
     ]
     tab = " " * 16
     if renormalize:
@@ -318,13 +319,13 @@ def _make_run(template: RhsTemplate):
 def _integrate(template, y0, t_end, tol, prob, diagnostics, names) -> Trajectory:
     """Run ``template`` at ``tol``; ``names`` label the ``diagnostics`` columns, then the residual lists."""
     run = _make_run(template)
-    times, states, rejected, status, *lists = run(y0, t_end, tol, _MAX_STEP, _MAX_STEPS, **rhs_params(prob))
+    times, states, rejected, status, *lists = run(y0, t_end, tol, _MAX_STEP, _MAX_STEPS, prob)
     times = np.fromiter(times, float, len(times))  # each list in one pass, with no type inference
     states = np.fromiter(states, float, len(states)).reshape(-1, len(y0))
     lists = [np.fromiter(values, float, len(values)) for values in lists]
     check_finite(states, "states")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        columns = [*on_columns(diagnostics, prob, *states.T), *lists]
+        columns = [*compile_columns(diagnostics)(*states.T, prob), *lists]
     return Trajectory(times, states, dict(zip(names, columns)), prob, status, rejected)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import RhsTemplate, compile_columns
-from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, Problem, acceleration, on_columns
+from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, Problem, acceleration
 from .errors import InvalidInputError, RankDeficientError
 from .geometry import LIFT, check_count, check_grid, pair_columns, star, star_inner, star_norm
 from .sampling import make_rng, sample_phase_points
@@ -72,7 +72,7 @@ def lift_arrays(q: np.ndarray, p: np.ndarray, prob: Problem) -> tuple[np.ndarray
     overflows raises :class:`InvalidInputError`, naming the first such q:
     the column form of ``LIFT``.
     """
-    lifted = compile_columns(LIFT)(*pair_columns(q, p), prob.wyz)
+    lifted = compile_columns(LIFT)(*pair_columns(q, p), prob)
     return np.stack(lifted[:4], axis=-1), np.stack(lifted[4:], axis=-1)
 
 
@@ -126,7 +126,7 @@ ENERGY = RhsTemplate(
 def energy_arrays(big_q: np.ndarray, qp: np.ndarray, prob: Problem) -> float | np.ndarray:
     """Batched ellipsoidal energy G of points Q and tau-velocities Q' of shape (..., 4);
     a Q within ``COLLISION_GUARD`` of a scaled center raises :class:`NearCollisionError`."""
-    return on_columns(ENERGY, prob, *pair_columns(big_q, qp, 4, ("Q", "Q'")))[0]
+    return compile_columns(ENERGY)(*pair_columns(big_q, qp, 4, ("Q", "Q'")), prob)[0]
 
 
 def relation_coefficients(a: float) -> tuple[float, float, float, float]:
@@ -140,8 +140,8 @@ def _relation(prob: Problem, x, y, z, px, py, pz) -> tuple:
     """(J, E, Theta^2, G) on the planar columns (q, p): ``INTEGRALS``, then ``ENERGY``
     at their lift ``LIFT``, each refusing under its guard in that order.  The fit's
     columns, and the residual's terms in :func:`relation_coefficients`."""
-    j, theta, e = on_columns(INTEGRALS, prob, x, y, z, px, py, pz)
-    g, = on_columns(ENERGY, prob, *compile_columns(LIFT)(x, y, z, px, py, pz, prob.wyz))
+    j, theta, e = compile_columns(INTEGRALS)(x, y, z, px, py, pz, prob)
+    g, = compile_columns(ENERGY)(*compile_columns(LIFT)(x, y, z, px, py, pz, prob), prob)
     return j, e, theta * theta, g
 
 
@@ -302,7 +302,7 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Pr
         if np.shape(values) != (len(times), 3):
             raise InvalidInputError(f"{name} must have shape ({len(times)}, 3), got {np.shape(values)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        g, gdot = compile_columns(_TAU_RATE)(*pair_columns(q, p), prob.wyz)
+        g, gdot = compile_columns(_TAU_RATE)(*pair_columns(q, p), prob)
         h = np.diff(times)
         dtau = 0.5 * h * (g[:-1] + g[1:]) + (h * h / 12.0) * (gdot[:-1] - gdot[1:])
     if not np.all(np.isfinite(dtau) & (dtau > 0.0)):

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CENTER_DISTANCES, Problem, on_columns
+from .codegen import compile_columns
+from .dynamics import CENTER_DISTANCES, Problem
 from .errors import InvalidInputError
 from .geometry import check_count, check_number
 
@@ -49,7 +50,7 @@ def sample_phase_points(
 
     def clear_of_centers(batch):
         with np.errstate(over="ignore"):  # a distance that overflows is inf: clear of both centers
-            d_minus, d_plus = on_columns(CENTER_DISTANCES, prob, *batch.T)  # drawn here: finite, (m, 3)
+            d_minus, d_plus = compile_columns(CENTER_DISTANCES)(*batch.T, prob)  # drawn here: finite, (m, 3)
         return (d_minus > min_center_distance) & (d_plus > min_center_distance)
 
     qs = _ball_points(rng, n, q_radius, clear_of_centers)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Problem, kepler_limit_residual, on_columns
+from .codegen import compile_columns
+from .dynamics import PhasePoint, Problem, kepler_limit_residual
 from .errors import InvalidInputError
 from .geometry import project, star_norm
 from .integrate import DEFAULT_TOL, Trajectory, cubic_hermite, integrate_planar
@@ -121,7 +122,7 @@ def check_velocity_independence(prob: Problem, seed: int = 42) -> CheckResult:
     qs, ps = sample_phase_points(prob, _INDEPENDENCE_STATES, make_rng(seed), q_radius=3.0, min_center_distance=0.5)
     # the tangential field is INTRINSIC_RHS at Q' = 0; like the scalar kernel, it overflows silently
     with np.errstate(over="ignore", invalid="ignore"):
-        field = np.stack(on_columns(INTRINSIC_RHS, prob, *project(qs, prob).T, 0.0, 0.0, 0.0, 0.0)[4:], axis=-1)
+        field = np.stack(compile_columns(INTRINSIC_RHS)(*project(qs, prob).T, 0.0, 0.0, 0.0, 0.0, prob)[4:], axis=-1)
     try:
         with np.errstate(over="raise"):
             spread = velocity_independence_residual(np.array([0.0, 1.0, 0.0]), prob, seed=seed)

@@ -47,7 +47,8 @@ from twocenter import (
     velocity_independence_residual,
 )
 from twocenter import projective, sampling, verify
-from twocenter.dynamics import CENTER_DISTANCES, COLLISION_GUARD, PLANAR_RHS, axial_angular_momentum, kernel, on_columns
+from twocenter.codegen import compile_columns, compile_kernel
+from twocenter.dynamics import CENTER_DISTANCES, COLLISION_GUARD, PLANAR_RHS, axial_angular_momentum
 from twocenter.errors import NearCollisionError
 
 from oracles import lifted_speed_squared, star_weights
@@ -134,7 +135,7 @@ def ref_sample(prob, n, rng, q_radius, p_radius, min_center_distance):
 def ref_point_acceleration(q, prob):
     """The acceleration of one (3,) point: the scalar kernel of ``PLANAR_RHS``
     on Python floats, the text whose column form ``acceleration`` is."""
-    return np.array(kernel(PLANAR_RHS, prob)((*q.tolist(), 0.0, 0.0, 0.0))[3:])
+    return np.array(compile_kernel(PLANAR_RHS)(prob)((*q.tolist(), 0.0, 0.0, 0.0))[3:])
 
 
 def ref_point_rk4(q, p, prob, h):
@@ -241,7 +242,7 @@ def test_first_integrals_match_reductions(batch, hit_center):
     assert_same(outcome(first_integrals, q, p, prob), want)  # J, Theta and E each
     if not isinstance(want, type):
         assert_same(axial_angular_momentum(q, p), want[1])
-        assert_same(on_columns(CENTER_DISTANCES, prob, *np.moveaxis(q, -1, 0)), ref_center_distances(q, prob))
+        assert_same(compile_columns(CENTER_DISTANCES)(*np.moveaxis(q, -1, 0), prob), ref_center_distances(q, prob))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -425,7 +426,7 @@ def test_velocity_independence_field_matches_point_loop(a, monkeypatch):
     monkeypatch.setattr(verify, "star_norm", recording_star_norm)
     verify.check_velocity_independence(prob, seed=42)
     qs, _ = sample_phase_points(prob, 50, make_rng(42), q_radius=3.0, min_center_distance=0.5)
-    rhs = kernel(projective.INTRINSIC_RHS, prob)
+    rhs = compile_kernel(projective.INTRINSIC_RHS)(prob)
     looped = np.array([rhs((*project(q, prob).tolist(), 0.0, 0.0, 0.0, 0.0))[4:] for q in qs])
     assert np.array_equal(-seen[-1], looped)
 

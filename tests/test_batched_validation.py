@@ -31,7 +31,8 @@ from twocenter import (
     sample_phase_points,
 )
 from twocenter import projective
-from twocenter.dynamics import CENTER_DISTANCES, COLLISION_GUARD, axial_angular_momentum, on_columns
+from twocenter.codegen import compile_columns
+from twocenter.dynamics import CENTER_DISTANCES, COLLISION_GUARD, axial_angular_momentum
 
 PROB = Problem(1.0, 1.0, 1.0)
 ROWS = 100_000
@@ -271,7 +272,7 @@ def blocked_evaluators(q, p):
 
 def test_center_ray_row_is_outside_the_guard():
     q = np.array([CENTER_RAY])
-    d_minus, d_plus = on_columns(CENTER_DISTANCES, PROB, *q.T)
+    d_minus, d_plus = compile_columns(CENTER_DISTANCES)(*q.T, PROB)
     assert min(d_minus[0], d_plus[0]) > COLLISION_GUARD
     x, y, z, w = project(q, PROB)[0]
     assert min(math.dist((x, y, z), (side * PROB.a * w, 0.0, 0.0)) for side in (-1.0, 1.0)) < COLLISION_GUARD

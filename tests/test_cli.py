@@ -51,6 +51,16 @@ def test_simulate_free_motion(tmp_path):
     assert np.max(np.abs(data[:, 7] - data[0, 7])) <= 1e-14
 
 
+def test_simulate_lands_on_a_short_end_time(tmp_path):
+    """A last step that starts before half the end time is cut to t_end - t, and t + h
+    rounds one ulp short of this end time: the run must not end in step_underflow."""
+    out = tmp_path / "short.csv"
+    end = 0.006349534848195604
+    assert run(["simulate", "--m-minus", 0, "--m-plus", 0, "--t-end", repr(end), "--out", out]) == 0
+    _, data = read_csv(out)
+    assert data[-1, 0] == end
+
+
 def test_simulate_default_conserves_integrals(tmp_path, capsys):
     out = tmp_path / "orbit.csv"
     code = run(["simulate", "--t-end", 5, "--out", out])

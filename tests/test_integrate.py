@@ -3,6 +3,7 @@
 import math
 import time
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -111,7 +112,12 @@ def test_nonfinite_derivative_ends_in_step_underflow(bad, monkeypatch):
     """The kernel checks no finiteness: a derivative that turns non-finite
     (here for x > 0.5) makes every step there fail its error test, so the
     run ends in step_underflow with every stored state finite."""
-    template, real = dynamics.PLANAR_RHS, integrate.rhs_params
+    template = dynamics.PLANAR_RHS
+
+    @dataclass(frozen=True)
+    class Spoiling(Problem):  # a problem that also carries the spoiled template's constant
+        bad: float = 0.0
+
     spoiled = RhsTemplate(
         name="planar t spoiled",
         state=template.state,
@@ -121,8 +127,7 @@ def test_nonfinite_derivative_ends_in_step_underflow(bad, monkeypatch):
         guard=template.guard,
     )
     monkeypatch.setitem(integrate._CLOCKS, "t", spoiled)
-    monkeypatch.setattr(integrate, "rhs_params", lambda prob: {**real(prob), "bad": bad})
-    traj = integrate_planar(DEFAULT_START, EQUAL, 10.0)
+    traj = integrate_planar(DEFAULT_START, Spoiling(bad=bad), 10.0)
     assert traj.status == "step_underflow"
     assert len(traj) > 10 and traj.times[-1] < 10.0
     assert np.all(np.isfinite(traj.states)) and np.all(traj.states[:, 0] <= 0.5)
@@ -268,6 +273,21 @@ def test_largest_step_is_a_tenth():
     assert steps.max() == pytest.approx(0.1, rel=1e-12)
 
 
+@pytest.mark.parametrize("system", ["t", "tau", "ellipsoid"])
+def test_short_runs_end_ok_exactly_on_their_end_times(system):
+    """The last step is cut to h = t_end - t.  Where it starts before t_end / 2, t + h
+    can round one ulp short of t_end (the 1-ulp step left is then below the step floor:
+    "step_underflow") or one ulp past it; the run sets t = t_end on that step instead.
+    Of these massless runs, some ended either way before it did."""
+    free = Problem(0.0, 0.0, 1.0)
+    for end in np.random.default_rng(3).uniform(0.001, 0.3, 600).tolist():
+        if system == "ellipsoid":
+            traj = integrate_ellipsoid(DEFAULT_START, free, end)
+        else:
+            traj = integrate_planar(DEFAULT_START, free, end, clock=system)
+        assert (traj.status, traj.times[-1]) == ("ok", end)
+
+
 def test_step_grows_at_most_tenfold():
     """``_FACMAX``: the second step of a massless run is ten times its first (0.0019, then 0.019)."""
     steps = np.diff(integrate_planar(*FREE, 2.0).times)
@@ -407,7 +427,7 @@ def test_nonfinite_state_from_a_run_is_refused(system, monkeypatch):
     """The diagnostics trust a run's states but for one finiteness check."""
     width, residuals = (8, ([0.0, 0.0], [0.0, 0.0])) if system == "ellipsoid" else (6, ())
     output = ([0.0, 1.0], [0.5] * width + [np.nan] * width, 0, "ok", *residuals)  # flat states
-    monkeypatch.setattr(integrate, "_make_run", lambda *args, **kwargs: lambda *args, **params: output)
+    monkeypatch.setattr(integrate, "_make_run", lambda *args: lambda *args: output)
     with pytest.raises(InvalidInputError, match="states must have finite components"):
         if system == "ellipsoid":
             integrate_ellipsoid(DEFAULT_START, EQUAL, 1.0)

@@ -28,7 +28,7 @@ from hypothesis import assume, given, strategies as st
 from twocenter import (InvalidInputError, NearCollisionError, Problem, acceleration, codegen, dynamics, energy_arrays,
                        first_integrals, geometry, projective)
 from twocenter.codegen import RhsTemplate, compile_columns, compile_kernel
-from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS, kernel, rhs_params
+from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS
 from twocenter.geometry import LIFT
 from twocenter.projective import ENERGY, INTRINSIC_RHS
 
@@ -68,7 +68,7 @@ def reference_intrinsic(y, prob):
 def test_planar_kernel_matches_acceleration(prob, q, p):
     assume(min(math.dist(q, (-prob.a, 0.0, 0.0)), math.dist(q, (prob.a, 0.0, 0.0))) >= 1e-3)
     q = np.array(q)
-    out = kernel(PLANAR_RHS, prob)((*q.tolist(), *p))
+    out = compile_kernel(PLANAR_RHS)(prob)((*q.tolist(), *p))
     assert out[:3] == p
     assert np.array_equal(np.array(out[3:]), acceleration(q, prob))
 
@@ -80,9 +80,20 @@ GUARDED = [template for template in TEMPLATES if template.guard is not None]
 
 
 def bound(template, prob):
-    """``template``'s kernel and column form, bound to the constants of ``prob`` it reads."""
-    params = {name: value for name, value in rhs_params(prob).items() if name in template.params}
-    return compile_kernel(template)(**params), lambda *state: compile_columns(template)(*state, **params)
+    """``template``'s kernel and column form, each bound to ``prob``."""
+    return compile_kernel(template)(prob), lambda *state: compile_columns(template)(*state, prob)
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
+def test_params_are_the_constants_the_template_reads(template):
+    """The one binding rule: a template's ``params`` are exactly the names its guard, body
+    and derivative read but never assign, less its state and the compiler's own names."""
+    tree = ast.parse("\n".join([*template.statements(), *template.derivative]))
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+    assigned = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    compiler = {"sqrt", "inf", "InvalidInputError", "NearCollisionError"}
+    assert sorted(template.params) == sorted(read - assigned - set(template.state) - compiler)
 
 
 def refused(template, rhs, row, a, far):
@@ -129,7 +140,7 @@ def test_a_refusal_the_kernel_does_not_share_is_an_assertion():
     fault, and it raises ``AssertionError`` instead of returning."""
     state = [np.array([0.5, 1.5])] * len(LIFT.state)
     with pytest.raises(AssertionError, match="lift kernel passes"):
-        codegen._refuse(LIFT, np.array([False, True]), state, [0.2])
+        codegen._refuse(LIFT, np.array([False, True]), state, Problem(a=2.0))
 
 
 @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
@@ -173,7 +184,7 @@ def test_guard_lines_run_without_overflow_warnings(call):
 def relation_kernel(prob):
     """(J, E, Theta^2, G) of one planar state: the kernels of ``INTEGRALS``, ``LIFT``
     and ``ENERGY`` composed, the row form of ``projective._relation``."""
-    integrals, lift, energy = kernel(INTEGRALS, prob), compile_kernel(LIFT)(prob.wyz), kernel(ENERGY, prob)
+    integrals, lift, energy = compile_kernel(INTEGRALS)(prob), compile_kernel(LIFT)(prob), compile_kernel(ENERGY)(prob)
 
     def rhs(state):
         j, theta, e = integrals(state)
@@ -247,7 +258,7 @@ def test_intrinsic_kernel_matches_array_reference(prob, q, off_manifold, qp):
     big_q = off_manifold * q4 / np.sqrt(np.sum(weights * q4 * q4))
     y = np.concatenate([big_q, qp])
     reference, scale = reference_intrinsic(y, prob)
-    out = np.array(kernel(INTRINSIC_RHS, prob)(y.tolist()))
+    out = np.array(compile_kernel(INTRINSIC_RHS)(prob)(y.tolist()))
     assert np.array_equal(out[:4], y[4:])
     assert np.all(np.abs(out - reference) <= ATOL + RTOL * scale)
 
@@ -256,7 +267,7 @@ def test_intrinsic_kernel_matches_array_reference(prob, q, off_manifold, qp):
 def test_planar_kernel_guard(prob, side, offset, p):
     q = (side * prob.a + offset[0], offset[1], offset[2])
     with pytest.raises(NearCollisionError):
-        kernel(PLANAR_RHS, prob)((*q, *p))
+        compile_kernel(PLANAR_RHS)(prob)((*q, *p))
     with pytest.raises(NearCollisionError):
         acceleration(np.array(q), prob)
 
@@ -266,7 +277,7 @@ def test_intrinsic_kernel_guard(prob, side, w, offset):
     """Q on the projection ray of a center, up to an offset inside the guard."""
     y = (side * prob.a * w + offset[0], offset[1], offset[2], w, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(NearCollisionError):
-        kernel(INTRINSIC_RHS, prob)(y)
+        compile_kernel(INTRINSIC_RHS)(prob)(y)
 
 
 @given(problems, vectors3, vectors3)
@@ -275,8 +286,8 @@ def test_tau_kernel_scales_t_kernel_by_star_norm_squared(prob, q, p):
     assume(min(math.dist(q, (-prob.a, 0.0, 0.0)), math.dist(q, (prob.a, 0.0, 0.0))) >= 1e-3)
     y = (*q, *p)
     n2 = q[0] ** 2 + (q[1] ** 2 + q[2] ** 2) / (1.0 + prob.a**2) + 1.0
-    expected = n2 * np.array(kernel(PLANAR_RHS, prob)(y))
-    out = np.array(kernel(PLANAR_TAU_RHS, prob)(y))
+    expected = n2 * np.array(compile_kernel(PLANAR_RHS)(prob)(y))
+    out = np.array(compile_kernel(PLANAR_TAU_RHS)(prob)(y))
     assert np.allclose(out, expected, rtol=1e-14, atol=0.0)
 
 
@@ -287,12 +298,12 @@ def test_kernels_return_python_floats(a):
     about twice as slowly, and numpy scalars are floats to isinstance."""
     prob = Problem(1.0, 0.5, a)
     planar = [0.1, 2.0, -0.3, 0.3, 0.1, 0.6]
-    for rhs in (kernel(PLANAR_RHS, prob), kernel(PLANAR_TAU_RHS, prob)):
+    for rhs in (compile_kernel(PLANAR_RHS)(prob), compile_kernel(PLANAR_TAU_RHS)(prob)):
         assert [type(v) for v in rhs(planar)] == [float] * 6
     wyz = 1.0 / (1.0 + a * a)
     norm = math.sqrt(0.1**2 + wyz * (2.0**2 + 0.3**2) + 1.0)
     big_q = [0.1 / norm, 2.0 / norm, -0.3 / norm, 1.0 / norm]
-    assert [type(v) for v in kernel(INTRINSIC_RHS, prob)([*big_q, 0.2, 0.0, 0.1, -0.1])] == [float] * 8
+    assert [type(v) for v in compile_kernel(INTRINSIC_RHS)(prob)([*big_q, 0.2, 0.0, 0.1, -0.1])] == [float] * 8
 
 
 # --- the templates before their shared subexpressions were named ------------------
@@ -328,7 +339,7 @@ k_plus = m_plus / (d2_plus * d_plus)""",
 OLD_PLANAR_TAU_RHS = RhsTemplate(
     name="planar tau, written out",
     state=OLD_PLANAR_RHS.state,
-    params=OLD_PLANAR_RHS.params,
+    params=PLANAR_TAU_RHS.params,
     body=OLD_PLANAR_RHS.body + "\nn2 = x * x + wyz * y * y + wyz * z * z + 1.0",
     derivative=tuple(f"n2 * ({expr})" for expr in OLD_PLANAR_RHS.derivative),
 )
@@ -382,7 +393,7 @@ def test_templates_match_their_written_out_form_bit_for_bit(old, new, prob, data
     state = data.draw(st.lists(any_coord, min_size=len(new.state), max_size=len(new.state)))
     if new is INTRINSIC_RHS and data.draw(st.booleans()):
         state[0] = data.draw(st.sampled_from([-1.0, 1.0])) * prob.a * state[3]  # on a center's ray
-    assert outcome(kernel(new, prob), state) == outcome(kernel(old, prob), state)
+    assert outcome(compile_kernel(new)(prob), state) == outcome(compile_kernel(old)(prob), state)
 
 
 @TEMPLATE_PAIRS
@@ -391,6 +402,6 @@ def test_templates_match_their_written_out_form_on_many_states(old, new):
     in 200, too rarely for a hundred drawn examples to catch."""
     rng = np.random.default_rng(13)
     for prob in (Problem(), Problem(0.3, 1.7, 2.5)):
-        new_rhs, old_rhs = kernel(new, prob), kernel(old, prob)
+        new_rhs, old_rhs = compile_kernel(new)(prob), compile_kernel(old)(prob)
         for state in rng.uniform(-5.0, 5.0, (10_000, len(new.state))).tolist():
             assert outcome(new_rhs, state) == outcome(old_rhs, state)

@@ -1,7 +1,7 @@
 """Lifted velocities, the tangential field, and the ellipsoidal energy.
 
 A projected state is the pair of (..., 4) arrays (Q, Q') of ``lift_arrays``
-(or ``project`` for Q alone); the field is ``kernel(INTRINSIC_RHS, prob)``
+(or ``project`` for Q alone); the field is ``compile_kernel(INTRINSIC_RHS)(prob)``
 and the energy ``energy_arrays``, whose value at Q' = 0 is the potential.
 """
 
@@ -35,7 +35,7 @@ from twocenter import (
     velocity_independence_residual,
 )
 from twocenter import projective
-from twocenter.dynamics import kernel
+from twocenter.codegen import compile_kernel
 from twocenter.sampling import make_rng, sample_phase_points
 
 from oracles import lifted_speed_squared, star_weights
@@ -50,7 +50,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 def intrinsic_rhs(big_q, qp, prob):
     """(Q', Q'') of the intrinsic ODE at one state, from the template's kernel."""
-    y = kernel(projective.INTRINSIC_RHS, prob)(np.concatenate([big_q, qp]).tolist())
+    y = compile_kernel(projective.INTRINSIC_RHS)(prob)(np.concatenate([big_q, qp]).tolist())
     return np.array(y[:4]), np.array(y[4:])
 
 

@@ -13,6 +13,7 @@ diagnostics, for every status a run can end in.
 import inspect
 import math
 import traceback
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from twocenter import (
 )
 from twocenter import dynamics, integrate
 from twocenter.codegen import RhsTemplate, compile_kernel
-from twocenter.dynamics import PLANAR_RHS, kernel
+from twocenter.dynamics import PLANAR_RHS
 from twocenter.errors import NearCollisionError
 from twocenter.projective import INTRINSIC_RHS
 
@@ -59,6 +60,19 @@ class AbortRun(Exception):
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 E1, _, E3, E4, E5, E6, E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+# The PI step-size controller of Hairer, Norsett & Wanner, Solving ODEs I, II.4 (and
+# the ellipsoid's constraint limit), typed here so that the oracle does not read
+# them from ``integrate``: the safety factor, the exponents alpha = 1/5 - 0.75 beta
+# and beta = 0.04 of err^-alpha errold^beta, and the factor's clip [_FACMIN, _FACMAX].
+# ``integrate._MAX_STEP``, ``_MAX_STEPS`` and ``_initial_step`` stay shared: tests
+# monkeypatch or stub them in both steppers at once.
+_SAFETY = 0.9
+_BETA = 0.04
+_ALPHA = 0.2 - 0.75 * _BETA
+_FACMIN = 0.2
+_FACMAX = 10.0
+_INTEGRITY_LIMIT = 1e-6
 
 
 def ref_dopri5(f, y0, t_end, tol, max_step, postprocess=None):
@@ -102,7 +116,7 @@ def ref_dopri5(f, y0, t_end, tol, max_step, postprocess=None):
                 total += (h * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * k) / (tol + tol * max(abs(v), abs(u)))) ** 2
             err = math.sqrt(total / n)
             if err <= 1.0:
-                t += h
+                t = t_end if h == t_end - t else t + h  # the cut last step lands on t_end, not an ulp off
                 if postprocess is None:
                     y = y_new
                     k1 = k7
@@ -111,15 +125,15 @@ def ref_dopri5(f, y0, t_end, tol, max_step, postprocess=None):
                     k1 = f(y)
                 times.append(t)
                 states.append(y)
-                facmax = 1.0 if just_rejected else integrate._FACMAX
-                fac = facmax if err == 0.0 else integrate._SAFETY * err**-integrate._ALPHA * errold**integrate._BETA
-                h *= min(facmax, max(integrate._FACMIN, fac))
+                facmax = 1.0 if just_rejected else _FACMAX
+                fac = facmax if err == 0.0 else _SAFETY * err**-_ALPHA * errold**_BETA
+                h *= min(facmax, max(_FACMIN, fac))
                 errold = max(err, 1e-4)
                 just_rejected = False
             else:
                 rejected += 1
                 just_rejected = True
-                h *= min(1.0, max(integrate._FACMIN, integrate._SAFETY * err**-integrate._ALPHA))
+                h *= min(1.0, max(_FACMIN, _SAFETY * err**-_ALPHA))
         else:
             if t < t_end:
                 status = "step_budget"
@@ -132,10 +146,10 @@ def ref_dopri5(f, y0, t_end, tol, max_step, postprocess=None):
 
 def reference(system, start, prob, end, tol=integrate.DEFAULT_TOL):
     """The run of ``integrate_planar``/``integrate_ellipsoid`` through the oracle
-    stepper, with the kernel compiled from the system template and bound to the
-    constants that ``integrate`` reads (either possibly patched)."""
+    stepper, with the kernel compiled from the system template (possibly patched)
+    and bound to ``prob``."""
     template = integrate.INTRINSIC_RHS if system == "ellipsoid" else integrate._CLOCKS[system]
-    f = compile_kernel(template)(**integrate.rhs_params(prob))
+    f = compile_kernel(template)(prob)
     if system != "ellipsoid":
         y0 = [*start.q.tolist(), *start.p.tolist()]
         times, states, rejected, status = ref_dopri5(f, y0, end, tol, integrate._MAX_STEP)
@@ -156,7 +170,7 @@ def reference(system, start, prob, end, tol=integrate.DEFAULT_TOL):
         big_q, qp = y[:4], y[4:]
         norm = math.sqrt(star(big_q, big_q))
         tangency = star(big_q, qp)
-        if abs(norm - 1.0) > integrate._INTEGRITY_LIMIT or abs(tangency) > integrate._INTEGRITY_LIMIT:
+        if abs(norm - 1.0) > _INTEGRITY_LIMIT or abs(tangency) > _INTEGRITY_LIMIT:
             raise AbortRun("integrity")
         norm_residuals.append(abs(norm - 1.0))
         tangency_residuals.append(abs(tangency))
@@ -202,6 +216,14 @@ def assert_same_run(got, want):
     assert got.diagnostics.keys() == want.diagnostics.keys()
     for name, values in want.diagnostics.items():
         assert np.array_equal(got.diagnostics[name], values)
+
+
+def test_oracle_controller_constants_are_the_generated_runs():
+    """The oracle's own controller constants equal those ``integrate`` writes into its runs."""
+    ours = (_SAFETY, _ALPHA, _BETA, _FACMIN, _FACMAX, _INTEGRITY_LIMIT)
+    theirs = (integrate._SAFETY, integrate._ALPHA, integrate._BETA, integrate._FACMIN, integrate._FACMAX,
+              integrate._INTEGRITY_LIMIT)
+    assert ours == theirs
 
 
 @pytest.mark.parametrize("tol, max_step", CONFIGS, ids=["tight", "loose"])
@@ -261,6 +283,13 @@ def spoiled(template, threshold):
     )
 
 
+@dataclass(frozen=True)
+class Spoiling(Problem):
+    """A problem that also carries ``bad``, the constant the spoiled templates read."""
+
+    bad: float = 0.0
+
+
 SPOILED = {"t": spoiled(PLANAR_RHS, 0.5), "tau": spoiled(dynamics.PLANAR_TAU_RHS, 0.5), "ellipsoid": spoiled(INTRINSIC_RHS, 0.3)}
 
 
@@ -269,13 +298,11 @@ SPOILED = {"t": spoiled(PLANAR_RHS, 0.5), "tau": spoiled(dynamics.PLANAR_TAU_RHS
 def test_nonfinite_derivative_mid_run_matches_loop_stepper(system, bad, monkeypatch):
     """A derivative that turns non-finite past x = threshold fails every step
     there, down to step_underflow; the stored states stay finite."""
-    real = integrate.rhs_params
-    monkeypatch.setattr(integrate, "rhs_params", lambda prob: {**real(prob), "bad": bad})
     if system == "ellipsoid":
         monkeypatch.setattr(integrate, "INTRINSIC_RHS", SPOILED[system])
     else:
         monkeypatch.setitem(integrate._CLOCKS, system, SPOILED[system])
-    got, want = both_steppers(system, START, EQUAL, 5.0)
+    got, want = both_steppers(system, START, Spoiling(bad=bad), 5.0)
     assert got.status == "step_underflow" and len(got) > 10
     assert np.all(np.isfinite(got.states))
     assert_same_run(got, want)
@@ -334,7 +361,7 @@ def test_linear_systems_match_loop_stepper(system):
 
 
 def test_run_is_compiled_once_per_system():
-    """Problems differ only in the parameters each run and kernel take as arguments."""
+    """A run and a kernel take the problem as an argument, so no other problem compiles them again."""
 
     def integrate_each_system(prob):
         for system in SYSTEMS:
@@ -352,9 +379,9 @@ def test_generated_source_is_shown_in_tracebacks():
     run = integrate._make_run(INTRINSIC_RHS)
     assert run.__code__.co_filename == "<twocenter generated: ellipsoid run>"
     source = inspect.getsource(run)
-    assert source.startswith("def run(start, t_end, tol, max_step, max_steps, a, m_minus, m_plus, wyz, guard):")
+    assert source.startswith("def run(start, t_end, tol, max_step, max_steps, prob):")
     assert "norm_residuals.append(abs(norm - 1.0))" in source
-    rhs = kernel(PLANAR_RHS, EQUAL)
+    rhs = compile_kernel(PLANAR_RHS)(EQUAL)
     assert inspect.getsource(rhs).startswith("    def rhs(state):")
     with pytest.raises(NearCollisionError) as caught:
         rhs([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])

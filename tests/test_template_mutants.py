@@ -144,7 +144,7 @@ def closure_holds(prob):
     weights = star_weights(prob)
     big_q, qp = lift_arrays(START.q, START.p, prob)
     state = [*(np.sqrt(1.01) * big_q).tolist(), *qp.tolist()]
-    qpp = np.array(dynamics.kernel(projective.INTRINSIC_RHS, prob)(state)[4:])
+    qpp = np.array(codegen.compile_kernel(projective.INTRINSIC_RHS)(prob)(state)[4:])
     speed2 = float(weights @ (qp * qp))
     return abs(float(weights @ (np.array(state[:4]) * qpp)) + speed2) <= 1e-13 * max(1.0, speed2)
 
@@ -154,8 +154,8 @@ def tau_clock_holds(prob):
     in the weights of the test's oracle, to 1e-14 relative."""
     state = [*START.q.tolist(), *START.p.tolist()]
     n2 = float(star_weights(prob) @ np.append(START.q, 1.0) ** 2)
-    want = n2 * np.array(dynamics.kernel(dynamics.PLANAR_RHS, prob)(state))
-    got = np.array(dynamics.kernel(dynamics.PLANAR_TAU_RHS, prob)(state))
+    want = n2 * np.array(codegen.compile_kernel(dynamics.PLANAR_RHS)(prob)(state))
+    got = np.array(codegen.compile_kernel(dynamics.PLANAR_TAU_RHS)(prob)(state))
     return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
