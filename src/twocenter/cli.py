@@ -213,9 +213,8 @@ def cmd_project(cfg: RunConfig, input_path: str | None) -> int:
         data = _read_planar_csv(input_path)
         times, states = data[:, 0], data[:, 1:7]
     tau = reparametrize_time(times, states[:, :3], states[:, 3:], prob)
-    with np.errstate(over="ignore", invalid="ignore"):  # G may overflow to inf; energy_arrays refuses an inf Q'
-        big_q, qp = lift_arrays(states[:, :3], states[:, 3:], prob)
-        g = np.atleast_1d(energy_arrays(big_q, qp, prob))
+    big_q, qp = lift_arrays(states[:, :3], states[:, 3:], prob)
+    g = np.atleast_1d(energy_arrays(big_q, qp, prob))  # G may overflow to inf; energy_arrays refuses an inf Q'
     _write_rows(cfg.out, _PROJECT_HEADER, np.column_stack([tau, big_q, qp, g]))
     _write_json(cfg.json, {"command": "project", "samples": int(len(tau)),
                            "tau_end": float(tau[-1]), "G_first": float(g[0]), "G_last": float(g[-1])})

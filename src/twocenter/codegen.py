@@ -9,9 +9,9 @@ generated runs, as a function of one state of floats (:func:`compile_kernel`)
 or of numpy columns, the batched evaluators (:func:`compile_columns`).
 
 The column form is the kernel's statements, parsed once and rewritten as a
-syntax tree.  The guard's lines run with overflow warnings off, as an overflow
-may be what is refused, or harmless, as in the center distances of a far q.
-Its ``or`` becomes ``|``, and a batch where the test holds on any row goes to
+syntax tree, run whole with overflow and invalid warnings off: like the kernel, it
+returns inf and NaN silently, for a guard to refuse or its caller to judge.  The
+guard's ``or`` becomes ``|``, and a batch where the test holds on any row goes to
 the kernel at the first such row in C order, which raises the guard's error.
 Each assignment is written in three-address form: the first array operation of
 an expression allocates a temporary, and every later one whose left operand is
@@ -113,9 +113,9 @@ class RhsTemplate:
     guard: Guard | None = None
 
     def statements(self, columns: bool = False) -> list[str]:
-        """The guard's lines and test, then the body, one line each; on numpy columns also
-        the derivative as ``_out{i}`` lines, all parsed, rewritten (see above) and unparsed
-        once.  Without the ``del`` lines, more live arrays cost up to 25 % on 10^5 rows."""
+        """The guard's lines and test, then the body, one line each; on numpy columns also the derivative
+        as ``_out{i}`` lines, all parsed, rewritten (see above) and unparsed once, which :func:`compile_columns`
+        runs under one ``errstate``.  Without the ``del`` lines, more live arrays cost up to 25 % on 10^5 rows."""
         lines = self.body.splitlines()
         if self.guard is not None:
             raise_ = f'    raise {self.guard.error.__name__}(f"{self.guard.message}")'
@@ -133,14 +133,12 @@ class RhsTemplate:
                 body.insert(i + 1, ast.Delete([ast.Name(name) for name in names]))
                 temps -= set(names)
         if self.guard is not None:
-            at = next(i for i, statement in enumerate(body) if isinstance(statement, ast.If))
-            check, errstate = body[at], ast.parse('with errstate(over="ignore"): pass').body[0]
+            check = next(statement for statement in body if isinstance(statement, ast.If))
             conditions = check.test.values if isinstance(check.test, ast.BoolOp) else [check.test]
             refused = functools.reduce(lambda left, right: ast.BinOp(left, ast.BitOr(), right), conditions)
             arguments = [ast.List([ast.Name(name) for name in self.state]), ast.Name("prob")]
             refuse = ast.Call(ast.Name("refuse"), [copy.copy(refused), *arguments], [])  # unparse keeps .any's parens
             check.test, check.body = ast.Call(ast.Attribute(refused, "any"), [], []), [ast.Expr(refuse)]
-            errstate.body, body[:at] = body[:at], [errstate]
         return ast.unparse(ast.Module(body, [])).splitlines()
 
     def header(self, function: str, arguments) -> list[str]:
@@ -191,12 +189,13 @@ def compile_kernel(template: RhsTemplate):
 
 @functools.cache
 def compile_columns(template: RhsTemplate):
-    """``columns(*state, prob) -> outputs``: the template on numpy columns, in the
-    kernel's arithmetic, so each row gives the kernel's bits.  Compiled once per template."""
+    """``columns(*state, prob) -> outputs``: the template on numpy columns, in the kernel's arithmetic,
+    so each row gives the kernel's bits, inf and NaN included, with no warning.  Compiled once per template."""
     lines = [
         *template.header("columns", template.state),
-        *("    " + line for line in template.statements(columns=True)),
-        f"    return ({', '.join(f'_out{i}' for i in range(len(template.derivative)))},)",
+        '    with errstate(over="ignore", invalid="ignore"):',
+        *("        " + line for line in template.statements(columns=True)),
+        f"        return ({', '.join(f'_out{i}' for i in range(len(template.derivative)))},)",
     ]
     namespace = {"sqrt": np.sqrt, "errstate": np.errstate, "refuse": functools.partial(_refuse, template)}
     return compile_function(f"{template.name} columns", "\n".join(lines) + "\n", "columns", namespace)

@@ -324,8 +324,7 @@ def _integrate(template, y0, t_end, tol, prob, diagnostics, names) -> Trajectory
     states = np.fromiter(states, float, len(states)).reshape(-1, len(y0))
     lists = [np.fromiter(values, float, len(values)) for values in lists]
     check_finite(states, "states")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and drifts by inf
-        columns = [*compile_columns(diagnostics)(*states.T, prob), *lists]
+    columns = [*compile_columns(diagnostics)(*states.T, prob), *lists]  # an overflow reads inf, and drifts by inf
     return Trajectory(times, states, dict(zip(names, columns)), prob, status, rejected)
 
 
@@ -356,8 +355,7 @@ def integrate_ellipsoid(start: PhasePoint, prob: Problem, tau_end: float, tol: f
     what the integrator actually produced.
     """
     tol, tau_end = check_number(tol, "tol"), check_number(tau_end, "tau_end")
-    with np.errstate(over="ignore", invalid="ignore"):
-        big_q0, qp0 = lift_arrays(start.q, start.p, prob)  # refuses a q whose |(q, 1)|_* overflows
+    big_q0, qp0 = lift_arrays(start.q, start.p, prob)  # refuses a q whose |(q, 1)|_* overflows
     if not np.isfinite(qp0).all():
         raise InvalidInputError(f"the lifted velocity Q' overflows at p = {start.p.tolist()}")
     y0 = [*big_q0.tolist(), *qp0.tolist()]

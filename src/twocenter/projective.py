@@ -41,7 +41,7 @@ import numpy as np
 from .codegen import RhsTemplate, compile_columns
 from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, Problem, acceleration
 from .errors import InvalidInputError, RankDeficientError
-from .geometry import LIFT, check_count, check_grid, pair_columns, star, star_inner, star_norm
+from .geometry import LIFT, STAR, check_count, check_grid, pair_columns, star
 from .sampling import make_rng, sample_phase_points
 
 # Finite-difference step in t of the oracle for the tangential field, and the
@@ -160,12 +160,12 @@ def relation_residual(q: np.ndarray, p: np.ndarray, prob: Problem) -> float | np
     lam_j, lam_e, lam_t2, _ = relation_coefficients(prob.a)
     out = np.empty(q.shape[:-1])
     q, p, flat = q.reshape(-1, 3), p.reshape(-1, 3), out.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
-        for start in range(0, len(flat), _ROWS):
-            rows = slice(start, start + _ROWS)
-            j, e, theta2, g = _relation(prob, *np.asfortranarray(q[rows]).T, *np.asfortranarray(p[rows]).T)
+    for start in range(0, len(flat), _ROWS):
+        rows = slice(start, start + _ROWS)
+        j, e, theta2, g = _relation(prob, *np.asfortranarray(q[rows]).T, *np.asfortranarray(p[rows]).T)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
             flat[rows] = g - (lam_j * j + lam_e * e + lam_t2 * theta2)
-            del j, e, theta2, g  # not held while the next block runs
+        del j, e, theta2, g  # not held while the next block runs
     return out if out.ndim else out[()]
 
 
@@ -242,20 +242,21 @@ def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> n
     steps, the lifted velocities are centrally differenced in t, and the
     chain rule dtau/dt = W^2, the height of the projected Q, converts to the
     intrinsic time.  Batched over (..., 3) states checked by ``geometry.pair_columns``,
-    each bit-identical to evaluating it alone; an overflow (masses near the float
-    range) raises ``FloatingPointError`` instead of returning non-finite values.
+    each bit-identical to evaluating it alone.  Its own values go unchecked to the column forms, so
+    an overflow (masses of about 1e163 and up) reads inf or NaN; but a state of its RK4 step that
+    overflows (about 1e165 and up) is refused, naming it, by ``LIFT`` or ``acceleration``'s input check.
     """
-    pair_columns(q, p)  # validates q and p
+    big_q, lift = lift_arrays(q, p, prob)[0], compile_columns(LIFT)  # lift_arrays validates q and p
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-    with np.errstate(over="raise"):
+    with np.errstate(over="ignore", invalid="ignore"):
         q_fwd, p_fwd = _rk4_planar_step(q, p, prob, _FD_STEP)
         q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -_FD_STEP)
-        _, qp_fwd = lift_arrays(q_fwd, p_fwd, prob)
-        _, qp_bwd = lift_arrays(q_bwd, p_bwd, prob)
-        big_q, _ = lift_arrays(q, p, prob)
+        qp_fwd = np.stack(lift(*np.moveaxis(q_fwd, -1, 0), *np.moveaxis(p_fwd, -1, 0), prob)[4:], axis=-1)
+        qp_bwd = np.stack(lift(*np.moveaxis(q_bwd, -1, 0), *np.moveaxis(p_bwd, -1, 0), prob)[4:], axis=-1)
         w = big_q[..., 3:]
         qpp = (qp_fwd - qp_bwd) / (2.0 * _FD_STEP * (w * w))
-        return qpp - star_inner(big_q, qpp, prob)[..., None] * big_q
+        radial = compile_columns(STAR)(*np.moveaxis(big_q, -1, 0), *np.moveaxis(qpp, -1, 0), prob)[0]
+        return qpp - radial[..., None] * big_q
 
 
 def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0) -> float:
@@ -265,7 +266,7 @@ def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0)
     with random velocities, so all through the same projected point, and
     measures how much the finite-differenced tangential acceleration varies;
     the theorem says it should not, so the spread stays at differencing-error
-    level.
+    level; an overflow (masses of about 1e100 and up) reads inf or NaN.
     """
     q3 = np.asarray(q3, dtype=float)
     if q3.shape != (3,):
@@ -273,8 +274,9 @@ def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0)
     rng = make_rng(seed)
     velocities = rng.normal(0.0, 1.0, size=(_INDEPENDENCE_VELOCITIES, 3))
     accs = fd_tangential_acceleration(np.broadcast_to(q3, velocities.shape), velocities, prob)
-    with np.errstate(over="raise"):
-        return float(np.max(star_norm(accs[:, None] - accs[None], prob)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        differences = np.moveaxis(accs[:, None] - accs[None], -1, 0)  # unchecked, as the oracle's own values
+    return float(np.max(np.sqrt(compile_columns(STAR)(*differences, *differences, prob)[0])))
 
 
 # The tau rate g = dtau/dt = 1/|(q, 1)|_*^2 on the n2 of ``LIFT``, refused on overflow in the
@@ -301,9 +303,9 @@ def reparametrize_time(times: np.ndarray, q: np.ndarray, p: np.ndarray, prob: Pr
     for name, values in (("q", q), ("p", p)):
         if np.shape(values) != (len(times), 3):
             raise InvalidInputError(f"{name} must have shape ({len(times)}, 3), got {np.shape(values)}")
+    g, gdot = compile_columns(_TAU_RATE)(*pair_columns(q, p), prob)
+    h = np.diff(times)
     with np.errstate(over="ignore", invalid="ignore"):
-        g, gdot = compile_columns(_TAU_RATE)(*pair_columns(q, p), prob)
-        h = np.diff(times)
         dtau = 0.5 * h * (g[:-1] + g[1:]) + (h * h / 12.0) * (gdot[:-1] - gdot[1:])
     if not np.all(np.isfinite(dtau) & (dtau > 0.0)):
         raise InvalidInputError("quadrature produced a nonincreasing or non-finite tau grid")

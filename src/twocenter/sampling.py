@@ -48,9 +48,8 @@ def sample_phase_points(
     q_radius, p_radius = check_number(q_radius, "q_radius", high), check_number(p_radius, "p_radius", high)
     min_center_distance = check_number(min_center_distance, "min_center_distance", closed=True)
 
-    def clear_of_centers(batch):
-        with np.errstate(over="ignore"):  # a distance that overflows is inf: clear of both centers
-            d_minus, d_plus = compile_columns(CENTER_DISTANCES)(*batch.T, prob)  # drawn here: finite, (m, 3)
+    def clear_of_centers(batch):  # drawn here: finite, (m, 3); a distance that overflows is inf, clear of both
+        d_minus, d_plus = compile_columns(CENTER_DISTANCES)(*batch.T, prob)
         return (d_minus > min_center_distance) & (d_plus > min_center_distance)
 
     qs = _ball_points(rng, n, q_radius, clear_of_centers)

@@ -643,6 +643,19 @@ def test_verify_theorem_names_overflow_of_oracle_differences(mass, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mass", [1e164, 1e170, 1e300])
+def test_verify_theorem_reports_oracle_overflow_up_to_the_float_maximum(mass, capsys):
+    """From about 1e163 the oracle's own values overflow to inf or NaN, and from about
+    1e165 its lift refuses a state of its own RK4 step: the same failed check naming
+    the overflow (exit 3), never an error naming a q that no one typed, nor a warning."""
+    assert run(["verify-theorem", "--m-minus", mass, "--m-plus", mass, "--samples", 500]) == 3
+    captured = capsys.readouterr()
+    line = next(line for line in captured.out.splitlines() if "velocity-independence" in line)
+    assert line.startswith("FAIL velocity-independence: measured inf") and "overflows" in line
+    assert captured.err == ""
+
+
+@pytest.mark.filterwarnings("error")
 def test_simulate_exits_2_naming_an_overflowed_invariant(tmp_path, capsys):
     """|q x p|^2 overflows at q = 1e155 while the run itself stays "ok": E
     reads inf in the CSV and drifts by inf, and one line names it."""

@@ -45,9 +45,9 @@ def test_star_inner_is_the_weighted_reduction_bit_for_bit():
     rng = np.random.default_rng(3)
     u, v = rng.choice(values, size=(2, 20_000, 4))
     for prob in (A1, Problem(a=1.7)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, want = star_inner(u, v, prob), np.sum(star_weights(prob) * u * v, axis=-1)
-            one = [star_inner(a, b, prob) for a, b in zip(u[:500], v[:500])]
+        got, one = star_inner(u, v, prob), [star_inner(a, b, prob) for a, b in zip(u[:500], v[:500])]
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference's own arithmetic, not the column form
+            want = np.sum(star_weights(prob) * u * v, axis=-1)
         assert got.tobytes() == want.tobytes() and np.array(one).tobytes() == want[:500].tobytes()
     assert repr(star_inner(np.zeros(4), -np.ones(4), A1)) == repr(np.float64(0.0))
 

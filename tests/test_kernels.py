@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from twocenter import (InvalidInputError, NearCollisionError, Problem, acceleration, codegen, dynamics, energy_arrays,
-                       first_integrals, geometry, projective)
+                       first_integrals, geometry, projective, star_norm)
 from twocenter.codegen import RhsTemplate, compile_columns, compile_kernel
 from twocenter.dynamics import COLLISION_GUARD, INTEGRALS, PLANAR_RHS, PLANAR_TAU_RHS
 from twocenter.geometry import LIFT
@@ -146,11 +146,8 @@ def test_a_refusal_the_kernel_does_not_share_is_an_assertion():
 @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
 def test_column_form_deletes_each_temporary_after_its_last_reader(template):
     """Each name that a column form assigns, but its outputs ``_out*``, is deleted
-    exactly once, by the statement right after the last one that reads it, in the
-    guard's ``with`` block or out of it."""
-    tree = ast.parse("\n".join(template.statements(columns=True)))
-    flat = [leaf for statement in tree.body  # the guard's with block opened
-            for leaf in (statement.body if isinstance(statement, ast.With) else [statement])]
+    exactly once, by the statement right after the last one that reads it."""
+    flat = ast.parse("\n".join(template.statements(columns=True))).body
     names = [{node.id for node in ast.walk(statement) if isinstance(node, ast.Name)} for statement in flat]
     assigned = {statement.targets[0].id for statement in flat if isinstance(statement, ast.Assign)}
     deleted = [(i, target.id) for i, statement in enumerate(flat) if isinstance(statement, ast.Delete)
@@ -161,24 +158,71 @@ def test_column_form_deletes_each_temporary_after_its_last_reader(template):
         assert readers[-1] == i - 1, (name, ast.unparse(flat[i]))
 
 
-# A q far from both centers, where the center distances overflow and no guard refuses.
+def overflowing_rows(template, rhs, a):
+    """Rows where ``template``'s kernel ``rhs`` returns inf or NaN and refuses nothing: a row
+    off every center with one component, or all, at +-1e155, +-1e200 or +-1.5e308, and the
+    row moved 1e-3 from the center (-a, 0, 0), scaled by w on the ellipsoid."""
+    base = np.random.default_rng(8).uniform(0.5, 5.0, len(template.state)).tolist()
+    w = base[template.state.index("w")] if "w" in template.state else 1.0
+    rows, tried = [], [[-a * w + 1e-3, 0.0, 0.0] + base[3:]]
+    for big in (1e155, 1e200, 1.5e308, -1e155, -1e200, -1.5e308):
+        tried += [base[:i] + [big] + base[i + 1:] for i in range(len(base))] + [[big] * len(base)]
+    for row in tried:
+        try:
+            out = rhs(row)
+        except (InvalidInputError, NearCollisionError):
+            continue
+        if not np.isfinite(out).all():
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
+def test_guard_lines_run_without_overflow_warnings(template):
+    """The one overflow rule: a column form runs whole, not only its guard's lines,
+    with overflow warnings off.  On rows where its kernel returns inf or NaN, at unit
+    masses and at 1e300, it gives the kernel's bits, NaN included, for a batch and for
+    one point of numpy scalars, with no ``RuntimeWarning``."""
+    found = 0
+    for prob in (Problem(1.3, 0.7, 1.7), Problem(1e300, 1e300, 1.7)):
+        rhs, columns = bound(template, prob)
+        rows = overflowing_rows(template, rhs, prob.a)
+        want = np.array([rhs(row) for row in rows]).reshape(len(rows), len(template.derivative))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = np.stack(np.broadcast_arrays(*columns(*np.array(rows).reshape(-1, len(template.state)).T)), axis=-1)
+            points = np.array([columns(*map(np.float64, row)) for row in rows]).reshape(want.shape)
+        assert np.array_equal(batch, want, equal_nan=True)
+        assert np.array_equal(points, want, equal_nan=True)
+        found += len(rows)
+    assert found, f"no row tried overflows the {template.name} kernel"
+
+
+# A q far from both centers, where the center distances overflow and no guard refuses,
+# and public evaluators at one point whose result overflows, each its kernel's.
 FAR = np.array([1e200, 0.0, 0.0])
-FAR_FROM_CENTERS = {
+Q = np.array([0.0, 0.5, 0.0, 0.5])
+PUBLIC_OVERFLOWS = {
     "acceleration": lambda prob: (acceleration(FAR, prob), (-0.0, -0.0, -0.0)),
     "first_integrals": lambda prob: (first_integrals(FAR, np.zeros(3), prob), (0.0, 0.0, 0.0)),
     "energy_arrays": lambda prob: (energy_arrays(np.append(FAR, 1.0), np.zeros(4), prob), 0.0),
+    "first_integrals-far-momentum": lambda prob: (first_integrals(np.array([1e155, 0, 0]), np.array([0, 1, 0]), prob),
+                                                  compile_kernel(INTEGRALS)(prob)([1e155, 0, 0, 0, 1, 0])),
+    "energy_arrays-overflowing-speed": lambda prob: (energy_arrays(Q, np.array([1e200, 0, 0, 0]), prob),
+                                                     compile_kernel(ENERGY)(prob)([*Q, 1e200, 0, 0, 0])[0]),
+    "star_norm": lambda prob: (star_norm(np.array([1e200, 0, 0, 0]), prob), np.inf),
 }
 
 
-@pytest.mark.parametrize("call", list(FAR_FROM_CENTERS))
-def test_guard_lines_run_without_overflow_warnings(call):
-    """Every guard's lines run with overflow warnings off, not only those of
-    ``LIFT``'s overflow guard: the center distances of a far q overflow to inf,
-    which no guard refuses, and each evaluator returns with no ``RuntimeWarning``."""
+@pytest.mark.parametrize("call", list(PUBLIC_OVERFLOWS))
+def test_public_evaluators_overflow_without_warnings(call):
+    """The center distances of a far q overflow to inf, which no guard refuses, and J, E,
+    G and |v|_* overflow at a large p or v: each evaluator returns its kernel's inf or
+    NaN (the center distances' inf gives 0) with no ``RuntimeWarning``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got, want = FAR_FROM_CENTERS[call](Problem())
-    assert np.array_equal(got, want)
+        got, want = PUBLIC_OVERFLOWS[call](Problem())
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def relation_kernel(prob):
@@ -206,8 +250,8 @@ def test_relation_column_form_matches_composed_kernels_row_by_row():
         want = np.array([rhs(row) for row in states.tolist()])
         assert np.array_equal(np.stack(projective._relation(prob, *states.T), axis=-1), want)
         states[[7, 9], 1] = (3e200, -2e200)
-        with pytest.raises(InvalidInputError) as in_columns, np.errstate(over="ignore", invalid="ignore"):
-            projective._relation(prob, *states.T)  # E overflows before the lift refuses
+        with pytest.raises(InvalidInputError) as in_columns:
+            projective._relation(prob, *states.T)  # E overflows, with no warning, before the lift refuses
         with pytest.raises(InvalidInputError) as in_kernel:
             rhs(states[7].tolist())
         assert str(in_columns.value) == str(in_kernel.value) == f"|(q, 1)|_* overflows at q = {states[7, :3].tolist()}"

@@ -1,5 +1,5 @@
-"""No module of the package imports another module's private helpers, and only ``geometry``
-imports ``numbers``, for its scalar validation rules."""
+"""No module of the package imports another module's private helpers, only ``geometry``
+imports ``numbers``, for its scalar validation rules, and none has numpy raise on overflow."""
 
 import ast
 from pathlib import Path
@@ -38,3 +38,18 @@ def test_only_geometry_imports_numbers():
             ):
                 importers.append(path.name)
     assert importers == ["geometry.py"]
+
+
+def test_one_overflow_rule():
+    """A column form returns what its kernel returns, inf and NaN included (see codegen), and a
+    caller judges a non-finite value by testing it: no module names ``FloatingPointError`` or
+    has numpy raise on overflow, which would be a second rule."""
+    offenders = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        if "FloatingPointError" in text:
+            offenders.append(f"{path.name}: FloatingPointError")
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.keyword) and isinstance(node.value, ast.Constant) and node.value.value == "raise":
+                offenders.append(f"{path.name}:{node.lineno}: {node.arg}={node.value.value!r}")
+    assert offenders == []

@@ -34,7 +34,7 @@ from twocenter import (
     star_norm,
     velocity_independence_residual,
 )
-from twocenter import projective
+from twocenter import projective, verify
 from twocenter.codegen import compile_kernel
 from twocenter.sampling import make_rng, sample_phase_points
 
@@ -539,12 +539,41 @@ def test_velocity_independence_refuses_a_bad_position(q3):
 
 
 @pytest.mark.filterwarnings("error")
-def test_velocity_independence_spread_overflow_raises():
+def test_velocity_independence_spread_overflow_is_non_finite():
     """At masses of 1e100 the differenced accelerations are finite but the
-    norms of their pairwise differences overflow: raised like the oracle's
-    own overflow, not a numpy warning and inf."""
-    with pytest.raises(FloatingPointError, match="overflow"):
-        velocity_independence_residual(np.array([0.0, 1, 0]), Problem(1e100, 1e100, 1.0), seed=42)
+    norms of their pairwise differences overflow: the spread reads inf, as
+    the column forms return an overflow, with no numpy warning."""
+    prob = Problem(1e100, 1e100, 1.0)
+    accs = fd_tangential_acceleration(np.broadcast_to([0.0, 1, 0], (10, 3)), make_rng(42).normal(size=(10, 3)), prob)
+    assert np.isfinite(accs).all()
+    assert not np.isfinite(velocity_independence_residual(np.array([0.0, 1, 0]), prob, seed=42))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mass", [1e163, 1e164])
+def test_fd_acceleration_overflow_is_non_finite(mass):
+    """Where the oracle's own arithmetic overflows, its values read inf or NaN, with no numpy warning."""
+    qs, ps = sample_phase_points(EQUAL, 5, make_rng(29), q_radius=3.0, min_center_distance=0.5)
+    assert not np.isfinite(fd_tangential_acceleration(qs, ps, Problem(mass, mass, 1.0))).all()
+
+
+def test_fd_acceleration_refuses_an_overflowing_step_state():
+    """At masses of 1e170 a state of the oracle's own RK4 step overflows |(q, 1)|_*: ``LIFT`` refuses it by name."""
+    qs, ps = sample_phase_points(EQUAL, 5, make_rng(29), q_radius=3.0, min_center_distance=0.5)
+    with pytest.raises(InvalidInputError, match=r"\|\(q, 1\)\|_\* overflows at q = "):
+        fd_tangential_acceleration(qs, ps, Problem(1e170, 1e170, 1.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stubbed", ["fd_tangential_acceleration", "velocity_independence_residual"])
+def test_velocity_check_never_passes_on_a_nan_figure(stubbed, monkeypatch):
+    """``max(spread, nan)`` is the spread: a NaN figure of the oracle, in the field
+    agreement or in the spread, fails the check with measured inf, naming the overflow."""
+    nan_oracle = {"fd_tangential_acceleration": lambda q, p, prob: np.full((len(q), 4), np.nan),
+                  "velocity_independence_residual": lambda q3, prob, seed: np.nan}
+    monkeypatch.setattr(verify, stubbed, nan_oracle[stubbed])
+    result = verify.check_velocity_independence(EQUAL, seed=42)
+    assert not result.passed and result.measured == np.inf and "overflows" in result.detail
 
 
 def test_fd_acceleration_matches_field():
