@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import RhsTemplate, compile_columns
-from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, Problem, acceleration
+from .dynamics import CENTER_DISTANCE_LINES, CENTER_GUARD, INTEGRALS, PLANAR_RHS, Problem
 from .errors import InvalidInputError, RankDeficientError
 from .geometry import LIFT, STAR, check_count, check_grid, pair_columns, star
 from .sampling import make_rng, sample_phase_points
@@ -220,43 +220,42 @@ def fit_integral_relation(prob: Problem, sample_count: int, seed: int = 0) -> In
     return IntegralRelation(*map(float, coeffs), residual)
 
 
-def _rk4_planar_step(
-    q: np.ndarray, p: np.ndarray, prob: Problem, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of the planar system (local error O(h^5)), batched."""
-    k1q, k1p = p, acceleration(q, prob)
-    k2q, k2p = p + 0.5 * h * k1p, acceleration(q + 0.5 * h * k1q, prob)
-    k3q, k3p = p + 0.5 * h * k2p, acceleration(q + 0.5 * h * k2q, prob)
-    k4q, k4p = p + h * k3p, acceleration(q + h * k3q, prob)
-    return (
-        q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
-        p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-    )
+# The velocity half of ``LIFT`` on its own lines, unguarded: the states that the oracle's RK4
+# step makes are its own, so where one overflows |(q, 1)|_* its Q' reads inf or NaN.
+_STEP_LIFT = RhsTemplate("lift of a step", LIFT.state, LIFT.params, LIFT.guard.lines + "\n" + LIFT.body,
+                         LIFT.derivative[4:])
 
 
 def fd_tangential_acceleration(q: np.ndarray, p: np.ndarray, prob: Problem) -> np.ndarray:
     """Tangential Q'' obtained by differencing the lifted planar flow.
 
     Independent oracle for the tangential field, ``INTRINSIC_RHS`` at
-    Q' = 0: the planar system is advanced by +-``_FD_STEP`` with single RK4
-    steps, the lifted velocities are centrally differenced in t, and the
-    chain rule dtau/dt = W^2, the height of the projected Q, converts to the
-    intrinsic time.  Batched over (..., 3) states checked by ``geometry.pair_columns``,
-    each bit-identical to evaluating it alone.  Its own values go unchecked to the column forms, so
-    an overflow (masses of about 1e163 and up) reads inf or NaN; but a state of its RK4 step that
-    overflows (about 1e165 and up) is refused, naming it, by ``LIFT`` or ``acceleration``'s input check.
+    Q' = 0: the planar system is advanced by +-``_FD_STEP`` with single
+    classical RK4 steps (local error O(h^5)) on the column form of
+    ``PLANAR_RHS``, the lifted velocities are centrally differenced in t, and
+    the chain rule dtau/dt = W^2, the height of the projected Q, converts to
+    the intrinsic time.  Batched over (..., 3) states, each bit-identical to
+    evaluating it alone.  It refuses the caller's q and p as
+    :func:`lift_arrays` does, and a state within ``COLLISION_GUARD`` of a
+    center by the guard of ``PLANAR_RHS``; its own states go unchecked to the
+    column forms, so an overflow (masses of about 1e163 and up) reads inf or
+    NaN, without a warning.
     """
-    big_q, lift = lift_arrays(q, p, prob)[0], compile_columns(LIFT)  # lift_arrays validates q and p
-    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    state = pair_columns(q, p)
+    big_q = compile_columns(LIFT)(*state, prob)[:4]
+    rhs, velocities = compile_columns(PLANAR_RHS), []
     with np.errstate(over="ignore", invalid="ignore"):
-        q_fwd, p_fwd = _rk4_planar_step(q, p, prob, _FD_STEP)
-        q_bwd, p_bwd = _rk4_planar_step(q, p, prob, -_FD_STEP)
-        qp_fwd = np.stack(lift(*np.moveaxis(q_fwd, -1, 0), *np.moveaxis(p_fwd, -1, 0), prob)[4:], axis=-1)
-        qp_bwd = np.stack(lift(*np.moveaxis(q_bwd, -1, 0), *np.moveaxis(p_bwd, -1, 0), prob)[4:], axis=-1)
-        w = big_q[..., 3:]
-        qpp = (qp_fwd - qp_bwd) / (2.0 * _FD_STEP * (w * w))
-        radial = compile_columns(STAR)(*np.moveaxis(big_q, -1, 0), *np.moveaxis(qpp, -1, 0), prob)[0]
-        return qpp - radial[..., None] * big_q
+        for h in (_FD_STEP, -_FD_STEP):
+            k1 = rhs(*state, prob)
+            k2 = rhs(*(y + 0.5 * h * k for y, k in zip(state, k1)), prob)
+            k3 = rhs(*(y + 0.5 * h * k for y, k in zip(state, k2)), prob)
+            k4 = rhs(*(y + h * k for y, k in zip(state, k3)), prob)
+            stepped = (y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(state, k1, k2, k3, k4))
+            velocities.append(compile_columns(_STEP_LIFT)(*stepped, prob))
+        divisor = 2.0 * _FD_STEP * (big_q[3] * big_q[3])  # the t span, and dtau/dt = W^2
+        qpp = [(fwd - bwd) / divisor for fwd, bwd in zip(*velocities)]
+        radial = compile_columns(STAR)(*big_q, *qpp, prob)[0]
+        return np.stack([u - radial * v for u, v in zip(qpp, big_q)], axis=-1)
 
 
 def velocity_independence_residual(q3: np.ndarray, prob: Problem, seed: int = 0) -> float:

@@ -117,16 +117,14 @@ def check_energy_drift(intrinsic: Trajectory) -> CheckResult:
 def check_velocity_independence(prob: Problem, seed: int = 42) -> CheckResult:
     """Pairwise spread of the differenced tangential acceleration, and its agreement with the
     closed-form tangential field at random states; where the finite-difference oracle overflows
-    (any mass from about 4e87 up), it fails with measured inf and a detail naming the overflow."""
+    (any mass from about 4e87 up), its figures read inf or NaN, as it refuses none of its own
+    states, and the check fails with measured inf and a detail naming the overflow."""
     name = "velocity-independence"
     qs, ps = sample_phase_points(prob, _INDEPENDENCE_STATES, make_rng(seed), q_radius=3.0, min_center_distance=0.5)
     # the tangential field is INTRINSIC_RHS at Q' = 0; like the scalar kernel, it overflows silently
     field = np.stack(compile_columns(INTRINSIC_RHS)(*project(qs, prob).T, 0.0, 0.0, 0.0, 0.0, prob)[4:], axis=-1)
-    try:
-        spread = velocity_independence_residual(np.array([0.0, 1.0, 0.0]), prob, seed=seed)
-        oracle = fd_tangential_acceleration(qs, ps, prob)
-    except InvalidInputError:  # a state of the oracle's own step overflows, and is refused
-        spread, oracle = np.inf, np.inf
+    spread = velocity_independence_residual(np.array([0.0, 1.0, 0.0]), prob, seed=seed)
+    oracle = fd_tangential_acceleration(qs, ps, prob)
     with np.errstate(over="ignore", invalid="ignore"):
         difference = oracle - field
     agreement = float(np.max(star_norm(difference, prob))) if np.isfinite(difference).all() else np.inf

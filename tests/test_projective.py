@@ -550,18 +550,13 @@ def test_velocity_independence_spread_overflow_is_non_finite():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mass", [1e163, 1e164])
+@pytest.mark.parametrize("mass", [1e163, 1e164, 1e165, 1e170, 1e300, 1.7e308])
 def test_fd_acceleration_overflow_is_non_finite(mass):
-    """Where the oracle's own arithmetic overflows, its values read inf or NaN, with no numpy warning."""
+    """Where the oracle's own arithmetic overflows, its values read inf or NaN, with no numpy
+    warning; from about 1e165 a state of its own RK4 step overflows |(q, 1)|_* too, and at
+    the float maximum a stage state is inf: neither is refused, as no caller passed it."""
     qs, ps = sample_phase_points(EQUAL, 5, make_rng(29), q_radius=3.0, min_center_distance=0.5)
     assert not np.isfinite(fd_tangential_acceleration(qs, ps, Problem(mass, mass, 1.0))).all()
-
-
-def test_fd_acceleration_refuses_an_overflowing_step_state():
-    """At masses of 1e170 a state of the oracle's own RK4 step overflows |(q, 1)|_*: ``LIFT`` refuses it by name."""
-    qs, ps = sample_phase_points(EQUAL, 5, make_rng(29), q_radius=3.0, min_center_distance=0.5)
-    with pytest.raises(InvalidInputError, match=r"\|\(q, 1\)\|_\* overflows at q = "):
-        fd_tangential_acceleration(qs, ps, Problem(1e170, 1e170, 1.0))
 
 
 @pytest.mark.filterwarnings("error")
